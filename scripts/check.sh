@@ -5,8 +5,9 @@
 # fault-injection smoke runs, a chaos smoke (kill a worker mid-grid,
 # assert bit-identical recovery and no leaked shm segments),
 # observability smoke, an end-to-end smoke of the simulation service
-# (boot, submit, SIGTERM drain), and a fleet smoke (two pull-workers,
-# one SIGKILLed mid-lease, bit-identical redispatch).
+# (boot, submit, SIGTERM drain), a fleet smoke (two pull-workers,
+# one SIGKILLed mid-lease, bit-identical redispatch), and the
+# benchmark's own tests (quick-input SimResult digests, served restart).
 #
 # ruff and mypy run as hard failures when installed.  The offline test
 # image ships without them, so by default their absence only prints a
@@ -303,7 +304,7 @@ else
     run_or_fail python scripts/stream_smoke.py
 fi
 
-step "repro serve --fleet (fleet smoke: SIGKILL a worker mid-lease)"
+step "repro serve --workers 0 (fleet smoke: SIGKILL a worker mid-lease)"
 # Dispatch-only broker plus two real pull-workers: SIGKILL one while
 # it holds leases, assert the lease-expiry path redispatches every job
 # to the survivor, the final bytes are bit-identical to a serial
@@ -313,6 +314,17 @@ if command -v timeout >/dev/null 2>&1; then
         python scripts/fleet_smoke.py
 else
     run_or_fail python scripts/fleet_smoke.py
+fi
+
+step "perfbench (benchmark self-tests: result digests, served drain)"
+# Every quick-input SimResult of the benchmark grids must hash to its
+# committed perfbench/digests.json entry (the "no behaviour change"
+# gate for refactors), and the served workload's SIGTERM restart must
+# drain cleanly.
+if command -v timeout >/dev/null 2>&1; then
+    run_or_fail timeout --signal=KILL 900 python -m pytest -q perfbench
+else
+    run_or_fail python -m pytest -q perfbench
 fi
 
 echo

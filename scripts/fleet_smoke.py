@@ -1,5 +1,5 @@
-"""Distributed-fleet smoke test for ``repro serve --fleet``, driven by
-check.sh.
+"""Distributed-fleet smoke test for ``repro serve --workers 0``, driven
+by check.sh.
 
 Boots a dispatch-only broker plus two real ``repro worker`` daemons as
 subprocesses, SIGKILLs one mid-lease, and requires the fleet to
@@ -7,7 +7,7 @@ converge on results **bit-identical** to a serial in-process server:
 
 1. run the reference grid on a plain single-worker server and record
    the raw response bytes per job;
-2. start ``python -m repro serve --fleet`` on an ephemeral port with a
+2. start ``python -m repro serve --workers 0`` on an ephemeral port with a
    short lease TTL and worker-liveness horizon; ``/readyz`` must be
    503 while no worker is registered;
 3. start worker A (inline execution), wait until ``/metrics`` shows an
@@ -114,7 +114,7 @@ def main():
             [
                 sys.executable, "-m", "repro", "serve",
                 "--port", "0",
-                "--fleet",
+                "--workers", "0",
                 "--lease-ttl", "2",
                 "--worker-timeout", "5",
                 "--cache-dir", os.path.join(tmp, "broker-cache"),

@@ -74,7 +74,7 @@ def analyze_run(
     findings on top.  Runs through the :mod:`repro.analysis.passes`
     pipeline: vectorized over the columnar IR by default, falling back
     per-pass to the PR 1 reference implementations (``engine="legacy"``
-    or ``REPRO_ANALYSIS_ENGINE=legacy`` forces them; both engines
+    or ``REPRO_ENGINE=legacy`` forces them; both engines
     produce finding-for-finding identical reports).
     """
     manager = _gating_manager()

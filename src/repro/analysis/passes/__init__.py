@@ -11,12 +11,11 @@ Importing this package registers the standard passes:
   cross-config screening).
 
 Use :class:`PassManager` to run a pipeline with engine selection and
-per-pass legacy fallback; ``REPRO_ANALYSIS_ENGINE=legacy`` forces the
+per-pass legacy fallback; ``REPRO_ENGINE=legacy`` forces the
 reference implementations process-wide.
 """
 
 from repro.analysis.passes.base import (
-    ENGINE_ENV,
     ENGINES,
     AnalysisPass,
     PassContext,
@@ -46,7 +45,6 @@ from repro.analysis.passes.profile_pass import (
 )
 
 __all__ = [
-    "ENGINE_ENV",
     "ENGINES",
     "AnalysisPass",
     "LINT_PASS",

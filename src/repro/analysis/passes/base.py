@@ -20,9 +20,7 @@ The :class:`PassManager` owns engine selection through the shared
 and ``"vectorized"`` run columnar implementations and silently fall
 back per pass when one returns ``None`` or the trace is not encodable;
 ``"legacy"`` forces the per-event oracles.  The ``REPRO_ENGINE``
-environment variable overrides the default for a whole process (the
-analysis-only ``REPRO_ANALYSIS_ENGINE`` still works, with a
-:class:`DeprecationWarning`).
+environment variable overrides the default for a whole process.
 """
 
 from __future__ import annotations
@@ -43,18 +41,12 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Engine names accepted by :meth:`PassManager.run`.
 ENGINES = tuple(e.value for e in EngineSelection)
 
-#: Deprecated analysis-only environment override; still honored by
-#: :func:`repro.common.engine.engine_from_env` (which warns), kept here
-#: because PR 6 exported it from this module.
-ENGINE_ENV = "REPRO_ANALYSIS_ENGINE"
-
 
 def default_engine() -> str:
     """Process-wide default engine name.
 
     Resolution lives in :func:`repro.common.engine.resolve_engine`
-    (``REPRO_ENGINE``, then the deprecated ``REPRO_ANALYSIS_ENGINE``
-    with a warning).  ``auto`` and ``vectorized`` are the same
+    (``REPRO_ENGINE``).  ``auto`` and ``vectorized`` are the same
     execution for analysis passes — columnar with per-pass fallback —
     so the ambient default reports as ``"vectorized"``.
     """

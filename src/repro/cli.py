@@ -181,14 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "interpreter); default: REPRO_ENGINE or auto",
     )
     run.add_argument(
-        "--pool",
-        choices=("supervised", "executor"),
-        default=None,
-        help="grid mode: parallel dispatch strategy — supervised "
-        "(heartbeat-monitored workers with crash recovery, the "
-        "default) or executor (plain ProcessPoolExecutor)",
-    )
-    run.add_argument(
         "--heartbeat-timeout",
         type=float,
         default=None,
@@ -276,7 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="concurrent simulation slots (default: 2)",
+        help="concurrent local simulation slots (default: 2); 0 is "
+        "dispatch-only mode, where every job waits for a `repro "
+        "worker` to lease it",
     )
     serve.add_argument(
         "--queue-capacity",
@@ -356,12 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "service_engine_fallbacks_total metric",
     )
     serve.add_argument(
-        "--fleet",
-        action="store_true",
-        help="dispatch-only mode: run no local execution slots; every "
-        "job waits for a `repro worker` to lease it",
-    )
-    serve.add_argument(
         "--lease-ttl",
         type=float,
         default=15.0,
@@ -389,8 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "worker",
-        help="run a fleet pull-worker against a `repro serve --fleet` "
-        "broker",
+        help="run a fleet pull-worker against a `repro serve` broker "
+        "(dispatch-only with --workers 0)",
     )
     worker.add_argument(
         "--url",
@@ -850,8 +838,6 @@ def _cmd_run_grid(args) -> int:
     if log_level is None and args.log_json:
         log_level = "info"
     extra: dict = {}
-    if args.pool is not None:
-        extra["pool"] = args.pool
     if args.heartbeat_timeout is not None:
         extra["heartbeat_timeout_s"] = args.heartbeat_timeout
     if args.max_pool_restarts is not None:
@@ -1040,7 +1026,6 @@ def _cmd_serve(args) -> int:
         prune_interval_s=args.prune_interval,
         max_cache_mb=args.max_cache_mb,
         stream_spans=args.stream_spans,
-        fleet=args.fleet,
         fleet_lease_ttl_s=args.lease_ttl,
         fleet_worker_timeout_s=args.worker_timeout,
         runner=RunnerConfig(

@@ -23,16 +23,15 @@ The lease lifecycle mirrors the PR 8 supervised pool's crash path:
   second expiry of the same job quarantines it as poisoned.
 
 Worker membership is journaled to ``fleet_workers.jsonl`` under the
-cache root in the PR 3 journal format (one JSON object per line,
-torn-line tolerant): a rebooted broker restores the fleet roster and
-gives restored workers one liveness-timeout grace period to resume
+cache root, a :class:`~repro.runner.cache.JsonlJournal` (torn-line
+tolerant): a rebooted broker restores the fleet roster and gives
+restored workers one liveness-timeout grace period to resume
 heartbeating before they are expired from the ring.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +39,7 @@ from typing import Optional
 
 from repro.fleet.ring import HashRing
 from repro.obs.logs import get_logger
+from repro.runner.cache import JsonlJournal
 
 _log = get_logger("fleet")
 
@@ -74,6 +74,16 @@ class Lease:
     request_id: str = ""
 
 
+def _roster_record(event: str, worker_id: str, capacity: int) -> dict:
+    """One ``fleet_workers.jsonl`` line: a join or a leave."""
+    return {
+        "event": event,
+        "worker": worker_id,
+        "capacity": capacity,
+        "ts": time.time(),
+    }
+
+
 class FleetManager:
     """Lease/registry state machine for one broker's worker fleet."""
 
@@ -90,8 +100,8 @@ class FleetManager:
         self._expiries = 0
         self._redispatched = 0
         cache_dir = self.config.runner.cache_dir
-        self._journal_path = (
-            Path(cache_dir) / FLEET_REGISTRY_FILENAME
+        self._roster = (
+            JsonlJournal(Path(cache_dir) / FLEET_REGISTRY_FILENAME)
             if cache_dir is not None
             else None
         )
@@ -207,24 +217,10 @@ class FleetManager:
         return {"worker_id": worker_id, "requeued": requeued}
 
     def _journal(self, event: str, worker_id: str, capacity: int) -> None:
-        if self._journal_path is None:
+        if self._roster is None:
             return
         try:
-            self._journal_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(
-                self._journal_path, "a", encoding="utf-8"
-            ) as handle:
-                handle.write(
-                    json.dumps(
-                        {
-                            "event": event,
-                            "worker": worker_id,
-                            "capacity": capacity,
-                            "ts": time.time(),
-                        }
-                    )
-                    + "\n"
-                )
+            self._roster.append(_roster_record(event, worker_id, capacity))
         except OSError:
             pass  # membership is soft state; journal loss is survivable
 
@@ -235,29 +231,20 @@ class FleetManager:
         grace period to resume heartbeating before the reaper expires
         them.  The journal is compacted to the surviving roster.
         """
-        if self._journal_path is None:
-            return 0
-        try:
-            lines = self._journal_path.read_text(
-                encoding="utf-8"
-            ).splitlines()
-        except OSError:
+        if self._roster is None:
             return 0
         members: "dict[str, int]" = {}
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
+        for entry in self._roster.records():
             try:
-                entry = json.loads(line)
                 event = entry["event"]
                 worker_id = str(entry["worker"])
-            except (json.JSONDecodeError, KeyError, TypeError):
-                continue  # torn or stale line: drop, don't crash boot
+                capacity = int(entry.get("capacity", 1) or 1)
+            except (KeyError, TypeError, ValueError):
+                continue  # stale record: drop, don't crash boot
             if not worker_id:
                 continue
             if event == "join":
-                members[worker_id] = int(entry.get("capacity", 1) or 1)
+                members[worker_id] = capacity
             elif event == "leave":
                 members.pop(worker_id, None)
         now = self._clock()
@@ -271,11 +258,12 @@ class FleetManager:
             self.ring.add(worker_id)
         # Compact: rewrite the surviving roster as fresh join lines.
         try:
-            self._journal_path.unlink()
+            self._roster.replace(
+                _roster_record("join", worker_id, capacity)
+                for worker_id, capacity in members.items()
+            )
         except OSError:
             pass
-        for worker_id, capacity in members.items():
-            self._journal("join", worker_id, capacity)
         self._sync_gauges()
         return len(members)
 

@@ -20,9 +20,6 @@ from repro.harness.suite import (
     evaluation_suite,
     motivation_suite,
     plain_atomics_suite,
-    prime_evaluation_suite,
-    prime_motivation_suite,
-    prime_plain_atomics_suite,
 )
 
 __all__ = [
@@ -34,8 +31,5 @@ __all__ = [
     "get_experiment",
     "motivation_suite",
     "plain_atomics_suite",
-    "prime_evaluation_suite",
-    "prime_motivation_suite",
-    "prime_plain_atomics_suite",
     "run_experiment",
 ]

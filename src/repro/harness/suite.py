@@ -9,19 +9,15 @@ process, so the benchmark files can each render their artifact without
 re-simulating.
 
 Execution policy (strictness, parallelism, cache placement) is carried
-by an explicit :class:`~repro.runner.RunnerConfig` argument.  The old
-module-global toggle (:func:`set_strict` / :func:`strict_enabled`) is
-deprecated; orchestrators that want a pre-warmed grid (CLI ``repro
-run``, ``examples/reproduce_all.py``, the benchmark session fixture)
-run the grid themselves and hand the products to
-:func:`adopt_grid_results` (the per-memo ``prime_*`` trio is
-deprecated).
+by an explicit :class:`~repro.runner.RunnerConfig` argument.
+Orchestrators that want a pre-warmed grid (CLI ``repro run``,
+``examples/reproduce_all.py``, the benchmark session fixture) run the
+grid themselves and hand the products to :func:`adopt_grid_results`.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Optional
 
 from repro.core.api import EvaluationReport
@@ -46,11 +42,6 @@ _EVAL_CACHE: dict[str, dict[str, EvaluationReport]] = {}
 _MOTIVATION_CACHE: dict[str, dict[str, tuple[WorkloadRun, SimResult]]] = {}
 _PLAIN_CACHE: dict[str, dict[str, SimResult]] = {}
 
-#: Deprecated ambient strictness, kept so the :func:`set_strict` shim
-#: still has an effect until external callers migrate to
-#: ``RunnerConfig(strict=...)`` / ``trace_workload(..., strict=True)``.
-_DEPRECATED_STRICT = False
-
 
 def default_runner(scale: str | None = None) -> RunnerConfig:
     """The library-default execution policy for suite calls.
@@ -66,60 +57,28 @@ def default_runner(scale: str | None = None) -> RunnerConfig:
     cache_env = os.environ.get("REPRO_CACHE_DIR")
     return RunnerConfig(
         scale=resolve_scale(scale),
-        strict=_DEPRECATED_STRICT,
         jobs=int(jobs_env) if jobs_env else None,
         parallel=bool(jobs_env and int(jobs_env) > 1),
         cache_dir=cache_env if cache_env else None,
     )
 
 
-def set_strict(strict: bool) -> bool:
-    """Deprecated: use ``RunnerConfig(strict=...)`` or the ``strict``
-    parameter of :func:`trace_workload` instead.
-
-    Toggles the ambient fallback strictness; returns the old value.
-    """
-    warnings.warn(
-        "harness.suite.set_strict is deprecated; pass "
-        "RunnerConfig(strict=...) to the suite functions or "
-        "strict=True to trace_workload",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    global _DEPRECATED_STRICT
-    previous = _DEPRECATED_STRICT
-    _DEPRECATED_STRICT = bool(strict)
-    return previous
-
-
-def strict_enabled() -> bool:
-    """Deprecated: whether the ambient fallback strictness is active."""
-    warnings.warn(
-        "harness.suite.strict_enabled is deprecated; strictness is "
-        "carried explicitly by RunnerConfig",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _DEPRECATED_STRICT
-
-
 def trace_workload(
     code: str,
     scale: str | None = None,
-    strict: bool | None = None,
+    strict: bool = False,
 ) -> WorkloadRun:
     """Trace one workload on its bench graph at the given scale.
 
     With ``strict=True`` the captured trace is linted and race-checked
     before it is returned to any simulation (content-deduplicated: a
-    trace that already passed is not re-walked).  ``strict=None``
-    falls back to the deprecated :func:`set_strict` ambient toggle.
+    trace that already passed is not re-walked).
     """
     scale = resolve_scale(scale)
     graph = workload_graph(code, scale)
     workload = get_workload(code)
     run = workload.run(graph, num_threads=16, **workload_params(code))
-    if _DEPRECATED_STRICT if strict is None else strict:
+    if strict:
         from repro.analysis import preflight_run
 
         preflight_run(run, config=SystemConfig.graphpim())
@@ -216,47 +175,12 @@ def adopt_grid_results(scale: str, grid) -> None:
     ``grid`` is the :class:`~repro.runner.engine.GridResults` returned
     by :func:`~repro.runner.engine.run_full_grid`.  This is the
     supported hand-over path for orchestrators (CLI, reproduce_all, the
-    benchmark session fixture); the per-memo ``prime_*`` trio it
-    supersedes survives as deprecated shims.
+    benchmark session fixture).
     """
     scale = resolve_scale(scale)
     _EVAL_CACHE[scale] = dict(grid.evaluation)
     _MOTIVATION_CACHE[scale] = dict(grid.motivation)
     _PLAIN_CACHE[scale] = dict(grid.plain)
-
-
-def _warn_prime_deprecated(name: str) -> None:
-    warnings.warn(
-        f"{name} is deprecated; run the grid through "
-        "repro.runner.run_full_grid and hand the GridResults to "
-        "adopt_grid_results(scale, grid)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def prime_evaluation_suite(
-    scale: str, reports: dict[str, EvaluationReport]
-) -> None:
-    """Deprecated: seed the evaluation memo with runner reports."""
-    _warn_prime_deprecated("prime_evaluation_suite")
-    _EVAL_CACHE[resolve_scale(scale)] = dict(reports)
-
-
-def prime_motivation_suite(
-    scale: str, results: dict[str, tuple[WorkloadRun, SimResult]]
-) -> None:
-    """Deprecated: seed the motivation memo with (run, result)s."""
-    _warn_prime_deprecated("prime_motivation_suite")
-    _MOTIVATION_CACHE[resolve_scale(scale)] = dict(results)
-
-
-def prime_plain_atomics_suite(
-    scale: str, results: dict[str, SimResult]
-) -> None:
-    """Deprecated: seed the plain-atomics memo with results."""
-    _warn_prime_deprecated("prime_plain_atomics_suite")
-    _PLAIN_CACHE[resolve_scale(scale)] = dict(results)
 
 
 def clear_caches() -> None:

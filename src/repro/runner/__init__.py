@@ -1,14 +1,14 @@
 """Parallel experiment runner with a persistent result cache.
 
 Turns the harness's implicit (workload, scale, mode) grid into explicit
-:class:`ExperimentSpec` jobs, fans them out across a process pool, and
+:class:`ExperimentSpec` jobs, fans them out across a supervised worker
+pool, and
 backs every simulation with a content-addressed on-disk cache
 (``.repro_cache/`` by default) keyed by trace hash + config fingerprint
 + code-version salt — a repeated grid performs zero simulations.
 
 Strictness, scale, parallelism, and cache placement travel on
-:class:`RunnerConfig` values instead of module globals; the old
-``harness.suite.set_strict`` API is deprecated in favor of this.
+:class:`RunnerConfig` values instead of module globals.
 
 Entry points:
 
@@ -16,9 +16,12 @@ Entry points:
   standard grids (CLI ``repro run``, ``examples/reproduce_all.py``).
 - :class:`ExperimentRunner` — execute an arbitrary spec list.
 - :class:`ResultCache` — cache inspection/maintenance (``repro cache``).
+- :class:`JsonlJournal` — the torn-write tolerant JSON-lines journal
+  behind the resume checkpoint, the service's drain checkpoint and the
+  fleet roster.
 - :class:`SupervisedWorkerPool` — the heartbeat-monitored worker pool
-  behind parallel grids (``RunnerConfig.pool="supervised"``), with
-  shared-memory trace hand-off and crash/hang/poison recovery.
+  behind every parallel grid, with shared-memory trace hand-off and
+  crash/hang/timeout/poison recovery.
 """
 
 from repro.chaos import ChaosPlan
@@ -26,6 +29,7 @@ from repro.faults import FaultPlan
 from repro.runner.cache import (
     CACHE_LAYOUT_VERSION,
     CheckpointJournal,
+    JsonlJournal,
     ResultCache,
 )
 from repro.runner.engine import (
@@ -76,6 +80,7 @@ __all__ = [
     "GridResults",
     "JobFailure",
     "JobRecord",
+    "JsonlJournal",
     "PoolOutcome",
     "ResultCache",
     "RunnerConfig",

@@ -18,7 +18,10 @@ so they can be inspected instead of silently regenerated forever.
 
 The :class:`CheckpointJournal` is an append-only record of completed
 :class:`~repro.runner.spec.ExperimentSpec` keys; ``repro run --resume``
-reads it to skip work a killed run already finished.
+reads it to skip work a killed run already finished.  It is one of
+three consumers of :class:`JsonlJournal`, the torn-write tolerant
+JSON-lines format shared with the service's drain checkpoint and the
+fleet's worker roster.
 """
 
 from __future__ import annotations
@@ -27,9 +30,29 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import IO, Callable, Iterable
 
 #: Bumped when the on-disk layout (not the payload schema) changes.
 CACHE_LAYOUT_VERSION = 1
+
+
+def _write_atomically(path: Path, write: Callable[[IO[str]], object]) -> None:
+    """Run ``write`` on a temp file beside ``path``, then rename it in.
+
+    Readers (including concurrent workers) never observe a partial
+    file; on any failure the temp file is removed and the error raised.
+    """
+    fd, tmp_path = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            write(handle)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
 
 
 class ResultCache:
@@ -79,19 +102,9 @@ class ResultCache:
         version_marker = self.root / "VERSION"
         if not version_marker.exists():
             version_marker.write_text(f"{CACHE_LAYOUT_VERSION}\n")
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self._objects, suffix=".tmp"
+        _write_atomically(
+            self._path(key), lambda handle: json.dump(payload, handle)
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_path, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
@@ -230,53 +243,93 @@ class ResultCache:
         return f"ResultCache(root={str(self.root)!r})"
 
 
-class CheckpointJournal:
-    """Append-only completed-spec journal under the cache root.
+class JsonlJournal:
+    """A torn-write tolerant JSON-lines file: the one journal format.
 
-    One JSON line per completed spec: ``{"spec": <spec_key>, "job_id":
-    <human id>}``.  Appends are O_APPEND single-write operations, so a
-    kill mid-write leaves at most one truncated final line, which
-    :meth:`completed` skips — every intact line still counts, which is
-    exactly the resume semantics we want.
+    The runner's resume checkpoint (:class:`CheckpointJournal`), the
+    service's drain checkpoint and the fleet's worker roster all sit on
+    this.  :meth:`append` adds one record as one line in a single
+    append-mode write, so a kill mid-write leaves at most one torn
+    final line; the next append ends that line first, so its own record
+    stays intact.  :meth:`records` skips torn lines, and any other line
+    that is not a JSON object, and returns every intact record in file
+    order.  :meth:`replace` swaps in a whole record list atomically
+    (temp file and rename; an empty list removes the file) and
+    :meth:`clear` removes the file.  Write errors propagate: each
+    consumer decides whether its journal is worth failing for.
     """
 
-    FILENAME = "journal.jsonl"
+    def __init__(self, path: str | os.PathLike):
+        self.path = Path(path)
 
-    def __init__(self, root: str | os.PathLike):
-        self.root = Path(root)
-        self.path = self.root / self.FILENAME
+    def append(self, record: dict) -> None:
+        """Add one record as one line."""
+        line = json.dumps(record).encode("utf-8") + b"\n"
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "a+b") as handle:
+            if handle.seek(0, os.SEEK_END):
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    line = b"\n" + line  # end a torn last line first
+            handle.write(line)
 
-    def completed(self) -> "set[str]":
-        """Spec keys recorded as completed (corrupt lines ignored)."""
-        keys: set[str] = set()
+    def records(self) -> "list[dict]":
+        """Every intact record; a missing file reads as none."""
         try:
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                        keys.add(entry["spec"])
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        continue  # torn write from a killed run
+            data = self.path.read_bytes()
         except OSError:
-            return set()
-        return keys
+            return []
+        records = []
+        for line in data.splitlines():
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue  # blank, or torn by a killed writer
+            if isinstance(record, dict):
+                records.append(record)
+        return records
 
-    def mark(self, spec_key: str, job_id: str = "") -> None:
-        """Record one completed spec (idempotent across runs)."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps({"spec": spec_key, "job_id": job_id})
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+    def replace(self, records: "Iterable[dict]") -> None:
+        """Atomically make ``records`` the whole journal."""
+        text = "".join(json.dumps(record) + "\n" for record in records)
+        if not text:
+            self.clear()
+            return
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        _write_atomically(self.path, lambda handle: handle.write(text))
 
     def clear(self) -> None:
-        """Forget every checkpoint."""
+        """Remove the journal (a no-op when it does not exist)."""
         try:
             self.path.unlink()
         except OSError:
             pass
 
     def __repr__(self) -> str:
-        return f"CheckpointJournal(path={str(self.path)!r})"
+        return f"{type(self).__name__}(path={str(self.path)!r})"
+
+
+class CheckpointJournal(JsonlJournal):
+    """Completed-spec journal under the cache root (``--resume``).
+
+    One record per completed spec: ``{"spec": <spec_key>, "job_id":
+    <human id>}``.  A torn final record is skipped and every intact one
+    still counts, which is exactly the resume semantics we want.
+    """
+
+    FILENAME = "journal.jsonl"
+
+    def __init__(self, root: str | os.PathLike):
+        super().__init__(Path(root) / self.FILENAME)
+
+    def completed(self) -> "set[str]":
+        """Spec keys recorded as completed."""
+        return {
+            record["spec"]
+            for record in self.records()
+            if isinstance(record.get("spec"), str)
+        }
+
+    def mark(self, spec_key: str, job_id: str = "") -> None:
+        """Record one completed spec (idempotent across runs)."""
+        self.append({"spec": spec_key, "job_id": job_id})

@@ -3,26 +3,30 @@
 One :class:`ExperimentSpec` is executed by :func:`execute_spec` —
 trace the workload once, then for each mode either load the simulation
 result from the content-addressed cache or simulate and store it.  The
-function is a plain picklable top-level callable, so the same code runs
-in-process (``parallel=False``) and inside ``ProcessPoolExecutor``
-workers; results are bit-identical either way because each job is
-internally deterministic and jobs share nothing.
+same function runs in-process (``parallel=False``) and, split into its
+:func:`trace_spec` and :func:`simulate_spec_modes` phases, inside the
+:class:`~repro.runner.pool.SupervisedWorkerPool` workers that every
+parallel grid runs on; results are bit-identical either way because
+each job is internally deterministic and jobs share nothing.
 
-Worker IPC uses the stable ``SimResult.to_dict()`` payloads (the same
-representation the disk cache stores); the traced
-:class:`~repro.workloads.base.WorkloadRun` rides along by pickle so
-downstream experiments can re-simulate the trace under swept configs.
+Pool workers return the stable ``SimResult.to_dict()`` payloads (the
+representation the disk cache stores) and hand the traced
+:class:`~repro.workloads.base.WorkloadRun` back through shared memory,
+so downstream experiments can re-simulate the trace under swept
+configs.
 
-If the worker pool breaks (a worker segfaults or is OOM-killed), the
-engine transparently re-runs the affected jobs in-process and flags the
-fallback in the :class:`RunnerReport` instead of failing the grid.
+The pool owns the failure taxonomy (crash, hang, timeout with
+full-jitter retry backoff, poisoned spec).  When it runs out of
+restart budget its circuit opens, and the engine finishes the jobs it
+hands back in-process, flagging the fallback in the
+:class:`RunnerReport` instead of failing the grid.
 
 Resilience features ride on :class:`RunnerConfig`:
 
 - ``job_timeout_s`` — pool jobs that exceed their wall-clock budget are
-  abandoned and retried with exponential backoff (``job_retries``,
-  ``backoff_base_s``, ``backoff_factor``); the clock and sleep used for
-  the schedule are injectable for tests.
+  killed and retried with exponential backoff (``job_retries``,
+  ``backoff_base_s``, ``backoff_factor``); ``backoff_rng`` makes the
+  jitter injectable for tests.
 - ``allow_partial`` — failed jobs become structured
   :class:`~repro.runner.spec.JobFailure` records on the report and the
   grid returns the surviving outcomes instead of raising.
@@ -34,9 +38,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -270,33 +271,22 @@ async def execute_spec_async(
     )
 
 
-def _make_executor(max_workers: int) -> ProcessPoolExecutor:
-    """Pool construction hook (tests substitute a broken pool here)."""
-    return ProcessPoolExecutor(max_workers=max_workers)
-
-
 class ExperimentRunner:
     """Executes a grid of specs under one :class:`RunnerConfig`.
 
-    ``clock`` and ``sleep`` default to the real monotonic clock and
-    :func:`time.sleep`; tests inject fakes to verify the timeout and
-    backoff schedules without waiting them out.  ``backoff_rng`` maps a
-    spec_key to the :class:`random.Random` driving that job's
-    full-jitter retry backoff — the default seeds from the spec_key
-    itself, so retry schedules are deterministic per job yet
-    decorrelated across jobs (no synchronized retry stampedes).
+    ``backoff_rng`` maps a spec_key to the :class:`random.Random`
+    driving that job's full-jitter retry backoff in the pool — the
+    default seeds from the spec_key itself, so retry schedules are
+    deterministic per job yet decorrelated across jobs (no synchronized
+    retry stampedes).
     """
 
     def __init__(
         self,
         config: Optional[RunnerConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
         backoff_rng: Optional[Callable[[str], random.Random]] = None,
     ):
         self.config = config or RunnerConfig()
-        self._clock = clock
-        self._sleep = sleep
         self._backoff_rng = backoff_rng or (
             lambda key: random.Random(f"backoff:{key}")
         )
@@ -333,10 +323,10 @@ class ExperimentRunner:
         exhausted timeout retries) raise :class:`RunnerError` unless
         ``allow_partial`` is set, in which case the surviving outcomes
         are returned and the report carries one
-        :class:`~repro.runner.spec.JobFailure` per lost job.  Pool
-        breakage alone is never a failure — affected jobs are re-run
-        in-process.  With ``resume``, specs whose key appears in the
-        cache root's checkpoint journal are skipped entirely.
+        :class:`~repro.runner.spec.JobFailure` per lost job.  An open
+        pool circuit alone is never a failure — the jobs it leaves are
+        re-run in-process.  With ``resume``, specs whose key appears in
+        the cache root's checkpoint journal are skipped entirely.
 
         ``on_frame`` receives live ``(spec index, ProgressSnapshot)``
         pairs while jobs simulate (requires
@@ -353,7 +343,7 @@ class ExperimentRunner:
             configure_logging(
                 self.config.log_level, json_lines=self.config.log_json
             )
-        started = self._clock()
+        started = time.monotonic()
         records = [
             JobRecord(
                 job_id=spec.job_id,
@@ -408,28 +398,17 @@ class ExperimentRunner:
             corrupt_cache_entries(self.config.cache_dir, chaos)
         outcomes: list[Optional[SpecOutcome]] = [None] * len(specs)
         if use_pool:
-            if self.config.pool == "supervised":
-                retry = self._run_supervised(
-                    specs, records, outcomes, progress, pending, report
-                )
-            else:
-                retry = self._run_pool(
-                    specs, records, outcomes, progress, pending
-                )
-                if retry:
-                    report.pool_restarts += 1
-            if retry:
+            leftover = self._run_supervised(
+                specs, records, outcomes, progress, pending, report
+            )
+            if leftover:
                 report.fell_back = True
                 _log.error(
-                    "pool broken: re-running %d job(s) in-process",
-                    len(retry),
-                    extra={
-                        "event": "pool_broken",
-                        "jobs": len(retry),
-                        "pool": self.config.pool,
-                    },
+                    "pool circuit open: re-running %d job(s) in-process",
+                    len(leftover),
+                    extra={"event": "pool_broken", "jobs": len(leftover)},
                 )
-                for index in retry:
+                for index in leftover:
                     self._run_inline(
                         specs, records, outcomes, index, progress,
                         executor="fallback",
@@ -450,7 +429,7 @@ class ExperimentRunner:
             truncate_journal(
                 str(self._journal.path), chaos.truncate_journal_bytes
             )
-        report.wall_seconds = self._clock() - started
+        report.wall_seconds = time.monotonic() - started
         report.failures = list(self._failures)
         _log.info(
             "grid finish: %d job(s), %d failure(s)",
@@ -516,59 +495,6 @@ class ExperimentRunner:
     # Execution paths
     # ------------------------------------------------------------------
 
-    def _run_pool(
-        self,
-        specs: "list[ExperimentSpec]",
-        records: "list[JobRecord]",
-        outcomes: "list[Optional[SpecOutcome]]",
-        progress: Optional[ProgressFn],
-        pending: "list[int]",
-    ) -> "list[int]":
-        """Fan out over a process pool; returns indexes needing retry."""
-        retry: list[int] = []
-        try:
-            executor = _make_executor(self.config.resolved_jobs())
-        except OSError:
-            return list(pending)
-        with executor:
-            futures = {}
-            for index in pending:
-                try:
-                    future = executor.submit(
-                        execute_spec, specs[index], self.config
-                    )
-                except (BrokenProcessPool, RuntimeError, OSError):
-                    retry.append(index)
-                    continue
-                futures[future] = index
-                self._submitted[index] = self._clock()
-                records[index].status = "running"
-                records[index].executor = "worker"
-                _log.debug(
-                    "job submitted: %s",
-                    records[index].job_id,
-                    extra={
-                        "event": "job_submitted",
-                        "job_id": records[index].job_id,
-                        "spec_key": self._spec_keys[index],
-                    },
-                )
-            for future, index in futures.items():
-                if self._await_future(
-                    executor, future, index, specs, records, outcomes,
-                    progress,
-                ):
-                    retry.append(index)
-            if any(f.kind == "timeout" for f in self._failures):
-                # Workers may still be grinding abandoned jobs; kill
-                # them so pool shutdown (and CI) cannot wedge on a hung
-                # simulation.
-                for proc in list(
-                    getattr(executor, "_processes", {}).values()
-                ):
-                    proc.terminate()
-        return retry
-
     def _run_supervised(
         self,
         specs: "list[ExperimentSpec]",
@@ -591,7 +517,7 @@ class ExperimentRunner:
             record = records[index]
             record.status = "running"
             record.executor = "worker"
-            self._submitted[index] = self._clock()
+            self._submitted[index] = time.monotonic()
             _log.debug(
                 "job submitted: %s",
                 record.job_id,
@@ -641,85 +567,6 @@ class ExperimentRunner:
         report.shm_attach_failures += result.shm_attach_failures
         return list(result.leftover)
 
-    def _await_future(
-        self,
-        executor,
-        future,
-        index: int,
-        specs: "list[ExperimentSpec]",
-        records: "list[JobRecord]",
-        outcomes: "list[Optional[SpecOutcome]]",
-        progress: Optional[ProgressFn],
-    ) -> bool:
-        """Collect one pool job, enforcing the per-job deadline.
-
-        A timed-out job is resubmitted up to ``job_retries`` times with
-        full-jitter exponential backoff (the n-th retry sleeps a
-        uniform draw from ``[0, base * factor**(n-1)]``, seeded per
-        spec_key); exhausting the budget records a structured timeout
-        failure.  Returns True when the pool broke and the job must be
-        re-run in-process instead.
-        """
-        config = self.config
-        record = records[index]
-        rng = self._backoff_rng(self._spec_keys[index])
-        while True:
-            record.attempts += 1
-            try:
-                if config.job_timeout_s is None:
-                    payload = future.result()
-                else:
-                    payload = future.result(
-                        timeout=config.job_timeout_s
-                    )
-            except FuturesTimeoutError:
-                future.cancel()
-                if record.attempts > config.job_retries:
-                    self._fail(
-                        record,
-                        "timeout",
-                        f"timed out after {config.job_timeout_s}s "
-                        f"(attempt {record.attempts})",
-                        progress,
-                    )
-                    return False
-                cap = config.backoff_base_s * (
-                    config.backoff_factor ** (record.attempts - 1)
-                )
-                delay = rng.uniform(0.0, cap)
-                _log.warning(
-                    "job retry: %s (attempt %d)",
-                    record.job_id,
-                    record.attempts + 1,
-                    extra={
-                        "event": "job_retry",
-                        "job_id": record.job_id,
-                        "spec_key": self._spec_keys[index],
-                        "attempt": record.attempts + 1,
-                        "backoff_seconds": delay,
-                    },
-                )
-                self._sleep(delay)
-                try:
-                    future = executor.submit(
-                        execute_spec, specs[index], self.config
-                    )
-                except (BrokenProcessPool, RuntimeError, OSError):
-                    record.status = "queued"
-                    return True
-                self._submitted[index] = self._clock()
-                continue
-            except (BrokenProcessPool, OSError):
-                record.status = "queued"
-                return True
-            except ReproError as error:
-                self._fail(record, "error", str(error), progress)
-                return False
-            self._finish(record, payload, specs[index], outcomes, index)
-            if progress is not None:
-                progress(record)
-            return False
-
     def _fail(
         self,
         record: JobRecord,
@@ -766,7 +613,7 @@ class ExperimentRunner:
         record.status = "running"
         record.executor = executor
         record.attempts += 1
-        self._submitted[index] = self._clock()
+        self._submitted[index] = time.monotonic()
         publisher = None
         if (
             self._on_frame is not None
@@ -778,14 +625,9 @@ class ExperimentRunner:
                 interval=self.config.progress_interval_events,
             )
         try:
-            # Only pass the kwarg when a publisher is live so stand-in
-            # two-argument execute_spec doubles keep working.
-            if publisher is not None:
-                payload = execute_spec(
-                    specs[index], self.config, publisher=publisher
-                )
-            else:
-                payload = execute_spec(specs[index], self.config)
+            payload = execute_spec(
+                specs[index], self.config, publisher=publisher
+            )
         except ReproError as error:
             self._fail(record, "error", str(error), progress)
             return
@@ -836,7 +678,7 @@ class ExperimentRunner:
             # Turnaround minus execute time: waiting for a pool slot
             # (plus, for pool jobs, waiting to be collected).
             record.queue_seconds = max(
-                0.0, (self._clock() - submitted) - record.wall_seconds
+                0.0, (time.monotonic() - submitted) - record.wall_seconds
             )
         record.sim_cycles = sum(
             result.cycles for result in outcome.results.values()

@@ -1,7 +1,7 @@
 """Supervised worker pool with heartbeats, crash recovery, shm traces.
 
-The replacement for the bare ``ProcessPoolExecutor`` fan-out: each
-worker is a spawned process wired to the supervisor by one duplex pipe.
+The one parallel execution path of the runner: each worker is a
+spawned process wired to the supervisor by one duplex pipe.
 Workers trace a spec, publish the trace into a CRC32-stamped
 shared-memory segment (:mod:`repro.runner.shm`) with an ``.npz`` spill
 file as the fallback transport, report the published handle

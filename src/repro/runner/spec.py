@@ -6,9 +6,8 @@ trace a workload once, simulate it under each of its modes.  Specs are
 frozen, hashable, and picklable, so they can cross process boundaries
 to pool workers unchanged.
 
-:class:`RunnerConfig` replaces the old module-global suite knobs
-(``set_strict`` et al.): strictness, scale, parallelism, and cache
-placement are explicit fields carried by the value, not ambient state.
+:class:`RunnerConfig` carries strictness, scale, parallelism, and
+cache placement as explicit fields of the value, not ambient state.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ class RunnerConfig:
         "resolve the ambient default" (``REPRO_SCALE`` env or small).
     strict:
         Run the static-analysis pre-flight on every traced workload and
-        abort the grid on ERROR findings.  Replaces the deprecated
-        ``harness.suite.set_strict`` global.
+        abort the grid on ERROR findings.
     lint_baseline:
         Optional path to a finding-baseline file (see
         :mod:`repro.analysis.baseline`).  When set, the strict
@@ -46,7 +44,9 @@ class RunnerConfig:
         only *new* findings abort the grid.  Ignored unless ``strict``
         is on.
     jobs:
-        Worker process count; None means ``os.cpu_count()``.
+        Worker process count of the supervised pool
+        (:mod:`repro.runner.pool`) that parallel grids run on; None
+        means ``os.cpu_count()``.
     parallel:
         When False, every job runs in-process (the ``--no-parallel``
         escape hatch).  Results are bit-identical either way — the
@@ -60,17 +60,19 @@ class RunnerConfig:
         segregate (or deliberately invalidate) cache populations.
     job_timeout_s:
         Per-job wall-clock budget in pool mode; a worker that exceeds
-        it is abandoned and the job is retried (up to ``job_retries``)
-        or recorded as a timeout failure.  None disables the deadline.
+        it is killed and the job is retried (up to ``job_retries``) or
+        recorded as a timeout failure.  None disables the deadline.
         In-process execution cannot be preempted, so the timeout only
-        applies to pool jobs.
+        applies to pool jobs — not to jobs a broken pool's open
+        circuit hands back for in-process execution.
     job_retries:
         How many times a timed-out job is resubmitted before being
         recorded as failed.  Deterministic errors (bad spec, simulation
         errors) are never retried — rerunning them cannot help.
     backoff_base_s / backoff_factor:
-        Exponential-backoff schedule between retry attempts: the n-th
-        retry sleeps ``backoff_base_s * backoff_factor**(n-1)``.
+        Full-jitter exponential backoff between retry attempts: the
+        n-th retry waits a uniform draw from
+        ``[0, backoff_base_s * backoff_factor**(n-1)]``.
     allow_partial:
         When True, a grid with failed jobs returns the surviving
         outcomes plus structured :class:`JobFailure` records instead of
@@ -95,12 +97,6 @@ class RunnerConfig:
         by contract, so the choice never participates in cache identity
         or spec keys — flipping it can neither churn nor poison the
         cache.
-    pool:
-        Parallel execution tier: ``"supervised"`` (default) uses the
-        heartbeat-supervised shared-memory worker pool
-        (:mod:`repro.runner.pool`); ``"executor"`` keeps the legacy
-        bare ``ProcessPoolExecutor`` fan-out.  Results are
-        bit-identical either way.
     heartbeat_interval_s / heartbeat_timeout_s:
         Supervised-pool liveness protocol: workers beat every
         ``heartbeat_interval_s``; a worker silent for longer than
@@ -149,7 +145,6 @@ class RunnerConfig:
     log_level: Optional[str] = None
     log_json: bool = False
     engine: Optional[str] = None
-    pool: str = "supervised"
     heartbeat_interval_s: float = 1.0
     heartbeat_timeout_s: float = 30.0
     max_pool_restarts: int = 3
@@ -158,11 +153,6 @@ class RunnerConfig:
     progress_buffer_frames: int = 32
 
     def __post_init__(self) -> None:
-        if self.pool not in ("supervised", "executor"):
-            raise ConfigError(
-                f"pool must be 'supervised' or 'executor', got "
-                f"{self.pool!r}"
-            )
         if self.heartbeat_interval_s <= 0:
             raise ConfigError("heartbeat_interval_s must be > 0")
         if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
@@ -316,7 +306,7 @@ class JobRecord:
     scale: str
     status: str = "queued"  # queued | running | done | failed | skipped
     #: Where the job executed: "worker", "inline", or "fallback"
-    #: (re-run in-process after its worker died).
+    #: (re-run in-process after the pool's circuit opened).
     executor: str = ""
     modes_total: int = 0
     modes_cached: int = 0
@@ -363,12 +353,12 @@ class RunnerReport:
     wall_seconds: float = 0.0
     parallel: bool = False
     worker_count: int = 1
-    #: True when the process pool broke and jobs were re-run in-process.
+    #: True when the pool's circuit opened and jobs were re-run
+    #: in-process.
     fell_back: bool = False
     #: Structured outcomes for every job that produced no results.
     failures: list[JobFailure] = field(default_factory=list)
-    #: Pool restarts: replacement workers spawned by the supervised
-    #: pool, or (legacy executor) broken-pool fallbacks to in-process.
+    #: Replacement workers spawned by the supervised pool.
     pool_restarts: int = 0
     #: Workers that crashed or were killed for missed heartbeats.
     worker_crashes: int = 0
@@ -469,7 +459,7 @@ class RunnerReport:
             f"{self.worker_count} worker(s)" if self.parallel else "in-process"
         )
         if self.fell_back:
-            mode += " (pool broke; finished in-process)"
+            mode += " (pool circuit open; finished in-process)"
         lines = [
             f"runner: {self.jobs_total} job(s) via {mode} in "
             f"{self.wall_seconds:.1f}s — {self.simulations} simulation(s), "

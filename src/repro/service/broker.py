@@ -29,17 +29,19 @@ Graceful drain (:meth:`JobBroker.drain`, wired to SIGTERM by
 ``repro serve``): new submissions are rejected with
 :class:`DrainingError`, in-flight jobs run to completion (bounded by
 ``drain_timeout_s``), and queued-but-unstarted jobs are checkpointed to
-``service_queue.jsonl`` under the cache root — the PR 3 journal format
-(one JSON object per line, torn-line tolerant) — which
+``service_queue.jsonl`` under the cache root — a
+:class:`~repro.runner.cache.JsonlJournal`, torn-line tolerant — which
 :meth:`JobBroker.start` restores and clears on the next boot.  A drain
 with nothing queued leaves no checkpoint behind.
+
+With ``workers=0`` the broker runs no local execution slots (and no
+thread pool): every admitted job waits for a fleet worker's lease.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
-import inspect
 import json
 import time
 from collections import OrderedDict, deque
@@ -58,7 +60,7 @@ from repro.obs.logs import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import CallbackPublisher
-from repro.runner.cache import ResultCache
+from repro.runner.cache import JsonlJournal, ResultCache
 from repro.runner.engine import execute_spec
 from repro.runner.fingerprint import spec_key
 from repro.runner.spec import ExperimentSpec
@@ -231,8 +233,9 @@ class JobBroker:
     loop, so there are no locks — every await point leaves the
     structures consistent.  The actual simulation runs in a bounded
     :class:`ThreadPoolExecutor` via ``execute`` (default:
-    :func:`~repro.runner.engine.execute_spec`), which tests replace
-    with counting fakes to prove the coalescing invariant.
+    :func:`~repro.runner.engine.execute_spec`, always called with
+    ``publisher=`` and ``recorder=``, None when off), which tests
+    replace with counting fakes to prove the coalescing invariant.
     """
 
     def __init__(
@@ -245,16 +248,6 @@ class JobBroker:
         self.config = config or ServiceConfig()
         self.registry = registry if registry is not None else MetricsRegistry()
         self._execute = execute or execute_spec
-        # Tests inject two-argument execute fakes; only pass a live
-        # publisher/recorder through to callables that declare the
-        # parameter.
-        try:
-            parameters = inspect.signature(self._execute).parameters
-            self._execute_takes_publisher = "publisher" in parameters
-            self._execute_takes_recorder = "recorder" in parameters
-        except (TypeError, ValueError):
-            self._execute_takes_publisher = False
-            self._execute_takes_recorder = False
         self._clock = clock
         self._streams: "dict[str, _JobStream]" = {}
         self._stream_subscribers = 0
@@ -282,8 +275,8 @@ class JobBroker:
             if cache_dir is not None
             else None
         )
-        self._checkpoint_path = (
-            Path(cache_dir) / QUEUE_CHECKPOINT_FILENAME
+        self._checkpoint = (
+            JsonlJournal(Path(cache_dir) / QUEUE_CHECKPOINT_FILENAME)
             if cache_dir is not None
             else None
         )
@@ -395,10 +388,11 @@ class JobBroker:
     async def start(self) -> None:
         """Restore any drain checkpoint and start the consumer tasks."""
         self._cond = asyncio.Condition()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-service",
-        )
+        if self.config.workers:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.config.workers,
+                thread_name_prefix="repro-service",
+            )
         restored = self._restore_checkpoint()
         if restored:
             _log.info(
@@ -413,16 +407,10 @@ class JobBroker:
                 roster,
                 extra={"event": "fleet_restored", "workers": roster},
             )
-        # Dispatch-only mode runs no local execution slots: every job
-        # waits for a pull-worker lease.
-        self._workers = (
-            []
-            if self.config.fleet
-            else [
-                asyncio.ensure_future(self._supervised_worker(slot))
-                for slot in range(self.config.workers)
-            ]
-        )
+        self._workers = [
+            asyncio.ensure_future(self._supervised_worker(slot))
+            for slot in range(self.config.workers)
+        ]
         self._fleet_task = asyncio.ensure_future(self.fleet.reap_loop())
         if (
             self.config.prune_interval_s > 0
@@ -496,56 +484,34 @@ class JobBroker:
         return len(checkpointed)
 
     # ------------------------------------------------------------------
-    # Drain checkpoint (PR 3 journal format)
+    # Drain checkpoint
     # ------------------------------------------------------------------
 
     def _write_checkpoint(self, jobs: "list[Job]") -> None:
-        if self._checkpoint_path is None:
+        """Persist queued jobs; with none, the journal is removed."""
+        if self._checkpoint is None:
             return
-        if not jobs:
-            # A clean drain leaves no journal behind.
-            try:
-                self._checkpoint_path.unlink()
-            except OSError:
-                pass
-            return
-        self._checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self._checkpoint_path, "w", encoding="utf-8") as handle:
-            for job in jobs:
-                handle.write(
-                    json.dumps(
-                        {
-                            "spec": job.job_id,
-                            "job_id": job.spec.job_id,
-                            "priority": job.priority,
-                            "request": job.spec.to_dict(),
-                        }
-                    )
-                    + "\n"
-                )
+        self._checkpoint.replace(
+            {
+                "spec": job.job_id,
+                "job_id": job.spec.job_id,
+                "priority": job.priority,
+                "request": job.spec.to_dict(),
+            }
+            for job in jobs
+        )
 
     def _restore_checkpoint(self) -> int:
         """Re-enqueue jobs a previous drain checkpointed; clear the file."""
-        if self._checkpoint_path is None:
-            return 0
-        try:
-            lines = self._checkpoint_path.read_text(
-                encoding="utf-8"
-            ).splitlines()
-        except OSError:
+        if self._checkpoint is None:
             return 0
         restored = 0
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
+        for entry in self._checkpoint.records():
             try:
-                entry = json.loads(line)
                 spec = ExperimentSpec.from_dict(entry["request"])
                 priority = entry.get("priority", "batch")
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValueError, ReproError):
-                continue  # torn or stale line: drop, don't crash boot
+            except (KeyError, TypeError, ValueError, ReproError):
+                continue  # stale record: drop, don't crash boot
             if priority not in LANES:
                 priority = "batch"
             job = Job(
@@ -558,10 +524,7 @@ class JobBroker:
             self._m_jobs.inc(status="restored")
             restored += 1
         self._sync_depth()
-        try:
-            self._checkpoint_path.unlink()
-        except OSError:
-            pass
+        self._checkpoint.clear()
         return restored
 
     # ------------------------------------------------------------------
@@ -902,23 +865,14 @@ class JobBroker:
         job.status = "running"
         loop = asyncio.get_running_loop()
         self._publish_event(job.job_id, "running", job.status_dict())
-        call = functools.partial(
-            self._execute, job.spec, self.config.runner
-        )
         job_id = job.job_id
         recorder = None
-        if (
-            self._execute_takes_recorder
-            and self.config.stream_spans > 0
-        ):
+        if self.config.stream_spans > 0:
             from repro.obs.timeline import SpanStream
 
             recorder = SpanStream()
-            call = functools.partial(call, recorder=recorder)
-        if (
-            self._execute_takes_publisher
-            and self.config.stream_progress_events > 0
-        ):
+        publisher = None
+        if self.config.stream_progress_events > 0:
 
             def _frame(snapshot) -> None:
                 # Executor thread -> event loop: progress frames cross
@@ -936,13 +890,13 @@ class JobBroker:
                 except RuntimeError:
                     pass
 
-            call = functools.partial(
-                call,
-                publisher=CallbackPublisher(
-                    _frame,
-                    interval=self.config.stream_progress_events,
-                ),
+            publisher = CallbackPublisher(
+                _frame, interval=self.config.stream_progress_events
             )
+        call = functools.partial(
+            self._execute, job.spec, self.config.runner,
+            publisher=publisher, recorder=recorder,
+        )
         started = self._clock()
         token = (
             set_request_id(job.request_id) if job.request_id else None

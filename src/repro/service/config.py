@@ -24,8 +24,8 @@ from repro.runner.spec import RunnerConfig
 #: Default TCP port (unassigned range; "GPIM" on a phone keypad is taken).
 DEFAULT_PORT = 8477
 
-#: Filename of the drain checkpoint under the cache root (PR 3 journal
-#: format: one JSON object per line, torn-line tolerant).
+#: Filename of the drain checkpoint under the cache root (a
+#: :class:`~repro.runner.cache.JsonlJournal`, torn-line tolerant).
 QUEUE_CHECKPOINT_FILENAME = "service_queue.jsonl"
 
 
@@ -39,8 +39,13 @@ class ServiceConfig:
         TCP binding; ``port=0`` binds an ephemeral port (the server
         reports the real one — CI smoke tests use this).
     workers:
-        Concurrent simulation slots: the broker runs this many asyncio
-        consumers, each executing specs in a thread off the event loop.
+        Concurrent local simulation slots: the broker runs this many
+        asyncio consumers, each executing specs in a thread off the
+        event loop.  0 is dispatch-only mode (``repro serve --workers
+        0``): no local slot and no thread pool; every admitted job
+        waits for a ``repro worker`` pull-worker to lease it, and
+        ``/readyz`` answers 503 until at least one registered worker
+        has a fresh heartbeat.
     queue_capacity:
         Bound on *admitted but not yet finished* jobs across both
         priority lanes.  Submissions beyond it are rejected with HTTP
@@ -103,11 +108,6 @@ class ServiceConfig:
         reference interpreter — results stay bit-identical by the
         engine-equivalence contract, and like every obs knob this never
         enters cache identity.
-    fleet:
-        Dispatch-only mode (``repro serve --fleet``): the broker runs
-        no local execution slots; every admitted job waits for a
-        ``repro worker`` pull-worker to lease it.  ``/readyz`` answers
-        503 until at least one registered worker has a fresh heartbeat.
     fleet_lease_ttl_s:
         Lease validity window.  A worker must renew (heartbeat) within
         it or the job is requeued for redispatch, exactly like the
@@ -143,7 +143,6 @@ class ServiceConfig:
     stream_heartbeat_s: float = 10.0
     stream_progress_events: int = 20_000
     stream_spans: int = 0
-    fleet: bool = False
     fleet_lease_ttl_s: float = 15.0
     fleet_lease_jobs: int = 4
     fleet_worker_timeout_s: float = 45.0
@@ -151,8 +150,8 @@ class ServiceConfig:
     fleet_ring_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigError("service workers must be >= 1")
+        if self.workers < 0:
+            raise ConfigError("service workers must be >= 0")
         if self.queue_capacity < 1:
             raise ConfigError("service queue_capacity must be >= 1")
         if self.rate_limit_rps < 0:

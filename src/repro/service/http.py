@@ -379,14 +379,12 @@ class ServiceServer:
             fleet = stats.get("fleet", {})
             local_alive = stats["workers_alive"]
             fleet_alive = fleet.get("workers_alive", 0)
-            # Degraded = nothing can execute: every local worker slot
-            # crashed past its restart budget (or dispatch-only mode
-            # runs none) AND no fleet worker has a fresh heartbeat.
-            # Queued jobs would never run, so stop admitting.
-            nothing_local = not local_alive and (
-                stats["workers"] or self.config.fleet
-            )
-            if nothing_local and not fleet_alive:
+            # Degraded = nothing can execute: no local worker slot is
+            # alive (every one crashed past its restart budget, or
+            # dispatch-only mode runs none) AND no fleet worker has a
+            # fresh heartbeat.  Queued jobs would never run, so stop
+            # admitting.
+            if not local_alive and not fleet_alive:
                 return (
                     "/readyz", 503,
                     {"status": "degraded",
@@ -697,6 +695,17 @@ async def serve_async(
     """
     server = ServiceServer(config)
     await server.start()
+    # Handlers go in before the announcement: a supervisor may SIGTERM
+    # the moment it reads "listening on", and that must drain.
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    installed: "list[signal.Signals]" = []
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(sig, stop.set)
+            installed.append(sig)
+        except (NotImplementedError, RuntimeError, ValueError):
+            pass  # non-main thread or exotic platform: rely on stop()
     announce(
         f"repro service listening on "
         f"http://{config.host}:{server.port}"
@@ -711,15 +720,6 @@ async def serve_async(
             "queue_capacity": config.queue_capacity,
         },
     )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    installed: "list[signal.Signals]" = []
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-            installed.append(sig)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass  # non-main thread or exotic platform: rely on stop()
     if ready is not None:
         outcome = ready(server)
         if asyncio.iscoroutine(outcome):

@@ -88,10 +88,6 @@ def decode_thread_matrix(thread_id: int, rows: np.ndarray) -> ThreadTrace:
     return thread
 
 
-#: Backwards-compatible private alias (pre-columnar callers/tests).
-_decode_thread = decode_thread_matrix
-
-
 def _thread_matrices(trace: AnyTrace) -> "list[tuple[int, np.ndarray]]":
     """Canonical per-thread (id, (N, 6) matrix) pairs for either form."""
     if isinstance(trace, ColumnarTrace):

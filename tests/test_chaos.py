@@ -7,9 +7,9 @@ results are bit-identical to a chaos-free serial reference, and no
 worker processes or ``/dev/shm`` segments are leaked.
 
 Also covers the shm transport unit surface (CRC round trip, corruption
-detection), ChaosPlan parsing/serialization, torn-write recovery for
-both checkpoint journals at every byte offset of the final record, and
-SIGTERM-mid-grid followed by ``--resume``.
+detection), ChaosPlan parsing/serialization, torn-write recovery of the
+one JSON-lines journal format at every byte offset of the final record,
+and SIGTERM-mid-grid followed by ``--resume``.
 """
 
 import glob
@@ -32,6 +32,7 @@ from repro.graph.generators import ldbc_like_graph
 from repro.runner import (
     CheckpointJournal,
     ExperimentRunner,
+    JsonlJournal,
     ResultCache,
     RunnerConfig,
     trace_digest,
@@ -328,65 +329,29 @@ class TestChaosGrid:
 
 
 class TestTornWriteRecovery:
-    def test_runner_journal_tolerates_any_tear_of_last_record(
+    def test_jsonl_journal_tolerates_any_tear_of_last_record(
         self, tmp_path
     ):
-        journal = CheckpointJournal(tmp_path)
-        keys = [f"{c}" * 64 for c in "abc"]
-        for key in keys:
-            journal.mark(key, job_id=f"job-{key[0]}")
+        """The format under the resume journal, the service's drain
+        checkpoint and the fleet roster: a tear anywhere in the last
+        record loses that record alone, and the next append is whole."""
+        journal = JsonlJournal(tmp_path / "journal.jsonl")
+        records = [
+            {"spec": c * 64, "job_id": f"job-{c}"} for c in "abc"
+        ]
+        for record in records:
+            journal.append(record)
         content = journal.path.read_bytes()
         last_start = content.rstrip(b"\n").rfind(b"\n") + 1
+        later = {"spec": "d" * 64, "job_id": "job-d"}
         for offset in range(last_start, len(content) + 1):
             journal.path.write_bytes(content[:offset])
-            completed = journal.completed()
-            assert set(keys[:2]) <= completed  # intact lines survive
             # The torn record only counts once its closing brace is on
             # disk (the trailing newline is immaterial).
-            assert (keys[2] in completed) == (offset >= len(content) - 1)
-
-    def test_service_queue_tolerates_any_tear_of_last_record(
-        self, tmp_path
-    ):
-        from repro.service import (
-            JobBroker,
-            QUEUE_CHECKPOINT_FILENAME,
-            ServiceConfig,
-        )
-        from repro.sim.config import SystemConfig
-        from repro.runner import ExperimentSpec, spec_key
-
-        config = ServiceConfig(
-            runner=RunnerConfig(cache_dir=str(tmp_path))
-        )
-        specs = [
-            ExperimentSpec.for_workload(
-                code, "tiny", modes=[SystemConfig.baseline()]
-            )
-            for code in ("BFS", "DC", "kCore")
-        ]
-        lines = [
-            json.dumps(
-                {
-                    "spec": spec_key(spec, config.runner.cache_salt),
-                    "job_id": spec.job_id,
-                    "priority": "batch",
-                    "request": spec.to_dict(),
-                }
-            ).encode("utf-8")
-            + b"\n"
-            for spec in specs
-        ]
-        path = tmp_path / QUEUE_CHECKPOINT_FILENAME
-        intact = b"".join(lines[:2])
-        total = intact + lines[2]
-        for offset in range(len(intact), len(total) + 1):
-            path.write_bytes(total[:offset])
-            broker = JobBroker(config)
-            restored = broker._restore_checkpoint()
-            assert restored >= 2  # intact lines always come back
-            assert (restored == 3) == (offset >= len(total) - 1)
-            assert not path.exists()  # restore always clears the file
+            kept = records if offset >= len(content) - 1 else records[:2]
+            assert journal.records() == kept
+            journal.append(later)
+            assert journal.records() == kept + [later]
 
     def test_resume_after_torn_journal_reruns_only_the_tail(
         self, tmp_path

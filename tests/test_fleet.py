@@ -64,7 +64,7 @@ def fake_payload(spec):
     }
 
 
-def fake_execute(spec, runner_config):
+def fake_execute(spec, runner_config, publisher=None, recorder=None):
     return fake_payload(spec)
 
 
@@ -87,7 +87,7 @@ def fleet_config(tmp_path=None, **overrides):
         ),
     )
     overrides.setdefault("port", 0)
-    overrides.setdefault("fleet", True)
+    overrides.setdefault("workers", 0)  # dispatch-only
     return ServiceConfig(runner=runner, **overrides)
 
 
@@ -160,6 +160,25 @@ class TestHashRing:
 
 
 class TestLeaseProtocol:
+    def test_zero_workers_is_dispatch_only(self, tmp_path):
+        """``workers=0`` runs no local slot and creates no thread pool
+        (a zero-worker ThreadPoolExecutor would raise)."""
+        with pytest.raises(ConfigError):
+            ServiceConfig(workers=-1)
+
+        async def main():
+            broker = await started_fleet_broker(
+                fleet_config(tmp_path), [0.0]
+            )
+            try:
+                return broker._pool, broker.stats()
+            finally:
+                await broker.drain()
+
+        pool, stats = asyncio.run(main())
+        assert pool is None
+        assert stats["workers"] == 0 and stats["workers_alive"] == 0
+
     def test_lease_hands_out_own_shard_only(self, tmp_path):
         async def main():
             now = [0.0]
@@ -197,9 +216,7 @@ class TestLeaseProtocol:
         spec = make_spec(threads=6)
 
         async def local():
-            config = fleet_config(
-                tmp_path / "local", fleet=False, workers=1
-            )
+            config = fleet_config(tmp_path / "local", workers=1)
             broker = JobBroker(config, execute=fake_execute)
             await broker.start()
             try:

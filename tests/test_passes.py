@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.engine import ENGINE_ENV
 from repro.common.errors import ConfigError
 from repro.core.presets import workload_params
 from repro.memlayout.allocator import AddressSpace
@@ -26,7 +27,6 @@ from repro.analysis import analyze_run
 from repro.analysis.race import MAX_RACE_FINDINGS, detect_races
 from repro.analysis.trace_lint import MAX_FINDINGS_PER_RULE, lint_trace
 from repro.analysis.passes import (
-    ENGINE_ENV,
     AnalysisPass,
     PassManager,
     all_passes,

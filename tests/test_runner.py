@@ -1,22 +1,22 @@
 """Tests for the parallel experiment runner and its result cache.
 
-Covers the ISSUE 2 acceptance surface (cache hit/miss behavior under
-config and salt changes, parallel-vs-serial bit-identical results,
-worker-crash fallback, the suite-API deprecation shims, and the
-serialization round-trips the cache and worker IPC rely on) plus the
-ISSUE 3 resilience surface: per-job timeouts with exponential backoff,
-structured failures under ``allow_partial``, checkpoint/resume, and
-cache verification with quarantine.
+Covers cache hit/miss behavior under config and salt changes,
+parallel-vs-serial bit-identical results, the pool's circuit-open
+fallback to in-process execution, and the serialization round-trips
+the cache and worker IPC rely on, plus the resilience surface:
+per-job timeouts with jittered exponential backoff on real pool
+workers, structured failures under ``allow_partial``,
+checkpoint/resume, and cache verification with quarantine.
 """
 
 import dataclasses
 import json
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
+import random
 
 import pytest
 
 import repro.runner.engine as engine_module
+from repro.chaos import ChaosPlan
 from repro.common.errors import RunnerError, SimulationError
 from repro.core.api import EvaluationReport, GraphPimSystem
 from repro.runner import (
@@ -33,14 +33,15 @@ from repro.runner import (
     trace_digest,
 )
 from repro.sim.config import SystemConfig
-from repro.sim.system import SimResult, simulate
+from repro.sim.system import SimResult
 from repro.workloads import get_workload
+from tests.test_chaos import _assert_no_leaks, _results
 
 TRIO = tuple(SystemConfig().evaluation_trio())
 
 
-def _spec(code="DC", modes=TRIO, **kwargs):
-    return ExperimentSpec.for_workload(code, "tiny", modes=modes, **kwargs)
+def _spec(code="DC", modes=TRIO, scale="tiny", **kwargs):
+    return ExperimentSpec.for_workload(code, scale, modes=modes, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -247,38 +248,37 @@ class TestRunnerExecution:
         with pytest.raises(RunnerError, match="NOPE"):
             ExperimentRunner(config).run([bad])
 
-    def test_broken_pool_falls_back_inline(self, monkeypatch):
-        class _BrokenFuture:
-            def result(self):
-                raise BrokenProcessPool("worker died")
-
-        class _BrokenPool:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                return _BrokenFuture()
-
-        monkeypatch.setattr(
-            engine_module, "_make_executor", lambda workers: _BrokenPool()
-        )
-        specs = [_spec("DC"), _spec("kCore")]
+    def test_broken_pool_falls_back_inline(self):
+        """No restart budget: the poisoned first spec kills both real
+        workers, the circuit opens, and the jobs it leaves run inline."""
+        specs = [_spec("BFS"), _spec("DC"), _spec("kCore"), _spec("CComp")]
         config = RunnerConfig(
-            jobs=2, parallel=True, cache_dir=None, pool="executor"
+            jobs=2,
+            parallel=True,
+            cache_dir=None,
+            heartbeat_interval_s=0.05,
+            max_pool_restarts=0,
+            allow_partial=True,
+            chaos=ChaosPlan(poison_workload="BFS", seed=7),
         )
         outcomes, report = ExperimentRunner(config).run(specs)
         assert report.fell_back
-        assert report.pool_restarts == 1
-        assert "1 restart(s)" in report.summary_line()
-        assert len(outcomes) == len(specs)
-        assert all(job.status == "done" for job in report.jobs)
-        assert all(job.executor == "fallback" for job in report.jobs)
+        assert "finished in-process" in report.summary()
+        assert report.pool_restarts == 0
+        assert report.worker_crashes == 2
+        assert [(f.job_id, f.kind) for f in report.failures] == [
+            ("BFS@tiny", "poisoned")
+        ]
+        fallback = [job for job in report.jobs if job.executor == "fallback"]
+        # Both workers die on BFS long before one could finish the other
+        # three specs, so the last is still queued when the circuit opens.
+        assert fallback and fallback[-1].workload == "CComp"
+        assert all(job.status == "done" for job in fallback)
         # Fallback results are the same bits the workers would have made.
-        direct = simulate(outcomes[0].run.trace, TRIO[2])
-        assert outcomes[0].results["GraphPIM"].to_dict() == direct.to_dict()
+        serial_config = RunnerConfig(parallel=False, cache_dir=None)
+        serial, _ = ExperimentRunner(serial_config).run(specs[1:])
+        assert _results(outcomes) == _results(serial)
+        _assert_no_leaks()
 
     def test_report_counters(self, tmp_path):
         config = RunnerConfig(
@@ -315,129 +315,84 @@ class TestRunnerExecution:
 # ----------------------------------------------------------------------
 
 
-class _TimeoutFuture:
-    """A pool future whose job never finishes within its deadline."""
+class _RecordingRng:
+    """The runner's default backoff stream for one spec, plus a log of
+    every ``(cap, delay)`` draw the pool makes from it."""
 
-    def result(self, timeout=None):
-        raise FuturesTimeoutError()
+    def __init__(self, key, draws):
+        self._rng = random.Random(f"backoff:{key}")
+        self._draws = draws.setdefault(key, [])
 
-    def cancel(self):
-        return False
-
-
-class _EagerFuture:
-    """A pool future that runs the job synchronously at collection."""
-
-    def __init__(self, spec, config):
-        self._spec, self._config = spec, config
-
-    def result(self, timeout=None):
-        return execute_spec(self._spec, self._config)
-
-    def cancel(self):
-        return False
+    def uniform(self, low, high):
+        delay = self._rng.uniform(low, high)
+        self._draws.append((high, delay))
+        return delay
 
 
-class _FakeExecutor:
-    """Times out the first ``flaky_attempts`` submissions of each spec."""
+#: Small-scale specs take seconds to trace and simulate: far over the
+#: 0.25 s budget the timeout tests give them.
+SLOW_SPECS = [_spec("BC", scale="small"), _spec("PRank", scale="small")]
 
-    def __init__(self, flaky_attempts):
-        self.flaky_attempts = flaky_attempts
-        self.submissions = {}
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, spec, config):
-        n = self.submissions[spec.job_id] = (
-            self.submissions.get(spec.job_id, 0) + 1
-        )
-        if n <= self.flaky_attempts:
-            return _TimeoutFuture()
-        return _EagerFuture(spec, config)
+#: Real pool workers, short heartbeats and a tight job deadline.  Every
+#: timeout kills its worker and spends restart budget; once the budget
+#: is gone the circuit sends the job inline, where no deadline applies.
+#: So the budget stays above the kills a test causes.
+TIMEOUT_KW = dict(
+    jobs=2,
+    parallel=True,
+    cache_dir=None,
+    heartbeat_interval_s=0.05,
+    job_timeout_s=0.25,
+    backoff_base_s=0.05,
+    backoff_factor=2.0,
+    max_pool_restarts=8,
+)
 
 
 class TestRunnerResilience:
-    def _runner(self, monkeypatch, flaky_attempts, **config_kwargs):
-        executor = _FakeExecutor(flaky_attempts)
-        monkeypatch.setattr(
-            engine_module, "_make_executor", lambda workers: executor
-        )
-        sleeps = []
+    def test_timeout_exhaustion_records_structured_failure(self):
+        draws = {}
         config = RunnerConfig(
-            jobs=2,
-            parallel=True,
-            cache_dir=None,
-            job_timeout_s=0.01,
-            backoff_base_s=0.5,
-            backoff_factor=2.0,
-            pool="executor",
-            **config_kwargs,
+            job_retries=2, allow_partial=True, **TIMEOUT_KW
         )
-        runner = ExperimentRunner(config, sleep=sleeps.append)
-        return runner, sleeps
-
-    def test_timeout_exhaustion_records_structured_failure(
-        self, monkeypatch
-    ):
-        runner, sleeps = self._runner(
-            monkeypatch, flaky_attempts=99, job_retries=2,
-            allow_partial=True,
+        runner = ExperimentRunner(
+            config, backoff_rng=lambda key: _RecordingRng(key, draws)
         )
-        specs = [_spec("DC"), _spec("kCore")]
-        outcomes, report = runner.run(specs)
+        outcomes, report = runner.run(SLOW_SPECS)
         assert outcomes == []
-        assert len(report.failures) == 2
-        assert all(f.kind == "timeout" for f in report.failures)
+        assert [f.kind for f in report.failures] == ["timeout", "timeout"]
         assert all(f.attempts == 3 for f in report.failures)
         assert all(job.status == "failed" for job in report.jobs)
-        # Full-jitter exponential backoff between attempts, per job:
-        # each delay is uniform in [0, base * factor**(n-1)].
-        assert len(sleeps) == 4
-        caps = [0.5, 1.0, 0.5, 1.0]
-        assert all(0.0 <= s <= c for s, c in zip(sleeps, caps))
-        # Jitter is seeded from the spec key, so a rerun of the same
+        assert not report.fell_back
+        # Full-jitter exponential backoff between attempts, per job: the
+        # n-th retry waits a uniform draw from [0, base * factor**(n-1)],
+        # from a stream seeded by the spec key — so a rerun of the same
         # grid draws the same delays (reproducible retry schedules).
-        rerun, rerun_sleeps = self._runner(
-            monkeypatch, flaky_attempts=99, job_retries=2,
-            allow_partial=True,
-        )
-        rerun.run(specs)
-        assert rerun_sleeps == sleeps
+        keys = [spec_key(spec) for spec in SLOW_SPECS]
+        assert sorted(draws) == sorted(keys)
+        for key in keys:
+            replay = random.Random(f"backoff:{key}")
+            assert draws[key] == [
+                (cap, replay.uniform(0.0, cap)) for cap in (0.05, 0.1)
+            ]
         as_json = json.loads(json.dumps(report.to_dict()))
         assert as_json["failures"][0]["kind"] == "timeout"
         assert "FAILED" in report.summary()
+        _assert_no_leaks()
 
-    def test_timeout_then_retry_succeeds(self, monkeypatch):
-        runner, sleeps = self._runner(
-            monkeypatch, flaky_attempts=1, job_retries=2
-        )
-        specs = [_spec("DC"), _spec("kCore")]
-        outcomes, report = runner.run(specs)
-        assert len(outcomes) == 2
-        assert report.failures == []
-        assert all(job.status == "done" for job in report.jobs)
-        assert all(job.attempts == 2 for job in report.jobs)
-        assert len(sleeps) == 2
-        assert all(0.0 <= s <= 0.5 for s in sleeps)
-
-    def test_timeout_without_allow_partial_raises(self, monkeypatch):
-        runner, _sleeps = self._runner(
-            monkeypatch, flaky_attempts=99, job_retries=0
-        )
+    def test_timeout_without_allow_partial_raises(self):
+        config = RunnerConfig(job_retries=0, **TIMEOUT_KW)
         with pytest.raises(RunnerError, match=r"\[timeout\]"):
-            runner.run([_spec("DC"), _spec("kCore")])
+            ExperimentRunner(config).run(SLOW_SPECS)
+        _assert_no_leaks()
 
     def test_crash_mid_grid_degrades_to_partial_report(self, monkeypatch):
         real = engine_module.execute_spec
 
-        def crashing(spec, config):
+        def crashing(spec, config, publisher=None, recorder=None):
             if spec.workload == "kCore":
                 raise OSError("worker lost its cache directory")
-            return real(spec, config)
+            return real(spec, config, publisher, recorder)
 
         monkeypatch.setattr(engine_module, "execute_spec", crashing)
         config = RunnerConfig(
@@ -463,9 +418,9 @@ class TestRunnerResilience:
         executed = []
         real = engine_module.execute_spec
 
-        def counting(spec, config):
+        def counting(spec, config, publisher=None, recorder=None):
             executed.append(spec.workload)
-            return real(spec, config)
+            return real(spec, config, publisher, recorder)
 
         monkeypatch.setattr(engine_module, "execute_spec", counting)
         resumed = RunnerConfig(
@@ -600,23 +555,11 @@ class TestSerialization:
 
 
 # ----------------------------------------------------------------------
-# Suite API migration: shims, explicit strictness, lint dedup
+# Suite API: explicit strictness, lint dedup
 # ----------------------------------------------------------------------
 
 
 class TestSuiteMigration:
-    def test_set_strict_shim_warns_and_still_works(self):
-        from repro.harness import suite
-
-        with pytest.warns(DeprecationWarning, match="set_strict"):
-            previous = suite.set_strict(True)
-        try:
-            with pytest.warns(DeprecationWarning, match="strict_enabled"):
-                assert suite.strict_enabled() is True
-        finally:
-            with pytest.warns(DeprecationWarning):
-                suite.set_strict(previous)
-
     def test_trace_workload_explicit_strict(self):
         from repro.harness.suite import trace_workload
 

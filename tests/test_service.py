@@ -18,8 +18,13 @@ schedule is controlled; one end-to-end test runs the real
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -65,7 +70,7 @@ class CountingExecute:
         self.order = []
         self._lock = threading.Lock()
 
-    def __call__(self, spec, runner_config):
+    def __call__(self, spec, runner_config, publisher=None, recorder=None):
         key = spec_key(spec, runner_config.cache_salt)
         with self._lock:
             self.calls.append(key)
@@ -398,7 +403,7 @@ class TestBrokerPersistence:
             return job.result_bytes
 
         async def second():
-            def explode(spec, runner_config):
+            def explode(spec, runner_config, publisher=None, recorder=None):
                 raise AssertionError("cache hit must not execute")
 
             broker = JobBroker(config, execute=explode)
@@ -923,3 +928,44 @@ class TestWorkerSupervision:
         text = metrics[2].decode()
         assert "service_worker_crashes_total" in text
         assert "service_workers_alive" in text
+
+
+# ----------------------------------------------------------------------
+# Process entry point: SIGTERM right after the listening line
+# ----------------------------------------------------------------------
+
+
+class TestServeSigterm:
+    def test_sigterm_on_listening_line_drains_cleanly(self, tmp_path):
+        """A supervisor may SIGTERM ``repro serve`` the moment it prints
+        ``listening on``; the server must already drain (exit 0, no
+        queue journal), not die of the default signal action."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # The race lost most boots when it existed; a few boots make a
+        # regression all but certain to show.
+        for attempt in range(3):
+            cache_dir = tmp_path / f"cache-{attempt}"
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--cache-dir", str(cache_dir)],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+            )
+            try:
+                while True:
+                    line = proc.stdout.readline()
+                    assert line, "repro serve exited before listening"
+                    if "listening on" in line:
+                        proc.send_signal(signal.SIGTERM)
+                        break
+                _stdout, stderr = proc.communicate(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+            assert proc.returncode == 0, stderr
+            assert not (cache_dir / QUEUE_CHECKPOINT_FILENAME).exists()

@@ -242,7 +242,6 @@ class TestRunnerStreaming:
         config = RunnerConfig(
             jobs=2,
             parallel=True,
-            pool="supervised",
             cache_dir=None,
             progress_interval_events=100,
         )
@@ -327,7 +326,7 @@ class StreamingExecute:
         self.frames = frames
         self.fail = fail
 
-    def __call__(self, spec, runner_config, publisher=None):
+    def __call__(self, spec, runner_config, publisher=None, recorder=None):
         if self.gate is not None:
             assert self.gate.wait(timeout=30), "test gate never opened"
         if publisher is not None:
