@@ -3,7 +3,8 @@
 # SARIF + baseline gating), analysis-engine benchmark smoke,
 # simulation-kernel equivalence (both engines, diffed JSON),
 # fault-injection smoke runs, a chaos smoke (kill a worker mid-grid,
-# assert bit-identical recovery and no leaked shm segments),
+# then freeze one into a hang; assert bit-identical recovery and no
+# leaked shm segments),
 # observability smoke, an end-to-end smoke of the simulation service
 # (boot, submit, SIGTERM drain), a fleet smoke (two pull-workers,
 # one SIGKILLed mid-lease, bit-identical redispatch), and the
@@ -201,35 +202,44 @@ fi
 run_or_fail python -m repro cache --cache-dir "$fault_cache" --verify
 rm -rf "$fault_cache"
 
-step "repro run (chaos smoke: kill one worker, bit-identical recovery)"
-# A chaos plan that kills a worker mid-grid must still complete with
-# zero failures and produce workload results byte-identical to a
-# serial chaos-free run, and the supervised pool must leave no shared
-# memory segments behind in /dev/shm.
+step "repro run (chaos smoke: kill or stall one worker, bit-identical recovery)"
+# A chaos plan that kills a worker mid-grid, or freezes one mid-job
+# until the supervisor reads the silence as a hang (at least one worker
+# crash), must still complete with zero failures and produce workload
+# results byte-identical to a serial chaos-free run, and the supervised
+# pool must leave no shared memory segments behind in /dev/shm.
 chaos_dir="$(mktemp -d)"
 run_or_fail python -m repro run --scale tiny --no-parallel --no-cache \
     --json > "$chaos_dir/serial.json"
 run_or_fail python -m repro run --scale tiny --jobs 2 --no-cache \
     --chaos "kill=0:0,seed=7" --json > "$chaos_dir/chaos.json"
-if python -c '
+run_or_fail python -m repro run --scale tiny --jobs 2 --no-cache \
+    --heartbeat-timeout 2 --chaos "stall=0:0:60,seed=7" --json \
+    > "$chaos_dir/stall.json"
+# "<result file> <minimum worker crashes>"
+for check in "chaos 0" "stall 1"; do
+    plan="${check% *}"
+    if python -c '
 import json, sys
 serial = json.load(open(sys.argv[1]))
 chaos = json.load(open(sys.argv[2]))
 assert chaos["runner"]["failures"] == [], chaos["runner"]["failures"]
+crashes = chaos["runner"]["worker_crashes"]
+assert crashes >= int(sys.argv[4]), f"{crashes} worker crash(es)"
 a, b = serial["workloads"], chaos["workloads"]
 assert a.keys() == b.keys() and a, "workload sets differ"
 for code in a:
     if a[code] != b[code]:
         raise SystemExit(f"chaos results differ for {code}")
-crashes = chaos["runner"]["worker_crashes"]
-print(f"chaos diff: {len(a)} workload(s) byte-identical, "
+print(f"{sys.argv[3]} diff: {len(a)} workload(s) byte-identical, "
       f"{crashes} worker crash(es) survived")
-' "$chaos_dir/serial.json" "$chaos_dir/chaos.json"; then
-    echo "chaos recovery smoke passed"
-else
-    echo "chaos recovery smoke FAILED"
-    failures=$((failures + 1))
-fi
+' "$chaos_dir/serial.json" "$chaos_dir/$plan.json" "$plan" "${check#* }"; then
+        echo "$plan recovery smoke passed"
+    else
+        echo "$plan recovery smoke FAILED"
+        failures=$((failures + 1))
+    fi
+done
 if [ -d /dev/shm ]; then
     leftover="$(find /dev/shm -maxdepth 1 -name 'repro_*' | wc -l)"
     if [ "$leftover" -ne 0 ]; then

@@ -179,7 +179,7 @@ class PassManager:
             ctx.trace = trace
             if wants_vectorized:
                 try:
-                    ctx.columnar = ColumnarTrace.from_events(trace)
+                    ctx.columnar = trace.columnar()
                 except TraceError:
                     # Deliberately malformed tuples (wrong arity, bad
                     # kinds) are exactly what the legacy linter reports;

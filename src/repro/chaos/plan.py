@@ -3,7 +3,7 @@
 The PR 3 :class:`~repro.faults.plan.FaultPlan` idiom pointed at our own
 infrastructure instead of the simulated HMC links: a :class:`ChaosPlan`
 describes *what goes wrong in the worker fleet* — a worker killed after
-K jobs, heartbeats silently stalled, cache entries or shared-memory
+K jobs, a worker frozen mid-job, cache entries or shared-memory
 segments corrupted, the checkpoint journal torn mid-record — so the
 supervision machinery can be exercised deterministically from tests and
 ``scripts/check.sh``.
@@ -44,12 +44,12 @@ class ChaosPlan:
     #: segment, exercising the resume path (a surviving worker attaches
     #: the orphaned segment instead of re-tracing).
     kill_after_trace: bool = False
-    #: Pool worker index whose heartbeat thread goes silent (-1
-    #: disables the stall fault).
+    #: Pool worker index that freezes mid-job, job loop and heartbeat
+    #: thread alike (-1 disables the stall fault).
     stall_worker: int = -1
     #: The stall starts once the worker has completed this many jobs.
     stall_after_jobs: int = 0
-    #: How long the heartbeat thread sleeps; anything beyond
+    #: How long the worker stays frozen; anything beyond
     #: ``heartbeat_timeout_s`` reads as a hang to the supervisor.
     stall_seconds: float = 0.0
     #: Flip payload bytes in every published shm segment, forcing the
@@ -200,7 +200,7 @@ class ChaosPlan:
             parts.append(f"kill worker {self.kill_worker} {when}")
         if self.stall_worker >= 0:
             parts.append(
-                f"stall worker {self.stall_worker} heartbeats "
+                f"stall worker {self.stall_worker} "
                 f"{self.stall_seconds:g}s after "
                 f"{self.stall_after_jobs} job(s)"
             )

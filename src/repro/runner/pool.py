@@ -36,8 +36,9 @@ through that cleanup — a terminated grid leaves no orphans and no
 
 Chaos hooks (:class:`~repro.chaos.plan.ChaosPlan` riding on
 ``RunnerConfig``) fire at the worker-side injection points: deliberate
-``os._exit`` before a job or after publishing its trace, a silenced
-heartbeat thread, and a crash on a designated poison workload.
+``os._exit`` before a job or after publishing its trace, a stall that
+freezes the whole worker mid-job, and a crash on a designated poison
+workload.
 """
 
 from __future__ import annotations
@@ -99,9 +100,15 @@ def _worker_main(
     chaos = config.chaos
     send_lock = threading.Lock()
     state = {
-        "jobs_done": 0, "busy": False,
+        "jobs_done": 0, "busy": False, "stalled": False,
         "publisher": None, "job_index": None,
     }
+    #: (after_jobs, seconds) of this worker's pending chaos stall.
+    stall = (
+        (chaos.stall_after_jobs, chaos.stall_seconds)
+        if chaos is not None and worker_id == chaos.stall_worker
+        else None
+    )
 
     def send(message: tuple) -> None:
         with send_lock:
@@ -114,19 +121,8 @@ def _worker_main(
     def heartbeat() -> None:
         stop_interval = max(0.01, config.heartbeat_interval_s)
         seq = 0
-        stalled = False
         while not _hb_stop.wait(stop_interval):
-            if (
-                chaos is not None
-                and worker_id == chaos.stall_worker
-                and not stalled
-                and state["busy"]
-                and state["jobs_done"] >= chaos.stall_after_jobs
-            ):
-                # Chaos: go silent mid-job; the supervisor must read
-                # the missing beats as a hang and kill us.
-                stalled = True
-                time.sleep(chaos.stall_seconds)
+            if state["stalled"]:
                 continue
             seq += 1
             # Piggyback buffered progress frames on the beat: the pipe
@@ -172,6 +168,15 @@ def _worker_main(
                 interval=config.progress_interval_events,
                 max_frames=config.progress_buffer_frames,
             )
+        if stall is not None and state["jobs_done"] >= stall[0]:
+            # Chaos: hang mid-job.  The whole worker goes silent, job
+            # loop and heartbeat thread alike, as in a real hang, so
+            # the supervisor must read the missing beats as one and
+            # kill us.
+            state["stalled"] = True
+            time.sleep(stall[1])
+            state["stalled"] = False
+            stall = None
         try:
             payload = _execute_job(
                 spec, config, resume, spill_dir, worker_id, index,

@@ -44,8 +44,8 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.common.errors import ShmError
-from repro.trace.io import _thread_matrices, decode_thread_matrix
-from repro.trace.stream import Trace
+from repro.trace.io import _thread_matrices
+from repro.trace.stream import ThreadTrace, Trace
 
 MAGIC = b"RPRSHM01"
 FORMAT_VERSION = 1
@@ -70,10 +70,7 @@ def publish_trace(trace: Trace, prefix: str = "repro") -> ShmTraceRef:
     no buffer references.
     """
     pairs = _thread_matrices(trace)
-    chunks = [
-        np.ascontiguousarray(matrix, dtype=np.int64).tobytes()
-        for _, matrix in pairs
-    ]
+    chunks = [matrix.reshape(-1).view(np.uint8) for _, matrix in pairs]
     meta = json.dumps(
         {
             "name": trace.name,
@@ -120,6 +117,8 @@ def publish_trace(trace: Trace, prefix: str = "repro") -> ShmTraceRef:
 
 def attach_trace(ref: ShmTraceRef) -> Trace:
     """Rebuild a :class:`Trace` from a published segment.
+
+    Each thread keeps a copy of its rows; nothing is decoded per event.
 
     Raises :class:`ShmError` when the segment is missing or its
     contents fail the magic/version/bounds/CRC checks — the caller is
@@ -173,7 +172,7 @@ def attach_trace(ref: ShmTraceRef) -> Trace:
                 body, dtype=np.int64, count=int(rows) * 6, offset=offset
             ).reshape(int(rows), 6)
             offset += nbytes
-            threads.append(decode_thread_matrix(int(tid), matrix))
+            threads.append(ThreadTrace.from_rows(int(tid), matrix))
         if offset != meta_len + payload_len:
             raise ShmError(
                 f"shm segment {ref.name!r} payload length mismatch"

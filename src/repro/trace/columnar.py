@@ -4,30 +4,37 @@
 ``int64`` numpy columns — ``kind``, ``addr``, ``size``, ``gap``, ``op``,
 ``ret`` — laid out thread-major (all of thread 0's events, then all of
 thread 1's, ...), with a ``starts`` offset array delimiting the
-per-thread segments.  The column encoding is byte-identical to the one
-the ``.npz`` trace format (:mod:`repro.trace.io`) has always used::
+per-thread segments.  A row of the six columns is the canonical event
+encoding every other representation shares::
 
     load/store : (kind, addr,       size, gap, -1, 0)
     atomic     : (kind, addr,       size, gap, op, with_return)
     barrier    : (kind, 0,    barrier_id,  gap, -1, 0)
 
-so converting between the tuple form and the columnar form is lossless
-(``to_events(from_events(t)) == t`` for every encodable trace) and the
-content digest is bit-for-bit unchanged — ``.repro_cache/`` result keys
-and service spec_keys survive the representation change.
+A :class:`~repro.trace.stream.ThreadTrace` packs its events into these
+rows as they are captured, the ``.npz`` format (:mod:`repro.trace.io`)
+and the shared-memory transport store them, and
+:func:`~repro.trace.io.trace_digest` hashes them — so
+:meth:`ColumnarTrace.from_events` only concatenates rows, conversion is
+lossless both ways (``to_events(from_events(t))`` has ``t``'s events
+for every encodable trace), and ``.repro_cache/`` result keys and
+service spec_keys do not depend on which representation produced a
+trace.
 
 The vectorized analysis passes (:mod:`repro.analysis.passes`) and the
-future batch simulation kernel consume this form directly; the
-per-event tuple form remains the reference representation for the
-per-event interpreter and the legacy analyzers.
+batch simulation kernel (:mod:`repro.sim.vectorized`) consume this
+form; the tuple view (:attr:`ThreadTrace.events`, decoded by
+:func:`decode_thread_matrix`) serves the per-event reference
+interpreter and the legacy analyzers.
 
 Encodability: an event is columnar-encodable when it has a known kind,
 the exact arity for that kind, and integer fields that fit in int64.
-Traces carrying deliberately malformed tuples (wrong arity, non-int
-fields, unknown kinds) raise :class:`~repro.common.errors.TraceError`
-from :meth:`ColumnarTrace.from_events`; analysis callers fall back to
-the per-event implementations for those, which report the corruption as
-findings instead of dying.
+A thread that holds tuples instead of rows (hand-built or mutated
+through ``.events``) is strictly encoded by :func:`encode_events`,
+which raises :class:`~repro.common.errors.TraceError` on deliberately
+malformed tuples (wrong arity, non-int fields, unknown kinds); analysis
+callers fall back to the per-event implementations for those, which
+report the corruption as findings instead of dying.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from repro.trace.events import (
     EV_BARRIER,
     EV_LOAD,
     EV_STORE,
+    AtomicOp,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,11 +79,12 @@ def encode_events(
 ) -> np.ndarray:
     """Strictly encode one thread's event tuples as an (N, 6) matrix.
 
-    Unlike the tolerant encoder inside :mod:`repro.trace.io` (which only
-    ever sees events a :class:`~repro.trace.stream.ThreadTrace` builder
-    produced), this validates kind, arity, and field integer-ness, and
+    Only threads that keep tuples reach this (hand-built, or mutated
+    through ``.events``): builder-captured and loaded threads already
+    hold rows.  Validates kind, arity, and field integer-ness, and
     raises :class:`TraceError` on anything the columnar form cannot
-    represent losslessly.
+    represent losslessly.  (The digest and the file format use the
+    tolerant encoder inside :mod:`repro.trace.io` for the same threads.)
     """
     rows = np.empty((len(events), 6), dtype=np.int64)
     for i, event in enumerate(events):
@@ -125,6 +134,40 @@ def encode_events(
                 f"range (not columnar-encodable)"
             ) from None
     return rows
+
+
+def decode_thread_matrix(rows: np.ndarray) -> "list[tuple]":
+    """Unpack an (N, 6) row matrix into event tuples."""
+    events: list[tuple] = []
+    for kind, addr, size, gap, op, ret in rows.tolist():
+        if kind == EV_BARRIER:
+            events.append((EV_BARRIER, size, gap))
+        elif kind == EV_ATOMIC:
+            try:
+                decoded_op: AtomicOp | int = AtomicOp(op)
+            except ValueError:
+                # Preserve the raw value: the trace linter reports
+                # unknown ops (TRC003/PIM001) with their event index.
+                decoded_op = op
+            events.append(
+                (EV_ATOMIC, addr, size, gap, decoded_op, bool(ret))
+            )
+        elif kind in (EV_LOAD, EV_STORE):
+            events.append((kind, addr, size, gap))
+        else:
+            raise TraceError(f"unknown event kind {kind} in trace file")
+    return events
+
+
+_KNOWN_KINDS = np.asarray(list(_EVENT_ARITY), dtype=np.int64)
+
+
+def check_event_kinds(kinds: np.ndarray) -> None:
+    """Raise :class:`TraceError` naming the first unknown event kind."""
+    unknown = ~np.isin(kinds, _KNOWN_KINDS)
+    if np.any(unknown):
+        bad = int(kinds[np.argmax(unknown)])
+        raise TraceError(f"unknown event kind {bad} in trace file")
 
 
 @dataclass
@@ -276,61 +319,23 @@ class ColumnarTrace:
 
     @classmethod
     def from_events(cls, trace: "Trace") -> "ColumnarTrace":
-        """Lossless conversion from the per-event tuple form.
+        """Columnar form of a :class:`Trace`: its threads' rows, stacked.
 
-        Raises :class:`TraceError` when any event is not
-        columnar-encodable (unknown kind, wrong arity, non-integer or
-        out-of-range field); callers needing to analyze such traces use
-        the per-event path instead.
+        A thread that keeps tuples is strictly encoded first
+        (:func:`encode_events`), so this raises :class:`TraceError`
+        when one of its events is not columnar-encodable (unknown kind,
+        wrong arity, non-integer or out-of-range field); callers needing
+        to analyze such traces use the per-event path instead.
         """
-        matrices = [
-            encode_events(thread.events, thread.thread_id)
-            for thread in trace.threads
-        ]
-        counts = [m.shape[0] for m in matrices]
-        starts = np.zeros(len(matrices) + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        stacked = (
-            np.concatenate(matrices)
-            if sum(counts)
-            else np.empty((0, 6), dtype=np.int64)
+        matrices = []
+        for thread in trace.threads:
+            rows = thread.rows()
+            if rows is None:
+                rows = encode_events(thread.events, thread.thread_id)
+            matrices.append(rows)
+        return cls._stack(
+            trace.name, [t.thread_id for t in trace.threads], matrices
         )
-        columns = {
-            column: np.ascontiguousarray(stacked[:, i])
-            for i, column in enumerate(_COLUMNS)
-        }
-        return cls(
-            name=trace.name,
-            thread_ids=np.asarray(
-                [t.thread_id for t in trace.threads], dtype=np.int64
-            ),
-            starts=starts,
-            **columns,
-        )
-
-    def thread_matrix(self, pos: int) -> np.ndarray:
-        """One thread's events as the canonical (N, 6) int64 matrix.
-
-        Byte-identical to what :func:`repro.trace.io.save_trace` writes
-        and :func:`repro.trace.io.trace_digest` hashes for the tuple
-        form, which is what keeps digests representation-independent.
-        """
-        rows = self.thread_slice(pos)
-        return np.ascontiguousarray(
-            np.column_stack(
-                [getattr(self, column)[rows] for column in _COLUMNS]
-            )
-        )
-
-    def to_events(self) -> "Trace":
-        """Convert back to the per-event tuple form."""
-        from repro.trace.io import decode_thread_matrix
-
-        threads = [
-            decode_thread_matrix(tid, self.thread_matrix(pos))
-            for pos, tid in enumerate(self.thread_ids.tolist())
-        ]
-        return _make_trace(threads, self.name)
 
     @classmethod
     def from_thread_matrices(
@@ -343,30 +348,55 @@ class ColumnarTrace:
         mats = [
             np.asarray(m, dtype=np.int64).reshape(-1, 6) for m in matrices
         ]
-        counts = [m.shape[0] for m in mats]
-        starts = np.zeros(len(mats) + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        stacked = (
-            np.concatenate(mats)
-            if sum(counts)
-            else np.empty((0, 6), dtype=np.int64)
-        )
-        unknown = ~np.isin(
-            stacked[:, 0], np.asarray(list(_EVENT_ARITY), dtype=np.int64)
-        )
-        if np.any(unknown):
-            bad = int(stacked[np.argmax(unknown), 0])
-            raise TraceError(f"unknown event kind {bad} in trace file")
-        columns = {
-            column: np.ascontiguousarray(stacked[:, i])
-            for i, column in enumerate(_COLUMNS)
-        }
+        for matrix in mats:
+            check_event_kinds(matrix[:, 0])
+        return cls._stack(name, thread_ids, mats)
+
+    @classmethod
+    def _stack(
+        cls,
+        name: str,
+        thread_ids: Sequence[int],
+        matrices: Sequence[np.ndarray],
+    ) -> "ColumnarTrace":
+        """Copy per-thread row matrices into thread-major columns."""
+        starts = np.zeros(len(matrices) + 1, dtype=np.int64)
+        np.cumsum([m.shape[0] for m in matrices], out=starts[1:])
+        block = np.empty((len(_COLUMNS), int(starts[-1])), dtype=np.int64)
+        for matrix, lo, hi in zip(matrices, starts[:-1], starts[1:]):
+            block[:, lo:hi] = matrix.T
         return cls(
             name=name,
             thread_ids=np.asarray(thread_ids, dtype=np.int64),
             starts=starts,
-            **columns,
+            **dict(zip(_COLUMNS, block)),
         )
+
+    def thread_matrix(self, pos: int) -> np.ndarray:
+        """One thread's events as the canonical (N, 6) int64 matrix.
+
+        Byte-identical to the rows a
+        :class:`~repro.trace.stream.ThreadTrace` holds, which
+        :func:`repro.trace.io.save_trace` writes and
+        :func:`repro.trace.io.trace_digest` hashes — what keeps digests
+        representation-independent.
+        """
+        rows = self.thread_slice(pos)
+        return np.ascontiguousarray(
+            np.column_stack(
+                [getattr(self, column)[rows] for column in _COLUMNS]
+            )
+        )
+
+    def to_events(self) -> "Trace":
+        """The :class:`Trace` of these rows (no per-event decode)."""
+        from repro.trace.stream import ThreadTrace, Trace
+
+        threads = [
+            ThreadTrace.from_rows(tid, self.thread_matrix(pos))
+            for pos, tid in enumerate(self.thread_ids.tolist())
+        ]
+        return Trace(threads, name=self.name)
 
     def __repr__(self) -> str:
         return (
@@ -375,18 +405,12 @@ class ColumnarTrace:
         )
 
 
-def _make_trace(threads, name: str):
-    from repro.trace.stream import Trace
-
-    return Trace(threads, name=name)
-
-
 def as_columnar(trace) -> ColumnarTrace:
     """Coerce a :class:`Trace` or :class:`ColumnarTrace` to columnar.
 
-    For tuple-form traces this goes through :meth:`Trace.columnar`, so
-    the (validating, per-event) conversion cost is paid once per trace
-    object no matter how many passes or simulations consume it.
+    For a :class:`Trace` this goes through :meth:`Trace.columnar`, so
+    the conversion is paid once per trace object no matter how many
+    passes or simulations consume it.
     """
     if isinstance(trace, ColumnarTrace):
         return trace

@@ -1,19 +1,24 @@
 """Trace event encoding.
 
-Events are plain tuples (not objects) because the replay loop touches
-millions of them; the first element is one of the ``EV_*`` codes.
+A captured thread stores its events as canonical int64 rows
+``(kind, addr, size, gap, op, ret)`` (:mod:`repro.trace.columnar`); the
+tuples below are a view of those rows, decoded on first access to
+:attr:`~repro.trace.stream.ThreadTrace.events` for the per-event
+reference interpreter and the legacy analyzers.  The first element of
+a tuple is one of the ``EV_*`` codes.
 
 Layouts::
 
     (EV_LOAD,   addr, size, gap)
     (EV_STORE,  addr, size, gap)
     (EV_ATOMIC, addr, size, gap, AtomicOp, with_return)
-    (EV_BARRIER, barrier_id)
+    (EV_BARRIER, barrier_id, gap)
 
 ``gap`` is the number of non-memory instructions the thread executed
 since its previous event; the core model charges them at the issue
-width.  ``with_return`` records whether the program consumes the
-atomic's old value (affects HMC response FLITs, Table V).
+width (before the sync, for a barrier).  ``with_return`` records
+whether the program consumes the atomic's old value (affects HMC
+response FLITs, Table V).
 """
 
 from __future__ import annotations

@@ -9,12 +9,14 @@ column-oriented array set per thread.
 Event columns: ``kind``, ``addr``, ``size`` (barrier id for barrier
 events), ``gap``, ``op`` (-1 when not an atomic), ``ret`` (0/1).
 
-The on-disk layout is shared by the per-event tuple form
-(:class:`~repro.trace.stream.Trace`) and the columnar
-structure-of-arrays form (:class:`~repro.trace.columnar.ColumnarTrace`):
-one file loads as either, :func:`save_trace` accepts both, and
-:func:`trace_digest` hashes both to the same value — so cache keys and
-spec_keys never depend on which representation produced the trace.
+A thread's matrix is exactly the row storage of a
+:class:`~repro.trace.stream.ThreadTrace`, so saving, loading and
+hashing a captured trace move its rows unchanged.  The layout is shared
+with the columnar structure-of-arrays form
+(:class:`~repro.trace.columnar.ColumnarTrace`): one file loads as
+either, :func:`save_trace` accepts both, and :func:`trace_digest`
+hashes both to the same value — so cache keys and spec_keys never
+depend on which representation produced the trace.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ import numpy as np
 
 from repro.common.errors import TraceError
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.events import (
-    EV_ATOMIC,
-    EV_BARRIER,
-    EV_LOAD,
-    EV_STORE,
-    AtomicOp,
-)
+from repro.trace.events import EV_ATOMIC, EV_BARRIER
 from repro.trace.stream import ThreadTrace, Trace
 
 _FORMAT_VERSION = 1
@@ -44,7 +40,13 @@ AnyTrace = Union[Trace, ColumnarTrace]
 
 
 def _encode_thread(thread: ThreadTrace) -> np.ndarray:
-    """Pack one thread's events into an (N, 6) int64 matrix."""
+    """Pack the tuples of a thread that keeps tuples into (N, 6) rows.
+
+    Tolerant (no kind, arity or type checks), unlike
+    :func:`~repro.trace.columnar.encode_events`: the digest and the file
+    take a thread's tuples as they are, so a malformed trace can still
+    be hashed and saved for the linter to report on.
+    """
     rows = np.empty((len(thread.events), 6), dtype=np.int64)
     for i, event in enumerate(thread.events):
         kind = event[0]
@@ -64,55 +66,40 @@ def _encode_thread(thread: ThreadTrace) -> np.ndarray:
     return rows
 
 
-def decode_thread_matrix(thread_id: int, rows: np.ndarray) -> ThreadTrace:
-    """Unpack an (N, 6) matrix back into event tuples."""
-    thread = ThreadTrace(thread_id)
-    events = thread.events
-    for kind, addr, size, gap, op, ret in rows.tolist():
-        if kind == EV_BARRIER:
-            events.append((EV_BARRIER, size, gap))
-        elif kind == EV_ATOMIC:
-            try:
-                decoded_op: AtomicOp | int = AtomicOp(op)
-            except ValueError:
-                # Preserve the raw value: the trace linter reports
-                # unknown ops (TRC003/PIM001) with their event index.
-                decoded_op = op
-            events.append(
-                (EV_ATOMIC, addr, size, gap, decoded_op, bool(ret))
-            )
-        elif kind in (EV_LOAD, EV_STORE):
-            events.append((kind, addr, size, gap))
-        else:
-            raise TraceError(f"unknown event kind {kind} in trace file")
-    return thread
-
-
 def _thread_matrices(trace: AnyTrace) -> "list[tuple[int, np.ndarray]]":
-    """Canonical per-thread (id, (N, 6) matrix) pairs for either form."""
+    """Canonical per-thread (id, (N, 6) matrix) pairs for either form.
+
+    A thread's stored rows come back as a view, not a copy.
+    """
     if isinstance(trace, ColumnarTrace):
         return [
             (int(tid), trace.thread_matrix(pos))
             for pos, tid in enumerate(trace.thread_ids.tolist())
         ]
-    return [(t.thread_id, _encode_thread(t)) for t in trace.threads]
+    pairs = []
+    for thread in trace.threads:
+        rows = thread.rows()
+        if rows is None:
+            rows = _encode_thread(thread)
+        pairs.append((thread.thread_id, rows))
+    return pairs
 
 
 def trace_digest(trace: AnyTrace) -> str:
     """Stable content hash of a trace (sha256 hex digest).
 
-    Hashes the same column-oriented encoding the ``.npz`` format uses,
-    so the digest identifies the trace *content* independently of how
-    it was produced (fresh execution, loaded from disk, tuple form, or
-    columnar form).  The experiment runner keys its on-disk result
-    cache on this, and the strict pre-flight uses it to skip re-linting
-    an already-clean trace.
+    Hashes the canonical (N, 6) rows — the buffers a captured or loaded
+    thread stores, unchanged — so the digest identifies the trace
+    *content* independently of how it was produced (fresh execution,
+    loaded from disk, tuple form, or columnar form).  The experiment
+    runner keys its on-disk result cache on this, and the strict
+    pre-flight uses it to skip re-linting an already-clean trace.
     """
     digest = hashlib.sha256()
     digest.update(str(trace.num_threads).encode())
     for thread_id, matrix in _thread_matrices(trace):
         digest.update(str(thread_id).encode())
-        digest.update(matrix.tobytes())
+        digest.update(matrix)
     return digest.hexdigest()
 
 
@@ -176,14 +163,17 @@ def _read_bundle(path: str | os.PathLike) -> "tuple[str, list, list]":
 def load_trace(path: str | os.PathLike, validate: bool = True) -> Trace:
     """Read a trace previously written by :func:`save_trace`.
 
-    ``validate=False`` skips the fail-fast barrier check so analysis
-    tools (``repro lint``) can load a malformed trace and report *what*
-    is wrong instead of dying on the first inconsistency.
+    Each thread keeps its ``(N, 6)`` rows as loaded; nothing is decoded
+    until a caller reads ``.events``.  Unknown event kinds raise
+    :class:`TraceError`.  ``validate=False`` skips the fail-fast barrier
+    check so analysis tools (``repro lint``) can load a malformed trace
+    and report *what* is wrong instead of dying on the first
+    inconsistency.
     """
     name, thread_ids, matrices = _read_bundle(path)
     try:
         threads = [
-            decode_thread_matrix(tid, rows)
+            ThreadTrace.from_rows(tid, rows)
             for tid, rows in zip(thread_ids, matrices)
         ]
     except TraceError as error:
@@ -197,22 +187,9 @@ def load_trace(path: str | os.PathLike, validate: bool = True) -> Trace:
 def load_columnar(
     path: str | os.PathLike, validate: bool = True
 ) -> ColumnarTrace:
-    """Read a trace bundle directly into the columnar form.
+    """Read a trace bundle into the columnar form.
 
-    This is the fast path — pure array concatenation, no per-event
-    tuple materialization — and the representation the vectorized
-    analysis passes and the batch kernel consume.  ``validate=False``
-    skips the barrier-balance fail-fast exactly like :func:`load_trace`
-    (unknown event kinds still raise: they are unrepresentable in
-    either form).
+    ``load_trace(path, validate).columnar()``: the rows as loaded,
+    stacked into columns, with no per-event work.
     """
-    name, thread_ids, matrices = _read_bundle(path)
-    try:
-        columnar = ColumnarTrace.from_thread_matrices(
-            name, thread_ids, matrices
-        )
-    except TraceError as error:
-        raise TraceError(f"{os.fspath(path)}: {error}") from None
-    if validate:
-        columnar.validate_barriers()
-    return columnar
+    return load_trace(path, validate=validate).columnar()

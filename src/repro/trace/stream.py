@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+import struct
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.common.errors import TraceError
+from repro.trace.columnar import check_event_kinds, decode_thread_matrix
 from repro.trace.events import (
     EV_ATOMIC,
     EV_BARRIER,
@@ -12,6 +16,13 @@ from repro.trace.events import (
     EV_STORE,
     AtomicOp,
 )
+
+#: One canonical ``(kind, addr, size, gap, op, ret)`` row: six native
+#: int64s, byte-identical to a row of the ``(N, 6)`` matrix.  ``pack``
+#: raises ``struct.error`` on exactly the fields :func:`encode_events`
+#: rejects (non-integers, values outside int64).
+_ROW = struct.Struct("=6q")
+_pack_row = _ROW.pack
 
 
 class ThreadTrace:
@@ -21,14 +32,41 @@ class ThreadTrace:
     for memory accesses and :meth:`work` for intervening non-memory
     instructions; the pending work count is folded into the next event's
     ``gap`` field.
+
+    Storage: each event is packed as it is captured into its canonical
+    int64 row (:mod:`repro.trace.columnar`) in one growable buffer, the
+    layout the ``.npz`` format, :func:`~repro.trace.io.trace_digest` and
+    shared memory use, so none of them re-encodes it.  :attr:`events`
+    is a tuple view decoded on first access; from then on the thread
+    keeps tuples, so the returned list can be mutated like any list.
+    The builder switches to tuples the same way on the first event a
+    row cannot hold exactly: a field :func:`encode_events` would reject
+    (non-integer, outside int64) or an atomic whose ``with_return`` is
+    not a bool (the view decodes ``ret`` as one).
     """
 
-    __slots__ = ("thread_id", "events", "_pending_work")
+    __slots__ = ("thread_id", "_rows", "_events", "_pending_work")
 
     def __init__(self, thread_id: int):
         self.thread_id = thread_id
-        self.events: list[tuple] = []
+        #: Row storage, or None once the thread keeps tuples.
+        self._rows: Optional[bytearray] = bytearray()
+        #: Tuple storage, or None while the thread keeps rows.
+        self._events: Optional[list[tuple]] = None
         self._pending_work = 0
+
+    @classmethod
+    def from_rows(cls, thread_id: int, rows: np.ndarray) -> "ThreadTrace":
+        """A thread holding a copy of an ``(N, 6)`` int64 row matrix.
+
+        Raises :class:`TraceError` on an unknown event kind, which no
+        tuple layout could represent.
+        """
+        matrix = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, 6)
+        check_event_kinds(matrix[:, 0])
+        thread = cls(thread_id)
+        thread._rows = bytearray(matrix)
+        return thread
 
     def work(self, instructions: int = 1) -> None:
         """Record ``instructions`` non-memory instructions."""
@@ -36,13 +74,33 @@ class ThreadTrace:
             raise TraceError("work count must be non-negative")
         self._pending_work += instructions
 
+    # The recorders below inline the row packing: they run once per
+    # captured event, and a shared helper call would cost about as much
+    # as the pack itself.
+
     def load(self, addr: int, size: int = 8) -> None:
         """Record a regular load."""
-        self.events.append((EV_LOAD, addr, size, self._take_gap()))
+        gap = self._pending_work
+        self._pending_work = 0
+        if self._rows is not None:
+            try:
+                self._rows += _pack_row(EV_LOAD, addr, size, gap, -1, 0)
+                return
+            except struct.error:
+                pass
+        self.events.append((EV_LOAD, addr, size, gap))
 
     def store(self, addr: int, size: int = 8) -> None:
         """Record a regular store."""
-        self.events.append((EV_STORE, addr, size, self._take_gap()))
+        gap = self._pending_work
+        self._pending_work = 0
+        if self._rows is not None:
+            try:
+                self._rows += _pack_row(EV_STORE, addr, size, gap, -1, 0)
+                return
+            except struct.error:
+                pass
+        self.events.append((EV_STORE, addr, size, gap))
 
     def atomic(
         self,
@@ -52,33 +110,82 @@ class ThreadTrace:
         with_return: bool = True,
     ) -> None:
         """Record a host atomic instruction (lock-prefixed RMW)."""
-        self.events.append(
-            (EV_ATOMIC, addr, size, self._take_gap(), op, with_return)
-        )
-
-    def barrier(self, barrier_id: int) -> None:
-        """Record participation in a global barrier."""
-        # Pending work is charged before the barrier is entered.
-        if self._pending_work:
-            # Attach the work to the barrier via a zero-byte gap carrier:
-            # the replay loop charges gap cycles before sync.
-            self.events.append((EV_BARRIER, barrier_id, self._take_gap()))
-        else:
-            self.events.append((EV_BARRIER, barrier_id, 0))
-
-    def _take_gap(self) -> int:
         gap = self._pending_work
         self._pending_work = 0
-        return gap
+        if self._rows is not None and (
+            with_return is True or with_return is False
+        ):
+            try:
+                self._rows += _pack_row(
+                    EV_ATOMIC, addr, size, gap, op, with_return
+                )
+                return
+            except struct.error:
+                pass
+        self.events.append((EV_ATOMIC, addr, size, gap, op, with_return))
+
+    def barrier(self, barrier_id: int) -> None:
+        """Record participation in a global barrier.
+
+        Pending work is charged before the barrier is entered: the
+        replay loop charges the event's gap cycles before it syncs.
+        """
+        gap = self._pending_work
+        if gap:
+            self._pending_work = 0
+        else:
+            gap = 0
+        if self._rows is not None:
+            try:
+                self._rows += _pack_row(EV_BARRIER, 0, barrier_id, gap, -1, 0)
+                return
+            except struct.error:
+                pass
+        self.events.append((EV_BARRIER, barrier_id, gap))
+
+    @property
+    def events(self) -> list[tuple]:
+        """The event tuples (layouts in :mod:`repro.trace.events`).
+
+        Decoded from the rows on first access; the thread keeps the
+        returned list as its storage from then on.
+        """
+        events = self._events
+        if events is None:
+            events = decode_thread_matrix(self.rows())
+            self._events = events
+            self._rows = None
+        return events
+
+    def rows(self) -> Optional[np.ndarray]:
+        """The stored rows as a read-only ``(N, 6)`` int64 view.
+
+        None once the thread keeps tuples.  The view pins the buffer,
+        so drop it before recording further events.
+        """
+        if self._rows is None:
+            return None
+        matrix = np.frombuffer(self._rows, dtype=np.int64).reshape(-1, 6)
+        matrix.flags.writeable = False
+        return matrix
+
+    def barrier_ids(self) -> list:
+        """Barrier ids in stream order."""
+        matrix = self.rows()
+        if matrix is None:
+            return [e[1] for e in self.events if e[0] == EV_BARRIER]
+        return matrix[matrix[:, 0] == EV_BARRIER, 2].tolist()
 
     @property
     def num_events(self) -> int:
         """Number of recorded events."""
+        if self._rows is not None:
+            return len(self._rows) // _ROW.size
         return len(self.events)
 
     def __repr__(self) -> str:
         return (
-            f"ThreadTrace(thread={self.thread_id}, events={len(self.events)})"
+            f"ThreadTrace(thread={self.thread_id}, events={self.num_events})"
         )
 
 
@@ -110,10 +217,7 @@ class Trace:
         Shared by :meth:`validate_barriers` and the trace linter's
         barrier-balance rule.
         """
-        return [
-            [e[1] for e in thread.events if e[0] == EV_BARRIER]
-            for thread in self.threads
-        ]
+        return [thread.barrier_ids() for thread in self.threads]
 
     def validate_barriers(self) -> None:
         """Check that every thread hits the same barrier sequence.
@@ -133,12 +237,13 @@ class Trace:
     def columnar(self):
         """Memoized columnar (SoA) form of this trace.
 
-        The validating per-event conversion is the expensive part of the
-        vectorized paths, and the same trace is typically consumed
-        several times (three simulation modes, plus analysis passes), so
-        the result is cached on the instance.  Traces are append-only
-        during capture and frozen once handed to analysis/simulation;
-        the memo assumes no post-capture mutation.
+        Built once per trace object by
+        :meth:`~repro.trace.columnar.ColumnarTrace.from_events`, which
+        concatenates the threads' rows (strictly encoding any thread
+        that keeps tuples), and shared by every consumer: the strict
+        pre-flight's passes and each simulated mode.  Traces are
+        append-only during capture and frozen once handed to
+        analysis/simulation; the memo assumes no post-capture mutation.
 
         Raises :class:`~repro.common.errors.TraceError` (uncached) when
         the trace is not columnar-encodable.
