@@ -2,13 +2,14 @@
 
 Measures simulated events/sec on the largest standard trace (BC on the
 scale-default LDBC-like graph, 16 threads) under all three evaluation
-modes for both engines, asserts the batch kernel clears its speedup
-floor, and records the numbers in ``BENCH_kernel.json`` at the repo
-root.
+modes plus GraphPIM on a lossy link (:data:`FAULTS`: bit errors, dropped
+responses and vault stall windows) for both engines, asserts the batch
+kernel clears its speedup floor, and records the numbers in
+``BENCH_kernel.json`` at the repo root.
 
 The columnar conversion is warmed before timing and reported
 separately: it is memoized per trace (``Trace.columnar()``) and shared
-by all three modes plus the analysis passes, so steady-state throughput
+by every mode plus the analysis passes, so steady-state throughput
 — the number the service and the runner see — excludes it.  The record
 keeps ``columnar_s`` so the amortization claim stays auditable.
 
@@ -28,9 +29,11 @@ fail here too, not just in the unit suite.
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core.presets import resolve_scale, workload_graph, workload_params
+from repro.faults import FaultPlan
 from repro.sim.config import SystemConfig
 from repro.sim.system import simulate_with_engine
 from repro.workloads.registry import get_workload
@@ -42,6 +45,19 @@ MIN_SPEEDUP = 5.0
 
 #: Best-of-N rounds per engine and mode.
 ROUNDS = 3
+
+#: The lossy link of the faulty mode: every fault class, a budget that
+#: holds at this drop rate.
+FAULTS = FaultPlan.from_spec("ber=1e-5,drop=1e-3,stall=2000:200,seed=7")
+
+
+def bench_modes() -> "list[SystemConfig]":
+    """The evaluation trio plus GraphPIM under :data:`FAULTS`."""
+    faulty = replace(
+        SystemConfig.graphpim(faults=FAULTS), label="GraphPIM+faults"
+    )
+    return [*SystemConfig().evaluation_trio(), faulty]
+
 
 _BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 
@@ -69,7 +85,7 @@ def test_kernel_throughput(benchmark):
             lambda: run.trace.columnar(), rounds=1
         )  # memoized from here on — all later calls are free
         per_mode = {}
-        for config in SystemConfig().evaluation_trio():
+        for config in bench_modes():
             legacy_s, (legacy, info_l) = _best_of(
                 lambda c=config: simulate_with_engine(
                     run.trace, c, engine="legacy"
@@ -120,9 +136,10 @@ def test_kernel_throughput(benchmark):
             "speedup": round(legacy_s / vec_s, 1),
         }
     speedup = legacy_total / vec_total
+    simulated = len(per_mode) * events
     record["combined"] = {
-        "legacy_events_per_s": round(3 * events / legacy_total),
-        "vectorized_events_per_s": round(3 * events / vec_total),
+        "legacy_events_per_s": round(simulated / legacy_total),
+        "vectorized_events_per_s": round(simulated / vec_total),
         "speedup": round(speedup, 1),
         "speedup_with_conversion": round(
             legacy_total / (vec_total + columnar_s), 1
@@ -133,11 +150,12 @@ def test_kernel_throughput(benchmark):
     for label, entry in per_mode.items():
         rec = record[label]
         print(
-            f"  {label:9s}: reference {rec['legacy_s']:7.2f}s  "
+            f"  {label:15s}: reference {rec['legacy_s']:7.2f}s  "
             f"kernel {rec['vectorized_s']:6.3f}s  ({rec['speedup']:.1f}x)"
         )
     print(
-        f"  combined : {record['combined']['legacy_events_per_s']:,} -> "
+        f"  {'combined':15s}: "
+        f"{record['combined']['legacy_events_per_s']:,} -> "
         f"{record['combined']['vectorized_events_per_s']:,} events/s "
         f"({speedup:.1f}x; "
         f"{record['combined']['speedup_with_conversion']:.1f}x counting "

@@ -133,27 +133,42 @@ run_or_fail env REPRO_SCALE=tiny python -m pytest -q \
 step "simulation engines (both engines, diff the JSON results)"
 # The batch kernel and the per-event reference must produce
 # byte-identical reports through the whole grid path, not just in
-# unit-test harnesses.  No cache: both runs must actually simulate.
+# unit-test harnesses, fault-free and on a lossy link (bit errors,
+# dropped responses, vault stalls), where the auto run must also stay
+# on the kernel.  No cache: every run must actually simulate.
 engine_dir="$(mktemp -d)"
-run_or_fail python -m repro run --scale tiny --jobs 2 --no-cache \
-    --engine legacy --json > "$engine_dir/legacy.json"
-run_or_fail python -m repro run --scale tiny --jobs 2 --no-cache \
-    --engine auto --json > "$engine_dir/auto.json"
-if python -c '
+for variant in clean faults; do
+    fault_args=()
+    if [ "$variant" = faults ]; then
+        fault_args=(--faults "ber=1e-5,drop=1e-3,stall=2000:200,seed=7")
+    fi
+    for engine in legacy auto; do
+        run_or_fail python -m repro run --scale tiny --jobs 2 --no-cache \
+            --engine "$engine" "${fault_args[@]}" --json \
+            > "$engine_dir/$variant-$engine.json"
+    done
+    if python -c '
 import json, sys
-a = json.load(open(sys.argv[1]))["workloads"]
-b = json.load(open(sys.argv[2]))["workloads"]
+a = json.load(open(sys.argv[1]))
+b = json.load(open(sys.argv[2]))
+fallbacks = b["runner"]["engine_fallbacks"]
+a, b = a["workloads"], b["workloads"]
 assert a.keys() == b.keys() and a, "workload sets differ"
 for code in a:
     if a[code] != b[code]:
         raise SystemExit(f"engine results differ for {code}")
-print(f"engine diff: {len(a)} workload(s) byte-identical")
-' "$engine_dir/legacy.json" "$engine_dir/auto.json"; then
-    echo "engine equivalence smoke passed"
-else
-    echo "engine equivalence smoke FAILED"
-    failures=$((failures + 1))
-fi
+if fallbacks:
+    raise SystemExit(f"auto run fell back {fallbacks} time(s)")
+print(f"engine diff ({sys.argv[3]}): {len(a)} workload(s) "
+      "byte-identical, 0 engine fallbacks")
+' "$engine_dir/$variant-legacy.json" "$engine_dir/$variant-auto.json" \
+        "$variant"; then
+        echo "engine equivalence smoke passed ($variant)"
+    else
+        echo "engine equivalence smoke FAILED ($variant)"
+        failures=$((failures + 1))
+    fi
+done
 rm -rf "$engine_dir"
 
 step "repro run (parallel grid + result cache smoke)"

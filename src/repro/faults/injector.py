@@ -10,11 +10,15 @@ plan) triple, across processes and across serial vs. pool execution.
 Time-dependent faults (vault stall windows) use no randomness at all
 beyond a per-vault phase offset fixed at construction, so they too are
 pure functions of the plan.
+
+Both simulation engines realize a plan through this class: the
+reference :class:`~repro.hmc.device.HmcDevice` calls the decision
+methods one draw at a time, and the batch kernel
+(:mod:`repro.sim.vectorized`) takes the packet-error tables, the stall
+phases and blocks of the same draw stream from it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,42 +27,11 @@ from repro.faults.plan import FaultPlan
 from repro.hmc.packets import packet_bits
 
 
-@dataclass
-class FaultDecisionStats:
-    """How many fault decisions the injector made, and their outcomes.
-
-    Purely observational — the counters are updated alongside the RNG
-    draws and never feed back into them, so enabling metrics cannot
-    perturb the deterministic fault stream.
-    """
-
-    link_draws: int = 0
-    retransmissions_granted: int = 0
-    drop_draws: int = 0
-    responses_dropped: int = 0
-    stall_window_hits: int = 0
-
-    def publish(self, registry) -> None:
-        """Register the injector's decision counters."""
-        decisions = registry.counter(
-            "fault_injector_decisions_total",
-            help="injector RNG draws and positive outcomes by kind",
-        )
-        decisions.inc(self.link_draws, kind="link_draw")
-        decisions.inc(
-            self.retransmissions_granted, kind="retransmission"
-        )
-        decisions.inc(self.drop_draws, kind="drop_draw")
-        decisions.inc(self.responses_dropped, kind="response_dropped")
-        decisions.inc(self.stall_window_hits, kind="stall_window_hit")
-
-
 class FaultInjector:
     """Per-device fault stream realizing one plan against one config."""
 
     def __init__(self, plan: FaultPlan, num_vaults: int):
         self.plan = plan
-        self.decisions = FaultDecisionStats()
         self._gen = np.random.Generator(
             np.random.PCG64(derive_seed(plan.seed, "hmc-faults"))
         )
@@ -89,12 +62,17 @@ class FaultInjector:
             return 0
         count = 0
         while count < self.plan.max_retransmits:
-            self.decisions.link_draws += 1
             if float(self._gen.random()) >= p_err:
                 break
             count += 1
-        self.decisions.retransmissions_granted += count
         return count
+
+    def packet_error_table(self, ber: float, max_flits: int) -> list[float]:
+        """P(packet CRC fails) for every packet size 0..``max_flits``."""
+        return [
+            self._packet_error_probability(flits, ber)
+            for flits in range(max_flits + 1)
+        ]
 
     def request_retransmissions(self, flits: int) -> int:
         """Retries for one request packet (host -> cube direction)."""
@@ -112,11 +90,17 @@ class FaultInjector:
         """Whether this transaction's response is lost or poisoned."""
         if self.plan.drop_rate <= 0.0:
             return False
-        self.decisions.drop_draws += 1
-        dropped = float(self._gen.random()) < self.plan.drop_rate
-        if dropped:
-            self.decisions.responses_dropped += 1
-        return dropped
+        return float(self._gen.random()) < self.plan.drop_rate
+
+    def fill_draws(self, block: np.ndarray) -> None:
+        """Overwrite ``block`` with the stream's next ``len(block)`` draws.
+
+        The same doubles, in the same order, as that many scalar draws,
+        so a consumer reading the block in order makes the decisions of
+        :meth:`request_retransmissions`, :meth:`response_retransmissions`
+        and :meth:`response_dropped` with the same values.
+        """
+        self._gen.random(out=block)
 
     # ------------------------------------------------------------------
     # Vault stall windows (refresh / thermal throttling)
@@ -131,13 +115,22 @@ class FaultInjector:
         per-vault phase; a request landing inside the window waits for
         its end.  Pure function of (vault, t) — no stream draws.
         """
-        period = self.plan.vault_stall_period_ns * cycles_per_ns
-        duration = self.plan.vault_stall_duration_ns * cycles_per_ns
+        period, duration = self.stall_window(cycles_per_ns)
         if period <= 0.0 or duration <= 0.0:
             return 0.0
         phase = float(self._stall_phase[vault]) * period
         offset = (t_cycles - phase) % period
         if offset < duration:
-            self.decisions.stall_window_hits += 1
             return duration - offset
         return 0.0
+
+    def stall_window(self, cycles_per_ns: float) -> tuple[float, float]:
+        """(period, duration) of the vault stall window, in cycles."""
+        return (
+            self.plan.vault_stall_period_ns * cycles_per_ns,
+            self.plan.vault_stall_duration_ns * cycles_per_ns,
+        )
+
+    def stall_phases(self, period: float) -> list[float]:
+        """Each vault's window phase in cycles (``phase * period``)."""
+        return [float(phase) * period for phase in self._stall_phase]

@@ -147,6 +147,20 @@ class HmcStats:
         ).inc(self.fault_stall_cycles)
 
 
+def retry_exhausted_error(
+    what: str, addr: int, attempts: int, retry_budget: int
+) -> SimulationError:
+    """The error of a transaction whose response was lost too often.
+
+    ``what`` names the transaction: ``READ`` or the PIM command's value.
+    Both simulation engines raise it, so their messages match.
+    """
+    return SimulationError(
+        f"{what} at {addr:#x}: response lost {attempts} time(s); "
+        f"retry budget ({retry_budget}) exhausted"
+    )
+
+
 class _LinkLane:
     """Token-bucket model of one link direction's aggregate bandwidth.
 
@@ -352,10 +366,8 @@ class HmcDevice:
                     args={"kind": "READ", "attempt": attempts},
                 )
             if attempts > self._faults.plan.retry_budget:
-                raise SimulationError(
-                    f"READ at {addr:#x}: response lost {attempts} "
-                    f"time(s); retry budget "
-                    f"({self._faults.plan.retry_budget}) exhausted"
+                raise retry_exhausted_error(
+                    "READ", addr, attempts, self._faults.plan.retry_budget
                 )
             t = completion + self._reissue_timeout
 
@@ -441,10 +453,9 @@ class HmcDevice:
                     args={"kind": command.value, "attempt": attempts},
                 )
             if attempts > self._faults.plan.retry_budget:
-                raise SimulationError(
-                    f"{command.value} at {addr:#x}: response lost "
-                    f"{attempts} time(s); retry budget "
-                    f"({self._faults.plan.retry_budget}) exhausted"
+                raise retry_exhausted_error(
+                    command.value, addr, attempts,
+                    self._faults.plan.retry_budget,
                 )
             t = completion + self._reissue_timeout
 

@@ -6,8 +6,8 @@ receives versioned :class:`ProgressSnapshot` frames while the run is
 still executing.  The per-event reference interpreter emits a frame
 every ``interval`` retired events; the vectorized C-kernel driver —
 whose inner loop cannot be interrupted from Python — emits frames at
-its chunk boundaries (after the numpy precompute phase and after the
-kernel returns).
+its chunk boundaries (a ``precompute`` frame once the kernel's inputs
+are ready, a ``kernel`` frame after it returns).
 
 The default everywhere is the :class:`NullPublisher` singleton
 :data:`NULL_PUBLISHER`, which follows the exact hoisted zero-overhead

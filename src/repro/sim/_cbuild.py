@@ -1,8 +1,8 @@
 """On-demand compilation and loading of the C batch kernel.
 
-:mod:`repro.sim.vectorized` lowers the serial half of its two-phase
-kernel to ``_kernel.c``.  This module owns the build: the source is
-compiled once per content hash with the system C compiler and cached
+:mod:`repro.sim.vectorized` runs its time loop in ``_kernel.c``.  This
+module owns the build: the source is compiled once per hash of the
+source and the compiler flags with the system C compiler and cached
 under ``_cbuild/`` next to the package, then loaded through
 :mod:`ctypes`.  Everything here is best-effort — any failure (no
 compiler, broken toolchain, unwritable package directory) surfaces as a
@@ -31,6 +31,11 @@ _BUILD_DIR = Path(__file__).with_name("_cbuild")
 
 #: Never add fast-math/reassociation flags; see the module docstring.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: libm supplies fmod/copysign for the vault stall windows.
+_LIBS = ("-lm",)
+
+#: Signature of the draw-block refill callback (0 on success).
+REFILL_FN = ctypes.CFUNCTYPE(ctypes.c_int)
 
 #: Set to any non-empty value to skip the build and force the decline
 #: path (useful to exercise fallback behavior without uninstalling gcc).
@@ -61,6 +66,13 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
+def _build_tag(source: bytes) -> str:
+    """Name of the built library: a hash of the source and of the build
+    flags, so a flag change never reuses a stale library."""
+    build = " ".join((*_CFLAGS, *_LIBS)).encode()
+    return hashlib.sha256(source + b"\0" + build).hexdigest()[:16]
+
+
 def _load():
     if os.environ.get(DISABLE_ENV):
         return None, f"C kernel disabled via {DISABLE_ENV}"
@@ -68,8 +80,7 @@ def _load():
         source = _SRC.read_bytes()
     except OSError as exc:
         return None, f"kernel source unavailable: {exc}"
-    tag = hashlib.sha256(source).hexdigest()[:16]
-    so_path = _BUILD_DIR / f"kernel-{tag}.so"
+    so_path = _BUILD_DIR / f"kernel-{_build_tag(source)}.so"
     if not so_path.exists():
         cc = _find_compiler()
         if cc is None:
@@ -80,7 +91,7 @@ def _load():
             # may race to build the same kernel.
             tmp = so_path.with_name(f".{so_path.name}.{os.getpid()}.tmp")
             proc = subprocess.run(
-                [cc, *_CFLAGS, "-o", str(tmp), str(_SRC)],
+                [cc, *_CFLAGS, "-o", str(tmp), str(_SRC), *_LIBS],
                 capture_output=True,
                 text=True,
                 timeout=120,
@@ -105,24 +116,20 @@ def _bind(lib) -> None:
     fn = lib.graphpim_simulate
     fn.restype = ctypes.c_int
     fn.argtypes = [
-        ctypes.c_int64,  # n_events
         ctypes.c_int64,  # T
-        i64p,  # route
-        i64p,  # line
-        i64p,  # s1
-        i64p,  # s2
-        i64p,  # s3
-        i64p,  # vault
-        i64p,  # bank
-        i64p,  # tk
-        i64p,  # respf
-        i64p,  # isfp
-        i64p,  # bid
-        i64p,  # ninstr
-        f64p,  # issue
+        i64p,  # kind
+        i64p,  # addr
+        i64p,  # size
+        i64p,  # gap
+        i64p,  # op
+        i64p,  # ret
         i64p,  # starts
         i64p,  # cfg_i
         f64p,  # cfg_d
+        i64p,  # luts
+        f64p,  # fault_d
+        f64p,  # draw block
+        REFILL_FN,  # refill
         f64p,  # core_d
         i64p,  # core_i
         i64p,  # out_i

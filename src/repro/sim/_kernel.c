@@ -1,10 +1,22 @@
 /* Batch simulation time loop for repro.sim.vectorized.
  *
- * This is the serial half of the vectorized engine: repro.sim.vectorized
- * classifies every event with numpy mask algebra (route codes, cache-set
- * indices, vault/bank columns, FLIT lookup tables) and this translation
- * of the fused interpreter drains the same smallest-clock-first
- * scheduler as the Python reference (repro.sim.core + repro.hmc.device).
+ * A translation of the per-event reference interpreter (repro.sim.core,
+ * repro.sim.cache, repro.hmc.device and repro.faults.injector) that
+ * drains the same smallest-clock-first scheduler.  It reads the trace's
+ * own six int64 columns (kind, addr, size, gap, op, ret) and the
+ * per-thread `starts` offsets, and derives each event's route, cache
+ * sets, vault/bank, transaction kind, response FLITs, FP flag and issue
+ * cycles as the event is scheduled.
+ *
+ * Fault plans run here too.  Python builds the plan's FaultInjector and
+ * hands over its packet-error tables (one per link direction, indexed
+ * by FLIT count, so C never calls pow), the per-vault stall phases
+ * (already multiplied by the period) and its draw stream: a block of
+ * doubles filled by the injector's generator, consumed by cursor and
+ * refilled through a callback.  Within one transaction attempt the
+ * draws come in the reference's order: request-packet retransmissions,
+ * response-packet retransmissions, then one drop draw when the plan's
+ * drop rate is positive.
  *
  * BIT-IDENTITY CONTRACT: every double-precision operation here mirrors
  * the reference implementation's expression order exactly.  CPython
@@ -21,11 +33,22 @@
  * FU pools use first-minimum scans exactly like the reference.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Route codes assigned by the Python precompute phase. */
+/* Event kinds (repro.trace.events). */
+#define EV_LOAD 0
+#define EV_ATOMIC 2
+#define EV_BARRIER 3
+
+/* Modes (repro.sim.config.Mode), as numbered by repro.sim.vectorized. */
+#define MODE_BASELINE 0
+#define MODE_UPEI 1
+#define MODE_GRAPHPIM 2
+
+/* Per-event routes, derived from kind, address region, op and mode. */
 #define R_BARRIER 0
 #define R_LOAD_CACHE 1
 #define R_LOAD_BYPASS 2
@@ -36,11 +59,29 @@
 #define R_ATOMIC_UPEI 7
 #define R_ATOMIC_HOST_CAND 8
 
+/* Largest packet in FLITs (Table V); error tables have MAX_FLITS + 1
+ * entries. */
+#define MAX_FLITS 5
+
 /* Return codes. */
 #define SIM_OK 0
 #define SIM_ERR_BARRIER_MISMATCH 1
 #define SIM_ERR_STUCK_AT_BARRIER 2
 #define SIM_ERR_NOMEM 3
+#define SIM_ERR_RETRY_EXHAUSTED 4
+#define SIM_ERR_DRAWS 5
+
+/* Refills the draw block; 0 on success. */
+typedef int (*refill_fn)(void);
+
+/* x mod n for x >= 0; `mask` is n - 1 when n is a power of two, else -1. */
+static inline int64_t imod(int64_t x, int64_t n, int64_t mask) {
+    return mask >= 0 ? (x & mask) : x % n;
+}
+
+static int64_t pow2_mask(int64_t n) {
+    return (n & (n - 1)) == 0 ? n - 1 : -1;
+}
 
 /* ------------------------------------------------------------------ */
 /* Open-addressing hash map: int64 line -> uint64 core bitmask.        */
@@ -291,15 +332,25 @@ static void sched_pop(sched *h, double *t, int64_t *c) {
 /* Simulation state shared by the resource helpers.                    */
 /* ------------------------------------------------------------------ */
 
+/* One link direction; mirrors _LinkLane. */
 typedef struct {
-    /* geometry */
-    int64_t T, mlp, n1sets, n2sets, n3sets;
-    int64_t num_vaults, banks_per_vault, fus_per_vault, fp_pool, prefetch;
+    double backlog, anchor, wait;
+} lane;
+
+typedef struct {
+    /* geometry; m* are the pow2_mask of the matching modulus */
+    int64_t T, mlp, n1sets, n2sets, n3sets, m1, m2, m3;
+    int64_t num_vaults, banks_per_vault, mv, mb;
+    int64_t fus_per_vault, fp_pool, prefetch;
+    /* routing */
+    int64_t mode, bypass, fp_ext, region_shift, property_region;
+    const int64_t *tk_lut, *respf_lut, *fp_lut; /* by op (x2 for ret) */
     /* timing constants (exact doubles handed over from Python) */
     double lat1, lat12, lat123, coh_pen, freeze, fp_extra, upei_op;
     double uc_posted, offload_issue, link_lat, vault_oh, tRCD, tCL, burst;
     double fu_op, fp_fu_op, occ_read, occ_write, occ_at_int, occ_at_fp;
-    double rate, c1, c2, c5;
+    double rate, inv_issue;
+    double cost[MAX_FLITS + 1]; /* flits / rate, as _LinkLane.reserve */
     /* cache state */
     lruset *l1; /* [T] */
     lruset *l2; /* [T] */
@@ -311,123 +362,207 @@ typedef struct {
     double *bank_free; /* [num_vaults][banks_per_vault] */
     double *fu;        /* [num_vaults][fus_per_vault] */
     double *fp;        /* [num_vaults][fp_pool] */
-    double req_backlog, req_anchor, req_wait;
-    double resp_backlog, resp_anchor, resp_wait;
+    lane req, resp;
     double bank_wait;
     int64_t activates, dreads, dwrites, fu_int, fu_fp;
     int64_t req_counts[6], reqf_counts[6], respf_counts[6];
     int64_t tk_order[6], tk_len;
+    /* fault plan (faults == 0: fault-free, nothing below is read) */
+    int64_t faults, max_retx, retry_budget, stall_on;
+    double retry_lat, reissue_timeout, drop_rate;
+    double stall_period, stall_duration;
+    const double *req_perr, *resp_perr; /* [MAX_FLITS + 1] */
+    const double *stall_phase;          /* [num_vaults], phase * period */
+    double *block;
+    int64_t block_len, cursor;
+    refill_fn refill;
+    int64_t retx_flits, reissued;
+    double stall_cycles;
+    /* first failure inside an event: rc, attempts, 1 if a PIM atomic */
+    int err;
+    int64_t err_attempts, err_pim;
     /* writeback lines produced by the current full-miss access */
     int64_t wb[2];
     int wb_n;
 } simstate;
 
-/* READ_64; mirrors HmcDevice._read_once term for term. */
-static double hmc_read(simstate *S, int64_t v, int64_t bk, double t) {
-    if (S->req_counts[0] == 0) S->tk_order[S->tk_len++] = 0;
-    S->req_counts[0] += 1;
-    S->reqf_counts[0] += 1;
-    S->respf_counts[0] += 5;
-    if (t > S->req_anchor) {
-        double b = S->req_backlog - (t - S->req_anchor) * S->rate;
-        S->req_backlog = b > 0.0 ? b : 0.0;
-        S->req_anchor = t;
-    }
-    double w = S->req_backlog / S->rate;
-    S->req_wait += w;
-    S->req_backlog += 1;
-    double t_vault = t + w + S->c1 + S->link_lat + S->vault_oh;
-    double *row = S->bank_free + v * S->banks_per_vault;
-    double bf = row[bk];
-    double start = t_vault > bf ? t_vault : bf;
-    S->bank_wait += start - t_vault;
-    row[bk] = start + S->occ_read;
-    double data_ready = start + S->tRCD + S->tCL + S->burst;
-    S->activates += 1;
-    S->dreads += 1;
-    double tr = data_ready + S->vault_oh;
-    if (tr > S->resp_anchor) {
-        double b = S->resp_backlog - (tr - S->resp_anchor) * S->rate;
-        S->resp_backlog = b > 0.0 ? b : 0.0;
-        S->resp_anchor = tr;
-    }
-    w = S->resp_backlog / S->rate;
-    S->resp_wait += w;
-    S->resp_backlog += 5;
-    return tr + w + S->c5 + S->link_lat;
+static void fail(simstate *S, int rc, int64_t attempts, int64_t pim) {
+    if (S->err) return;
+    S->err = rc;
+    S->err_attempts = attempts;
+    S->err_pim = pim;
 }
 
-/* WRITE_64 (posted); mirrors HmcDevice.write. */
-static void hmc_write(simstate *S, int64_t v, int64_t bk, double t) {
-    if (S->req_counts[1] == 0) S->tk_order[S->tk_len++] = 1;
-    S->req_counts[1] += 1;
-    S->reqf_counts[1] += 5;
-    S->respf_counts[1] += 1;
-    if (t > S->req_anchor) {
-        double b = S->req_backlog - (t - S->req_anchor) * S->rate;
-        S->req_backlog = b > 0.0 ? b : 0.0;
-        S->req_anchor = t;
+/* ------------------------------------------------------------------ */
+/* Fault decisions; mirror FaultInjector.                              */
+/* ------------------------------------------------------------------ */
+
+/* Next double of the injector's stream.  A failed refill reads as 1.0,
+ * which no draw loop treats as a fault, so every loop ends and the
+ * caller sees S->err after the event. */
+static double draw(simstate *S) {
+    if (S->cursor == S->block_len) {
+        if (S->refill() != 0) {
+            fail(S, SIM_ERR_DRAWS, 0, 0);
+            return 1.0;
+        }
+        S->cursor = 0;
     }
-    double w = S->req_backlog / S->rate;
-    S->req_wait += w;
-    S->req_backlog += 5;
-    double t_vault = t + w + S->c5 + S->link_lat + S->vault_oh;
-    double *row = S->bank_free + v * S->banks_per_vault;
-    double bf = row[bk];
-    double start = t_vault > bf ? t_vault : bf;
-    S->bank_wait += start - t_vault;
-    row[bk] = start + S->occ_write;
-    double done = start + S->occ_write;
-    S->activates += 1;
-    S->dwrites += 1;
-    double tr = done + S->vault_oh;
-    if (tr > S->resp_anchor) {
-        double b = S->resp_backlog - (tr - S->resp_anchor) * S->rate;
-        S->resp_backlog = b > 0.0 ? b : 0.0;
-        S->resp_anchor = tr;
-    }
-    w = S->resp_backlog / S->rate;
-    S->resp_wait += w;
-    S->resp_backlog += 1;
+    return S->block[S->cursor++];
 }
 
-/* PIM-Atomic; mirrors HmcDevice._pim_atomic_once. */
-static double pim_atomic(simstate *S, int64_t k, int64_t rf, int64_t isfp,
-                         int64_t v, int64_t bk, double t) {
+/* FaultInjector._retransmissions: geometric, capped by the plan. */
+static int64_t retransmissions(simstate *S, double p_err) {
+    int64_t count = 0;
+    if (p_err <= 0.0) return 0;
+    while (count < S->max_retx) {
+        if (draw(S) >= p_err) break;
+        count++;
+    }
+    return count;
+}
+
+/* FaultInjector.response_dropped. */
+static int response_dropped(simstate *S) {
+    if (!S->faults || S->drop_rate <= 0.0) return 0;
+    return draw(S) < S->drop_rate;
+}
+
+/* FaultInjector.vault_stall_delay, with Python's float modulo. */
+static double stall_delay(const simstate *S, int64_t v, double t) {
+    double period = S->stall_period;
+    double offset = fmod(t - S->stall_phase[v], period);
+    if (offset != 0.0) {
+        if ((period < 0.0) != (offset < 0.0)) offset += period;
+    } else {
+        offset = copysign(0.0, period);
+    }
+    return offset < S->stall_duration ? S->stall_duration - offset : 0.0;
+}
+
+/* ------------------------------------------------------------------ */
+/* HMC resources; mirror HmcDevice's reservation helpers.              */
+/* ------------------------------------------------------------------ */
+
+/* _LinkLane.reserve: returns the last FLIT's departure. */
+static double lane_reserve(lane *L, double rate, double t, int64_t flits,
+                           double cost) {
+    if (t > L->anchor) {
+        double b = L->backlog - (t - L->anchor) * rate;
+        L->backlog = b > 0.0 ? b : 0.0;
+        L->anchor = t;
+    }
+    double w = L->backlog / rate;
+    L->wait += w;
+    L->backlog += flits;
+    return t + w + cost;
+}
+
+/* _reserve_{req,resp}_link: send, then replay CRC-failed packets. */
+static double link_send(simstate *S, lane *L, const double *perr, double t,
+                        int64_t flits) {
+    double cost = S->cost[flits];
+    double end = lane_reserve(L, S->rate, t, flits, cost);
+    if (S->faults) {
+        int64_t retries = retransmissions(S, perr[flits]);
+        for (int64_t i = 0; i < retries; i++) {
+            end = lane_reserve(L, S->rate, end + S->retry_lat, flits, cost);
+            S->retx_flits += flits;
+        }
+    }
+    return end;
+}
+
+/* _reserve_bank: returns the row cycle's start. */
+static double bank_reserve(simstate *S, int64_t v, int64_t bk, double t,
+                           double occupancy) {
+    if (S->stall_on) {
+        double delay = stall_delay(S, v, t);
+        if (delay > 0.0) {
+            S->stall_cycles += delay;
+            t += delay;
+        }
+    }
+    double *slot = S->bank_free + v * S->banks_per_vault + bk;
+    double bf = *slot;
+    double start = t > bf ? t : bf;
+    S->bank_wait += start - t;
+    *slot = start + occupancy;
+    return start;
+}
+
+/* _count */
+static void count_tx(simstate *S, int64_t k, int64_t reqf, int64_t respf) {
     if (S->req_counts[k] == 0) S->tk_order[S->tk_len++] = k;
     S->req_counts[k] += 1;
-    S->reqf_counts[k] += 2;
-    S->respf_counts[k] += rf;
-    if (t > S->req_anchor) {
-        double b = S->req_backlog - (t - S->req_anchor) * S->rate;
-        S->req_backlog = b > 0.0 ? b : 0.0;
-        S->req_anchor = t;
+    S->reqf_counts[k] += reqf;
+    S->respf_counts[k] += respf;
+}
+
+/* READ_64, one attempt; mirrors HmcDevice._read_once term for term. */
+static double read_once(simstate *S, int64_t v, int64_t bk, double t) {
+    count_tx(S, 0, 1, 5);
+    double t_req = link_send(S, &S->req, S->req_perr, t, 1);
+    double t_vault = t_req + S->link_lat + S->vault_oh;
+    double t_bank = bank_reserve(S, v, bk, t_vault, S->occ_read);
+    double data_ready = t_bank + S->tRCD + S->tCL + S->burst;
+    S->activates += 1;
+    S->dreads += 1;
+    double t_resp =
+        link_send(S, &S->resp, S->resp_perr, data_ready + S->vault_oh, 5);
+    return t_resp + S->link_lat;
+}
+
+/* HmcDevice.read: reissue a dropped response until the budget runs out. */
+static double hmc_read(simstate *S, int64_t v, int64_t bk, double t) {
+    int64_t attempts = 0;
+    for (;;) {
+        double completion = read_once(S, v, bk, t);
+        if (!response_dropped(S)) return completion;
+        attempts += 1;
+        S->reissued += 1;
+        if (attempts > S->retry_budget) {
+            fail(S, SIM_ERR_RETRY_EXHAUSTED, attempts, 0);
+            return completion;
+        }
+        t = completion + S->reissue_timeout;
     }
-    double w = S->req_backlog / S->rate;
-    S->req_wait += w;
-    S->req_backlog += 2;
-    double t_vault = t + w + S->c2 + S->link_lat + S->vault_oh;
-    double *row = S->bank_free + v * S->banks_per_vault;
-    double bf = row[bk];
-    double start = t_vault > bf ? t_vault : bf;
-    S->bank_wait += start - t_vault;
-    double data_at_fu = start + S->tRCD + S->tCL;
+}
+
+/* WRITE_64 (posted, never reissued); mirrors HmcDevice.write. */
+static void hmc_write(simstate *S, int64_t v, int64_t bk, double t) {
+    count_tx(S, 1, 5, 1);
+    double t_req = link_send(S, &S->req, S->req_perr, t, 5);
+    double t_vault = t_req + S->link_lat + S->vault_oh;
+    double t_bank = bank_reserve(S, v, bk, t_vault, S->occ_write);
+    double done = t_bank + S->occ_write;
+    S->activates += 1;
+    S->dwrites += 1;
+    link_send(S, &S->resp, S->resp_perr, done + S->vault_oh, 1);
+}
+
+/* PIM-Atomic, one attempt; mirrors HmcDevice._pim_atomic_once. */
+static double pim_once(simstate *S, int64_t k, int64_t rf, int64_t isfp,
+                       int64_t v, int64_t bk, double t) {
+    count_tx(S, k, 2, rf);
+    double t_req = link_send(S, &S->req, S->req_perr, t, 2);
+    double t_vault = t_req + S->link_lat + S->vault_oh;
     double *pool;
     int64_t pool_n;
     double fut;
+    double t_bank;
     if (isfp) {
-        row[bk] = start + S->occ_at_fp;
+        t_bank = bank_reserve(S, v, bk, t_vault, S->occ_at_fp);
         pool = S->fp + v * S->fp_pool;
         pool_n = S->fp_pool;
         fut = S->fp_fu_op;
-        S->fu_fp += 1;
     } else {
-        row[bk] = start + S->occ_at_int;
+        t_bank = bank_reserve(S, v, bk, t_vault, S->occ_at_int);
         pool = S->fu + v * S->fus_per_vault;
         pool_n = S->fus_per_vault;
         fut = S->fu_op;
-        S->fu_int += 1;
     }
+    double data_at_fu = t_bank + S->tRCD + S->tCL;
     /* first-minimum scan, like the reference's _reserve_fu */
     int64_t mi = 0;
     for (int64_t i = 1; i < pool_n; i++) {
@@ -440,16 +575,31 @@ static double pim_atomic(simstate *S, int64_t k, int64_t rf, int64_t isfp,
     S->activates += 1;
     S->dreads += 1;
     S->dwrites += 1;
-    double tr = result_ready + S->vault_oh;
-    if (tr > S->resp_anchor) {
-        double b = S->resp_backlog - (tr - S->resp_anchor) * S->rate;
-        S->resp_backlog = b > 0.0 ? b : 0.0;
-        S->resp_anchor = tr;
+    if (isfp) {
+        S->fu_fp += 1;
+    } else {
+        S->fu_int += 1;
     }
-    w = S->resp_backlog / S->rate;
-    S->resp_wait += w;
-    S->resp_backlog += rf;
-    return tr + w + (rf == 1 ? S->c1 : S->c2) + S->link_lat;
+    double t_resp =
+        link_send(S, &S->resp, S->resp_perr, result_ready + S->vault_oh, rf);
+    return t_resp + S->link_lat;
+}
+
+/* HmcDevice.pim_atomic: reissue like hmc_read. */
+static double pim_atomic(simstate *S, int64_t k, int64_t rf, int64_t isfp,
+                         int64_t v, int64_t bk, double t) {
+    int64_t attempts = 0;
+    for (;;) {
+        double completion = pim_once(S, k, rf, isfp, v, bk, t);
+        if (!response_dropped(S)) return completion;
+        attempts += 1;
+        S->reissued += 1;
+        if (attempts > S->retry_budget) {
+            fail(S, SIM_ERR_RETRY_EXHAUSTED, attempts, 1);
+            return completion;
+        }
+        t = completion + S->reissue_timeout;
+    }
 }
 
 /* ------------------------------------------------------------------ */
@@ -457,8 +607,8 @@ static double pim_atomic(simstate *S, int64_t k, int64_t rf, int64_t isfp,
 /* ------------------------------------------------------------------ */
 
 static void drop_private(simstate *S, int64_t core, int64_t ln) {
-    if (lru_contains(&S->l1[core], ln % S->n1sets, ln)) return;
-    if (lru_contains(&S->l2[core], ln % S->n2sets, ln)) return;
+    if (lru_contains(&S->l1[core], imod(ln, S->n1sets, S->m1), ln)) return;
+    if (lru_contains(&S->l2[core], imod(ln, S->n2sets, S->m2), ln)) return;
     size_t slot = h_find(&S->dir, ln);
     if (slot != (size_t)-1) {
         uint64_t mask = S->dir.vals[slot] & ~(1ULL << core);
@@ -480,8 +630,10 @@ static void fill_l3(simstate *S, int64_t ln, int64_t s3) {
         while (mask) {
             int owner = __builtin_ctzll(mask);
             mask &= mask - 1;
-            lru_invalidate(&S->l1[owner], victim % S->n1sets, victim);
-            lru_invalidate(&S->l2[owner], victim % S->n2sets, victim);
+            lru_invalidate(&S->l1[owner], imod(victim, S->n1sets, S->m1),
+                           victim);
+            lru_invalidate(&S->l2[owner], imod(victim, S->n2sets, S->m2),
+                           victim);
             S->invalidations += 1;
         }
     }
@@ -496,7 +648,7 @@ static void fill_l3(simstate *S, int64_t ln, int64_t s3) {
 static void fill_l2(simstate *S, int64_t core, int64_t ln, int64_t s2) {
     int64_t victim = lru_insert(&S->l2[core], s2, ln);
     if (victim < 0) return;
-    lru_invalidate(&S->l1[core], victim % S->n1sets, victim);
+    lru_invalidate(&S->l1[core], imod(victim, S->n1sets, S->m1), victim);
     drop_private(S, core, victim);
 }
 
@@ -535,9 +687,9 @@ static int access_cache(simstate *S, int64_t core, int64_t ln,
                 level = 0;
                 S->wb_n = 0;
                 fill_l3(S, ln, s3);
-                if (S->prefetch &&
-                    !lru_contains(&S->l3, (ln + 1) % S->n3sets, ln + 1)) {
-                    fill_l3(S, ln + 1, (ln + 1) % S->n3sets);
+                int64_t next = imod(ln + 1, S->n3sets, S->m3);
+                if (S->prefetch && !lru_contains(&S->l3, next, ln + 1)) {
+                    fill_l3(S, ln + 1, next);
                     S->prefetches += 1;
                 }
             }
@@ -602,22 +754,51 @@ static double win_push(double *win_c, int64_t *wn_p, int64_t mlp,
 }
 
 /* ------------------------------------------------------------------ */
+/* Event classification; mirrors Core.step and Core._atomic.           */
+/* ------------------------------------------------------------------ */
+
+static int route_of(const simstate *S, int64_t kind, int64_t addr,
+                    int64_t op) {
+    int in_pmr = (addr >> S->region_shift) == S->property_region;
+    if (kind == EV_LOAD) {
+        return S->bypass && in_pmr ? R_LOAD_BYPASS : R_LOAD_CACHE;
+    }
+    if (kind == EV_ATOMIC) {
+        if (S->mode != MODE_BASELINE && in_pmr &&
+            (S->fp_ext || !S->fp_lut[op])) {
+            return S->mode == MODE_GRAPHPIM ? R_ATOMIC_PIM : R_ATOMIC_UPEI;
+        }
+        if (S->mode == MODE_BASELINE && in_pmr) return R_ATOMIC_HOST_CAND;
+        return R_ATOMIC_HOST;
+    }
+    return S->bypass && in_pmr ? R_STORE_BYPASS : R_STORE_CACHE;
+}
+
+/* ------------------------------------------------------------------ */
 /* Entry point.                                                        */
 /* ------------------------------------------------------------------ */
 
+/* Inputs (layouts owned by repro.sim.vectorized._simulate_columnar):
+ *   kind..ret, starts  the ColumnarTrace columns, thread-major;
+ *   cfg_i, cfg_d       geometry, routing and timing constants;
+ *   luts               transaction kind [op][ret], response FLITs
+ *                      [op][ret], FP flag [op];
+ *   fault_d            request / response packet-error tables by FLIT
+ *                      count, then per-vault stall phase * period;
+ *   block, refill      the injector's draw stream (faults only).
+ * Outputs: core_d / core_i per-core accumulators (field-major), out_i /
+ * out_d global counters, tkbuf the transaction-kind counts and order.
+ * On SIM_ERR_RETRY_EXHAUSTED out_i[14..16] hold the event index, the
+ * attempt count and 1 when the lost transaction was a PIM atomic. */
 int graphpim_simulate(
-    int64_t n_events, int64_t T,
-    const int64_t *route, const int64_t *line,
-    const int64_t *s1a, const int64_t *s2a, const int64_t *s3a,
-    const int64_t *vaulta, const int64_t *banka,
-    const int64_t *tka, const int64_t *respfa, const int64_t *isfpa,
-    const int64_t *bida, const int64_t *ninstra,
-    const double *issuea,
+    int64_t T,
+    const int64_t *kind, const int64_t *addr, const int64_t *size,
+    const int64_t *gap, const int64_t *op, const int64_t *ret,
     const int64_t *starts,
-    const int64_t *cfg_i, const double *cfg_d,
+    const int64_t *cfg_i, const double *cfg_d, const int64_t *luts,
+    const double *fault_d, double *block, refill_fn refill,
     double *core_d, int64_t *core_i,
     int64_t *out_i, double *out_d, int64_t *tkbuf) {
-    (void)n_events;
     simstate S;
     memset(&S, 0, sizeof S);
     S.T = T;
@@ -631,6 +812,24 @@ int graphpim_simulate(
     S.fus_per_vault = cfg_i[9];
     S.fp_pool = cfg_i[10];
     S.prefetch = cfg_i[11];
+    S.mode = cfg_i[12];
+    S.bypass = cfg_i[13];
+    S.fp_ext = cfg_i[14];
+    S.region_shift = cfg_i[15];
+    S.property_region = cfg_i[16];
+    int64_t n_ops = cfg_i[17];
+    S.faults = cfg_i[18];
+    S.max_retx = cfg_i[19];
+    S.retry_budget = cfg_i[20];
+    S.block_len = cfg_i[21];
+    S.m1 = pow2_mask(S.n1sets);
+    S.m2 = pow2_mask(S.n2sets);
+    S.m3 = pow2_mask(S.n3sets);
+    S.mv = pow2_mask(S.num_vaults);
+    S.mb = pow2_mask(S.banks_per_vault);
+    S.tk_lut = luts;
+    S.respf_lut = luts + 2 * n_ops;
+    S.fp_lut = luts + 4 * n_ops;
     S.lat1 = cfg_d[0];
     S.lat12 = cfg_d[1];
     S.lat123 = cfg_d[2];
@@ -652,9 +851,21 @@ int graphpim_simulate(
     S.occ_at_int = cfg_d[18];
     S.occ_at_fp = cfg_d[19];
     S.rate = cfg_d[20];
-    S.c1 = cfg_d[21];
-    S.c2 = cfg_d[22];
-    S.c5 = cfg_d[23];
+    S.inv_issue = cfg_d[21];
+    S.retry_lat = cfg_d[22];
+    S.reissue_timeout = cfg_d[23];
+    S.drop_rate = cfg_d[24];
+    S.stall_period = cfg_d[25];
+    S.stall_duration = cfg_d[26];
+    for (int64_t f = 0; f <= MAX_FLITS; f++) S.cost[f] = f / S.rate;
+    S.req_perr = fault_d;
+    S.resp_perr = fault_d + (MAX_FLITS + 1);
+    S.stall_phase = fault_d + 2 * (MAX_FLITS + 1);
+    S.stall_on =
+        S.faults && S.stall_period > 0.0 && S.stall_duration > 0.0;
+    S.block = block;
+    S.cursor = S.block_len; /* the first draw refills */
+    S.refill = refill;
 
     int rc = SIM_ERR_NOMEM;
     sched heap = {NULL, NULL, 0};
@@ -721,15 +932,17 @@ int graphpim_simulate(
             continue;
         }
         pos[cid] = p + 1;
-        int64_t r = route[p];
+        int64_t k = kind[p];
+        /* barriers charge `gap` instructions, memory events `gap + 1` */
+        int64_t n_instr = k == EV_BARRIER ? gap[p] : gap[p] + 1;
+        double iss = n_instr * S.inv_issue;
         double t = t_core[cid];
-        double iss = issuea[p];
-        instr_acc[cid] += ninstra[p];
+        instr_acc[cid] += n_instr;
         t = t + iss;
         issue_acc[cid] = issue_acc[cid] + iss;
 
-        if (r == R_BARRIER) {
-            int64_t bid = bida[p];
+        if (k == EV_BARRIER) {
+            int64_t bid = size[p]; /* barrier ids ride the size column */
             if (!has_barrier) {
                 has_barrier = 1;
                 barrier_id = bid;
@@ -760,20 +973,37 @@ int graphpim_simulate(
             continue;
         }
 
+        int64_t a = addr[p];
+        int64_t ln = a >> 6;
+        int64_t o = -1, tk = 0, rf = 0, isfp = 0;
+        if (k == EV_ATOMIC) {
+            /* only atomic rows carry a valid op (others hold -1) */
+            o = op[p];
+            int64_t at = 2 * o + (ret[p] != 0);
+            tk = S.tk_lut[at];
+            rf = S.respf_lut[at];
+            isfp = S.fp_lut[o];
+        }
+        int r = route_of(&S, k, a, o);
+        int64_t s1 = imod(ln, S.n1sets, S.m1);
+        int64_t s2 = imod(ln, S.n2sets, S.m2);
+        int64_t s3 = imod(ln, S.n3sets, S.m3);
+        int64_t v = imod(ln, S.num_vaults, S.mv);
+        int64_t bk = imod(a >> 11, S.banks_per_vault, S.mb);
+
         if (r == R_LOAD_CACHE) {
             double latency;
             int coh;
-            int level = access_cache(&S, cid, line[p], s1a[p], s2a[p],
-                                     s3a[p], 0, &latency, &coh);
+            int level =
+                access_cache(&S, cid, ln, s1, s2, s3, 0, &latency, &coh);
             if (level < 0) goto done;
             if (level == 0) {
                 double t_mem = t + latency;
-                double completion =
-                    hmc_read(&S, vaulta[p], banka[p], t_mem);
+                double completion = hmc_read(&S, v, bk, t_mem);
                 for (int i = 0; i < S.wb_n; i++) {
-                    int64_t v = S.wb[i];
-                    hmc_write(&S, v % S.num_vaults,
-                              (v >> 5) % S.banks_per_vault, t_mem);
+                    int64_t w = S.wb[i];
+                    hmc_write(&S, imod(w, S.num_vaults, S.mv),
+                              imod(w >> 5, S.banks_per_vault, S.mb), t_mem);
                 }
                 t = win_push(win + cid * S.mlp, &wn[cid], S.mlp,
                              completion, t, &stall_acc[cid]);
@@ -787,32 +1017,30 @@ int graphpim_simulate(
         } else if (r == R_STORE_CACHE) {
             double latency;
             int coh;
-            int level = access_cache(&S, cid, line[p], s1a[p], s2a[p],
-                                     s3a[p], 1, &latency, &coh);
+            int level =
+                access_cache(&S, cid, ln, s1, s2, s3, 1, &latency, &coh);
             if (level < 0) goto done;
             if (level == 0) {
                 double t_mem = t + latency;
-                double completion =
-                    hmc_read(&S, vaulta[p], banka[p], t_mem);
+                double completion = hmc_read(&S, v, bk, t_mem);
                 for (int i = 0; i < S.wb_n; i++) {
-                    int64_t v = S.wb[i];
-                    hmc_write(&S, v % S.num_vaults,
-                              (v >> 5) % S.banks_per_vault, t_mem);
+                    int64_t w = S.wb[i];
+                    hmc_write(&S, imod(w, S.num_vaults, S.mv),
+                              imod(w >> 5, S.banks_per_vault, S.mb), t_mem);
                 }
                 t = win_push(win + cid * S.mlp, &wn[cid], S.mlp,
                              completion, t, &stall_acc[cid]);
             }
         } else if (r == R_LOAD_BYPASS) {
-            double completion = hmc_read(&S, vaulta[p], banka[p], t);
+            double completion = hmc_read(&S, v, bk, t);
             t = win_push(win + cid * S.mlp, &wn[cid], S.mlp, completion,
                          t, &stall_acc[cid]);
         } else if (r == R_STORE_BYPASS) {
-            hmc_write(&S, vaulta[p], banka[p], t);
+            hmc_write(&S, v, bk, t);
             t = t + S.uc_posted;
             stall_acc[cid] += S.uc_posted;
         } else if (r == R_ATOMIC_PIM) {
-            double completion = pim_atomic(&S, tka[p], respfa[p], isfpa[p],
-                                           vaulta[p], banka[p], t);
+            double completion = pim_atomic(&S, tk, rf, isfp, v, bk, t);
             offl_acc[cid] += 1;
             if (completion > t) {
                 stall_acc[cid] += completion - t;
@@ -821,14 +1049,13 @@ int graphpim_simulate(
             t = t + S.offload_issue;
             stall_acc[cid] += S.offload_issue;
         } else if (r == R_ATOMIC_UPEI) {
-            int64_t ln = line[p], ss1 = s1a[p], ss2 = s2a[p], ss3 = s3a[p];
-            int probe = lru_contains(&S.l1[cid], ss1, ln) ||
-                        lru_contains(&S.l2[cid], ss2, ln) ||
-                        lru_contains(&S.l3, ss3, ln);
+            int probe = lru_contains(&S.l1[cid], s1, ln) ||
+                        lru_contains(&S.l2[cid], s2, ln) ||
+                        lru_contains(&S.l3, s3, ln);
             double latency;
             int coh;
             if (probe) {
-                int level = access_cache(&S, cid, ln, ss1, ss2, ss3, 1,
+                int level = access_cache(&S, cid, ln, s1, s2, s3, 1,
                                          &latency, &coh);
                 if (level < 0) goto done;
                 t = t + (latency + S.upei_op);
@@ -837,12 +1064,10 @@ int graphpim_simulate(
             } else {
                 t = t + S.lat123; /* walk latency */
                 incache_acc[cid] += S.lat123;
-                double completion = pim_atomic(&S, tka[p], respfa[p],
-                                               isfpa[p], vaulta[p],
-                                               banka[p], t);
+                double completion = pim_atomic(&S, tk, rf, isfp, v, bk, t);
                 /* line installed alongside the offload; writebacks are
                  * discarded under the idealization */
-                int level = access_cache(&S, cid, ln, ss1, ss2, ss3, 1,
+                int level = access_cache(&S, cid, ln, s1, s2, s3, 1,
                                          &latency, &coh);
                 if (level < 0) goto done;
                 offl_acc[cid] += 1;
@@ -870,8 +1095,8 @@ int graphpim_simulate(
             }
             double latency;
             int coh;
-            int level = access_cache(&S, cid, line[p], s1a[p], s2a[p],
-                                     s3a[p], 1, &latency, &coh);
+            int level =
+                access_cache(&S, cid, ln, s1, s2, s3, 1, &latency, &coh);
             if (level < 0) goto done;
             if (r == R_ATOMIC_HOST_CAND) {
                 cand_tot[cid] += 1;
@@ -883,17 +1108,16 @@ int graphpim_simulate(
             double mem_latency = 0.0;
             if (level == 0) {
                 double t_mem = t + latency;
-                double completion =
-                    hmc_read(&S, vaulta[p], banka[p], t_mem);
+                double completion = hmc_read(&S, v, bk, t_mem);
                 for (int i = 0; i < S.wb_n; i++) {
-                    int64_t v = S.wb[i];
-                    hmc_write(&S, v % S.num_vaults,
-                              (v >> 5) % S.banks_per_vault, t_mem);
+                    int64_t w = S.wb[i];
+                    hmc_write(&S, imod(w, S.num_vaults, S.mv),
+                              imod(w >> 5, S.banks_per_vault, S.mb), t_mem);
                 }
                 mem_latency = completion - t_mem;
             }
             double coherence = coh ? S.coh_pen : 0.0;
-            double fpx = isfpa[p] ? S.fp_extra : 0.0;
+            double fpx = isfp ? S.fp_extra : 0.0;
             incore_acc[cid] +=
                 drain_wait + S.freeze + mem_latency + fpx;
             incache_acc[cid] += latency + coherence;
@@ -901,6 +1125,14 @@ int graphpim_simulate(
             host_acc[cid] += 1;
         }
 
+        if (S.err) {
+            /* the reference raises inside this event */
+            out_i[14] = p;
+            out_i[15] = S.err_attempts;
+            out_i[16] = S.err_pim;
+            rc = S.err;
+            goto done;
+        }
         t_core[cid] = t;
         sched_push(&heap, t, cid);
     }
@@ -927,9 +1159,12 @@ int graphpim_simulate(
     out_i[11] = S.dwrites;
     out_i[12] = S.fu_int;
     out_i[13] = S.fu_fp;
+    out_i[18] = S.retx_flits;
+    out_i[19] = S.reissued;
     out_d[0] = S.bank_wait;
-    out_d[1] = S.req_wait;
-    out_d[2] = S.resp_wait;
+    out_d[1] = S.req.wait;
+    out_d[2] = S.resp.wait;
+    out_d[3] = S.stall_cycles;
     for (int i = 0; i < 6; i++) {
         tkbuf[i] = S.req_counts[i];
         tkbuf[6 + i] = S.reqf_counts[i];

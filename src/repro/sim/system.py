@@ -290,8 +290,9 @@ def simulate_with_engine(
     """Like :func:`simulate`, but also report which engine executed.
 
     Under ``auto``/``vectorized`` selection the batch kernel
-    (:mod:`repro.sim.vectorized`) runs whenever it can model the input;
-    inputs it declines (fault plans, hybrid DDR, timeline recording,
+    (:mod:`repro.sim.vectorized`) runs whenever it can model the input,
+    fault plans included; inputs it declines (hybrid DDR, timeline
+    recording, more than 64 threads, FP offload with zero FP units,
     non-columnar traces) fall back *per input* to the per-event
     reference interpreter, reported as
     ``EngineInfo(engine="legacy", fallback=True, reason=...)``.

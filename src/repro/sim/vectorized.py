@@ -1,28 +1,32 @@
-"""Vectorized batch simulation kernel over the columnar trace IR.
+"""Batch simulation kernel over the columnar trace IR.
 
 The per-event reference interpreter (:mod:`repro.sim.core` +
 :mod:`repro.hmc.device`) walks one tuple at a time through a deep call
 stack: ``Core.step`` -> route decision -> ``CacheHierarchy.access`` ->
 ``MemorySystem`` -> ``HmcDevice`` -> per-resource reservation helpers,
 with enum/dict lookups, ``Counter`` updates, and numpy scalar indexing
-on every event.  This module replaces that with a two-phase kernel over
-:class:`~repro.trace.columnar.ColumnarTrace` arrays:
+on every event.  This module runs the same simulation as one flat loop
+in C (``_kernel.c``, compiled on demand by :mod:`repro.sim._cbuild`)
+that reads the :class:`~repro.trace.columnar.ColumnarTrace` columns in
+place: as the smallest-clock-first scheduler reaches an event, the loop
+derives its route (PMR membership, atomic-offload classification,
+cache vs bypass), cache sets, vault/bank, transaction kind and issue
+cycles from its six int64 fields.  LRU sets become oldest-first arrays,
+the sharer directory becomes a line -> core-bitmask hash map,
+link/bank/FU reservations become flat double arrays, and transaction
+``Counter``\\ s become index-addressed arrays rebuilt in first-seen
+order at the end.  CPython floats *are* C doubles, so replaying the
+reference's operations in the reference's order — with FMA contraction
+disabled — reproduces its results bit for bit.
 
-1. **Vectorized precompute** (numpy mask algebra): per-event route
-   codes (PMR membership, atomic-offload classification, cache-vs-
-   bypass), issue deltas, cache-set indices, per-vault/bank columns,
-   and per-atomic transaction lookup tables — everything that does not
-   depend on simulated time is computed for all events at once.
-2. **Fused interpretation**: one flat loop drains the same
-   smallest-clock-first scheduler as the reference over the precomputed
-   columns.  The loop itself is lowered to C (``_kernel.c``, compiled on
-   demand by :mod:`repro.sim._cbuild`): LRU sets become oldest-first
-   arrays, the sharer directory becomes a line -> core-bitmask hash map,
-   link/bank/FU reservations become flat double arrays, and transaction
-   ``Counter``\\ s become index-addressed arrays rebuilt in first-seen
-   order at the end.  CPython floats *are* C doubles, so replaying the
-   reference's operations in the reference's order — with FMA
-   contraction disabled — reproduces its results bit for bit.
+**Fault plans.**  The plan's :class:`~repro.faults.FaultInjector`
+stays the one owner of the fault math: each simulation builds one and
+hands the kernel its packet-error tables by FLIT count, its per-vault
+stall phases and blocks of its draw stream, refilled through a ctypes
+callback.  The kernel draws in the reference's order, so link
+retransmissions, reissued requests, vault stall windows and an
+exhausted retry budget (with the reference's :class:`SimulationError`
+text) all match the reference.
 
 **Bit-identity contract.**  The kernel reproduces the reference's
 ``SimResult.to_dict()`` byte for byte.  That constrains every floating
@@ -37,9 +41,10 @@ identically either way).
 
 **Fallback.**  :func:`try_simulate_vectorized` returns
 ``(None, reason)`` instead of a result when the input uses a feature
-the kernel does not model — fault injection, hybrid DDR memory,
-timeline recording, an unencodable trace — or when no C compiler is
-available to build the loop, and the engine dispatcher
+the kernel does not model — hybrid DDR memory, timeline recording,
+more than 64 threads, an FP offload into a cube without FP units, an
+unencodable trace — or when no C compiler is available to build the
+loop, and the engine dispatcher
 (:func:`repro.sim.system.simulate_with_engine`) runs the reference
 instead.  The reference interpreter is unchanged and remains the
 oracle.
@@ -53,37 +58,21 @@ from typing import Optional
 import numpy as np
 
 from repro.common.errors import SimulationError, TraceError
-from repro.hmc.commands import HOST_TO_HMC
-from repro.hmc.device import HmcStats
+from repro.faults.injector import FaultInjector
+from repro.hmc.commands import HOST_TO_HMC, command_for_atomic
+from repro.hmc.device import HmcStats, retry_exhausted_error
 from repro.hmc.packets import (
     TransactionKind,
     atomic_transaction_kind,
     flits_for,
 )
 from repro.memlayout.regions import REGION_SHIFT, Region
-from repro.sim._cbuild import load_kernel
+from repro.sim._cbuild import REFILL_FN, load_kernel
 from repro.sim.cache import CacheHierarchy, CacheLevelStats
 from repro.sim.config import Mode, SystemConfig
 from repro.sim.core import CoreStats
-from repro.trace.events import (
-    EV_ATOMIC,
-    EV_BARRIER,
-    EV_LOAD,
-    AtomicOp,
-)
+from repro.trace.events import EV_ATOMIC, AtomicOp, is_fp_op
 from repro.trace.stream import Trace
-
-#: Per-event route codes assigned by the precompute phase.
-_R_BARRIER = 0
-_R_LOAD_CACHE = 1
-_R_LOAD_BYPASS = 2
-_R_STORE_CACHE = 3
-_R_STORE_BYPASS = 4
-_R_ATOMIC_HOST = 5
-_R_ATOMIC_PIM = 6
-_R_ATOMIC_UPEI = 7
-#: Host atomic that is an offload candidate (baseline mode, PMR target).
-_R_ATOMIC_HOST_CAND = 8
 
 #: Fixed transaction-kind indexing for the counter arrays; rebuilt into
 #: Counters in first-seen order at the end of a run.
@@ -95,15 +84,24 @@ _TK_LIST = (
     TransactionKind.ATOMIC_CAS_LIKE,
     TransactionKind.ATOMIC_COMPARE,
 )
-_TK_READ = 0
-_TK_WRITE = 1
+
+#: Mode codes of the kernel (MODE_* in _kernel.c).
+_MODE_CODE = {Mode.BASELINE: 0, Mode.UPEI: 1, Mode.GRAPHPIM: 2}
 
 _PROPERTY_REGION = int(Region.PROPERTY)
 _MAX_OP = max(int(op) for op in AtomicOp)
 
+#: Largest link packet in FLITs (Table V; MAX_FLITS in _kernel.c): the
+#: packet-error tables have one entry per size 0.._MAX_FLITS.
+_MAX_FLITS = 5
 
-def _atomic_luts() -> tuple[np.ndarray, np.ndarray]:
-    """(op, with_return) -> transaction-kind index / response FLITs."""
+#: Doubles of the fault draw stream per block handed to the kernel.
+_DRAW_BLOCK = 4096
+
+
+def _atomic_luts() -> np.ndarray:
+    """The kernel's per-op tables, concatenated: transaction-kind index
+    and response FLITs by (op, with_return), then the FP flag by op."""
     tk = np.zeros((_MAX_OP + 1, 2), dtype=np.int64)
     respf = np.zeros((_MAX_OP + 1, 2), dtype=np.int64)
     index = {kind: i for i, kind in enumerate(_TK_LIST)}
@@ -112,18 +110,21 @@ def _atomic_luts() -> tuple[np.ndarray, np.ndarray]:
             kind = atomic_transaction_kind(command, bool(ret))
             tk[int(op), ret] = index[kind]
             respf[int(op), ret] = flits_for(kind)[1]
-    return tk, respf
+    is_fp = [int(is_fp_op(op)) for op in range(_MAX_OP + 1)]
+    return np.concatenate([tk.ravel(), respf.ravel(), is_fp])
 
 
-_TK_LUT, _RESPF_LUT = _atomic_luts()
+_LUTS = _atomic_luts()
 
 
 class _KernelResourceError(Exception):
-    """Internal: the C kernel could not allocate its working state.
+    """Internal: the C kernel could not allocate its working state or
+    refill its fault draws.
 
     Caught by :func:`try_simulate_vectorized` and converted into a
-    decline — nothing observable has happened yet, so falling back to
-    the reference interpreter is safe.
+    decline — nothing observable has happened yet (the reference builds
+    its own fault injector), so falling back to the reference
+    interpreter is safe.
     """
 
 
@@ -138,8 +139,6 @@ def decline_reason(
     """
     if recorder is not None and recorder.enabled:
         return "timeline recording requested"
-    if config.faults is not None and config.faults.enabled:
-        return "fault-injection plan enabled"
     if config.dram is not None:
         return "hybrid DDR memory configured"
     if (
@@ -179,7 +178,7 @@ def try_simulate_vectorized(
     Returns ``(SimResult, None)`` on success and ``(None, reason)``
     when the kernel declines the input.  Raises exactly where the
     reference would raise for inputs both engines accept (barrier
-    mismatches, stuck barriers).
+    mismatches, stuck barriers, an exhausted fault retry budget).
 
     ``publisher`` receives coarse chunk-boundary progress frames: the
     C loop cannot be interrupted from Python, so a vectorized run emits
@@ -199,7 +198,8 @@ def try_simulate_vectorized(
         np.any((col.kind == EV_ATOMIC) & ((op < 0) | (op > _MAX_OP)))
     ):
         # command_for_atomic would raise ConfigError; keep that error
-        # path on the reference interpreter.
+        # path on the reference interpreter.  The kernel's per-op tables
+        # also rely on this range.
         return None, "atomic op outside the HMC command table"
     if col.num_events and bool(np.any(col.addr < 0)):
         # Python floor-mod vs C trunc-mod differ below zero; leave
@@ -214,7 +214,7 @@ def try_simulate_vectorized(
 
 def _publish_chunk(pub, phase, events_done, events_total, start,
                    sim_cycles=0.0, result=None):
-    """One chunk-boundary progress frame (precompute done / kernel done).
+    """One chunk-boundary progress frame (kernel starting / kernel done).
 
     Reads finished state only — the kernel has either not started or
     already returned — so publishing cannot perturb the simulation.
@@ -249,6 +249,51 @@ def _publish_chunk(pub, phase, events_done, events_total, start,
     )
 
 
+def _fault_inputs(config: SystemConfig):
+    """The kernel's fault inputs: ``(cfg_i tail, cfg_d tail, fault_d,
+    block, refill)``.
+
+    Builds the plan's :class:`FaultInjector` (the reference device
+    builds its own from the same plan, so both engines draw the same
+    stream) and takes from it the packet-error tables by FLIT count, the
+    stall phases in cycles and the draw stream, which the kernel reads
+    from ``block`` and refills through ``refill``.
+    """
+    cfg = config.hmc
+    plan = config.faults
+    tables = 2 * (_MAX_FLITS + 1)
+    if plan is None or not plan.enabled:
+        fault_d = np.zeros(tables + cfg.num_vaults, dtype=np.float64)
+        return [0, 0, 0, 0], [0.0] * 5, fault_d, None, REFILL_FN()
+    injector = FaultInjector(plan, cfg.num_vaults)
+    period, duration = injector.stall_window(cfg.core_ghz)
+    fault_d = np.array(
+        injector.packet_error_table(plan.request_ber, _MAX_FLITS)
+        + injector.packet_error_table(plan.response_ber, _MAX_FLITS)
+        + injector.stall_phases(period),
+        dtype=np.float64,
+    )
+    block = np.empty(_DRAW_BLOCK, dtype=np.float64)
+
+    def refill() -> int:
+        # An exception cannot cross the C boundary; report it instead.
+        try:
+            injector.fill_draws(block)
+        except Exception:  # noqa: BLE001 - the kernel turns 1 into a decline
+            return 1
+        return 0
+
+    cfg_i = [1, plan.max_retransmits, plan.retry_budget, _DRAW_BLOCK]
+    cfg_d = [
+        cfg.link_retry_latency,
+        cfg.cycles(plan.reissue_timeout_ns),
+        plan.drop_rate,
+        period,
+        duration,
+    ]
+    return cfg_i, cfg_d, fault_d, block, REFILL_FN(refill)
+
+
 def _simulate_columnar(col, config: SystemConfig, pub=None):
     """The fused kernel proper.  See the module docstring for rules."""
     import time
@@ -259,184 +304,65 @@ def _simulate_columnar(col, config: SystemConfig, pub=None):
     cfg = config.hmc
     T = col.num_threads
     mode = config.mode
+    fault_i, fault_cfg_d, fault_d, block, refill = _fault_inputs(config)
 
-    # ------------------------------------------------------------------
-    # Phase 1: vectorized precompute over the whole event stream.
-    # ------------------------------------------------------------------
-    kind = col.kind
-    gap = col.gap
-    is_barrier = kind == EV_BARRIER
-    is_load = kind == EV_LOAD
-    is_atomic = kind == EV_ATOMIC
-    # Barriers charge `gap` instructions, memory events `gap + 1`; the
-    # float product below is elementwise IEEE-identical to the scalar
-    # reference (`n_instr * (1.0 / issue_width)`).
-    n_instr = gap + (~is_barrier)
-    inv_issue = 1.0 / config.issue_width
-    issue = n_instr.astype(np.float64) * inv_issue
-
-    in_pmr = (col.addr >> REGION_SHIFT) == _PROPERTY_REGION
-    op_col = col.op
-    is_fp = (op_col == int(AtomicOp.FP_ADD)) | (
-        op_col == int(AtomicOp.FP_SUB)
-    )
-    offloadable = in_pmr & (config.fp_extension | ~is_fp)
-    bypass = mode is Mode.GRAPHPIM and config.pmr_bypass
-
-    pmr_ls = in_pmr if bypass else np.zeros(len(kind), dtype=bool)
-    if mode is Mode.GRAPHPIM:
-        atomic_off = is_atomic & offloadable
-        route_off = _R_ATOMIC_PIM
-    elif mode is Mode.UPEI:
-        atomic_off = is_atomic & offloadable
-        route_off = _R_ATOMIC_UPEI
-    else:
-        atomic_off = np.zeros(len(kind), dtype=bool)
-        route_off = _R_ATOMIC_PIM  # unused
-    atomic_host = is_atomic & ~atomic_off
-    if mode is Mode.BASELINE:
-        atomic_cand = atomic_host & in_pmr
-        atomic_host = atomic_host & ~in_pmr
-    else:
-        atomic_cand = np.zeros(len(kind), dtype=bool)
-
-    route = np.select(
-        [
-            is_barrier,
-            is_load & pmr_ls,
-            is_load,
-            atomic_off,
-            atomic_cand,
-            atomic_host,
-            pmr_ls,  # remaining: stores
-        ],
-        [
-            _R_BARRIER,
-            _R_LOAD_BYPASS,
-            _R_LOAD_CACHE,
-            route_off,
-            _R_ATOMIC_HOST_CAND,
-            _R_ATOMIC_HOST,
-            _R_STORE_BYPASS,
-        ],
-        default=_R_STORE_CACHE,
-    )
-
-    n1sets = config.l1.num_sets
-    n2sets = config.l2.num_sets
-    n3sets = config.l3.num_sets
-    line = col.addr >> 6
-    num_vaults = cfg.num_vaults
-    banks_per_vault = cfg.banks_per_vault
-
-    # Atomic transaction lookup (garbage for non-atomics, never read).
-    op_idx = np.where(is_atomic, op_col, 0)
-    ret_idx = (col.ret != 0).astype(np.int64)
-    tk_ev = _TK_LUT[op_idx, ret_idx]
-    respf_ev = _RESPF_LUT[op_idx, ret_idx]
-
-    # Contiguous int64/float64 columns handed straight to the C loop.
-    contig = np.ascontiguousarray
-    route_a = contig(route, dtype=np.int64)
-    line_a = contig(line, dtype=np.int64)
-    s1_a = contig(line % n1sets, dtype=np.int64)
-    s2_a = contig(line % n2sets, dtype=np.int64)
-    s3_a = contig(line % n3sets, dtype=np.int64)
-    vault_a = contig(line % num_vaults, dtype=np.int64)
-    bank_a = contig((col.addr >> 11) % banks_per_vault, dtype=np.int64)
-    tk_a = contig(tk_ev, dtype=np.int64)
-    respf_a = contig(respf_ev, dtype=np.int64)
-    isfp_a = contig(is_fp, dtype=np.int64)
-    bid_a = contig(col.size, dtype=np.int64)  # barrier ids ride size
-    ninstr_a = contig(n_instr, dtype=np.int64)
-    issue_a = contig(issue, dtype=np.float64)
-    starts_a = contig(col.starts, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # Constants (same expressions/associativity as the reference).
-    # ------------------------------------------------------------------
-    lat1 = config.l1.latency
-    lat12 = config.l1.latency + config.l2.latency
-    lat123 = config.l1.latency + config.l2.latency + config.l3.latency
-    walk_latency = lat123
-    coherence_penalty = CacheHierarchy.COHERENCE_PENALTY
-    freeze = config.atomic_freeze_cycles
-    fp_extra = config.fp_atomic_extra_cycles
-    upei_op = config.upei_host_op_cycles
-    uc_posted = config.uc_posted_issue_cycles
-    offload_issue = config.offload_issue_cycles
-    mlp = config.mlp
-    prefetch = config.prefetch_next_line
-    l1_ways = config.l1.ways
-    l2_ways = config.l2.ways
-    l3_ways = config.l3.ways
-
-    link_lat = cfg.link_latency
-    vault_oh = cfg.vault_overhead
-    tRCD = cfg.tRCD
-    tCL = cfg.tCL
-    burst = cfg.burst
-    fu_op = cfg.fu_op
-    fp_fu_op = cfg.fp_fu_op
-    occ_read = cfg.tRAS + cfg.tRP
-    occ_write = cfg.tRCD + cfg.burst + cfg.tWR + cfg.tRP
+    # Constants, with the reference's expressions and associativity.
     if cfg.atomic_locks_bank:
         occ_at_int = cfg.tRCD + cfg.tCL + cfg.fu_op + cfg.tWR + cfg.tRP
         occ_at_fp = cfg.tRCD + cfg.tCL + cfg.fp_fu_op + cfg.tWR + cfg.tRP
     else:
         occ_at_int = cfg.tRAS + cfg.tRP
         occ_at_fp = occ_at_int
-    rate = cfg.flits_per_cycle_per_direction
-    c1 = 1 / rate
-    c2 = 2 / rate
-    c5 = 5 / rate
-
-    # ------------------------------------------------------------------
-    # Phase 2: the fused loop, lowered to C.
-    # ------------------------------------------------------------------
     cfg_i = np.array(
         [
-            mlp,
-            l1_ways,
-            l2_ways,
-            l3_ways,
-            n1sets,
-            n2sets,
-            n3sets,
-            num_vaults,
-            banks_per_vault,
+            config.mlp,
+            config.l1.ways,
+            config.l2.ways,
+            config.l3.ways,
+            config.l1.num_sets,
+            config.l2.num_sets,
+            config.l3.num_sets,
+            cfg.num_vaults,
+            cfg.banks_per_vault,
             cfg.fus_per_vault,
             max(cfg.fp_fus_per_vault, 1),
-            1 if prefetch else 0,
+            1 if config.prefetch_next_line else 0,
+            _MODE_CODE[mode],
+            1 if mode is Mode.GRAPHPIM and config.pmr_bypass else 0,
+            1 if config.fp_extension else 0,
+            REGION_SHIFT,
+            _PROPERTY_REGION,
+            _MAX_OP + 1,
+            *fault_i,
         ],
         dtype=np.int64,
     )
     cfg_d = np.array(
         [
-            lat1,
-            lat12,
-            lat123,
-            coherence_penalty,
-            freeze,
-            fp_extra,
-            upei_op,
-            uc_posted,
-            offload_issue,
-            link_lat,
-            vault_oh,
-            tRCD,
-            tCL,
-            burst,
-            fu_op,
-            fp_fu_op,
-            occ_read,
-            occ_write,
+            config.l1.latency,
+            config.l1.latency + config.l2.latency,
+            config.l1.latency + config.l2.latency + config.l3.latency,
+            CacheHierarchy.COHERENCE_PENALTY,
+            config.atomic_freeze_cycles,
+            config.fp_atomic_extra_cycles,
+            config.upei_host_op_cycles,
+            config.uc_posted_issue_cycles,
+            config.offload_issue_cycles,
+            cfg.link_latency,
+            cfg.vault_overhead,
+            cfg.tRCD,
+            cfg.tCL,
+            cfg.burst,
+            cfg.fu_op,
+            cfg.fp_fu_op,
+            cfg.tRAS + cfg.tRP,
+            cfg.tRCD + cfg.burst + cfg.tWR + cfg.tRP,
             occ_at_int,
             occ_at_fp,
-            rate,
-            c1,
-            c2,
-            c5,
+            cfg.flits_per_cycle_per_direction,
+            # Core.step's `n_instr * (1.0 / issue_width)`
+            1.0 / config.issue_width,
+            *fault_cfg_d,
         ],
         dtype=np.float64,
     )
@@ -444,12 +370,12 @@ def _simulate_columnar(col, config: SystemConfig, pub=None):
     # counters, and the transaction-kind count/order block.
     core_d = np.zeros(5 * T, dtype=np.float64)
     core_i = np.zeros(9 * T, dtype=np.int64)
-    out_i = np.zeros(18, dtype=np.int64)
-    out_d = np.zeros(3, dtype=np.float64)
+    out_i = np.zeros(20, dtype=np.int64)
+    out_d = np.zeros(4, dtype=np.float64)
     tkbuf = np.zeros(25, dtype=np.int64)
 
     if pub is not None:
-        # Chunk boundary 1: precompute finished, kernel about to run.
+        # Chunk boundary 1: inputs checked, kernel about to run.
         _publish_chunk(
             pub, "precompute", 0, col.num_events, start_wall
         )
@@ -464,25 +390,22 @@ def _simulate_columnar(col, config: SystemConfig, pub=None):
     def fp(a):
         return a.ctypes.data_as(f64p)
 
+    # The trace's own columns, read in place: each is a contiguous int64
+    # row of the columnar memo, so no copy is made here.
+    columns = [
+        np.ascontiguousarray(c, dtype=np.int64)
+        for c in (col.kind, col.addr, col.size, col.gap, col.op, col.ret,
+                  col.starts)
+    ]
     rc = lib.graphpim_simulate(
-        col.num_events,
         T,
-        ip(route_a),
-        ip(line_a),
-        ip(s1_a),
-        ip(s2_a),
-        ip(s3_a),
-        ip(vault_a),
-        ip(bank_a),
-        ip(tk_a),
-        ip(respf_a),
-        ip(isfp_a),
-        ip(bid_a),
-        ip(ninstr_a),
-        fp(issue_a),
-        ip(starts_a),
+        *(ip(c) for c in columns),
         ip(cfg_i),
         fp(cfg_d),
+        ip(_LUTS),
+        fp(fault_d),
+        None if block is None else fp(block),
+        refill,
         fp(core_d),
         ip(core_i),
         ip(out_i),
@@ -499,6 +422,17 @@ def _simulate_columnar(col, config: SystemConfig, pub=None):
             "simulation ended with cores stuck at a barrier "
             f"(barrier {int(out_i[15])}, {int(out_i[17])} cores)"
         )
+    if rc == 4:
+        index, attempts, is_pim = out_i[14:17].tolist()
+        what = (
+            command_for_atomic(AtomicOp(int(col.op[index]))).value
+            if is_pim else "READ"
+        )
+        raise retry_exhausted_error(
+            what, int(col.addr[index]), attempts, config.faults.retry_budget
+        )
+    if rc == 5:
+        raise _KernelResourceError("fault draw stream could not be refilled")
     if rc != 0:
         raise _KernelResourceError(
             f"C kernel could not allocate working state (rc={rc})"
@@ -548,6 +482,9 @@ def _simulate_columnar(col, config: SystemConfig, pub=None):
     hmc_stats.fu_fp_ops = oi[13]
     hmc_stats.bank_wait_cycles = od[0]
     hmc_stats.link_wait_cycles = od[1] + od[2]
+    hmc_stats.retransmitted_flits = oi[18]
+    hmc_stats.reissued_requests = oi[19]
+    hmc_stats.fault_stall_cycles = od[3]
 
     result = SimResult(
         config=config,
@@ -571,4 +508,3 @@ def _simulate_columnar(col, config: SystemConfig, pub=None):
             result=result,
         )
     return result
-

@@ -10,6 +10,7 @@ windows), and the fault-sweep experiment.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError, SimulationError
@@ -259,6 +260,27 @@ class TestDeviceFaults:
         assert all(
             injector.request_retransmissions(4) <= 2 for _ in range(64)
         )
+
+    def test_block_draws_equal_scalar_draws(self):
+        """The batch kernel reads the injector's stream in blocks; they
+        must hold the doubles the reference draws one at a time, across
+        block boundaries, under the injector's own seeding."""
+        from repro.sim.vectorized import _DRAW_BLOCK
+
+        for seed in (0, 7, 11, 2**31 - 1):
+            plan = FaultPlan(seed=seed, request_ber=1e-5, drop_rate=0.1)
+            scalar = FaultInjector(plan, num_vaults=4)
+            blocked = FaultInjector(plan, num_vaults=4)
+            expected = [
+                float(scalar._gen.random())
+                for _ in range(2 * _DRAW_BLOCK + 5)
+            ]
+            block = np.empty(_DRAW_BLOCK)
+            drawn: list[float] = []
+            while len(drawn) < len(expected):
+                blocked.fill_draws(block)
+                drawn.extend(block.tolist())
+            assert drawn[: len(expected)] == expected
 
     def test_packet_error_probability_scales_with_flits(self):
         injector = FaultInjector(

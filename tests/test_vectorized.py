@@ -2,7 +2,8 @@
 
 The vectorized engine (:mod:`repro.sim.vectorized`) must reproduce the
 per-event reference interpreter's ``SimResult.to_dict()`` byte for
-byte; the engine dispatcher must fall back per input when the kernel
+byte, fault plans included (or raise the same ``SimulationError``);
+the engine dispatcher must fall back per input when the kernel
 declines, and every layer above (facade, runner, service payloads)
 must count those fallbacks without letting the engine choice leak into
 cache identity.
@@ -19,11 +20,13 @@ from repro.common.engine import (
     EngineSelection,
     resolve_engine,
 )
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulationError
 from repro.core.api import GraphPimSystem
 from repro.core.presets import workload_params
+from repro.dram.device import DdrConfig
 from repro.faults import FaultPlan
 from repro.graph.generators import ldbc_like_graph
+from repro.hmc.config import HmcConfig
 from repro.memlayout.regions import REGION_BASE, Region
 from repro.runner import (
     ExperimentRunner,
@@ -31,6 +34,7 @@ from repro.runner import (
     RunnerConfig,
     execute_spec,
 )
+from repro.sim.cache import CacheConfig
 from repro.sim.config import SystemConfig
 from repro.sim.system import simulate, simulate_with_engine
 from repro.sim.vectorized import decline_reason, try_simulate_vectorized
@@ -57,14 +61,23 @@ phased_trace_strategy = st.lists(
     max_size=4,
 )
 
-fault_plan_strategy = st.one_of(
-    st.none(),
-    st.builds(
-        FaultPlan,
-        request_ber=st.sampled_from([1e-7, 1e-6, 1e-5]),
-        seed=st.integers(0, 2**31 - 1),
-    ),
-)
+
+@st.composite
+def fault_plan_strategy(draw) -> FaultPlan:
+    """Plans over every fault class, with retry budgets small enough to
+    run out and stall windows up to the whole period."""
+    period = draw(st.sampled_from([0.0, 37.5, 500.0, 2000.0]))
+    return FaultPlan(
+        seed=draw(st.integers(0, 2**31 - 1)),
+        request_ber=draw(st.sampled_from([0.0, 1e-6, 1e-5, 1e-4])),
+        response_ber=draw(st.sampled_from([0.0, 1e-6, 1e-5, 1e-4])),
+        max_retransmits=draw(st.integers(0, 8)),
+        drop_rate=draw(st.sampled_from([0.0, 0.01, 0.1, 0.5])),
+        retry_budget=draw(st.integers(0, 4)),
+        vault_stall_period_ns=period,
+        vault_stall_duration_ns=period
+        * draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+    )
 
 
 def build_trace(thread_specs) -> Trace:
@@ -110,20 +123,67 @@ def test_random_traces_bit_identical(specs):
         assert_bit_identical(trace, config)
 
 
-@given(phased_trace_strategy, fault_plan_strategy)
-@settings(max_examples=15, deadline=None)
-def test_random_traces_with_faults_bit_identical(specs, plan):
-    """FaultPlan runs decline the kernel yet still match bit-for-bit."""
-    trace = build_trace(specs)
-    config = SystemConfig.graphpim(faults=plan)
-    result, info = simulate_with_engine(trace, config, engine="auto")
-    if plan is not None and plan.enabled:
-        assert info.fallback and info.engine == "legacy"
-        assert "fault" in (info.reason or "")
-    reference = simulate_with_engine(trace, config, engine="legacy")[0]
-    assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
-        reference.to_dict(), sort_keys=True
+def _outcome(run) -> str:
+    """A run's ``to_dict()`` bytes, or its SimulationError message."""
+    try:
+        result = run()
+    except SimulationError as exc:
+        return f"SimulationError: {exc}"
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def assert_engines_agree(trace: Trace, config: SystemConfig) -> None:
+    """The kernel runs the input without falling back, and it and the
+    reference end the same way: equal bytes or the same error text."""
+
+    def kernel():
+        # simulate_with_engine reports engine="vectorized" exactly when
+        # this returns a result; a raise here is the kernel's own.
+        result, reason = try_simulate_vectorized(trace, config)
+        assert reason is None, f"kernel declined: {reason}"
+        return result
+
+    def reference():
+        return simulate_with_engine(trace, config, engine="legacy")[0]
+
+    assert _outcome(kernel) == _outcome(reference), (
+        f"engine mismatch under {config.display_name} "
+        f"with {config.faults}"
     )
+
+
+@given(phased_trace_strategy, fault_plan_strategy())
+@settings(max_examples=30, deadline=None)
+def test_random_traces_with_faults_bit_identical(specs, plan):
+    """Fault plans run on the kernel and match the reference bit for bit."""
+    trace = build_trace(specs)
+    for config in SystemConfig(faults=plan).evaluation_trio():
+        assert_engines_agree(trace, config)
+
+
+@pytest.mark.parametrize(
+    "kind, lost",
+    # Loads lose READs in every mode; property atomics lose a READ on
+    # the Baseline host path and the PIM command where they offload.
+    [("load", ("READ", "READ", "READ")),
+     ("atomic", ("READ", "add16", "add16"))],
+)
+def test_retry_budget_exhaustion_raises_the_same_error_on_both_engines(
+    kind, lost
+):
+    trace = build_trace(
+        [[[(kind, Region.PROPERTY, line, 1, AtomicOp.ADD, False)
+           for line in range(8)]]] * 2
+    )
+    plan = FaultPlan(seed=1, drop_rate=0.9, retry_budget=0)
+    trio = SystemConfig(faults=plan).evaluation_trio()
+    for config, what in zip(trio, lost):
+        with pytest.raises(SimulationError, match="retry budget") as kernel:
+            try_simulate_vectorized(trace, config)
+        with pytest.raises(SimulationError) as reference:
+            simulate_with_engine(trace, config, engine="legacy")
+        assert str(kernel.value) == str(reference.value)
+        assert str(kernel.value).startswith(f"{what} at ")
 
 
 @given(
@@ -143,6 +203,23 @@ def test_config_variants_bit_identical(specs, mlp, prefetch, fp_ext):
     assert_bit_identical(trace, config)
 
 
+@given(phased_trace_strategy, fault_plan_strategy())
+@settings(max_examples=10, deadline=None)
+def test_non_power_of_two_geometry_bit_identical(specs, plan):
+    """Set, vault and bank counts that are not powers of two take the
+    kernel's modulo path instead of its mask path."""
+    odd = SystemConfig(
+        l1=CacheConfig(size_bytes=3 * 4 * 64, ways=4, latency=4.0),
+        l2=CacheConfig(size_bytes=12 * 8 * 64, ways=8, latency=12.0),
+        l3=CacheConfig(size_bytes=48 * 16 * 64, ways=16, latency=36.0),
+        hmc=HmcConfig(num_vaults=24, banks_per_vault=12),
+        faults=plan,
+    )
+    trace = build_trace(specs)
+    for config in odd.evaluation_trio():
+        assert_engines_agree(trace, config)
+
+
 # ----------------------------------------------------------------------
 # Fallback paths and decline reasons
 # ----------------------------------------------------------------------
@@ -159,12 +236,15 @@ def _tiny_trace(num_threads: int = 2) -> Trace:
     return Trace(threads)
 
 
-def test_fault_plan_declines_and_falls_back():
+#: Hybrid DDR memory: an input the kernel still declines.
+_HYBRID = {"dram": DdrConfig(), "property_hmc_fraction": 0.5}
+
+
+def test_hybrid_ddr_declines_and_falls_back():
     trace = _tiny_trace()
-    plan = FaultPlan(request_ber=1e-6, seed=7)
-    config = SystemConfig.graphpim(faults=plan)
+    config = SystemConfig.graphpim(**_HYBRID)
     result, reason = try_simulate_vectorized(trace, config)
-    assert result is None and "fault" in reason
+    assert result is None and "DDR" in reason
     _result, info = simulate_with_engine(trace, config, engine="auto")
     assert info == EngineInfo(
         engine="legacy", fallback=True, reason=reason
@@ -183,6 +263,9 @@ def test_decline_reasons():
     trace = _tiny_trace()
     config = SystemConfig.baseline()
     assert decline_reason(trace, config) is None
+    assert decline_reason(
+        trace, config.with_faults(FaultPlan(request_ber=1e-6, seed=7))
+    ) is None
 
     class _Recorder:
         enabled = True
@@ -214,6 +297,15 @@ def test_kernel_disable_env_declines(monkeypatch):
     assert info.fallback and "unavailable" in info.reason
     reference = simulate(trace, SystemConfig.baseline(), engine="legacy")
     assert result.to_dict() == reference.to_dict()
+
+
+def test_kernel_build_tag_covers_flags(monkeypatch):
+    from repro.sim import _cbuild
+
+    tag = _cbuild._build_tag(b"int x;")
+    assert _cbuild._build_tag(b"int y;") != tag
+    monkeypatch.setattr(_cbuild, "_CFLAGS", (*_cbuild._CFLAGS, "-g"))
+    assert _cbuild._build_tag(b"int x;") != tag
 
 
 # ----------------------------------------------------------------------
@@ -266,9 +358,8 @@ def test_facade_exports():
 
 def test_report_counts_fallbacks():
     graph = ldbc_like_graph(200, seed=7)
-    plan = FaultPlan(request_ber=1e-6, seed=7)
     system = GraphPimSystem(
-        config=SystemConfig(faults=plan), num_threads=4, engine="auto"
+        config=SystemConfig(**_HYBRID), num_threads=4, engine="auto"
     )
     report = system.evaluate("BFS", graph, **workload_params("BFS"))
     assert report.engine_fallbacks == len(report.results)
@@ -281,20 +372,19 @@ def test_report_counts_fallbacks():
     )
 
 
-def _fault_spec() -> ExperimentSpec:
-    plan = FaultPlan(request_ber=1e-6, seed=7)
+def _hybrid_spec() -> ExperimentSpec:
     return ExperimentSpec(
         workload="BFS",
         scale="tiny",
-        modes=(SystemConfig.baseline(faults=plan),
-               SystemConfig.graphpim(faults=plan)),
+        modes=(SystemConfig.baseline(**_HYBRID),
+               SystemConfig.graphpim(**_HYBRID)),
         num_threads=4,
     )
 
 
 def test_execute_spec_payload_reports_engines():
     payload = execute_spec(
-        _fault_spec(), RunnerConfig(scale="tiny", cache_dir=None)
+        _hybrid_spec(), RunnerConfig(scale="tiny", cache_dir=None)
     )
     for entry in payload["modes"].values():
         assert entry["engine"] == "legacy"
@@ -306,7 +396,7 @@ def test_runner_counts_fallbacks_and_cache_ignores_engine(tmp_path):
     config = RunnerConfig(
         scale="tiny", cache_dir=cache_dir, parallel=False, engine="auto"
     )
-    spec = _fault_spec()
+    spec = _hybrid_spec()
     outcomes, report = ExperimentRunner(config).run([spec])
     assert report.engine_fallbacks == 2
     assert "engine fallback(s)" in report.summary_line()
