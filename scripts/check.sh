@@ -130,6 +130,14 @@ step "simulation kernel benchmark (tiny-scale equivalence smoke)"
 run_or_fail env REPRO_SCALE=tiny python -m pytest -q \
     benchmarks/test_kernel_bench.py
 
+step "trace capture benchmark (tiny-scale equivalence smoke)"
+# Full-throughput numbers and the >=3x floor guard live in
+# BENCH_capture.json (small scale); here the benchmark runs at tiny
+# scale as a fast digest-identity check of block against per-event
+# capture on every CI pass.
+run_or_fail env REPRO_SCALE=tiny python -m pytest -q \
+    benchmarks/test_capture_bench.py
+
 step "simulation engines (both engines, diff the JSON results)"
 # The batch kernel and the per-event reference must produce
 # byte-identical reports through the whole grid path, not just in

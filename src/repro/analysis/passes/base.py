@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
+import numpy as np
+
 from repro.common.engine import EngineSelection, resolve_engine
 from repro.common.errors import ConfigError, TraceError
 from repro.sim.config import SystemConfig
@@ -40,6 +42,28 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Engine names accepted by :meth:`PassManager.run`.
 ENGINES = tuple(e.value for e in EngineSelection)
+
+
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Start offsets of equal-value runs in a sorted, non-empty array."""
+    change = np.empty(values.size, dtype=bool)
+    change[0] = True
+    np.not_equal(values[1:], values[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
+def unique_sorted(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` as a sort plus a run-starts mask.
+
+    With no index requested, numpy 2 sends ``np.unique`` down a hash
+    path that is tens of times slower than a sort on wide int64 keys
+    (packed race keys, line addresses), which are what the passes
+    reduce.
+    """
+    ordered = np.sort(values)
+    if not ordered.size:
+        return ordered
+    return ordered[run_starts(ordered)]
 
 
 def default_engine() -> str:

@@ -46,6 +46,7 @@ from repro.analysis.passes.base import (
     PassContext,
     PassResult,
     register_pass,
+    unique_sorted,
 )
 
 _PROPERTY_REGION = int(Region.PROPERTY)
@@ -141,7 +142,7 @@ def lint_columnar(
 
     check_uc = config.mode is Mode.GRAPHPIM and not config.pmr_bypass
     if check_uc:
-        offloaded_lines = np.unique(
+        offloaded_lines = unique_sorted(
             (addr >> 6)[is_atomic & (region == _PROPERTY_REGION)]
         )
         masks[_V_PIM002] = (

@@ -40,6 +40,7 @@ from repro.analysis.passes.base import (
     PassContext,
     PassResult,
     register_pass,
+    unique_sorted,
 )
 
 #: 64-byte line/vault interleave granularity (matches the HMC model).
@@ -109,7 +110,7 @@ def profile_columnar(
         count = int(in_region.sum())
         if not count:
             continue
-        lines = int(np.unique(addr[in_region] >> _LINE_SHIFT).size)
+        lines = int(unique_sorted(addr[in_region] >> _LINE_SHIFT).size)
         regions[name] = {
             "accesses": count,
             "distinct_lines": lines,
@@ -136,7 +137,7 @@ def offload_summary_columnar(
     per_op: dict = {}
     total_off_fp = 0
     total_off_nofp = 0
-    for value in sorted({int(v) for v in np.unique(ops)}):
+    for value in sorted({int(v) for v in unique_sorted(ops)}):
         mask = ops == value
         count = int(mask.sum())
         pmr = int((mask & in_pmr).sum())
@@ -190,7 +191,7 @@ def screen_configs(
 
     # Lines holding PMR atomics, and how many cached (non-atomic)
     # accesses alias them — computed once, reused per config.
-    offloaded_lines = np.unique(addr[pmr_atomics] >> _LINE_SHIFT)
+    offloaded_lines = unique_sorted(addr[pmr_atomics] >> _LINE_SHIFT)
     cached = access & ~is_atomic & in_pmr
     aliasing = (
         int(np.isin(addr[cached] >> _LINE_SHIFT, offloaded_lines).sum())

@@ -63,6 +63,8 @@ from repro.analysis.passes.base import (
     PassContext,
     PassResult,
     register_pass,
+    run_starts,
+    unique_sorted,
 )
 
 _CAS = int(AtomicOp.CAS)
@@ -75,14 +77,6 @@ MAX_EXPANDED_ROWS = 16_000_000
 #: Access classes, packed into the low 2 key bits.  The codes are
 #: chosen so ``(key & 3) == 0`` is "plain-store writer".
 _CLS_WRITER, _CLS_READER, _CLS_ATOMIC = 0, 1, 2
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Start offsets of equal-value runs in a sorted array."""
-    change = np.empty(values.size, dtype=bool)
-    change[0] = True
-    np.not_equal(values[1:], values[:-1], out=change[1:])
-    return np.flatnonzero(change)
 
 
 def _member_mask(sorted_small: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -115,7 +109,7 @@ class _LocksetTables:
         self._bucket = bucket_of[order]
         self._idx = idx_of[order]
         self._acquire = acquire[order]
-        self._starts = _run_starts(self._te_sorted)
+        self._starts = run_starts(self._te_sorted)
         self._keys = self._te_sorted[self._starts]
         self._ends = np.concatenate(
             (self._starts[1:], [self._te_sorted.size])
@@ -135,7 +129,7 @@ class _LocksetTables:
             buckets = self._bucket[s:e][by_bucket]
             idx = self._idx[s:e][by_bucket]
             acq = self._acquire[s:e][by_bucket]
-            starts = _run_starts(buckets)
+            starts = run_starts(buckets)
             ends = np.concatenate((starts[1:], [buckets.size]))
             entry = (buckets, idx, acq, starts, ends)
         self._cache[key] = entry
@@ -236,7 +230,7 @@ def detect_races_columnar(
         x_idx = np.repeat(idx, buckets_per)
         x_cas = np.repeat(w_cas, buckets_per)
         kbt = key >> 2
-        cas_bt = np.unique(kbt[x_cas])
+        cas_bt = unique_sorted(kbt[x_cas])
         min_cas = np.full(cas_bt.size, _I64_MAX, dtype=np.int64)
         np.minimum.at(
             min_cas, np.searchsorted(cas_bt, kbt[x_cas]), x_idx[x_cas]
@@ -249,7 +243,7 @@ def detect_races_columnar(
         np.maximum.at(
             max_store, st_slot[st_hit], x_idx[store_row][st_hit]
         )
-        lock_be = np.unique(cas_bt[min_cas < max_store] >> tbits)
+        lock_be = unique_sorted(cas_bt[min_cas < max_store] >> tbits)
         if lock_be.size:
             row_lock = _member_mask(lock_be, key >> eshift)
             skip_event = np.logical_or.reduceat(row_lock, seg_starts)
@@ -265,7 +259,7 @@ def detect_races_columnar(
                 num_epochs=num_epochs,
             )
             lock_epochs = frozenset(
-                int(e) for e in np.unique(lock_be & emask)
+                int(e) for e in unique_sorted(lock_be & emask)
             )
 
     sorted_key = np.sort(key if keep_row is None else key[keep_row])
@@ -274,7 +268,7 @@ def detect_races_columnar(
 
     # --- candidate (bucket, epoch) selection ------------------------------
     kbe_sorted = sorted_key >> eshift
-    be_starts = _run_starts(kbe_sorted)
+    be_starts = run_starts(kbe_sorted)
     be_ends = np.concatenate((be_starts[1:], [sorted_key.size]))
     is_writer = (sorted_key & 3) == _CLS_WRITER
     writer_cum = np.cumsum(is_writer)
@@ -308,7 +302,7 @@ def detect_races_columnar(
     sub_key = sub_raw[order]
     sub_idx = x_idx[sub][order]
     sub_pos = sub[order]
-    g_starts = _run_starts(sub_key)
+    g_starts = run_starts(sub_key)
     g_ends = np.concatenate((g_starts[1:], [sub_key.size]))
     g_key = sub_key[g_starts]
     g_be = g_key >> eshift

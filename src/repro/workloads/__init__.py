@@ -12,7 +12,11 @@ Thirteen workloads across the paper's three categories:
 Each workload runs functionally on the framework in
 :mod:`repro.framework` and records the memory trace the timing model
 replays.  Functional outputs are returned so the test suite can verify
-algorithmic correctness against reference implementations.
+algorithmic correctness against reference implementations.  The eight
+Figure 7 workloads record each bulk-synchronous step as one row block
+per thread (decide, then emit: :mod:`repro.framework.layout`);
+:mod:`repro.workloads.reference` keeps their per-event captures as the
+oracle.
 """
 
 from repro.workloads.base import Category, Workload, WorkloadRun

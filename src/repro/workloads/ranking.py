@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.framework.context import FrameworkContext
+from repro.framework.layout import lay_out
 from repro.graph.csr import CsrGraph
 from repro.trace.events import AtomicOp
 from repro.workloads.base import Category, Workload
@@ -47,36 +48,61 @@ class PageRank(Workload):
         rank = ctx.property_table("pr.rank", n, 1.0 / n, dtype=np.float64)
         next_rank = ctx.property_table("pr.next", n, base, dtype=np.float64)
         out_degrees = graph.out_degrees()
-        vertices = list(range(n))
+        vertices = np.arange(n)
 
         dangling_mass = 0.0
         for _ in range(iterations):
             dangling_mass = 0.0
 
-            def scatter(tid, trace, u):
+            def scatter(tid, trace, part):
                 nonlocal dangling_mass
-                trace.work(3)
-                ru = rank.read(trace, u)
-                deg = int(out_degrees[u])
-                if deg == 0:
-                    dangling_mass += damping * ru
-                    return
-                trace.work(6)  # divide + loop setup
-                share = damping * ru / deg
-                for v in tg.neighbors(trace, u):
-                    next_rank.fp_add(trace, v, share)
+                ru = rank.values[part]
+                deg = out_degrees[part]
+                live = deg != 0
+                for mass in (damping * ru[~live]).tolist():
+                    dangling_mass += mass
+                edges, degrees = tg.edge_positions(part)
+                targets = graph.columns[edges]
+                # next_rank adds run in edge order (np.add.at is
+                # sequential), as the per-edge atomics apply them.
+                np.add.at(
+                    next_rank.values,
+                    targets,
+                    np.repeat(damping * ru[live] / deg[live], deg[live]),
+                )
+                trace.append_block(*lay_out(
+                    len(part),
+                    head=[
+                        *rank.read_slots(part, work=3),
+                        # divide + loop setup
+                        *tg.offset_slots(part, work=6, keep=live),
+                    ],
+                    edge=[
+                        *tg.column_slots(edges),
+                        *next_rank.atomic_slots(
+                            AtomicOp.FP_ADD, targets, False
+                        ),
+                    ],
+                    degrees=degrees,
+                ))
 
-            ctx.parallel_for(vertices, scatter)
+            ctx.parallel_blocks(vertices, scatter)
 
             dangling_share = dangling_mass / n
 
-            def swap(tid, trace, v):
-                trace.work(4)
-                r = next_rank.read(trace, v)
-                rank.write(trace, v, r + dangling_share)
-                next_rank.write(trace, v, base)
+            def swap(tid, trace, part):
+                rank.values[part] = next_rank.values[part] + dangling_share
+                next_rank.values[part] = base
+                trace.append_block(*lay_out(
+                    len(part),
+                    head=[
+                        *next_rank.read_slots(part, work=4),
+                        *rank.write_slots(part),
+                        *next_rank.write_slots(part),
+                    ],
+                ))
 
-            ctx.parallel_for(vertices, swap)
+            ctx.parallel_blocks(vertices, swap)
 
         ranks = rank.values.copy()
         return {

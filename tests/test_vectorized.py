@@ -285,6 +285,35 @@ def test_negative_addresses_decline():
     assert result is None and "negative" in reason
 
 
+def test_out_of_table_atomic_op_declines():
+    thread = ThreadTrace(0)
+    thread.atomic(99, REGION_BASE[Region.PROPERTY], 8, False)
+    trace = Trace([thread])
+    result, reason = try_simulate_vectorized(trace, SystemConfig.baseline())
+    assert result is None
+    assert reason == "atomic op outside the HMC command table"
+
+
+def test_whole_trace_checks_run_once_per_trace(monkeypatch):
+    # The op-range and negative-address checks depend on the trace
+    # alone: two modes of one trace evaluate them once.
+    from repro.sim import vectorized
+
+    checked = []
+    check = vectorized._trace_decline_reason
+
+    def counting(col):
+        checked.append(col)
+        return check(col)
+
+    monkeypatch.setattr(vectorized, "_trace_decline_reason", counting)
+    trace = _tiny_trace()
+    for config in (SystemConfig.baseline(), SystemConfig.graphpim()):
+        result, reason = try_simulate_vectorized(trace, config)
+        assert result is not None and reason is None
+    assert len(checked) == 1
+
+
 def test_kernel_disable_env_declines(monkeypatch):
     from repro.sim import _cbuild
 
