@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.common.errors import AllocationError
 from repro.common.units import CACHE_LINE_BYTES
 from repro.memlayout.regions import REGION_BASE, REGION_SHIFT, Region
@@ -23,7 +25,7 @@ class Allocation:
     """A contiguous simulated allocation.
 
     ``element_size`` lets callers compute element addresses with
-    :meth:`addr_of`.
+    :meth:`addr_of` (or :meth:`addrs_of` for an array of indices).
     """
 
     label: str
@@ -51,6 +53,19 @@ class Allocation:
                 f"[0, {self.num_elements})"
             )
         return self.base + index * self.element_size
+
+    def addrs_of(self, indices) -> np.ndarray:
+        """Simulated addresses of elements ``indices`` (an int array)."""
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size:
+            low, high = int(indices.min()), int(indices.max())
+            if low < 0 or high >= self.num_elements:
+                raise AllocationError(
+                    f"{self.label}: element index "
+                    f"{low if low < 0 else high} out of range "
+                    f"[0, {self.num_elements})"
+                )
+        return self.base + indices * self.element_size
 
     def contains(self, addr: int) -> bool:
         """Whether ``addr`` falls inside this allocation."""

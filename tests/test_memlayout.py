@@ -86,6 +86,21 @@ class TestAddressSpace:
         with pytest.raises(AllocationError):
             a.addr_of(-1)
 
+    def test_addrs_of(self):
+        space = AddressSpace()
+        a = space.malloc("a", Region.META, 10, 8)
+        indices = [3, 0, 9, 3]
+        assert a.addrs_of(indices).tolist() == [a.addr_of(i) for i in indices]
+        assert a.addrs_of([]).size == 0
+
+    def test_addrs_of_out_of_range(self):
+        space = AddressSpace()
+        a = space.malloc("a", Region.META, 10, 8)
+        with pytest.raises(AllocationError, match="index 10 "):
+            a.addrs_of([2, 10])
+        with pytest.raises(AllocationError, match="index -1 "):
+            a.addrs_of([-1, 10])
+
     def test_contains(self):
         space = AddressSpace()
         a = space.malloc("a", Region.META, 10, 8)
