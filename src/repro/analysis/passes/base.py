@@ -66,6 +66,20 @@ def unique_sorted(values: np.ndarray) -> np.ndarray:
     return ordered[run_starts(ordered)]
 
 
+def in_sorted_set(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
+    """``np.isin(values, sorted_set)`` for an already-sorted needle set.
+
+    One ``searchsorted`` instead of ``np.isin``'s sort of both arrays:
+    several times faster for the small needle sets the passes use
+    (atomic ops, lock words, candidate cells, offloaded lines).
+    """
+    if sorted_set.size == 0:
+        return np.zeros(values.shape, dtype=bool)
+    slot = np.searchsorted(sorted_set, values)
+    np.minimum(slot, sorted_set.size - 1, out=slot)
+    return sorted_set[slot] == values
+
+
 def default_engine() -> str:
     """Process-wide default engine name.
 

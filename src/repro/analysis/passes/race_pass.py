@@ -5,9 +5,25 @@ operations, producing **finding-for-finding identical** reports (same
 conflicts, same representative picks, same ordering, same cap and
 suppression accounting) — enforced by the equivalence tests.
 
-The core trick is a *packed sort key*: every well-formed access is
-expanded to the 8-byte buckets it overlaps (``np.repeat`` + a cumsum
-offset), and each (event, bucket) row becomes one int64
+0. *Writer filter* — only a (bucket, epoch) cell with a plain-store
+   writer can be reported, so the detector first builds the sorted set
+   of packed ``epoch << bbits | bucket`` keys the well-formed stores
+   touch (each store expanded over its bucket range) and keeps only
+   the events whose own bucket range meets that set in their epoch
+   (one ``searchsorted`` of every event into the set).  The filter is
+   exact: every event that registers in a reportable cell touches a
+   writer cell, and every lock word is a writer cell too (its release
+   is a plain store in the same epoch), so a dropped event can neither
+   be reported nor acquire, release or spin on a lock.  Kept events
+   stay in replay order, so every ordering below is unchanged.  The
+   Figure 7 workloads update properties with atomics, so plain stores
+   are a few percent of their accesses and a trace with none (TC) is
+   clean at once.
+
+Everything after the filter runs on the kept events alone.  The core
+trick is a *packed sort key*: every kept access is expanded to the
+8-byte buckets it overlaps (``np.repeat`` + a cumsum offset), and each
+(event, bucket) row becomes one int64
 
     key = bucket << (ebits + tbits + 2) | epoch << (tbits + 2)
         | thread << 2 | class          # class: store=0, load=1, atomic=2
@@ -41,10 +57,11 @@ the sorted array:
    access, recovered from expansion positions).
 
 Guards: traces whose packed key would overflow 62 bits (addresses
-≳ 2^40 past the region tag, or pathological epoch/thread counts) or
-whose bucket expansion explodes return ``None`` and the PassManager
-falls back to the legacy detector — correctness never depends on the
-fast path applying.
+≳ 2^40 past the region tag, or pathological epoch/thread counts;
+checked over every event, ahead of the filter) or whose kept events
+expand to more than ``MAX_EXPANDED_ROWS`` bucket rows return ``None``
+and the PassManager falls back to the legacy detector — correctness
+never depends on the fast path applying.
 """
 
 from __future__ import annotations
@@ -62,6 +79,7 @@ from repro.analysis.passes.base import (
     AnalysisPass,
     PassContext,
     PassResult,
+    in_sorted_set,
     register_pass,
     run_starts,
     unique_sorted,
@@ -70,8 +88,9 @@ from repro.analysis.passes.base import (
 _CAS = int(AtomicOp.CAS)
 _I64_MAX = np.iinfo(np.int64).max
 
-#: Bucket-expansion guard: beyond this many (event, bucket) rows the
-#: vectorized path would thrash memory; fall back to the legacy walk.
+#: Bucket-expansion guard: beyond this many (event, bucket) rows of the
+#: events kept by the writer filter, the vectorized path would thrash
+#: memory; fall back to the legacy walk.
 MAX_EXPANDED_ROWS = 16_000_000
 
 #: Access classes, packed into the low 2 key bits.  The codes are
@@ -79,11 +98,21 @@ MAX_EXPANDED_ROWS = 16_000_000
 _CLS_WRITER, _CLS_READER, _CLS_ATOMIC = 0, 1, 2
 
 
-def _member_mask(sorted_small: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``np.isin(values, sorted_small)`` for an already-sorted needle set."""
-    slot = np.searchsorted(sorted_small, values)
-    np.minimum(slot, sorted_small.size - 1, out=slot)
-    return sorted_small[slot] == values
+def _expand(base: np.ndarray, counts: np.ndarray, shift: int) -> np.ndarray:
+    """``base[i] + (j << shift)`` for ``j < counts[i]``, in row order.
+
+    Walks each row's bucket range with one ``np.repeat`` plus a cumsum
+    of per-segment increments (``counts`` are all >= 1).
+    """
+    out = np.repeat(base, counts)
+    if out.size != base.size:
+        intra = np.ones(out.size, dtype=np.int64)
+        intra[0] = 0
+        intra[np.cumsum(counts[:-1])] = 1 - counts[:-1]
+        np.cumsum(intra, out=intra)
+        intra <<= shift
+        out += intra
+    return out
 
 
 class _LocksetTables:
@@ -167,25 +196,17 @@ def detect_races_columnar(
 
     kind, addr, size = col.kind, col.addr, col.size
     well = (kind != EV_BARRIER) & (addr >= 0) & (size > 0)
-    rows = np.flatnonzero(well)
-    if rows.size == 0:
-        return report
+    stores = np.flatnonzero(well & (kind == EV_STORE))
+    if stores.size == 0:
+        return report  # no plain-store writer, so no reportable cell
 
-    tpos = col.event_thread_pos()[rows]
-    idx = col.event_index_in_thread()[rows]
-    epoch = col.epoch_ids()[rows]
-    w_kind = kind[rows]
-    num_epochs = int(epoch.max()) + 1
+    epoch = col.epoch_ids()
+    first_bucket = addr >> _BUCKET_SHIFT
+    last_bucket = (addr + size - 1) >> _BUCKET_SHIFT
+    num_epochs = int(epoch.max(where=well, initial=0)) + 1
 
-    first_bucket = addr[rows] >> _BUCKET_SHIFT
-    last_bucket = (addr[rows] + size[rows] - 1) >> _BUCKET_SHIFT
-    buckets_per = last_bucket - first_bucket + 1
-    total = int(buckets_per.sum())
-    if total > MAX_EXPANDED_ROWS:
-        return None
-
-    # --- packed key layout ------------------------------------------------
-    bbits = max(int(last_bucket.max()).bit_length(), 1)
+    # --- packed key layout (over every event, ahead of the filter) -------
+    bbits = max(int(last_bucket.max(where=well, initial=0)).bit_length(), 1)
     ebits = (num_epochs - 1).bit_length()
     tbits = (num_threads - 1).bit_length()
     if bbits + ebits + tbits + 2 > 62:
@@ -194,6 +215,31 @@ def detect_races_columnar(
     eshift = tbits + 2
     emask = (1 << ebits) - 1
     tmask = (1 << tbits) - 1
+
+    # --- writer filter ----------------------------------------------------
+    # Each event covers the packed (epoch, bucket) cells low..high.  The
+    # cells the stores write form one sorted set, closed by a sentinel
+    # above every real cell so the lookup needs no clamp; an event is
+    # kept when the first written cell at or above its low cell is no
+    # higher than its high cell.
+    low = (epoch << bbits) | first_bucket
+    high = low + (last_bucket - first_bucket)
+    store_rows = high[stores] - low[stores] + 1
+    if int(store_rows.sum()) > MAX_EXPANDED_ROWS:
+        return None  # every store is kept, so the guard below would trip
+    written = np.append(
+        unique_sorted(_expand(low[stores], store_rows, 0)), _I64_MAX
+    )
+    keep = written[np.searchsorted(written, low)] <= high
+    rows = np.flatnonzero(keep & well)
+    w_kind = kind[rows]
+    epoch = epoch[rows]
+    first_bucket = first_bucket[rows]
+    buckets_per = last_bucket[rows] - first_bucket + 1
+    if int(buckets_per.sum()) > MAX_EXPANDED_ROWS:
+        return None
+    tpos = np.searchsorted(col.starts, rows, side="right") - 1
+    idx = rows - col.starts[tpos]
 
     w_cls = np.full(rows.size, _CLS_ATOMIC, dtype=np.int64)
     w_cls[w_kind == EV_STORE] = _CLS_WRITER
@@ -206,19 +252,11 @@ def detect_races_columnar(
     )
 
     # --- bucket expansion -------------------------------------------------
-    # key[i] walks the event's bucket range via a cumsum of per-segment
-    # increments; expansion order is replay order (thread-major, event
-    # ascending, bucket ascending), which the candidate loop later uses
-    # to reproduce the legacy dict-insertion order.
-    seg_starts = np.cumsum(buckets_per) - buckets_per
-    key = np.repeat(base, buckets_per)
-    if total != rows.size:
-        intra = np.ones(total, dtype=np.int64)
-        intra[0] = 0
-        intra[seg_starts[1:]] = 1 - buckets_per[:-1]
-        np.cumsum(intra, out=intra)
-        intra <<= bshift
-        key += intra
+    # key[i] walks the event's bucket range; expansion order is replay
+    # order (thread-major, event ascending, bucket ascending), which the
+    # candidate loop later uses to reproduce the legacy dict-insertion
+    # order.
+    key = _expand(base, buckets_per, bshift)
 
     # --- lock-word detection ---------------------------------------------
     x_idx: Optional[np.ndarray] = None
@@ -245,7 +283,8 @@ def detect_races_columnar(
         )
         lock_be = unique_sorted(cas_bt[min_cas < max_store] >> tbits)
         if lock_be.size:
-            row_lock = _member_mask(lock_be, key >> eshift)
+            row_lock = in_sorted_set(key >> eshift, lock_be)
+            seg_starts = np.cumsum(buckets_per) - buckets_per
             skip_event = np.logical_or.reduceat(row_lock, seg_starts)
             keep_row = np.repeat(~skip_event, buckets_per)
             action = row_lock & ((key & 3) != _CLS_READER)
@@ -291,7 +330,7 @@ def detect_races_columnar(
     cand_be = kbe_sorted[be_starts[candidate]]  # ascending
 
     # --- candidate detail extraction --------------------------------------
-    in_cand = _member_mask(cand_be, key >> eshift)
+    in_cand = in_sorted_set(key >> eshift, cand_be)
     if keep_row is not None:
         in_cand &= keep_row
     sub = np.flatnonzero(in_cand)  # expansion positions, replay order

@@ -110,7 +110,12 @@ class CsrGraph:
             if weight_array is not None:
                 weight_array = weight_array[unique_idx]
 
-        order = np.argsort(edge_array[:, 0], kind="stable")
+        sort_key = edge_array[:, 0]
+        if sort_neighbors:
+            # One stable sort on (src, dst) also orders every neighbour
+            # list; equal edges keep their input order.
+            sort_key = sort_key * num_vertices + edge_array[:, 1]
+        order = np.argsort(sort_key, kind="stable")
         edge_array = edge_array[order]
         if weight_array is not None:
             weight_array = weight_array[order]
@@ -120,21 +125,7 @@ class CsrGraph:
         np.cumsum(counts, out=row_offsets[1:])
         columns = edge_array[:, 1].copy()
 
-        graph = cls(row_offsets, columns, weight_array)
-        if sort_neighbors:
-            graph._sort_neighbor_lists()
-        return graph
-
-    def _sort_neighbor_lists(self) -> None:
-        """Sort each vertex's neighbor list in place (weights follow)."""
-        for v in range(self.num_vertices):
-            start, end = self.row_offsets[v], self.row_offsets[v + 1]
-            if end - start > 1:
-                segment = self.columns[start:end]
-                order = np.argsort(segment, kind="stable")
-                self.columns[start:end] = segment[order]
-                if self.weights is not None:
-                    self.weights[start:end] = self.weights[start:end][order]
+        return cls(row_offsets, columns, weight_array)
 
     # ------------------------------------------------------------------
     # Basic queries

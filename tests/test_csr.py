@@ -47,6 +47,15 @@ class TestConstruction:
         assert g.neighbors(0).tolist() == [1, 2]
         assert g.edge_weight_slice(0).tolist() == [1.5, 2.5]
 
+    def test_sort_is_stable_over_duplicate_edges(self):
+        rng = np.random.default_rng(7)
+        edges = rng.integers(0, 5, size=(200, 2))
+        weights = np.arange(200, dtype=np.float64)  # tells duplicates apart
+        g = CsrGraph.from_edges(5, edges, weights=weights)
+        order = sorted(range(200), key=lambda i: (*edges[i], i))
+        assert g.columns.tolist() == edges[order, 1].tolist()
+        assert g.weights.tolist() == weights[order].tolist()
+
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(GraphError):
             CsrGraph.from_edges(2, [(0, 2)])

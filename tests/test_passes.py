@@ -39,6 +39,7 @@ from repro.analysis.passes import (
     register_pass,
     screen_configs,
 )
+from repro.analysis.passes import race_pass
 
 PMR = int(Region.PROPERTY) << REGION_SHIFT
 META = int(Region.META) << REGION_SHIFT
@@ -223,6 +224,88 @@ def test_race_cap_and_suppression_note():
     assert_reports_equal(detect_races(trace), report)
     assert report.count("RACE001") == MAX_RACE_FINDINGS + 1  # + INFO note
     assert "further race findings suppressed" in report.findings[-1].message
+
+
+# The writer filter keeps only events whose bucket range meets a cell a
+# plain store writes in the same epoch; these cases straddle buckets so
+# that a filter on one end of either range drops a needed event.
+
+@pytest.mark.parametrize("other", ["load", "store", "atomic"])
+def test_straddling_store_reaches_its_second_bucket(other):
+    def writer(thread):
+        thread.store(DATA, 16)  # buckets b and b + 1
+
+    def toucher(thread):
+        if other == "atomic":
+            thread.atomic(AtomicOp.ADD, DATA + 8, 8)
+        else:
+            getattr(thread, other)(DATA + 8, 8)  # bucket b + 1 only
+
+    trace = _synth([writer, toucher])
+    report = detect_races_columnar(ColumnarTrace.from_events(trace))
+    assert_reports_equal(detect_races(trace), report)
+    assert report.count("RACE001") == 1
+
+
+@pytest.mark.parametrize("cas_addr", [LOCK, LOCK - 8])
+def test_lock_cas_spanning_unwritten_bucket(cas_addr):
+    def locked(thread):
+        # The CAS covers the lock word and one bucket no store touches.
+        thread.atomic(AtomicOp.CAS, cas_addr, 16)
+        thread.store(DATA, 8)
+        thread.store(LOCK, 8)  # release
+
+    trace = _synth([locked, locked])
+    report = detect_races_columnar(ColumnarTrace.from_events(trace))
+    assert_reports_equal(detect_races(trace), report)
+    assert len(report) == 0
+
+
+def test_expansion_guard_counts_filtered_rows(monkeypatch):
+    monkeypatch.setattr(race_pass, "MAX_EXPANDED_ROWS", 100)
+
+    def scanner(thread):
+        thread.load(META + 0x10000, 8 * 150)  # 150 buckets, never written
+        thread.store(DATA, 8)
+
+    def reader(thread):
+        thread.load(DATA, 8)
+
+    trace = _synth([scanner, reader])
+    report = detect_races_columnar(ColumnarTrace.from_events(trace))
+    assert report is not None  # only the store and its reader are kept
+    assert_reports_equal(detect_races(trace), report)
+    assert report.count("RACE001") == 1
+
+    def wide_writer(thread):
+        thread.store(META + 0x10000, 8 * 150)
+
+    trace = _synth([wide_writer, reader])
+    assert detect_races_columnar(ColumnarTrace.from_events(trace)) is None
+
+
+def test_lint_region_bounds_and_bad_op_match_legacy():
+    region_end = (max(Region) + 1) << REGION_SHIFT
+
+    def thread_body(thread):
+        thread.load(region_end - 8, 8)  # last PROPERTY word
+        thread.load(region_end, 8)      # first untagged word
+        thread.store(-8, 8)
+        thread.atomic(AtomicOp.ADD, region_end - 8, 8)
+        thread.events.append((2, PMR + 8, 8, 0, 99, False))  # not an op
+
+    trace = _synth([thread_body])
+    col = ColumnarTrace.from_events(trace)
+    for config in (
+        SystemConfig.graphpim(),
+        SystemConfig.graphpim(fp_extension=False),
+    ):
+        vectorized = lint_columnar(col, config, None)
+        assert_reports_equal(lint_trace(trace, config), vectorized)
+    assert vectorized.count("TRC001") == 2
+    assert "atomic op 99 is not an AtomicOp" in [
+        f.message for f in vectorized.findings
+    ]
 
 
 def test_lint_cap_and_suppression_note():
