@@ -3,9 +3,11 @@
 Measures simulated events/sec on the largest standard trace (BC on the
 scale-default LDBC-like graph, 16 threads) under all three evaluation
 modes plus GraphPIM on a lossy link (:data:`FAULTS`: bit errors, dropped
-responses and vault stall windows) for both engines, asserts the batch
-kernel clears its speedup floor, and records the numbers in
-``BENCH_kernel.json`` at the repo root.
+responses and vault stall windows) for the kernel (through
+:func:`~repro.sim.system.simulate_with_engine`, which must not fall
+back) and for the reference (:func:`~repro.sim.system.simulate_reference`,
+called directly), asserts the batch kernel clears its speedup floor, and
+records the numbers in ``BENCH_kernel.json`` at the repo root.
 
 The columnar conversion is warmed before timing and reported
 separately: it is memoized per trace (``Trace.columnar()``) and shared
@@ -35,7 +37,7 @@ from pathlib import Path
 from repro.core.presets import resolve_scale, workload_graph, workload_params
 from repro.faults import FaultPlan
 from repro.sim.config import SystemConfig
-from repro.sim.system import simulate_with_engine
+from repro.sim.system import simulate_reference, simulate_with_engine
 from repro.workloads.registry import get_workload
 
 #: Required per-mode-summed speedup of the batch kernel over the
@@ -86,20 +88,15 @@ def test_kernel_throughput(benchmark):
         )  # memoized from here on — all later calls are free
         per_mode = {}
         for config in bench_modes():
-            legacy_s, (legacy, info_l) = _best_of(
-                lambda c=config: simulate_with_engine(
-                    run.trace, c, engine="legacy"
-                )
+            legacy_s, legacy = _best_of(
+                lambda c=config: simulate_reference(run.trace, c)
             )
-            vec_s, (vec, info_v) = _best_of(
-                lambda c=config: simulate_with_engine(
-                    run.trace, c, engine="vectorized"
-                )
+            vec_s, (vec, info) = _best_of(
+                lambda c=config: simulate_with_engine(run.trace, c)
             )
-            assert info_l.engine == "legacy"
-            assert info_v.engine == "vectorized", (
+            assert not info.fallback, (
                 f"kernel declined BC under {config.display_name}: "
-                f"{info_v.reason}"
+                f"{info.reason}"
             )
             assert legacy.to_dict() == vec.to_dict(), (
                 f"engines disagree under {config.display_name}"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: style lint, type check, tier-1 tests, trace-lint (text +
 # SARIF + baseline gating), analysis-engine benchmark smoke,
-# simulation-kernel equivalence (both engines, diffed JSON),
+# simulation-kernel equivalence (kernel grid against the reference,
+# diffed JSON),
 # fault-injection smoke runs, a chaos smoke (kill a worker mid-grid,
 # then freeze one into a hang; assert bit-identical recovery and no
 # leaked shm segments),
@@ -138,39 +139,52 @@ step "trace capture benchmark (tiny-scale equivalence smoke)"
 run_or_fail env REPRO_SCALE=tiny python -m pytest -q \
     benchmarks/test_capture_bench.py
 
-step "simulation engines (both engines, diff the JSON results)"
-# The batch kernel and the per-event reference must produce
-# byte-identical reports through the whole grid path, not just in
-# unit-test harnesses, fault-free and on a lossy link (bit errors,
-# dropped responses, vault stalls), where the auto run must also stay
+step "simulation engines (kernel grid against the reference, diff the JSON)"
+# The batch kernel must produce byte-identical reports to the per-event
+# reference (simulate_reference) through the whole grid path, not just
+# in unit-test harnesses, fault-free and on a lossy link (bit errors,
+# dropped responses, vault stalls), where the grid run must also stay
 # on the kernel.  No cache: every run must actually simulate.
 engine_dir="$(mktemp -d)"
 for variant in clean faults; do
+    faults=""
     fault_args=()
     if [ "$variant" = faults ]; then
-        fault_args=(--faults "ber=1e-5,drop=1e-3,stall=2000:200,seed=7")
+        faults="ber=1e-5,drop=1e-3,stall=2000:200,seed=7"
+        fault_args=(--faults "$faults")
     fi
-    for engine in legacy auto; do
-        run_or_fail python -m repro run --scale tiny --jobs 2 --no-cache \
-            --engine "$engine" "${fault_args[@]}" --json \
-            > "$engine_dir/$variant-$engine.json"
-    done
+    run_or_fail python -m repro run --scale tiny --jobs 2 --no-cache \
+        "${fault_args[@]}" --json > "$engine_dir/$variant.json"
     if python -c '
 import json, sys
-a = json.load(open(sys.argv[1]))
-b = json.load(open(sys.argv[2]))
-fallbacks = b["runner"]["engine_fallbacks"]
-a, b = a["workloads"], b["workloads"]
-assert a.keys() == b.keys() and a, "workload sets differ"
-for code in a:
-    if a[code] != b[code]:
-        raise SystemExit(f"engine results differ for {code}")
+from repro.core.api import EvaluationReport
+from repro.faults import FaultPlan
+from repro.runner import RunnerConfig
+from repro.runner.engine import evaluation_grid_specs, trace_spec
+from repro.sim.system import simulate_reference
+
+kernel = json.load(open(sys.argv[1]))
+fallbacks = kernel["runner"]["engine_fallbacks"]
+workloads = kernel["workloads"]
+plan = FaultPlan.from_spec(sys.argv[2]) if sys.argv[2] else None
+specs = evaluation_grid_specs("tiny", faults=plan)
+assert workloads.keys() == {s.workload for s in specs}, "workload sets differ"
+config = RunnerConfig(scale="tiny", cache_dir=None)
+for spec in specs:
+    run, _ = trace_spec(spec, config)
+    reference = EvaluationReport(workload_code=spec.workload, run=run)
+    for mode in spec.modes:
+        reference.results[mode.display_name] = simulate_reference(
+            run.trace, mode
+        )
+    blob = json.dumps(json.loads(json.dumps(reference.to_dict())), sort_keys=True)
+    if blob != json.dumps(workloads[spec.workload], sort_keys=True):
+        raise SystemExit(f"engine results differ for {spec.workload}")
 if fallbacks:
-    raise SystemExit(f"auto run fell back {fallbacks} time(s)")
-print(f"engine diff ({sys.argv[3]}): {len(a)} workload(s) "
+    raise SystemExit(f"kernel run fell back {fallbacks} time(s)")
+print(f"engine diff ({sys.argv[3]}): {len(specs)} workload(s) "
       "byte-identical, 0 engine fallbacks")
-' "$engine_dir/$variant-legacy.json" "$engine_dir/$variant-auto.json" \
-        "$variant"; then
+' "$engine_dir/$variant.json" "$faults" "$variant"; then
         echo "engine equivalence smoke passed ($variant)"
     else
         echo "engine equivalence smoke FAILED ($variant)"

@@ -20,7 +20,6 @@ Quickstart::
 """
 
 from repro.chaos import ChaosPlan
-from repro.common.engine import EngineInfo, EngineSelection
 from repro.core.api import EvaluationReport, GraphPimSystem
 from repro.core.presets import bench_graph, sim_scale_config
 from repro.faults import FaultPlan
@@ -33,7 +32,7 @@ from repro.graph.generators import (
 from repro.runner.engine import execute_spec
 from repro.runner.spec import ExperimentSpec, RunnerConfig
 from repro.sim.config import Mode, SystemConfig
-from repro.sim.system import SimResult, simulate, simulate_with_engine
+from repro.sim.system import EngineInfo, SimResult, simulate, simulate_with_engine
 from repro.workloads import all_workloads, get_workload
 
 __version__ = "1.0.0"
@@ -41,7 +40,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ChaosPlan",
     "EngineInfo",
-    "EngineSelection",
     "EvaluationReport",
     "ExperimentSpec",
     "FaultPlan",

@@ -63,26 +63,21 @@ def _gating_manager():
 
 
 def analyze_run(
-    run,
-    config: SystemConfig | None = None,
-    engine: str | None = None,
+    run, config: SystemConfig | None = None
 ) -> AnalysisReport:
     """Full static analysis of one ``WorkloadRun``.
 
     Lints the trace against ``config`` (GraphPIM preset by default)
     using the run's own allocation map, then layers the race detector's
     findings on top.  Runs through the :mod:`repro.analysis.passes`
-    pipeline: vectorized over the columnar IR by default, falling back
-    per-pass to the PR 1 reference implementations (``engine="legacy"``
-    or ``REPRO_ENGINE=legacy`` forces them; both engines
-    produce finding-for-finding identical reports).
+    pipeline: vectorized over the columnar IR, falling back per pass
+    to the reference implementations (:func:`lint_trace`,
+    :func:`detect_races`) when a guard trips or the trace cannot be
+    encoded; both produce finding-for-finding identical reports.
     """
     manager = _gating_manager()
     results = manager.run(
-        run.trace,
-        config=config,
-        address_space=run.address_space,
-        engine=engine,
+        run.trace, config=config, address_space=run.address_space
     )
     subject = getattr(run.trace, "name", None) or "trace"
     return manager.merged_report(results, subject)

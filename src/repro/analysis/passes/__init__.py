@@ -10,19 +10,16 @@ Importing this package registers the standard passes:
   whole-trace aggregations (vault contention, offload applicability,
   cross-config screening).
 
-Use :class:`PassManager` to run a pipeline with engine selection and
-per-pass legacy fallback; ``REPRO_ENGINE=legacy`` forces the
-reference implementations process-wide.
+Use :class:`PassManager` to run a pipeline with per-pass legacy
+fallback.
 """
 
 from repro.analysis.passes.base import (
-    ENGINES,
     AnalysisPass,
     PassContext,
     PassManager,
     PassResult,
     all_passes,
-    default_engine,
     get_pass,
     register_pass,
 )
@@ -45,7 +42,6 @@ from repro.analysis.passes.profile_pass import (
 )
 
 __all__ = [
-    "ENGINES",
     "AnalysisPass",
     "LINT_PASS",
     "LintPass",
@@ -61,7 +57,6 @@ __all__ = [
     "SCREENING_PASS",
     "ScreeningPass",
     "all_passes",
-    "default_engine",
     "detect_races_columnar",
     "get_pass",
     "lint_columnar",

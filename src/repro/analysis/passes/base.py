@@ -15,12 +15,12 @@ implementation over the tuple form, or both:
 - ``profile`` / ``offload`` / ``screening`` are **vectorized-only** —
   whole-trace aggregations the per-event linter could never afford.
 
-The :class:`PassManager` owns engine selection through the shared
-:class:`~repro.common.engine.EngineSelection` vocabulary: ``"auto"``
-and ``"vectorized"`` run columnar implementations and silently fall
-back per pass when one returns ``None`` or the trace is not encodable;
-``"legacy"`` forces the per-event oracles.  The ``REPRO_ENGINE``
-environment variable overrides the default for a whole process.
+The :class:`PassManager` runs the columnar implementation of each pass
+and falls back per pass to its per-event one when the columnar one
+returns ``None`` (a guard tripped) or the trace is not encodable.
+Tests call the oracles directly: :func:`~repro.analysis.lint_trace`,
+:func:`~repro.analysis.detect_races` and each pass's
+:meth:`AnalysisPass.run_legacy`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.common.engine import EngineSelection, resolve_engine
 from repro.common.errors import ConfigError, TraceError
 from repro.sim.config import SystemConfig
 from repro.trace.columnar import ColumnarTrace
@@ -39,9 +38,6 @@ from repro.analysis.findings import AnalysisReport
 if TYPE_CHECKING:  # pragma: no cover
     from repro.memlayout.allocator import AddressSpace
     from repro.trace.stream import Trace
-
-#: Engine names accepted by :meth:`PassManager.run`.
-ENGINES = tuple(e.value for e in EngineSelection)
 
 
 def run_starts(values: np.ndarray) -> np.ndarray:
@@ -78,20 +74,6 @@ def in_sorted_set(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     slot = np.searchsorted(sorted_set, values)
     np.minimum(slot, sorted_set.size - 1, out=slot)
     return sorted_set[slot] == values
-
-
-def default_engine() -> str:
-    """Process-wide default engine name.
-
-    Resolution lives in :func:`repro.common.engine.resolve_engine`
-    (``REPRO_ENGINE``).  ``auto`` and ``vectorized`` are the same
-    execution for analysis passes — columnar with per-pass fallback —
-    so the ambient default reports as ``"vectorized"``.
-    """
-    selection = resolve_engine(None)
-    if selection is EngineSelection.AUTO:
-        return EngineSelection.VECTORIZED.value
-    return selection.value
 
 
 @dataclass
@@ -131,7 +113,8 @@ class PassResult:
 
     name: str
     report: AnalysisReport
-    #: Which implementation actually ran ("vectorized" or "legacy").
+    #: Which implementation actually ran ("vectorized" or "legacy"),
+    #: or "skipped" for a vectorized-only pass that could not run.
     engine: str
     #: Structured pass-specific payload (profile passes).
     data: dict = field(default_factory=dict)
@@ -185,7 +168,7 @@ def all_passes() -> list[AnalysisPass]:
 
 
 class PassManager:
-    """Runs a pipeline of passes over one trace with engine fallback."""
+    """Runs a pipeline of passes over one trace with per-pass fallback."""
 
     def __init__(self, passes: Sequence[AnalysisPass | str]):
         self.passes: list[AnalysisPass] = [
@@ -197,15 +180,12 @@ class PassManager:
         trace,
         config: SystemConfig | None = None,
         address_space: "Optional[AddressSpace]" = None,
-        engine: str | None = None,
         screen_configs: Sequence[SystemConfig] = (),
     ) -> dict[str, PassResult]:
         """Run every pass; returns ``{pass name: PassResult}``.
 
         ``trace`` may be a tuple-form ``Trace`` or a ``ColumnarTrace``.
         """
-        selection = resolve_engine(engine)
-        wants_vectorized = selection.wants_vectorized
         ctx = PassContext(
             config=config or SystemConfig.graphpim(),
             address_space=address_space,
@@ -215,24 +195,23 @@ class PassManager:
             ctx.columnar = trace
         else:
             ctx.trace = trace
-            if wants_vectorized:
-                try:
-                    ctx.columnar = trace.columnar()
-                except TraceError:
-                    # Deliberately malformed tuples (wrong arity, bad
-                    # kinds) are exactly what the legacy linter reports;
-                    # every pass falls back for this trace.
-                    ctx.columnar = None
+            try:
+                ctx.columnar = trace.columnar()
+            except TraceError:
+                # Deliberately malformed tuples (wrong arity, bad
+                # kinds) are exactly what the legacy linter reports;
+                # every pass falls back for this trace.
+                ctx.columnar = None
 
         results: dict[str, PassResult] = {}
         for pass_ in self.passes:
             result = None
-            if wants_vectorized and ctx.columnar is not None:
+            if ctx.columnar is not None:
                 result = pass_.run_columnar(ctx)
             if result is None:
                 result = pass_.run_legacy(ctx)
             if result is None:
-                # Vectorized-only pass under the legacy engine (or a
+                # Vectorized-only pass on an unencodable trace (or a
                 # guard tripped with no oracle): record an empty result
                 # rather than silently dropping the pass.
                 result = PassResult(

@@ -12,7 +12,7 @@ Plans are frozen, hashable, and JSON-round-trippable, and every random
 choice (which bytes to flip) derives from ``seed`` through
 :func:`~repro.common.rng.derive_seed`, so a chaos run is reproducible
 bit-for-bit.  Plans ride on :class:`~repro.runner.spec.RunnerConfig`
-(execution strategy, like ``engine`` or ``jobs``) and therefore never
+(execution strategy, like ``jobs`` or ``parallel``) and therefore never
 touch cache keys or spec keys: the whole point is that a chaos-ridden
 grid must produce results byte-identical to the serial reference.
 """

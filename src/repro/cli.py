@@ -173,14 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--log-level info unless set)",
     )
     run.add_argument(
-        "--engine",
-        choices=("auto", "vectorized", "legacy"),
-        default=None,
-        help="simulation engine: auto (batch kernel with per-trace "
-        "fallback), vectorized, or legacy (the per-event reference "
-        "interpreter); default: REPRO_ENGINE or auto",
-    )
-    run.add_argument(
         "--heartbeat-timeout",
         type=float,
         default=None,
@@ -342,14 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "info unless set)",
     )
     serve.add_argument(
-        "--engine",
-        choices=("auto", "vectorized", "legacy"),
-        default=None,
-        help="simulation engine for every admitted job (default: "
-        "REPRO_ENGINE or auto); fallbacks surface on the "
-        "service_engine_fallbacks_total metric",
-    )
-    serve.add_argument(
         "--lease-ttl",
         type=float,
         default=15.0,
@@ -424,12 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="run lease batches through a supervised worker pool of N "
         "processes (default: in-process sequential execution)",
-    )
-    worker.add_argument(
-        "--engine",
-        choices=("auto", "vectorized", "legacy"),
-        default=None,
-        help="simulation engine (default: REPRO_ENGINE or auto)",
     )
     worker.add_argument(
         "--chaos",
@@ -714,14 +692,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "upload (default: text)",
     )
     lint.add_argument(
-        "--engine",
-        choices=("auto", "vectorized", "legacy"),
-        default=None,
-        help="analysis engine: auto/vectorized columnar passes (with "
-        "per-pass legacy fallback) or the per-event reference "
-        "implementations; default: REPRO_ENGINE or auto",
-    )
-    lint.add_argument(
         "--baseline",
         metavar="FILE",
         default=None,
@@ -795,19 +765,18 @@ def _cmd_run(args) -> int:
     graph = _make_graph(args)
     plan = _parse_faults(args)
     system = GraphPimSystem(
-        config=SystemConfig(faults=plan),
-        num_threads=args.threads,
-        engine=args.engine,
+        config=SystemConfig(faults=plan), num_threads=args.threads
     )
     report = system.evaluate(
         args.workload, graph, **workload_params(args.workload)
     )
     print(report.summary())
-    engines = sorted({i.engine for i in report.engine_infos.values()})
-    fallbacks = report.engine_fallbacks
+    reasons = sorted(
+        {i.reason for i in report.engine_infos.values() if i.fallback}
+    )
     print(
-        f"  engine   : {'+'.join(engines)}"
-        + (f" ({fallbacks} mode(s) fell back)" if fallbacks else "")
+        f"  fallback : {report.engine_fallbacks} mode(s)"
+        + (f" ({'; '.join(reasons)})" if reasons else "")
     )
     if plan is not None:
         stats = report.results["GraphPIM"].hmc_stats
@@ -862,7 +831,6 @@ def _cmd_run_grid(args) -> int:
         resume=args.resume,
         log_level=log_level,
         log_json=args.log_json,
-        engine=args.engine,
         **extra,
     )
 
@@ -1032,7 +1000,6 @@ def _cmd_serve(args) -> int:
             strict=args.strict,
             lint_baseline=args.lint_baseline,
             cache_dir=_resolve_cache_dir(args),
-            engine=args.engine,
         ),
     )
 
@@ -1068,7 +1035,6 @@ def _cmd_worker(args) -> int:
         parallel=args.jobs is not None and args.jobs > 1,
         jobs=args.jobs,
         cache_dir=_resolve_cache_dir(args),
-        engine=args.engine,
         chaos=chaos,
     )
     worker = FleetWorker(
@@ -1497,12 +1463,7 @@ def _cmd_lint(args) -> int:
             passes.append("screening")
             screen = [ctor() for _, ctor in sorted(_MODE_CTORS.items())]
         manager = PassManager(passes)
-        results = manager.run(
-            trace,
-            config=config,
-            engine=args.engine,
-            screen_configs=screen,
-        )
+        results = manager.run(trace, config=config, screen_configs=screen)
         report = manager.merged_report(
             results, getattr(trace, "name", None) or "trace"
         )

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.common.engine import EngineInfo, EngineSelection
 from repro.common.errors import SimulationError
 from repro.graph.csr import CsrGraph
 from repro.sim.config import SystemConfig
 from repro.sim.system import (
     RESULT_SCHEMA_VERSION,
+    EngineInfo,
     SimResult,
     simulate_with_engine,
 )
@@ -36,9 +36,10 @@ class EvaluationReport:
     workload_code: str
     run: Optional[WorkloadRun] = None
     results: dict[str, SimResult] = field(default_factory=dict)
-    #: Which engine produced each mode's result (observability only —
-    #: results are bit-identical across engines, so this never enters
-    #: the serialized payload and is empty on rehydrated reports).
+    #: Whether each mode fell back from the kernel to the reference
+    #: (observability only — results are bit-identical either way, so
+    #: this never enters the serialized payload and is empty on
+    #: rehydrated reports).
     engine_infos: dict[str, EngineInfo] = field(default_factory=dict)
 
     @property
@@ -159,14 +160,6 @@ class GraphPimSystem:
         (:mod:`repro.analysis.baseline`).  When set, the strict
         pre-flight subtracts the frozen fingerprints before gating, so
         only new findings raise.
-    engine:
-        Simulation engine selection (``auto`` / ``vectorized`` /
-        ``legacy``, or an
-        :class:`~repro.common.engine.EngineSelection`); None resolves
-        the ambient default (``REPRO_ENGINE`` env, then auto).  Results
-        are bit-identical across engines; the per-mode engine that
-        actually ran is reported on
-        :attr:`EvaluationReport.engine_infos`.
     """
 
     def __init__(
@@ -175,13 +168,11 @@ class GraphPimSystem:
         num_threads: int = 16,
         strict: bool = False,
         lint_baseline: str | None = None,
-        engine: "EngineSelection | str | None" = None,
     ):
         self.config = config or SystemConfig()
         self.num_threads = num_threads
         self.strict = strict
         self.lint_baseline = lint_baseline
-        self.engine = EngineSelection.coerce(engine)
 
     def trace(self, workload_code: str, graph: CsrGraph, **params) -> WorkloadRun:
         """Phase 1: run the workload functionally and capture its trace."""
@@ -219,9 +210,7 @@ class GraphPimSystem:
             workload_code=run.workload.code, run=run
         )
         for config in configs:
-            result, info = simulate_with_engine(
-                run.trace, config, engine=self.engine
-            )
+            result, info = simulate_with_engine(run.trace, config)
             report.results[config.display_name] = result
             report.engine_infos[config.display_name] = info
         return report

@@ -381,7 +381,6 @@ class FleetWorker:
                 label: {
                     "payload": entry["payload"],
                     "cached": bool(entry.get("cached")),
-                    "engine": entry.get("engine"),
                     "fallback": bool(entry.get("fallback")),
                 }
                 for label, entry in modes.items()

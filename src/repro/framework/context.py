@@ -31,7 +31,6 @@ class FrameworkContext:
         self.address_space = AddressSpace()
         self.threads = [ThreadTrace(tid) for tid in range(num_threads)]
         self._barrier_counter = 0
-        self._meta_scratch: Allocation | None = None
         #: Figure 4 micro-benchmark mode: property tables created through
         #: :meth:`property_table` record plain load+store pairs instead
         #: of lock-prefixed atomics.
@@ -201,20 +200,3 @@ class FrameworkContext:
         trace = Trace(self.threads, name=self.name)
         trace.validate_barriers()
         return trace
-
-    # ------------------------------------------------------------------
-    # Metadata access shorthand
-    # ------------------------------------------------------------------
-
-    def meta_scratch_addr(self, tid: int) -> int:
-        """A per-thread metadata address for local-variable traffic."""
-        if self._meta_scratch is None:
-            self._meta_scratch = self.alloc_meta(
-                "thread.locals", self.num_threads * 8, 8
-            )
-        return self._meta_scratch.addr_of(tid * 8)
-
-    @staticmethod
-    def vertex_range(graph: CsrGraph) -> np.ndarray:
-        """Convenience: ``arange(num_vertices)`` for partitioning."""
-        return np.arange(graph.num_vertices)

@@ -176,19 +176,3 @@ class AddressSpace:
             if allocation.label == label:
                 return allocation
         raise AllocationError(f"no allocation labelled {label!r}")
-
-    def find_containing(self, addr: int) -> Allocation | None:
-        """The allocation covering ``addr``, or None for a wild address.
-
-        Bump allocation keeps ``_allocations`` base-sorted within each
-        region, so a linear scan is fine at the allocation counts the
-        workloads produce (tens of arrays, not thousands).
-        """
-        for allocation in self._allocations:
-            if allocation.contains(addr):
-                return allocation
-        return None
-
-    def pmr_allocations(self) -> tuple[Allocation, ...]:
-        """Allocations made through ``pmr_malloc`` (the PMR itself)."""
-        return tuple(a for a in self._allocations if a.in_pmr)

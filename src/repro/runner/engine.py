@@ -25,8 +25,8 @@ Resilience features ride on :class:`RunnerConfig`:
 
 - ``job_timeout_s`` — pool jobs that exceed their wall-clock budget are
   killed and retried with exponential backoff (``job_retries``,
-  ``backoff_base_s``, ``backoff_factor``); ``backoff_rng`` makes the
-  jitter injectable for tests.
+  ``backoff_base_s``); ``backoff_rng`` makes the jitter injectable for
+  tests.
 - ``allow_partial`` — failed jobs become structured
   :class:`~repro.runner.spec.JobFailure` records on the report and the
   grid returns the surviving outcomes instead of raising.
@@ -95,10 +95,7 @@ class SpecOutcome:
     trace_hash: str
     results: dict[str, SimResult] = field(default_factory=dict)
     cached: dict[str, bool] = field(default_factory=dict)
-    #: Per-mode engine that executed the simulation ("vectorized" /
-    #: "legacy"); None for modes served from the result cache.
-    engines: dict[str, Optional[str]] = field(default_factory=dict)
-    #: Per-mode vectorized-declined flag (False for cached modes).
+    #: Per-mode kernel-declined flag (False for cached modes).
     fallbacks: dict[str, bool] = field(default_factory=dict)
 
     def report(self) -> EvaluationReport:
@@ -160,11 +157,11 @@ def simulate_spec_modes(
     recorder, e.g. a streaming
     :class:`~repro.obs.timeline.SpanStream`) observes each simulated
     mode; an enabled recorder routes execution through the per-event
-    reference interpreter, whose results are bit-identical by the
-    engine-equivalence contract.  Cache keys fingerprint only (trace,
-    SystemConfig, salt), so a publisher/recorder-on run hits the exact
-    entries a bare run stored — cached modes simply emit no frames or
-    spans (nothing executes).
+    reference interpreter, whose results are bit-identical to the
+    kernel's.  Cache keys fingerprint only (trace, SystemConfig, salt),
+    so a publisher/recorder-on run hits the exact entries a bare run
+    stored — cached modes simply emit no frames or spans (nothing
+    executes).
     """
     from repro.sim.system import simulate_with_engine  # local: fork cost
 
@@ -183,7 +180,6 @@ def simulate_spec_modes(
                 SimResult.from_dict(payload)
             except ReproError:
                 payload = None
-        engine_name: Optional[str] = None
         fallback = False
         if payload is None:
             mode_pub = (
@@ -195,10 +191,9 @@ def simulate_spec_modes(
             )
             result, engine_info = simulate_with_engine(
                 run.trace, mode_config, recorder=recorder,
-                engine=config.engine, publisher=mode_pub,
+                publisher=mode_pub,
             )
             payload = result.to_dict()
-            engine_name = engine_info.engine
             fallback = engine_info.fallback
             if cache is not None:
                 cache.put(key, payload)
@@ -208,7 +203,6 @@ def simulate_spec_modes(
         modes[mode_config.display_name] = {
             "payload": payload,
             "cached": cached,
-            "engine": engine_name,
             "fallback": fallback,
         }
     return modes
@@ -226,11 +220,10 @@ def execute_spec(
 
         {"run": WorkloadRun, "trace_hash": str, "seconds": float,
          "modes": {label: {"payload": SimResult.to_dict(), "cached": bool,
-                           "engine": str | None, "fallback": bool}}}
+                           "fallback": bool}}}
 
-    ``engine`` names the implementation that produced a freshly
-    simulated mode (``None`` for cache hits, whose producing engine is
-    unknowable — and irrelevant, results being bit-identical).
+    ``fallback`` is set when the kernel declined a freshly simulated
+    mode and the reference interpreter ran it (never for cache hits).
     ``publisher`` streams live progress frames and ``recorder``
     observes timeline spans from simulated modes; both ride the
     execution only and never alter the payload.
@@ -656,7 +649,6 @@ class ExperimentRunner:
         for label, entry in payload["modes"].items():
             outcome.results[label] = SimResult.from_dict(entry["payload"])
             outcome.cached[label] = entry["cached"]
-            outcome.engines[label] = entry.get("engine")
             outcome.fallbacks[label] = entry.get("fallback", False)
             if entry["cached"]:
                 _log.debug(

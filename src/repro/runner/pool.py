@@ -165,8 +165,7 @@ def _worker_main(
         if config.progress_interval_events > 0:
             state["job_index"] = index
             state["publisher"] = BufferedPublisher(
-                interval=config.progress_interval_events,
-                max_frames=config.progress_buffer_frames,
+                interval=config.progress_interval_events
             )
         if stall is not None and state["jobs_done"] >= stall[0]:
             # Chaos: hang mid-job.  The whole worker goes silent, job
@@ -778,9 +777,7 @@ class SupervisedWorkerPool:
             return
         if job.backoff_rng is None:
             job.backoff_rng = self._backoff_rng(job.index)
-        cap = config.backoff_base_s * (
-            config.backoff_factor ** (job.timeouts - 1)
-        )
+        cap = config.backoff_base_s * 2 ** (job.timeouts - 1)
         delay = job.backoff_rng.uniform(0.0, cap)
         job.not_before = now + delay
         self._queue.appendleft(job)

@@ -69,10 +69,10 @@ class RunnerConfig:
         How many times a timed-out job is resubmitted before being
         recorded as failed.  Deterministic errors (bad spec, simulation
         errors) are never retried — rerunning them cannot help.
-    backoff_base_s / backoff_factor:
+    backoff_base_s:
         Full-jitter exponential backoff between retry attempts: the
         n-th retry waits a uniform draw from
-        ``[0, backoff_base_s * backoff_factor**(n-1)]``.
+        ``[0, backoff_base_s * 2**(n-1)]``.
     allow_partial:
         When True, a grid with failed jobs returns the surviving
         outcomes plus structured :class:`JobFailure` records instead of
@@ -89,14 +89,6 @@ class RunnerConfig:
         set.  Observability-only: neither field participates in cache
         identity — result keys fingerprint only (trace, SystemConfig,
         salt), so toggling logs can never churn the cache.
-    engine:
-        Simulation/analysis engine selection (``auto`` / ``vectorized``
-        / ``legacy``; see :class:`~repro.common.engine.EngineSelection`).
-        None resolves the ambient default (``REPRO_ENGINE`` env, then
-        auto).  Execution-strategy only: both engines are bit-identical
-        by contract, so the choice never participates in cache identity
-        or spec keys — flipping it can neither churn nor poison the
-        cache.
     heartbeat_interval_s / heartbeat_timeout_s:
         Supervised-pool liveness protocol: workers beat every
         ``heartbeat_interval_s``; a worker silent for longer than
@@ -112,7 +104,7 @@ class RunnerConfig:
         infrastructure faults (worker kills, heartbeat stalls, shm and
         cache corruption, journal tears) for resilience testing
         (``repro run --chaos``).  Execution-strategy only — like
-        ``engine``, never part of cache identity: a chaos grid must
+        ``jobs``, never part of cache identity: a chaos grid must
         produce bit-identical results or the supervision layer is
         broken.
     progress_interval_events:
@@ -120,13 +112,9 @@ class RunnerConfig:
         retired events (``repro run --progress``, the service's SSE
         feed).  0 (the default) disables publishing entirely — the sim
         loop then carries zero per-event progress work.  Observability
-        only: like ``log_level`` and ``engine``, progress settings
-        never enter cache identity or spec keys, and publisher-on runs
-        are bit-identical to publisher-off runs by contract.
-    progress_buffer_frames:
-        Bound on the per-job frame buffer pool workers piggyback onto
-        the heartbeat pipe; when full the oldest frame is dropped
-        (drop-oldest, counted, never blocking the simulation).
+        only: like ``log_level``, progress settings never enter cache
+        identity or spec keys, and publisher-on runs are bit-identical
+        to publisher-off runs by contract.
     """
 
     scale: Optional[str] = None
@@ -139,18 +127,15 @@ class RunnerConfig:
     job_timeout_s: Optional[float] = None
     job_retries: int = 0
     backoff_base_s: float = 0.5
-    backoff_factor: float = 2.0
     allow_partial: bool = False
     resume: bool = False
     log_level: Optional[str] = None
     log_json: bool = False
-    engine: Optional[str] = None
     heartbeat_interval_s: float = 1.0
     heartbeat_timeout_s: float = 30.0
     max_pool_restarts: int = 3
     chaos: Optional[ChaosPlan] = None
     progress_interval_events: int = 0
-    progress_buffer_frames: int = 32
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval_s <= 0:
@@ -165,8 +150,6 @@ class RunnerConfig:
             raise ConfigError("max_pool_restarts must be >= 0")
         if self.progress_interval_events < 0:
             raise ConfigError("progress_interval_events must be >= 0")
-        if self.progress_buffer_frames < 1:
-            raise ConfigError("progress_buffer_frames must be >= 1")
 
     def resolved_jobs(self) -> int:
         """Effective worker count (>= 1)."""

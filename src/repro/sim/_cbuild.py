@@ -37,10 +37,6 @@ _LIBS = ("-lm",)
 #: Signature of the draw-block refill callback (0 on success).
 REFILL_FN = ctypes.CFUNCTYPE(ctypes.c_int)
 
-#: Set to any non-empty value to skip the build and force the decline
-#: path (useful to exercise fallback behavior without uninstalling gcc).
-DISABLE_ENV = "REPRO_NO_CKERNEL"
-
 _lock = threading.Lock()
 _cached: Optional[tuple] = None
 
@@ -74,8 +70,6 @@ def _build_tag(source: bytes) -> str:
 
 
 def _load():
-    if os.environ.get(DISABLE_ENV):
-        return None, f"C kernel disabled via {DISABLE_ENV}"
     try:
         source = _SRC.read_bytes()
     except OSError as exc:

@@ -12,7 +12,6 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from repro.common.engine import EngineInfo, EngineSelection, resolve_engine
 from repro.common.errors import SimulationError
 from repro.dram.device import DdrDevice, DdrStats
 from repro.dram.memory_system import MemorySystem
@@ -248,9 +247,25 @@ class SimResult:
         return stats.candidate_llc_miss / stats.candidate_total
 
 
+@dataclass(frozen=True)
+class EngineInfo:
+    """Whether one simulation left the batch kernel for the reference.
+
+    The kernel declines some inputs (see
+    :func:`~repro.sim.vectorized.decline_reason`); those run on the
+    per-event reference interpreter instead, and this record is how
+    that per-input fallback is surfaced (runner epilogues, the
+    service's ``engine_fallbacks`` metric).
+    """
+
+    #: True when the kernel declined this input and the reference ran.
+    fallback: bool = False
+    #: Human-readable decline reason when ``fallback`` is set.
+    reason: str | None = None
+
+
 def simulate(
-    trace: Trace, config: SystemConfig, recorder=None, engine=None,
-    publisher=None,
+    trace: Trace, config: SystemConfig, recorder=None, publisher=None,
 ) -> SimResult:
     """Replay ``trace`` under ``config`` and return aggregate results.
 
@@ -264,63 +279,48 @@ def simulate(
     subclass) receives live :class:`~repro.obs.progress.ProgressSnapshot`
     frames while the simulation runs — every ``publisher.interval``
     retired events in the reference interpreter, at chunk boundaries in
-    the vectorized engine.  Like the recorder it only observes: results
+    the batch kernel.  Like the recorder it only observes: results
     are bit-identical with the publisher on or off, and the default
     ``None`` / :data:`~repro.obs.progress.NULL_PUBLISHER` path carries
     zero per-event work.
 
-    ``engine`` picks the implementation
-    (:class:`~repro.common.engine.EngineSelection` or its string form);
-    the default resolves via ``REPRO_ENGINE`` and falls back to
-    ``auto``.  Results are bit-identical across engines, so callers
-    that don't care which one ran can ignore the parameter entirely;
-    those that do care use :func:`simulate_with_engine`.
+    Results are bit-identical whichever implementation runs; callers
+    that need to know use :func:`simulate_with_engine`.
     """
     result, _info = simulate_with_engine(
-        trace, config, recorder=recorder, engine=engine,
-        publisher=publisher,
+        trace, config, recorder=recorder, publisher=publisher,
     )
     return result
 
 
 def simulate_with_engine(
-    trace: Trace, config: SystemConfig, recorder=None, engine=None,
-    publisher=None,
+    trace: Trace, config: SystemConfig, recorder=None, publisher=None,
 ) -> tuple[SimResult, EngineInfo]:
-    """Like :func:`simulate`, but also report which engine executed.
+    """Like :func:`simulate`, but also report whether the kernel ran.
 
-    Under ``auto``/``vectorized`` selection the batch kernel
-    (:mod:`repro.sim.vectorized`) runs whenever it can model the input,
-    fault plans included; inputs it declines (hybrid DDR, timeline
-    recording, more than 64 threads, FP offload with zero FP units,
-    non-columnar traces) fall back *per input* to the per-event
-    reference interpreter, reported as
-    ``EngineInfo(engine="legacy", fallback=True, reason=...)``.
+    The batch kernel (:mod:`repro.sim.vectorized`) runs whenever it can
+    model the input, fault plans included; inputs it declines (hybrid
+    DDR, timeline recording, more than 64 threads, FP offload with zero
+    FP units, no loadable kernel) fall back *per input* to
+    :func:`simulate_reference`, reported as
+    ``EngineInfo(fallback=True, reason=...)``.
     """
     from repro.sim.vectorized import try_simulate_vectorized
 
-    selection = resolve_engine(engine)
     num_threads = trace.num_threads
     if num_threads > config.num_cores:
         raise SimulationError(
             f"trace has {num_threads} threads but the system has only "
             f"{config.num_cores} cores"
         )
-    rec = recorder if recorder is not None and recorder.enabled else None
-    pub = publisher if publisher is not None and publisher.enabled else None
-    if selection.wants_vectorized:
-        result, reason = try_simulate_vectorized(
-            trace, config, rec, publisher=pub
-        )
-        if result is not None:
-            return result, EngineInfo(engine="vectorized")
-        return (
-            _simulate_reference(trace, config, rec, pub),
-            EngineInfo(engine="legacy", fallback=True, reason=reason),
-        )
+    result, reason = try_simulate_vectorized(
+        trace, config, recorder, publisher=publisher
+    )
+    if result is not None:
+        return result, EngineInfo()
     return (
-        _simulate_reference(trace, config, rec, pub),
-        EngineInfo(engine=str(EngineSelection.LEGACY)),
+        simulate_reference(trace, config, recorder, publisher),
+        EngineInfo(fallback=True, reason=reason),
     )
 
 
@@ -356,10 +356,19 @@ def _publish_frame(pub, phase, events_done, events_total, cores, start):
     )
 
 
-def _simulate_reference(
-    trace: Trace, config: SystemConfig, rec, pub=None
+def simulate_reference(
+    trace: Trace, config: SystemConfig, rec=None, pub=None
 ) -> SimResult:
-    """The per-event reference interpreter (the bit-identity oracle)."""
+    """The per-event reference interpreter: the bit-identity oracle.
+
+    The batch kernel must reproduce its ``SimResult.to_dict()`` byte
+    for byte (or raise the same ``SimulationError``).  Tests,
+    benchmarks and CI call it directly; production reaches it only
+    through :func:`simulate_with_engine`, for inputs the kernel
+    declines.
+    """
+    rec = rec if rec is not None and rec.enabled else None
+    pub = pub if pub is not None and pub.enabled else None
     num_threads = trace.num_threads
     if rec is not None:
         # All component clocks are host-core cycles; export converts to

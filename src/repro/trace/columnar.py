@@ -282,22 +282,6 @@ class ColumnarTrace:
             out[rows] = closed - is_barrier
         return out
 
-    def lines(self) -> np.ndarray:
-        """64-byte cache-line index of every event's address."""
-        return self.addr >> 6
-
-    def vault_ids(self, num_vaults: int) -> np.ndarray:
-        """HMC vault of every event (low line bits, the device mapping)."""
-        return (self.addr >> 6) % num_vaults
-
-    def bank_ids(self, banks_per_vault: int) -> np.ndarray:
-        """DRAM bank within the vault of every event."""
-        return (self.addr >> 11) % banks_per_vault
-
-    def region_ids(self, region_shift: int) -> np.ndarray:
-        """Memory-layout region index (:mod:`repro.memlayout.regions`)."""
-        return self.addr >> region_shift
-
     def barrier_sequences(self) -> list[np.ndarray]:
         """Per-thread barrier id arrays, in thread order."""
         sequences = []

@@ -30,11 +30,6 @@ class TraceStats:
     atomic_ops: Counter = field(default_factory=Counter)
 
     @property
-    def memory_accesses(self) -> int:
-        """Loads + stores + atomics."""
-        return self.loads + self.stores + self.atomics
-
-    @property
     def atomic_fraction(self) -> float:
         """Atomics as a fraction of all instructions (model's r_atomic)."""
         if self.total_instructions == 0:

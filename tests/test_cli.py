@@ -22,6 +22,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "GraphPIM" in out
         assert "speedup" in out
+        assert "fallback : 0 mode(s)" in out
+
+    def test_run_epilogue_names_fallback_reasons(self, capsys, monkeypatch):
+        from repro.sim import _cbuild
+
+        monkeypatch.setattr(_cbuild, "_cached", (None, "no C compiler"))
+        assert main(
+            ["run", "BFS", "--vertices", "200", "--threads", "4"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert (
+            "fallback : 3 mode(s) (C batch kernel unavailable: no C compiler)"
+            in out
+        )
 
     def test_run_unknown_workload_exits_nonzero(self, capsys):
         assert main(["run", "NOPE"]) == 2

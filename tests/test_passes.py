@@ -5,7 +5,7 @@ finding-for-finding identical to the PR 1 per-event analyzers — same
 rules, same messages, same ordering, same caps.  These tests enforce
 that over the full standard workload grid, over hypothesis-generated
 traces, and over hand-built adversarial cases (locks, chaotic reads,
-cap overflow), plus the engine-selection and fallback machinery.
+cap overflow), plus the per-pass fallback machinery.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.engine import ENGINE_ENV
 from repro.common.errors import ConfigError
 from repro.core.presets import workload_params
 from repro.memlayout.allocator import AddressSpace
@@ -28,9 +27,9 @@ from repro.analysis.race import MAX_RACE_FINDINGS, detect_races
 from repro.analysis.trace_lint import MAX_FINDINGS_PER_RULE, lint_trace
 from repro.analysis.passes import (
     AnalysisPass,
+    PassContext,
     PassManager,
     all_passes,
-    default_engine,
     detect_races_columnar,
     get_pass,
     lint_columnar,
@@ -354,8 +353,19 @@ def test_malformed_tuples_fall_back_whole_pipeline():
 
 
 # ---------------------------------------------------------------------------
-# Engine selection and registry
+# Merged order against the oracles, and the registry
 # ---------------------------------------------------------------------------
+
+def _legacy_results(manager, run):
+    """Each pass's per-event oracle over ``run``, keyed like
+    :meth:`PassManager.run`'s results."""
+    ctx = PassContext(
+        config=SystemConfig.graphpim(),
+        trace=run.trace,
+        address_space=run.address_space,
+    )
+    return {pass_.name: pass_.run_legacy(ctx) for pass_ in manager.passes}
+
 
 def test_engine_selection_and_merged_order(small_graph):
     run = get_workload("DC").run(
@@ -363,31 +373,13 @@ def test_engine_selection_and_merged_order(small_graph):
     )
     manager = PassManager(["lint", "race"])
     fast = manager.run(run.trace, address_space=run.address_space)
-    slow = manager.run(
-        run.trace, address_space=run.address_space, engine="legacy"
-    )
+    slow = _legacy_results(manager, run)
     assert {r.engine for r in fast.values()} == {"vectorized"}
     assert {r.engine for r in slow.values()} == {"legacy"}
     assert_reports_equal(
         manager.merged_report(slow, "DC"),
         manager.merged_report(fast, "DC"),
     )
-    with pytest.raises(ConfigError, match="unknown engine"):
-        manager.run(run.trace, engine="warp-speed")
-    # "auto" is the unified vocabulary's name for the same execution.
-    auto = manager.run(
-        run.trace, address_space=run.address_space, engine="auto"
-    )
-    assert {r.engine for r in auto.values()} == {"vectorized"}
-
-
-def test_env_engine_override(monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV, "legacy")
-    assert default_engine() == "legacy"
-    monkeypatch.setenv(ENGINE_ENV, "nonsense")
-    assert default_engine() == "vectorized"
-    monkeypatch.delenv(ENGINE_ENV)
-    assert default_engine() == "vectorized"
 
 
 def test_registry():
@@ -408,9 +400,9 @@ def test_analyze_run_engines_agree(small_graph):
     run = get_workload("CComp").run(
         small_graph, num_threads=4, **workload_params("CComp")
     )
-    assert_reports_equal(
-        analyze_run(run, engine="legacy"), analyze_run(run)
-    )
+    manager = PassManager(["lint", "race"])
+    legacy = manager.merged_report(_legacy_results(manager, run), "CComp")
+    assert_reports_equal(legacy, analyze_run(run))
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +471,14 @@ def test_screening_pass_modes(small_graph):
     assert gp_nofp["pim001_exposed"] == screen["pmr_atomics"]
 
 
-def test_profile_passes_skipped_under_legacy_engine(small_graph):
-    run = _pmr_run(small_graph)
+def test_profile_passes_skipped_under_legacy_engine():
+    # Vectorized-only passes have no oracle to fall back to on a trace
+    # the columnar form cannot encode.
+    thread = ThreadTrace(0)
+    thread.events.append((99, 1, 2, 3))  # unknown kind: not encodable
+    trace = Trace([thread], name="bad")
     results = PassManager(["profile", "offload", "screening"]).run(
-        run.trace, SystemConfig.graphpim(), engine="legacy"
+        trace, SystemConfig.graphpim()
     )
     assert {r.engine for r in results.values()} == {"skipped"}
     assert all(not r.data for r in results.values())

@@ -344,7 +344,6 @@ TIMEOUT_KW = dict(
     heartbeat_interval_s=0.05,
     job_timeout_s=0.25,
     backoff_base_s=0.05,
-    backoff_factor=2.0,
     max_pool_restarts=8,
 )
 
@@ -365,7 +364,7 @@ class TestRunnerResilience:
         assert all(job.status == "failed" for job in report.jobs)
         assert not report.fell_back
         # Full-jitter exponential backoff between attempts, per job: the
-        # n-th retry waits a uniform draw from [0, base * factor**(n-1)],
+        # n-th retry waits a uniform draw from [0, base * 2**(n-1)],
         # from a stream seeded by the spec key — so a rerun of the same
         # grid draws the same delays (reproducible retry schedules).
         keys = [spec_key(spec) for spec in SLOW_SPECS]

@@ -10,7 +10,7 @@ from repro.core.presets import workload_params
 from repro.memlayout.regions import REGION_SHIFT, Region
 from repro.sim.config import SystemConfig
 from repro.trace.events import AtomicOp
-from repro.trace.io import save_trace
+from repro.trace.io import load_trace, save_trace
 from repro.trace.stream import ThreadTrace, Trace
 from repro.workloads.registry import get_workload
 from repro.analysis import (
@@ -21,9 +21,12 @@ from repro.analysis import (
     apply_baseline,
     baseline_identity,
     clear_preflight_cache,
+    detect_races,
+    lint_trace,
     load_baseline,
     make_finding,
     preflight_run,
+    render_json,
     write_baseline,
 )
 from repro.analysis.sarif import (
@@ -317,15 +320,18 @@ class TestLintCli:
         assert "Traceback" not in err
 
     def test_engine_flag_equivalence(self, tmp_path, capsys):
+        """``repro lint`` reports what the per-event oracles report."""
         trace_file = str(tmp_path / "fp.npz")
         _write_failing_trace(trace_file)
-        assert main(["lint", trace_file, "--json"]) == 0
+        assert main(["lint", trace_file, "--no-fp-ext", "--json"]) == 1
         fast = json.loads(capsys.readouterr().out)
-        assert main(
-            ["lint", trace_file, "--json", "--engine", "legacy"]
-        ) == 0
-        slow = json.loads(capsys.readouterr().out)
-        assert fast == slow
+        assert fast["findings"]
+        trace = load_trace(trace_file, validate=False)
+        config = SystemConfig.graphpim(fp_extension=False)
+        slow = AnalysisReport(subject="fp")
+        slow.findings += lint_trace(trace, config).findings
+        slow.findings += detect_races(trace).findings
+        assert fast == json.loads(render_json(slow))
 
     def test_profile_and_screen_sections(self, tmp_path, capsys):
         trace_file = str(tmp_path / "fp.npz")

@@ -51,7 +51,7 @@ from repro.service import (
 )
 from repro.service.client import ServiceClient
 from repro.sim.config import SystemConfig
-from repro.sim.system import simulate
+from repro.sim.system import simulate, simulate_reference
 from repro.workloads.registry import get_workload
 
 TRIO = tuple(SystemConfig().evaluation_trio())
@@ -150,16 +150,20 @@ class TestSimulatePublishing:
         graph = ldbc_like_graph(400, seed=3)
         return get_workload("BFS").run(graph, num_threads=4).trace
 
-    @pytest.mark.parametrize("engine", ["legacy", "auto"])
-    def test_bit_identical_and_frames_monotonic(self, bfs_trace, engine):
+    @pytest.mark.parametrize(
+        "sim",
+        [pytest.param(simulate_reference, id="legacy"),
+         pytest.param(simulate, id="auto")],
+    )
+    def test_bit_identical_and_frames_monotonic(self, bfs_trace, sim):
         config = SystemConfig.graphpim()
-        plain = simulate(bfs_trace, config, engine=engine)
+        plain = sim(bfs_trace, config)
         frames = []
-        published = simulate(
+        published = sim(
             bfs_trace,
             config,
-            engine=engine,
-            publisher=CallbackPublisher(frames.append, interval=100),
+            None,
+            CallbackPublisher(frames.append, interval=100),
         )
         assert plain.to_dict() == published.to_dict()
         assert frames, "an enabled publisher emitted no frames"
@@ -175,7 +179,6 @@ class TestSimulatePublishing:
         result = simulate(
             bfs_trace,
             SystemConfig.graphpim(),
-            engine="vectorized",
             publisher=CallbackPublisher(frames.append, interval=100),
         )
         assert [snap.phase for snap in frames] == ["precompute", "kernel"]
@@ -185,10 +188,8 @@ class TestSimulatePublishing:
 
     def test_null_publisher_matches_no_publisher(self, bfs_trace):
         config = SystemConfig.graphpim()
-        plain = simulate(bfs_trace, config, engine="legacy")
-        nulled = simulate(
-            bfs_trace, config, engine="legacy", publisher=NULL_PUBLISHER
-        )
+        plain = simulate_reference(bfs_trace, config)
+        nulled = simulate_reference(bfs_trace, config, pub=NULL_PUBLISHER)
         assert plain.to_dict() == nulled.to_dict()
 
 

@@ -1,12 +1,12 @@
 """Bit-identity and fallback tests for the batch simulation kernel.
 
-The vectorized engine (:mod:`repro.sim.vectorized`) must reproduce the
-per-event reference interpreter's ``SimResult.to_dict()`` byte for
-byte, fault plans included (or raise the same ``SimulationError``);
-the engine dispatcher must fall back per input when the kernel
-declines, and every layer above (facade, runner, service payloads)
-must count those fallbacks without letting the engine choice leak into
-cache identity.
+The batch kernel (:mod:`repro.sim.vectorized`) must reproduce the
+per-event reference interpreter's (:func:`simulate_reference`)
+``SimResult.to_dict()`` byte for byte, fault plans included (or raise
+the same ``SimulationError``); the dispatcher must fall back per input
+when the kernel declines, and every layer above (facade, runner,
+service payloads) must count those fallbacks without letting them leak
+into cache identity.
 """
 
 import json
@@ -15,12 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.engine import (
-    EngineInfo,
-    EngineSelection,
-    resolve_engine,
-)
-from repro.common.errors import ConfigError, SimulationError
+from repro.analysis.passes import PassManager
+from repro.common.errors import SimulationError
 from repro.core.api import GraphPimSystem
 from repro.core.presets import workload_params
 from repro.dram.device import DdrConfig
@@ -36,7 +32,11 @@ from repro.runner import (
 )
 from repro.sim.cache import CacheConfig
 from repro.sim.config import SystemConfig
-from repro.sim.system import simulate, simulate_with_engine
+from repro.sim.system import (
+    EngineInfo,
+    simulate_reference,
+    simulate_with_engine,
+)
 from repro.sim.vectorized import decline_reason, try_simulate_vectorized
 from repro.trace.events import AtomicOp
 from repro.trace.stream import ThreadTrace, Trace
@@ -103,15 +103,14 @@ def build_trace(thread_specs) -> Trace:
 
 
 def assert_bit_identical(trace: Trace, config: SystemConfig) -> None:
-    """Vectorized and reference runs serialize byte-for-byte equal."""
-    legacy, info_l = simulate_with_engine(trace, config, engine="legacy")
-    auto, info_a = simulate_with_engine(trace, config, engine="auto")
-    assert info_l.engine == "legacy" and not info_l.fallback
-    blob_l = json.dumps(legacy.to_dict(), sort_keys=True)
+    """Dispatched and reference runs serialize byte-for-byte equal."""
+    reference = simulate_reference(trace, config)
+    auto, info = simulate_with_engine(trace, config)
+    blob_r = json.dumps(reference.to_dict(), sort_keys=True)
     blob_a = json.dumps(auto.to_dict(), sort_keys=True)
-    assert blob_l == blob_a, (
+    assert blob_r == blob_a, (
         f"engine mismatch under {config.display_name} "
-        f"(ran {info_a.engine}, fallback={info_a.fallback})"
+        f"(fallback={info.fallback})"
     )
 
 
@@ -137,14 +136,14 @@ def assert_engines_agree(trace: Trace, config: SystemConfig) -> None:
     reference end the same way: equal bytes or the same error text."""
 
     def kernel():
-        # simulate_with_engine reports engine="vectorized" exactly when
-        # this returns a result; a raise here is the kernel's own.
+        # simulate_with_engine reports no fallback exactly when this
+        # returns a result; a raise here is the kernel's own.
         result, reason = try_simulate_vectorized(trace, config)
         assert reason is None, f"kernel declined: {reason}"
         return result
 
     def reference():
-        return simulate_with_engine(trace, config, engine="legacy")[0]
+        return simulate_reference(trace, config)
 
     assert _outcome(kernel) == _outcome(reference), (
         f"engine mismatch under {config.display_name} "
@@ -181,7 +180,7 @@ def test_retry_budget_exhaustion_raises_the_same_error_on_both_engines(
         with pytest.raises(SimulationError, match="retry budget") as kernel:
             try_simulate_vectorized(trace, config)
         with pytest.raises(SimulationError) as reference:
-            simulate_with_engine(trace, config, engine="legacy")
+            simulate_reference(trace, config)
         assert str(kernel.value) == str(reference.value)
         assert str(kernel.value).startswith(f"{what} at ")
 
@@ -245,18 +244,22 @@ def test_hybrid_ddr_declines_and_falls_back():
     config = SystemConfig.graphpim(**_HYBRID)
     result, reason = try_simulate_vectorized(trace, config)
     assert result is None and "DDR" in reason
-    _result, info = simulate_with_engine(trace, config, engine="auto")
-    assert info == EngineInfo(
-        engine="legacy", fallback=True, reason=reason
-    )
+    _result, info = simulate_with_engine(trace, config)
+    assert info == EngineInfo(fallback=True, reason=reason)
 
 
-def test_legacy_selection_is_not_a_fallback():
-    _result, info = simulate_with_engine(
-        _tiny_trace(), SystemConfig.baseline(), engine="legacy"
+def test_engine_env_vars_are_ignored(monkeypatch):
+    # The input alone picks kernel or reference: the environment
+    # variables that once forced the reference no longer do.
+    monkeypatch.setenv("REPRO_ENGINE", "legacy")
+    monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+    trace = _tiny_trace()
+    _result, info = simulate_with_engine(trace, SystemConfig.baseline())
+    assert info == EngineInfo()
+    results = PassManager(["lint", "race"]).run(
+        trace, SystemConfig.graphpim()
     )
-    assert info.engine == "legacy"
-    assert not info.fallback and info.reason is None
+    assert {r.engine for r in results.values()} == {"vectorized"}
 
 
 def test_decline_reasons():
@@ -315,16 +318,18 @@ def test_whole_trace_checks_run_once_per_trace(monkeypatch):
 
 
 def test_kernel_disable_env_declines(monkeypatch):
+    """An environment with no loadable kernel (no compiler, a failed
+    build) declines every input to the reference."""
     from repro.sim import _cbuild
 
-    monkeypatch.setenv(_cbuild.DISABLE_ENV, "1")
-    monkeypatch.setattr(_cbuild, "_cached", None)
-    trace = _tiny_trace()
-    result, info = simulate_with_engine(
-        trace, SystemConfig.baseline(), engine="auto"
+    monkeypatch.setattr(
+        _cbuild, "_cached", (None, "no C compiler (cc/gcc/clang) on PATH")
     )
+    trace = _tiny_trace()
+    result, info = simulate_with_engine(trace, SystemConfig.baseline())
     assert info.fallback and "unavailable" in info.reason
-    reference = simulate(trace, SystemConfig.baseline(), engine="legacy")
+    assert "no C compiler" in info.reason
+    reference = simulate_reference(trace, SystemConfig.baseline())
     assert result.to_dict() == reference.to_dict()
 
 
@@ -338,29 +343,8 @@ def test_kernel_build_tag_covers_flags(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Engine selection surface
+# Public surface
 # ----------------------------------------------------------------------
-
-
-def test_engine_selection_coerce():
-    assert EngineSelection.coerce(None) is None
-    assert EngineSelection.coerce("AUTO") is EngineSelection.AUTO
-    assert (
-        EngineSelection.coerce(EngineSelection.LEGACY)
-        is EngineSelection.LEGACY
-    )
-    with pytest.raises(ConfigError, match="unknown engine"):
-        EngineSelection.coerce("warp-speed")
-
-
-def test_resolve_engine_env_priority(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert resolve_engine(None) is EngineSelection.AUTO
-    monkeypatch.setenv("REPRO_ENGINE", "legacy")
-    assert resolve_engine(None) is EngineSelection.LEGACY
-    assert resolve_engine("vectorized") is EngineSelection.VECTORIZED
-    monkeypatch.setenv("REPRO_ENGINE", "nonsense")
-    assert resolve_engine(None) is EngineSelection.AUTO
 
 
 def test_facade_exports():
@@ -368,7 +352,6 @@ def test_facade_exports():
 
     for name in (
         "EngineInfo",
-        "EngineSelection",
         "ExperimentSpec",
         "FaultPlan",
         "GraphPimSystem",
@@ -387,12 +370,10 @@ def test_facade_exports():
 
 def test_report_counts_fallbacks():
     graph = ldbc_like_graph(200, seed=7)
-    system = GraphPimSystem(
-        config=SystemConfig(**_HYBRID), num_threads=4, engine="auto"
-    )
+    system = GraphPimSystem(config=SystemConfig(**_HYBRID), num_threads=4)
     report = system.evaluate("BFS", graph, **workload_params("BFS"))
     assert report.engine_fallbacks == len(report.results)
-    clean = GraphPimSystem(num_threads=4, engine="auto")
+    clean = GraphPimSystem(num_threads=4)
     assert (
         clean.evaluate(
             "BFS", graph, **workload_params("BFS")
@@ -416,29 +397,24 @@ def test_execute_spec_payload_reports_engines():
         _hybrid_spec(), RunnerConfig(scale="tiny", cache_dir=None)
     )
     for entry in payload["modes"].values():
-        assert entry["engine"] == "legacy"
         assert entry["fallback"] is True
 
 
 def test_runner_counts_fallbacks_and_cache_ignores_engine(tmp_path):
-    cache_dir = str(tmp_path / "cache")
     config = RunnerConfig(
-        scale="tiny", cache_dir=cache_dir, parallel=False, engine="auto"
+        scale="tiny", cache_dir=str(tmp_path / "cache"), parallel=False
     )
     spec = _hybrid_spec()
     outcomes, report = ExperimentRunner(config).run([spec])
     assert report.engine_fallbacks == 2
     assert "engine fallback(s)" in report.summary_line()
     assert outcomes[0].fallbacks == {"Baseline": True, "GraphPIM": True}
-    # A different engine selection hits the same cache entries: the
-    # engine is an execution strategy, never part of result identity.
-    legacy_config = RunnerConfig(
-        scale="tiny", cache_dir=cache_dir, parallel=False, engine="legacy"
-    )
-    outcomes2, report2 = ExperimentRunner(legacy_config).run([spec])
+    # The reference's results land under the same cache keys a kernel
+    # run would use: a second run is all hits and counts no fallback.
+    outcomes2, report2 = ExperimentRunner(config).run([spec])
     assert report2.cache_hits == 2 and report2.simulations == 0
     assert report2.engine_fallbacks == 0
-    assert outcomes2[0].engines == {"Baseline": None, "GraphPIM": None}
+    assert outcomes2[0].fallbacks == {"Baseline": False, "GraphPIM": False}
     for label, result in outcomes[0].results.items():
         assert (
             result.to_dict() == outcomes2[0].results[label].to_dict()
