@@ -42,7 +42,7 @@ from repro.workloads.registry import get_workload
 
 #: Required per-mode-summed speedup of the batch kernel over the
 #: reference interpreter on the largest standard trace.  The acceptance
-#: floor is 5x; measured headroom is ~4x above it (BENCH_kernel.json).
+#: floor is 5x; the recorded speedup is ~15x above it (BENCH_kernel.json).
 MIN_SPEEDUP = 5.0
 
 #: Best-of-N rounds per engine and mode.

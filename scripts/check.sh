@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: style lint, type check, tier-1 tests, trace-lint (text +
-# SARIF + baseline gating), analysis-engine benchmark smoke,
+# CI gate: style lint, type check, a warnings-as-errors build of the C
+# kernel, tier-1 tests, trace-lint (text + SARIF + baseline gating),
+# analysis-engine benchmark smoke,
 # simulation-kernel equivalence (kernel grid against the reference,
 # diffed JSON),
 # fault-injection smoke runs, a chaos smoke (kill a worker mid-grid,
@@ -55,6 +56,15 @@ elif [ -n "$require_lint" ]; then
 else
     echo "mypy not installed; skipping (pip install mypy)"
 fi
+
+step "C kernel (compile with warnings as errors)"
+# The runtime build (repro.sim._cbuild) uses the same flags minus the
+# warnings; a helper the time loop stops calling fails here.
+kernel_dir="$(mktemp -d)"
+run_or_fail "${CC:-cc}" -O2 -ffp-contract=off -fPIC -shared \
+    -Wall -Wextra -Werror -o "$kernel_dir/kernel.so" \
+    src/repro/sim/_kernel.c -lm
+rm -rf "$kernel_dir"
 
 step "pytest (tier-1 tests)"
 # A hung test (e.g. a wedged worker pool) should fail CI, not stall it:

@@ -48,7 +48,7 @@ from repro.common.errors import ReproError
 from repro.core.api import GraphPimSystem
 from repro.core.presets import workload_params
 from repro.graph.generators import ldbc_like_graph
-from repro.sim.config import Mode, SystemConfig
+from repro.sim.config import SystemConfig
 from repro.sim.system import simulate
 from repro.trace.io import load_trace, save_trace
 from repro.workloads.registry import all_workloads, get_workload

@@ -281,7 +281,8 @@ class Trace:
     def columnar(self):
         """Memoized columnar (SoA) form of this trace.
 
-        Built once per trace object by
+        Built once per trace object (again after
+        :meth:`release_columnar`) by
         :meth:`~repro.trace.columnar.ColumnarTrace.from_events`, which
         concatenates the threads' rows (strictly encoding any thread
         that keeps tuples), and shared by every consumer: the strict
@@ -299,6 +300,14 @@ class Trace:
             cached = ColumnarTrace.from_events(self)
             self.__dict__["_columnar"] = cached
         return cached
+
+    def release_columnar(self) -> None:
+        """Drop the :meth:`columnar` memo, a second copy of every event.
+
+        For callers done analysing and simulating the trace; a later
+        :meth:`columnar` call builds the memo again.
+        """
+        self.__dict__.pop("_columnar", None)
 
     def __getstate__(self) -> dict:
         # Keep pickle IPC (pool workers) lean: the columnar memo is

@@ -6,6 +6,7 @@ event cannot be held as a row exactly.  Every observable of a trace must
 be the same whichever storage holds it.
 """
 
+import json
 import pickle
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.memlayout.regions import REGION_SHIFT, Region
 from repro.runner import RunnerConfig, execute_spec
 from repro.runner.engine import evaluation_grid_specs
 from repro.runner.shm import attach_trace, publish_trace, unlink_segment
+from repro.sim.system import simulate
 from repro.trace import columnar as columnar_mod
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import EV_ATOMIC, EV_BARRIER, EV_LOAD, EV_STORE, AtomicOp
@@ -276,3 +278,21 @@ def test_strict_job_derives_columns_once(monkeypatch):
     )
     assert len(payload["modes"]) == 3
     assert calls == {"from_events": 1, "encode_events": 0}
+
+
+def test_finished_job_releases_the_columnar_memo():
+    """A finished job drops its trace's columnar memo, the second copy
+    of every event; simulating the trace again rebuilds it and gives
+    the job's bytes."""
+    spec = next(
+        s for s in evaluation_grid_specs("tiny") if s.workload == "BFS"
+    )
+    payload = execute_spec(
+        spec, RunnerConfig(parallel=False, cache_dir=None, strict=True)
+    )
+    trace = payload["run"].trace
+    assert "_columnar" not in trace.__dict__
+    for mode in spec.modes:
+        again = json.dumps(simulate(trace, mode).to_dict(), sort_keys=True)
+        done = payload["modes"][mode.display_name]["payload"]
+        assert again == json.dumps(done, sort_keys=True)
