@@ -117,9 +117,10 @@ def _atomic_luts() -> np.ndarray:
 _LUTS = _atomic_luts()
 
 
-class _KernelResourceError(Exception):
-    """Internal: the C kernel could not allocate its working state or
-    refill its fault draws.
+class _KernelDeclined(Exception):
+    """Internal: the C kernel stopped without a result.  It could not
+    allocate its working state or refill its fault draws, or a clock
+    left the finite range its scheduler can order.
 
     Caught by :func:`try_simulate_vectorized` and converted into a
     decline — nothing observable has happened yet (the reference builds
@@ -225,7 +226,7 @@ def try_simulate_vectorized(
     pub = publisher if publisher is not None and publisher.enabled else None
     try:
         return _simulate_columnar(col, config, pub), None
-    except _KernelResourceError as exc:
+    except _KernelDeclined as exc:
         return None, str(exc)
 
 
@@ -449,9 +450,11 @@ def _simulate_columnar(col, config: SystemConfig, pub=None):
             what, int(col.addr[index]), attempts, config.faults.retry_budget
         )
     if rc == 5:
-        raise _KernelResourceError("fault draw stream could not be refilled")
+        raise _KernelDeclined("fault draw stream could not be refilled")
+    if rc == 6:
+        raise _KernelDeclined("a simulated clock is not finite")
     if rc != 0:
-        raise _KernelResourceError(
+        raise _KernelDeclined(
             f"C kernel could not allocate working state (rc={rc})"
         )
 
