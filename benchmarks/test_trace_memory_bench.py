@@ -1,0 +1,85 @@
+"""Trace memory: bytes each Figure 7 trace holds per event once frozen.
+
+Runs each Figure 7 spec of the scale's evaluation grid as a strict job
+(pre-flight plus the three modes, no result cache) and records, per
+trace, the bytes its narrow columns hold per event
+(:attr:`ColumnarTrace.nbytes` over the event count).  After the job the
+columns are the trace's only copy: no thread keeps a capture buffer.
+The figure is a count, not a timing, so it repeats exactly and the
+guard needs no slack: at most :data:`MAX_BYTES_PER_EVENT` for every
+trace, and no more than the committed record at the recorded scale.
+
+Regenerate the committed record with::
+
+    REPRO_WRITE_BENCH=1 python -m pytest benchmarks/test_trace_memory_bench.py
+"""
+
+import json
+import os
+from pathlib import Path
+
+from repro.analysis import clear_preflight_cache
+from repro.core.presets import resolve_scale
+from repro.runner import RunnerConfig, evaluation_grid_specs, execute_spec
+
+#: Ceiling on the bytes a frozen trace holds per event (the int64 row
+#: it replaces is 48 B).
+MAX_BYTES_PER_EVENT = 16.0
+
+_COLUMNS = ("kind", "addr", "size", "gap", "op", "ret")
+
+_BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_memory.json"
+
+
+def test_trace_memory_per_event():
+    scale = resolve_scale()
+    clear_preflight_cache()
+    config = RunnerConfig(parallel=False, cache_dir=None, strict=True)
+    record = {"scale": scale, "num_threads": 16}
+    events_total = 0
+    bytes_total = 0
+    for spec in evaluation_grid_specs(scale):
+        trace = execute_spec(spec, config)["run"].trace
+        assert all(thread.frozen for thread in trace.threads), (
+            f"{spec.workload}: a thread kept its capture buffer"
+        )
+        col = trace.columnar()
+        events_total += col.num_events
+        bytes_total += col.nbytes
+        record[spec.workload] = {
+            "events": col.num_events,
+            "bytes": col.nbytes,
+            "bytes_per_event": round(col.nbytes / col.num_events, 3),
+            "types": {c: getattr(col, c).dtype.name for c in _COLUMNS},
+        }
+    record["combined"] = {
+        "events": events_total,
+        "bytes": bytes_total,
+        "bytes_per_event": round(bytes_total / events_total, 3),
+    }
+
+    print()
+    for code, rec in record.items():
+        if isinstance(rec, dict) and "bytes_per_event" in rec:
+            print(
+                f"  {code:8s}: {rec['events']:>9,} events  "
+                f"{rec['bytes_per_event']:6.3f} B/event"
+            )
+    if os.environ.get("REPRO_WRITE_BENCH"):
+        _BENCH_FILE.write_text(json.dumps(record, indent=2) + "\n")
+        print(f"  wrote {_BENCH_FILE.name}")
+
+    for code, rec in record.items():
+        if isinstance(rec, dict) and "bytes_per_event" in rec:
+            assert rec["bytes_per_event"] <= MAX_BYTES_PER_EVENT, (
+                f"{code}: {rec['bytes_per_event']} B per event "
+                f"(ceiling {MAX_BYTES_PER_EVENT})"
+            )
+    if _BENCH_FILE.exists():
+        committed = json.loads(_BENCH_FILE.read_text())
+        if committed.get("scale") == scale:
+            for code, rec in record.items():
+                if isinstance(rec, dict) and "bytes_per_event" in rec:
+                    assert rec["bytes_per_event"] <= (
+                        committed[code]["bytes_per_event"]
+                    ), f"{code}: more bytes per event than recorded"

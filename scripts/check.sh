@@ -149,6 +149,13 @@ step "trace capture benchmark (tiny-scale equivalence smoke)"
 run_or_fail env REPRO_SCALE=tiny python -m pytest -q \
     benchmarks/test_capture_bench.py
 
+step "trace memory benchmark (tiny-scale bytes-per-event guard)"
+# The record lives in BENCH_memory.json (small scale); here every Fig. 7
+# trace of a tiny strict grid must hold at most 16 B per event once its
+# job is done.  The figure is a byte count, so it needs no RSS reading.
+run_or_fail env REPRO_SCALE=tiny python -m pytest -q \
+    benchmarks/test_trace_memory_bench.py
+
 step "simulation engines (kernel grid against the reference, diff the JSON)"
 # The batch kernel must produce byte-identical reports to the per-event
 # reference (simulate_reference) through the whole grid path, not just

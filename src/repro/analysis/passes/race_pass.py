@@ -194,7 +194,9 @@ def detect_races_columnar(
     if num_threads < 2:
         return report
 
-    kind, addr, size = col.kind, col.addr, col.size
+    kind, size = col.kind, col.size
+    # Bucket and key arithmetic needs int64 whatever the column widths.
+    addr = col.addr.astype(np.int64, copy=False)
     well = (kind != EV_BARRIER) & (addr >= 0) & (size > 0)
     stores = np.flatnonzero(well & (kind == EV_STORE))
     if stores.size == 0:

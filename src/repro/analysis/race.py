@@ -62,7 +62,7 @@ class _Access:
 def _split_epochs(thread) -> list[list[tuple[int, tuple]]]:
     """Split one thread's events into per-epoch ``(index, event)`` lists."""
     epochs: list[list[tuple[int, tuple]]] = [[]]
-    for index, event in enumerate(thread.events):
+    for index, event in enumerate(thread.event_tuples()):
         if event and event[0] == EV_BARRIER:
             epochs.append([])
         else:

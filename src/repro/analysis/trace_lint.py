@@ -114,7 +114,7 @@ def lint_trace(
     offloaded_lines: set[int] = set()
     if check_uc:
         for thread in trace.threads:
-            for event in thread.events:
+            for event in thread.event_tuples():
                 if (
                     len(event) == 6
                     and event[0] == EV_ATOMIC
@@ -127,7 +127,7 @@ def lint_trace(
 
     for thread in trace.threads:
         tid = thread.thread_id
-        for index, event in enumerate(thread.events):
+        for index, event in enumerate(thread.event_tuples()):
             kind = event[0] if event else None
             arity = _EVENT_ARITY.get(kind)
             if arity is None:

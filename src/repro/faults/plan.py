@@ -97,7 +97,7 @@ class FaultPlan:
 
     def to_dict(self) -> dict:
         """Flat scalar mapping; round-trips via :meth:`from_dict`."""
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in _PLAN_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
@@ -173,3 +173,7 @@ class FaultPlan:
                 f"{self.vault_stall_period_ns:g}ns"
             )
         return " ".join(parts)
+
+
+#: Field names in declaration order, the keys of :meth:`FaultPlan.to_dict`.
+_PLAN_FIELDS = tuple(field.name for field in dataclasses.fields(FaultPlan))

@@ -205,8 +205,6 @@ def simulate_spec_modes(
             "cached": cached,
             "fallback": fallback,
         }
-    # The job's modes are done; the run outlives it in the report.
-    run.trace.release_columnar()
     return modes
 
 

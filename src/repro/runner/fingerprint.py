@@ -38,9 +38,10 @@ CODE_VERSION = "graphpim-sim-v2"
 
 
 def config_fingerprint(config: SystemConfig) -> str:
-    """Stable hex digest of a system configuration's content."""
-    canonical = json.dumps(config.to_dict(), sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """Stable hex digest of a system configuration's content: the
+    sha256 of its sorted-key :meth:`~SystemConfig.to_dict` JSON,
+    memoized on the config object (:attr:`SystemConfig.fingerprint`)."""
+    return config.fingerprint
 
 
 def result_key(

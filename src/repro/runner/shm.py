@@ -44,8 +44,9 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.common.errors import ShmError
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import _thread_matrices
-from repro.trace.stream import ThreadTrace, Trace
+from repro.trace.stream import Trace
 
 MAGIC = b"RPRSHM01"
 FORMAT_VERSION = 1
@@ -69,7 +70,7 @@ def publish_trace(trace: Trace, prefix: str = "repro") -> ShmTraceRef:
     mapping is closed before returning so the publishing process holds
     no buffer references.
     """
-    pairs = _thread_matrices(trace)
+    pairs = list(_thread_matrices(trace))
     chunks = [matrix.reshape(-1).view(np.uint8) for _, matrix in pairs]
     meta = json.dumps(
         {
@@ -118,7 +119,9 @@ def publish_trace(trace: Trace, prefix: str = "repro") -> ShmTraceRef:
 def attach_trace(ref: ShmTraceRef) -> Trace:
     """Rebuild a :class:`Trace` from a published segment.
 
-    Each thread keeps a copy of its rows; nothing is decoded per event.
+    The rows are stacked into the trace's narrow columns and every
+    thread is a frozen view of them (:meth:`Trace.from_columnar`);
+    nothing is decoded per event.
 
     Raises :class:`ShmError` when the segment is missing or its
     contents fail the magic/version/bounds/CRC checks — the caller is
@@ -164,20 +167,26 @@ def attach_trace(ref: ShmTraceRef) -> Trace:
         )
     try:
         meta = json.loads(body[:meta_len].decode("utf-8"))
-        threads = []
+        thread_ids, matrices = [], []
         offset = meta_len
         for tid, rows in meta["threads"]:
             nbytes = int(rows) * _ROW_BYTES
-            matrix = np.frombuffer(
-                body, dtype=np.int64, count=int(rows) * 6, offset=offset
-            ).reshape(int(rows), 6)
+            matrices.append(
+                np.frombuffer(
+                    body, dtype=np.int64, count=int(rows) * 6, offset=offset
+                ).reshape(int(rows), 6)
+            )
+            thread_ids.append(int(tid))
             offset += nbytes
-            threads.append(ThreadTrace.from_rows(int(tid), matrix))
         if offset != meta_len + payload_len:
             raise ShmError(
                 f"shm segment {ref.name!r} payload length mismatch"
             )
-        return Trace(threads, name=meta["name"])
+        return Trace.from_columnar(
+            ColumnarTrace.from_thread_matrices(
+                meta["name"], thread_ids, matrices
+            )
+        )
     except ShmError:
         raise
     except Exception as error:  # defense: CRC passed but shape is off

@@ -111,12 +111,13 @@ def _bind(lib) -> None:
     fn.restype = ctypes.c_int
     fn.argtypes = [
         ctypes.c_int64,  # T
-        i64p,  # kind
-        i64p,  # addr
-        i64p,  # size
-        i64p,  # gap
-        i64p,  # op
-        i64p,  # ret
+        ctypes.c_void_p,  # kind
+        ctypes.c_void_p,  # addr
+        ctypes.c_void_p,  # size
+        ctypes.c_void_p,  # gap
+        ctypes.c_void_p,  # op
+        ctypes.c_void_p,  # ret
+        i64p,  # byte width of each column
         i64p,  # starts
         i64p,  # cfg_i
         f64p,  # cfg_d

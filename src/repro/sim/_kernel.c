@@ -3,10 +3,12 @@
  * A translation of the per-event reference interpreter (repro.sim.core,
  * repro.sim.cache, repro.hmc.device and repro.faults.injector) that
  * drains the same smallest-clock-first scheduler.  It reads the trace's
- * own six int64 columns (kind, addr, size, gap, op, ret) and the
- * per-thread `starts` offsets, and derives each event's route, cache
- * sets, vault/bank, transaction kind, response FLITs, FP flag and issue
- * cycles as the event is scheduled.
+ * own six columns (kind, addr, size, gap, op, ret) in place, each a
+ * signed integer array of its own byte width (1, 2, 4 or 8; the trace
+ * keeps each column in the narrowest type that holds it), and the
+ * per-thread int64 `starts` offsets, and derives each event's route,
+ * cache sets, vault/bank, transaction kind, response FLITs, FP flag and
+ * issue cycles as the event is scheduled.
  *
  * Fault plans run here too.  Python builds the plan's FaultInjector and
  * hands over its packet-error tables (one per link direction, indexed
@@ -74,6 +76,27 @@
 
 /* Refills the draw block; 0 on success. */
 typedef int (*refill_fn)(void);
+
+/* One trace column: its values and their byte width (1, 2, 4 or 8). */
+typedef struct {
+    const char *data;
+    int64_t width;
+} column;
+
+/* Value i of a column, widened to int64.  The widths never change
+ * during a run, so the branch predicts perfectly. */
+static inline int64_t col_at(column c, int64_t i) {
+    switch (c.width) {
+    case 1:
+        return ((const int8_t *)c.data)[i];
+    case 2:
+        return ((const int16_t *)c.data)[i];
+    case 4:
+        return ((const int32_t *)c.data)[i];
+    default:
+        return ((const int64_t *)c.data)[i];
+    }
+}
 
 /* x mod n for x >= 0; `mask` is n - 1 when n is a power of two, else -1. */
 static inline int64_t imod(int64_t x, int64_t n, int64_t mask) {
@@ -753,6 +776,7 @@ static int route_of(const simstate *S, int64_t kind, int64_t addr,
 
 /* Inputs (layouts owned by repro.sim.vectorized._simulate_columnar):
  *   kind..ret, starts  the ColumnarTrace columns, thread-major;
+ *   widths             the byte width of kind..ret, in that order;
  *   cfg_i, cfg_d       geometry, routing and timing constants;
  *   luts               transaction kind [op][ret], response FLITs
  *                      [op][ret], FP flag [op];
@@ -765,13 +789,16 @@ static int route_of(const simstate *S, int64_t kind, int64_t addr,
  * attempt count and 1 when the lost transaction was a PIM atomic. */
 int graphpim_simulate(
     int64_t T,
-    const int64_t *kind, const int64_t *addr, const int64_t *size,
-    const int64_t *gap, const int64_t *op, const int64_t *ret,
-    const int64_t *starts,
+    const void *kind_p, const void *addr_p, const void *size_p,
+    const void *gap_p, const void *op_p, const void *ret_p,
+    const int64_t *widths, const int64_t *starts,
     const int64_t *cfg_i, const double *cfg_d, const int64_t *luts,
     const double *fault_d, double *block, refill_fn refill,
     double *core_d, int64_t *core_i,
     int64_t *out_i, double *out_d, int64_t *tkbuf) {
+    const column kind = {kind_p, widths[0]}, addr = {addr_p, widths[1]},
+                 size = {size_p, widths[2]}, gap = {gap_p, widths[3]},
+                 op = {op_p, widths[4]}, ret = {ret_p, widths[5]};
     simstate S;
     memset(&S, 0, sizeof S);
     S.T = T;
@@ -911,16 +938,17 @@ int graphpim_simulate(
         pos[cid] = p + 1;
         /* A core's rows come back only after the other cores' turns, and
          * the hardware prefetcher loses track of the 5T column streams:
-         * fetch the rows one cache line ahead. */
+         * fetch eight rows ahead (a cache line of an int64 column). */
         int64_t ahead = p + 8 < last_row ? p + 8 : last_row;
-        __builtin_prefetch(kind + ahead);
-        __builtin_prefetch(addr + ahead);
-        __builtin_prefetch(gap + ahead);
-        __builtin_prefetch(op + ahead);
-        __builtin_prefetch(ret + ahead);
-        int64_t k = kind[p];
+        __builtin_prefetch(kind.data + ahead * kind.width);
+        __builtin_prefetch(addr.data + ahead * addr.width);
+        __builtin_prefetch(gap.data + ahead * gap.width);
+        __builtin_prefetch(op.data + ahead * op.width);
+        __builtin_prefetch(ret.data + ahead * ret.width);
+        int64_t k = col_at(kind, p);
         /* barriers charge `gap` instructions, memory events `gap + 1` */
-        int64_t n_instr = k == EV_BARRIER ? gap[p] : gap[p] + 1;
+        int64_t g = col_at(gap, p);
+        int64_t n_instr = k == EV_BARRIER ? g : g + 1;
         double iss = n_instr * S.inv_issue;
         double t = t_core[cid];
         instr_acc[cid] += n_instr;
@@ -928,7 +956,8 @@ int graphpim_simulate(
         issue_acc[cid] = issue_acc[cid] + iss;
 
         if (k == EV_BARRIER) {
-            int64_t bid = size[p]; /* barrier ids ride the size column */
+            /* barrier ids ride the size column */
+            int64_t bid = col_at(size, p);
             if (!has_barrier) {
                 has_barrier = 1;
                 barrier_id = bid;
@@ -962,13 +991,13 @@ int graphpim_simulate(
             continue;
         }
 
-        int64_t a = addr[p];
+        int64_t a = col_at(addr, p);
         int64_t ln = a >> 6;
         int64_t o = -1, tk = 0, rf = 0, isfp = 0;
         if (k == EV_ATOMIC) {
             /* only atomic rows carry a valid op (others hold -1) */
-            o = op[p];
-            int64_t at = 2 * o + (ret[p] != 0);
+            o = col_at(op, p);
+            int64_t at = 2 * o + (col_at(ret, p) != 0);
             tk = S.tk_lut[at];
             rf = S.respf_lut[at];
             isfp = S.fp_lut[o];

@@ -18,8 +18,11 @@ preserved).  Latencies are unscaled.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 from repro.common.errors import ConfigError
 from repro.common.units import KB
@@ -146,6 +149,19 @@ class SystemConfig:
             "offload_issue_cycles": self.offload_issue_cycles,
             "label": self.label,
         }
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """sha256 hex digest of the canonical JSON of :meth:`to_dict`.
+
+        The config's cache identity
+        (:func:`repro.runner.fingerprint.config_fingerprint`), computed
+        once per object: the runner asks for it twice per simulated
+        mode.  Not shared between equal objects, since equal values can
+        serialize differently (``1 == 1.0``).
+        """
+        canonical = json.dumps(self.to_dict(), sort_keys=True)
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":

@@ -385,7 +385,10 @@ def simulate_reference(
     dram = DdrDevice(config.dram) if config.dram is not None else None
     memory = MemorySystem(hmc, dram, config.property_hmc_fraction)
     cores = [
-        Core(i, thread.events, config, hierarchy, memory, recorder=rec)
+        Core(
+            i, thread.event_tuples(), config, hierarchy, memory,
+            recorder=rec,
+        )
         for i, thread in enumerate(trace.threads)
     ]
 

@@ -8,16 +8,17 @@ with enum/dict lookups, ``Counter`` updates, and numpy scalar indexing
 on every event.  This module runs the same simulation as one flat loop
 in C (``_kernel.c``, compiled on demand by :mod:`repro.sim._cbuild`)
 that reads the :class:`~repro.trace.columnar.ColumnarTrace` columns in
-place: as the smallest-clock-first scheduler reaches an event, the loop
-derives its route (PMR membership, atomic-offload classification,
-cache vs bypass), cache sets, vault/bank, transaction kind and issue
-cycles from its six int64 fields.  LRU sets become oldest-first arrays,
-the sharer directory becomes a line -> core-bitmask hash map,
-link/bank/FU reservations become flat double arrays, and transaction
-``Counter``\\ s become index-addressed arrays rebuilt in first-seen
-order at the end.  CPython floats *are* C doubles, so replaying the
-reference's operations in the reference's order — with FMA contraction
-disabled — reproduces its results bit for bit.
+place, each at its own integer width: as the smallest-clock-first
+scheduler reaches an event, the loop derives its route (PMR membership,
+atomic-offload classification, cache vs bypass), cache sets, vault/bank,
+transaction kind and issue cycles from its six fields.  LRU sets
+become oldest-first arrays, the sharer directory becomes a line ->
+core-bitmask hash map, link/bank/FU reservations become flat double
+arrays, and transaction ``Counter``\\ s become index-addressed arrays
+rebuilt in first-seen order at the end.  CPython floats *are* C
+doubles, so replaying the reference's operations in the reference's
+order — with FMA contraction disabled — reproduces its results bit for
+bit.
 
 **Fault plans.**  The plan's :class:`~repro.faults.FaultInjector`
 stays the one owner of the fault math: each simulation builds one and
@@ -408,16 +409,15 @@ def _simulate_columnar(col, config: SystemConfig, pub=None):
     def fp(a):
         return a.ctypes.data_as(f64p)
 
-    # The trace's own columns, read in place: each is a contiguous int64
-    # row of the columnar memo, so no copy is made here.
-    columns = [
-        np.ascontiguousarray(c, dtype=np.int64)
-        for c in (col.kind, col.addr, col.size, col.gap, col.op, col.ret,
-                  col.starts)
-    ]
+    # The trace's own columns, read in place: each is contiguous, of the
+    # byte width the kernel is told, so no copy is made here.
+    columns = (col.kind, col.addr, col.size, col.gap, col.op, col.ret)
+    widths = np.array([c.itemsize for c in columns], dtype=np.int64)
     rc = lib.graphpim_simulate(
         T,
-        *(ip(c) for c in columns),
+        *(c.ctypes.data for c in columns),
+        ip(widths),
+        ip(col.starts),
         ip(cfg_i),
         fp(cfg_d),
         ip(_LUTS),

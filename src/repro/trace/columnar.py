@@ -1,25 +1,28 @@
 """Columnar (structure-of-arrays) trace representation.
 
 :class:`ColumnarTrace` stores a multi-thread event stream as six flat
-``int64`` numpy columns — ``kind``, ``addr``, ``size``, ``gap``, ``op``,
-``ret`` — laid out thread-major (all of thread 0's events, then all of
-thread 1's, ...), with a ``starts`` offset array delimiting the
-per-thread segments.  A row of the six columns is the canonical event
-encoding every other representation shares::
+numpy columns — ``kind``, ``addr``, ``size``, ``gap``, ``op``, ``ret``
+— laid out thread-major (all of thread 0's events, then all of thread
+1's, ...), with a ``starts`` offset array delimiting the per-thread
+segments.  A row of the six columns is the canonical event encoding
+every other representation shares::
 
     load/store : (kind, addr,       size, gap, -1, 0)
     atomic     : (kind, addr,       size, gap, op, with_return)
     barrier    : (kind, 0,    barrier_id,  gap, -1, 0)
 
-A :class:`~repro.trace.stream.ThreadTrace` packs its events into these
+The canonical row is six int64s.  A
+:class:`~repro.trace.stream.ThreadTrace` packs its events into these
 rows as they are captured, the ``.npz`` format (:mod:`repro.trace.io`)
 and the shared-memory transport store them, and
-:func:`~repro.trace.io.trace_digest` hashes them — so
-:meth:`ColumnarTrace.from_events` only concatenates rows, conversion is
-lossless both ways (``to_events(from_events(t))`` has ``t``'s events
-for every encodable trace), and ``.repro_cache/`` result keys and
-service spec_keys do not depend on which representation produced a
-trace.
+:func:`~repro.trace.io.trace_digest` hashes them.  In memory each
+column keeps the narrowest signed integer type (int8, int16, int32 or
+int64) that holds its values, chosen from the column's range when the
+rows are stacked; :meth:`ColumnarTrace.thread_matrix` widens a thread
+back to its int64 rows.  So conversion is lossless both ways
+(``to_events(from_events(t))`` has ``t``'s events for every encodable
+trace), and ``.repro_cache/`` result keys and service spec_keys do not
+depend on which representation produced a trace.
 
 The vectorized analysis passes (:mod:`repro.analysis.passes`) and the
 batch simulation kernel (:mod:`repro.sim.vectorized`) consume this
@@ -60,6 +63,25 @@ if TYPE_CHECKING:  # pragma: no cover
 _EVENT_ARITY = {EV_LOAD: 4, EV_STORE: 4, EV_ATOMIC: 6, EV_BARRIER: 3}
 
 _COLUMNS = ("kind", "addr", "size", "gap", "op", "ret")
+
+#: Column types, narrowest first, with the value range each holds.
+_NARROW_TYPES = tuple(
+    (int(np.iinfo(t).min), int(np.iinfo(t).max), np.dtype(t))
+    for t in (np.int8, np.int16, np.int32, np.int64)
+)
+
+#: Rows transposed at a time while stacking: a (6, _STACK_CHUNK) int64
+#: scratch block (384 KB) stays in cache between its write and its reads.
+_STACK_CHUNK = 8192
+
+
+def _narrowest_type(low: int, high: int) -> np.dtype:
+    """The narrowest signed integer type holding every value in
+    ``[low, high]`` (int64 for anything an int64 column holds)."""
+    for type_min, type_max, dtype in _NARROW_TYPES:
+        if type_min <= low and high <= type_max:
+            return dtype
+    return _NARROW_TYPES[-1][2]
 
 
 def _require_int(value, what: str, thread_id: int, index: int) -> int:
@@ -180,8 +202,11 @@ def check_event_kinds(kinds: np.ndarray) -> None:
 class ColumnarTrace:
     """Structure-of-arrays form of a multi-thread trace.
 
-    All six columns are flat ``int64`` arrays of length ``num_events``;
-    ``starts`` has ``num_threads + 1`` entries and thread ``t``'s events
+    All six columns are flat, contiguous signed integer arrays of length
+    ``num_events``, each of its own width (:meth:`from_events` and
+    :meth:`from_thread_matrices` pick the narrowest that holds the
+    column; other widths given to the constructor are kept); ``starts``
+    has ``num_threads + 1`` int64 entries and thread ``t``'s events
     occupy ``[starts[t], starts[t + 1])``.
     """
 
@@ -197,13 +222,13 @@ class ColumnarTrace:
 
     def __post_init__(self) -> None:
         self.thread_ids = np.asarray(self.thread_ids, dtype=np.int64)
-        self.starts = np.asarray(self.starts, dtype=np.int64)
+        self.starts = np.ascontiguousarray(self.starts, dtype=np.int64)
         for column in _COLUMNS:
-            setattr(
-                self,
-                column,
-                np.asarray(getattr(self, column), dtype=np.int64),
-            )
+            values = np.asarray(getattr(self, column))
+            if values.dtype.kind != "i" or not values.dtype.isnative:
+                # The kernel reads native signed integers of any width.
+                values = values.astype(np.int64)
+            setattr(self, column, np.ascontiguousarray(values))
         if self.thread_ids.size == 0:
             raise TraceError("a trace needs at least one thread")
         if len(set(self.thread_ids.tolist())) != self.thread_ids.size:
@@ -239,6 +264,11 @@ class ColumnarTrace:
     def num_events(self) -> int:
         """Total events across all threads."""
         return int(self.starts[-1])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the six event columns hold."""
+        return sum(getattr(self, column).nbytes for column in _COLUMNS)
 
     def thread_slice(self, pos: int) -> slice:
         """Row slice of the thread at position ``pos`` (not thread id)."""
@@ -309,7 +339,8 @@ class ColumnarTrace:
 
     @classmethod
     def from_events(cls, trace: "Trace") -> "ColumnarTrace":
-        """Columnar form of a :class:`Trace`: its threads' rows, stacked.
+        """Columnar form of a :class:`Trace`: its threads' rows, stacked
+        into narrow columns.
 
         A thread that keeps tuples is strictly encoded first
         (:func:`encode_events`), so this raises :class:`TraceError`
@@ -321,7 +352,9 @@ class ColumnarTrace:
         for thread in trace.threads:
             rows = thread.rows()
             if rows is None:
-                rows = encode_events(thread.events, thread.thread_id)
+                rows = encode_events(
+                    thread.event_tuples(), thread.thread_id
+                )
             matrices.append(rows)
         return cls._stack(
             trace.name, [t.thread_id for t in trace.threads], matrices
@@ -349,44 +382,77 @@ class ColumnarTrace:
         thread_ids: Sequence[int],
         matrices: Sequence[np.ndarray],
     ) -> "ColumnarTrace":
-        """Copy per-thread row matrices into thread-major columns."""
+        """Copy per-thread (N, 6) int64 rows into narrow thread-major
+        columns.
+
+        Two passes over the rows, each transposing one chunk of a thread
+        at a time into a small scratch block: the first takes every
+        column's min and max, which fix the column types, and the second
+        casts into the narrow columns.  Transposed chunks read as
+        contiguous memory; gathering each column straight out of the
+        strided rows took more than twice as long.
+        """
         starts = np.zeros(len(matrices) + 1, dtype=np.int64)
         np.cumsum([m.shape[0] for m in matrices], out=starts[1:])
-        block = np.empty((len(_COLUMNS), int(starts[-1])), dtype=np.int64)
-        for matrix, lo, hi in zip(matrices, starts[:-1], starts[1:]):
-            block[:, lo:hi] = matrix.T
+        width = len(_COLUMNS)
+        scratch = np.empty((width, _STACK_CHUNK), dtype=np.int64)
+
+        def chunks():
+            for matrix in matrices:
+                for lo in range(0, matrix.shape[0], _STACK_CHUNK):
+                    part = matrix[lo : lo + _STACK_CHUNK]
+                    block = scratch[:, : part.shape[0]]
+                    block[...] = part.T
+                    yield block
+
+        # An empty range (no events) leaves low > high: int8 columns.
+        low = np.full(width, np.iinfo(np.int64).max)
+        high = np.full(width, np.iinfo(np.int64).min)
+        for block in chunks():
+            np.minimum(low, block.min(axis=1), out=low)
+            np.maximum(high, block.max(axis=1), out=high)
+        columns = [
+            np.empty(int(starts[-1]), dtype=_narrowest_type(lo, hi))
+            for lo, hi in zip(low.tolist(), high.tolist())
+        ]
+        at = 0
+        for block in chunks():
+            end = at + block.shape[1]
+            for column, values in zip(columns, block):
+                column[at:end] = values
+            at = end
         return cls(
             name=name,
             thread_ids=np.asarray(thread_ids, dtype=np.int64),
             starts=starts,
-            **dict(zip(_COLUMNS, block)),
+            **dict(zip(_COLUMNS, columns)),
         )
 
     def thread_matrix(self, pos: int) -> np.ndarray:
         """One thread's events as the canonical (N, 6) int64 matrix.
 
-        Byte-identical to the rows a
-        :class:`~repro.trace.stream.ThreadTrace` holds, which
+        The thread's slice of every column, widened back to int64:
+        byte-identical to the rows a
+        :class:`~repro.trace.stream.ThreadTrace` captures, which
         :func:`repro.trace.io.save_trace` writes and
         :func:`repro.trace.io.trace_digest` hashes — what keeps digests
         representation-independent.
         """
         rows = self.thread_slice(pos)
-        return np.ascontiguousarray(
-            np.column_stack(
-                [getattr(self, column)[rows] for column in _COLUMNS]
-            )
-        )
+        matrix = np.empty((rows.stop - rows.start, 6), dtype=np.int64)
+        for index, column in enumerate(_COLUMNS):
+            matrix[:, index] = getattr(self, column)[rows]
+        return matrix
 
     def to_events(self) -> "Trace":
-        """The :class:`Trace` of these rows (no per-event decode)."""
-        from repro.trace.stream import ThreadTrace, Trace
+        """The :class:`Trace` of these columns (no per-event decode).
 
-        threads = [
-            ThreadTrace.from_rows(tid, self.thread_matrix(pos))
-            for pos, tid in enumerate(self.thread_ids.tolist())
-        ]
-        return Trace(threads, name=self.name)
+        Its threads are views of this object, which is its
+        :meth:`~repro.trace.stream.Trace.columnar` form.
+        """
+        from repro.trace.stream import Trace
+
+        return Trace.from_columnar(self)
 
     def __repr__(self) -> str:
         return (

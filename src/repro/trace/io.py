@@ -9,10 +9,11 @@ column-oriented array set per thread.
 Event columns: ``kind``, ``addr``, ``size`` (barrier id for barrier
 events), ``gap``, ``op`` (-1 when not an atomic), ``ret`` (0/1).
 
-A thread's matrix is exactly the row storage of a
-:class:`~repro.trace.stream.ThreadTrace`, so saving, loading and
-hashing a captured trace move its rows unchanged.  The layout is shared
-with the columnar structure-of-arrays form
+A thread's matrix is exactly the capture buffer of a
+:class:`~repro.trace.stream.ThreadTrace`, so saving and hashing a
+captured trace move its rows unchanged, and a frozen thread widens its
+narrow columns back to the same int64 rows.  The layout is shared with
+the columnar structure-of-arrays form
 (:class:`~repro.trace.columnar.ColumnarTrace`): one file loads as
 either, :func:`save_trace` accepts both, and :func:`trace_digest`
 hashes both to the same value — so cache keys and spec_keys never
@@ -25,7 +26,7 @@ import hashlib
 import os
 import zipfile
 import zlib
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -47,8 +48,9 @@ def _encode_thread(thread: ThreadTrace) -> np.ndarray:
     take a thread's tuples as they are, so a malformed trace can still
     be hashed and saved for the linter to report on.
     """
-    rows = np.empty((len(thread.events), 6), dtype=np.int64)
-    for i, event in enumerate(thread.events):
+    events = thread.event_tuples()
+    rows = np.empty((len(events), 6), dtype=np.int64)
+    for i, event in enumerate(events):
         kind = event[0]
         if kind == EV_BARRIER:
             rows[i] = (kind, 0, event[1], event[2], -1, 0)
@@ -66,30 +68,31 @@ def _encode_thread(thread: ThreadTrace) -> np.ndarray:
     return rows
 
 
-def _thread_matrices(trace: AnyTrace) -> "list[tuple[int, np.ndarray]]":
+def _thread_matrices(
+    trace: AnyTrace,
+) -> "Iterator[tuple[int, np.ndarray]]":
     """Canonical per-thread (id, (N, 6) matrix) pairs for either form.
 
-    A thread's stored rows come back as a view, not a copy.
+    Lazy, so a consumer that takes one pair at a time holds one widened
+    matrix at a time.  A capture buffer comes back as a view, not a copy.
     """
     if isinstance(trace, ColumnarTrace):
-        return [
-            (int(tid), trace.thread_matrix(pos))
-            for pos, tid in enumerate(trace.thread_ids.tolist())
-        ]
-    pairs = []
+        for pos, tid in enumerate(trace.thread_ids.tolist()):
+            yield int(tid), trace.thread_matrix(pos)
+        return
     for thread in trace.threads:
         rows = thread.rows()
         if rows is None:
             rows = _encode_thread(thread)
-        pairs.append((thread.thread_id, rows))
-    return pairs
+        yield thread.thread_id, rows
 
 
 def trace_digest(trace: AnyTrace) -> str:
     """Stable content hash of a trace (sha256 hex digest).
 
-    Hashes the canonical (N, 6) rows — the buffers a captured or loaded
-    thread stores, unchanged — so the digest identifies the trace
+    Hashes the canonical (N, 6) rows — a captured thread's buffer as it
+    is, a frozen thread's columns widened back — so the digest
+    identifies the trace
     *content* independently of how it was produced (fresh execution,
     loaded from disk, tuple form, or columnar form).  The experiment
     runner keys its on-disk result cache on this, and the strict
@@ -109,7 +112,7 @@ def save_trace(trace: AnyTrace, path: str | os.PathLike) -> None:
         "version": np.asarray([_FORMAT_VERSION]),
         "name": np.asarray([trace.name]),
     }
-    pairs = _thread_matrices(trace)
+    pairs = list(_thread_matrices(trace))
     payload["thread_ids"] = np.asarray(
         [tid for tid, _ in pairs], dtype=np.int64
     )
@@ -163,22 +166,20 @@ def _read_bundle(path: str | os.PathLike) -> "tuple[str, list, list]":
 def load_trace(path: str | os.PathLike, validate: bool = True) -> Trace:
     """Read a trace previously written by :func:`save_trace`.
 
-    Each thread keeps its ``(N, 6)`` rows as loaded; nothing is decoded
-    until a caller reads ``.events``.  Unknown event kinds raise
-    :class:`TraceError`.  ``validate=False`` skips the fail-fast barrier
-    check so analysis tools (``repro lint``) can load a malformed trace
-    and report *what* is wrong instead of dying on the first
-    inconsistency.
+    The rows are stacked into narrow columns as loaded and every thread
+    is a frozen view of them (:meth:`Trace.from_columnar`); nothing is
+    decoded until a caller reads ``.events``.  Unknown event kinds
+    raise :class:`TraceError`.  ``validate=False`` skips the fail-fast
+    barrier check so analysis tools (``repro lint``) can load a
+    malformed trace and report *what* is wrong instead of dying on the
+    first inconsistency.
     """
     name, thread_ids, matrices = _read_bundle(path)
     try:
-        threads = [
-            ThreadTrace.from_rows(tid, rows)
-            for tid, rows in zip(thread_ids, matrices)
-        ]
+        col = ColumnarTrace.from_thread_matrices(name, thread_ids, matrices)
     except TraceError as error:
         raise TraceError(f"{os.fspath(path)}: {error}") from None
-    trace = Trace(threads, name=name)
+    trace = Trace.from_columnar(col)
     if validate:
         trace.validate_barriers()
     return trace
@@ -190,6 +191,6 @@ def load_columnar(
     """Read a trace bundle into the columnar form.
 
     ``load_trace(path, validate).columnar()``: the rows as loaded,
-    stacked into columns, with no per-event work.
+    stacked into narrow columns, with no per-event work.
     """
     return load_trace(path, validate=validate).columnar()

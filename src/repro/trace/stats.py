@@ -48,7 +48,7 @@ def summarize_trace(trace: Trace) -> TraceStats:
     """Walk ``trace`` once and compute :class:`TraceStats`."""
     stats = TraceStats(region_accesses={region: 0 for region in Region})
     for thread in trace.threads:
-        for event in thread.events:
+        for event in thread.event_tuples():
             kind = event[0]
             if kind == EV_BARRIER:
                 stats.barriers += 1

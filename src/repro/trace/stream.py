@@ -8,7 +8,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.common.errors import TraceError
-from repro.trace.columnar import check_event_kinds, decode_thread_matrix
+from repro.trace.columnar import (
+    ColumnarTrace,
+    check_event_kinds,
+    decode_thread_matrix,
+)
 from repro.trace.events import (
     EV_ATOMIC,
     EV_BARRIER,
@@ -33,40 +37,58 @@ class ThreadTrace:
     instructions; the pending work count is folded into the next event's
     ``gap`` field.
 
-    Storage: each event is packed as it is captured into its canonical
+    Storage: during capture each event is packed into its canonical
     int64 row (:mod:`repro.trace.columnar`) in one growable buffer, the
     layout the ``.npz`` format, :func:`~repro.trace.io.trace_digest` and
-    shared memory use, so none of them re-encodes it.  :attr:`events`
-    is a tuple view decoded on first access; from then on the thread
-    keeps tuples, so the returned list can be mutated like any list.
-    The builder switches to tuples the same way on the first event a
-    row cannot hold exactly: a field :func:`encode_events` would reject
-    (non-integer, outside int64) or an atomic whose ``with_return`` is
-    not a bool (the view decodes ``ret`` as one).
+    shared memory use, so none of them re-encodes it.
+    :meth:`Trace.columnar` then *freezes* the thread: its events move
+    into the trace's narrow columns, and the thread becomes a view of
+    its slice of them and drops the capture buffer.  A recorder call on
+    a frozen thread thaws it back to a capture buffer first.
+    :attr:`events` is a tuple view decoded on first access; from then
+    on the thread keeps tuples, so the returned list can be mutated like
+    any list.  The builder switches to tuples the same way on the first
+    event a row cannot hold exactly: a field :func:`encode_events`
+    would reject (non-integer, outside int64) or an atomic whose
+    ``with_return`` is not a bool (the view decodes ``ret`` as one).
     """
 
-    __slots__ = ("thread_id", "_rows", "_events", "_pending_work")
+    __slots__ = (
+        "thread_id", "_rows", "_events", "_pending_work", "_col", "_pos"
+    )
 
     def __init__(self, thread_id: int):
         self.thread_id = thread_id
-        #: Row storage, or None once the thread keeps tuples.
+        #: Capture buffer, or None once the thread is frozen or keeps
+        #: tuples.
         self._rows: Optional[bytearray] = bytearray()
         #: Tuple storage, or None while the thread keeps rows.
         self._events: Optional[list[tuple]] = None
         self._pending_work = 0
+        #: The trace columns this thread's events are in (at thread
+        #: position ``_pos``), or None when no columns speak for it.
+        self._col: Optional[ColumnarTrace] = None
+        self._pos = 0
 
-    @classmethod
-    def from_rows(cls, thread_id: int, rows: np.ndarray) -> "ThreadTrace":
-        """A thread holding a copy of an ``(N, 6)`` int64 row matrix.
+    def _freeze(self, col: ColumnarTrace, pos: int) -> None:
+        """Point the thread at its slice of ``col`` and drop its capture
+        buffer.  A thread keeping tuples keeps them: they stay its
+        events (a tuple need not round-trip through a row exactly), and
+        the columns only record that nothing changed since."""
+        self._col = col
+        self._pos = pos
+        self._rows = None
 
-        Raises :class:`TraceError` on an unknown event kind, which no
-        tuple layout could represent.
-        """
-        matrix = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, 6)
-        check_event_kinds(matrix[:, 0])
-        thread = cls(thread_id)
-        thread._rows = bytearray(matrix)
-        return thread
+    def _thaw(self) -> bool:
+        """Give a frozen thread its capture buffer back, for a recorder
+        call; True when it did.  The trace's next :meth:`Trace.columnar`
+        call then rebuilds the columns."""
+        col = self._col
+        if col is None or self._events is not None:
+            return False
+        self._rows = bytearray(col.thread_matrix(self._pos))
+        self._col = None
+        return True
 
     def work(self, instructions: int = 1) -> None:
         """Record ``instructions`` non-memory instructions."""
@@ -82,7 +104,7 @@ class ThreadTrace:
         """Record a regular load."""
         gap = self._pending_work
         self._pending_work = 0
-        if self._rows is not None:
+        if self._rows is not None or self._thaw():
             try:
                 self._rows += _pack_row(EV_LOAD, addr, size, gap, -1, 0)
                 return
@@ -94,7 +116,7 @@ class ThreadTrace:
         """Record a regular store."""
         gap = self._pending_work
         self._pending_work = 0
-        if self._rows is not None:
+        if self._rows is not None or self._thaw():
             try:
                 self._rows += _pack_row(EV_STORE, addr, size, gap, -1, 0)
                 return
@@ -112,7 +134,7 @@ class ThreadTrace:
         """Record a host atomic instruction (lock-prefixed RMW)."""
         gap = self._pending_work
         self._pending_work = 0
-        if self._rows is not None and (
+        if (self._rows is not None or self._thaw()) and (
             with_return is True or with_return is False
         ):
             try:
@@ -135,7 +157,7 @@ class ThreadTrace:
             self._pending_work = 0
         else:
             gap = 0
-        if self._rows is not None:
+        if self._rows is not None or self._thaw():
             try:
                 self._rows += _pack_row(EV_BARRIER, 0, barrier_id, gap, -1, 0)
                 return
@@ -164,7 +186,7 @@ class ThreadTrace:
         check_event_kinds(block[:, 0])
         pending = self._pending_work
         self._pending_work = trailing_work
-        if self._rows is not None:
+        if self._rows is not None or self._thaw():
             # ``extend`` takes the array's buffer; ``+=`` would hand the
             # sum to numpy.
             if not pending:
@@ -192,32 +214,62 @@ class ThreadTrace:
         """The event tuples (layouts in :mod:`repro.trace.events`).
 
         Decoded from the rows on first access; the thread keeps the
-        returned list as its storage from then on.
+        returned list as its storage from then on, and since the caller
+        may edit it, the trace's next :meth:`Trace.columnar` call
+        rebuilds the columns.  Readers that only iterate use
+        :meth:`event_tuples`, which leaves the storage as it is.
         """
         events = self._events
         if events is None:
             events = decode_thread_matrix(self.rows())
             self._events = events
             self._rows = None
+        self._col = None
         return events
 
-    def rows(self) -> Optional[np.ndarray]:
-        """The stored rows as a read-only ``(N, 6)`` int64 view.
+    def event_tuples(self) -> list[tuple]:
+        """The event tuples, leaving the thread's storage as it is.
 
-        None once the thread keeps tuples.  The view pins the buffer,
-        so drop it before recording further events.
+        A thread that keeps rows (captured or frozen) decodes a new list
+        per call; one that keeps tuples returns its own list, which the
+        caller must not mutate.
+        """
+        if self._events is not None:
+            return self._events
+        return decode_thread_matrix(self.rows())
+
+    def rows(self) -> Optional[np.ndarray]:
+        """The events as a read-only ``(N, 6)`` int64 matrix.
+
+        None once the thread keeps tuples.  During capture this is a
+        view of the buffer, which it pins, so drop it before recording
+        further events; a frozen thread widens its slice of the trace's
+        columns into a new matrix.
         """
         if self._rows is None:
-            return None
-        matrix = np.frombuffer(self._rows, dtype=np.int64).reshape(-1, 6)
+            if self._events is not None or self._col is None:
+                return None
+            matrix = self._col.thread_matrix(self._pos)
+        else:
+            matrix = np.frombuffer(self._rows, dtype=np.int64).reshape(-1, 6)
         matrix.flags.writeable = False
         return matrix
 
+    @property
+    def frozen(self) -> bool:
+        """True while the thread is a view of its trace's columns."""
+        return self._rows is None and self._events is None
+
     def barrier_ids(self) -> list:
         """Barrier ids in stream order."""
+        if self._events is not None:
+            return [e[1] for e in self._events if e[0] == EV_BARRIER]
+        if self._rows is None:
+            col = self._col
+            rows = col.thread_slice(self._pos)
+            barriers = col.kind[rows] == EV_BARRIER
+            return col.size[rows][barriers].tolist()
         matrix = self.rows()
-        if matrix is None:
-            return [e[1] for e in self.events if e[0] == EV_BARRIER]
         return matrix[matrix[:, 0] == EV_BARRIER, 2].tolist()
 
     @property
@@ -225,7 +277,10 @@ class ThreadTrace:
         """Number of recorded events."""
         if self._rows is not None:
             return len(self._rows) // _ROW.size
-        return len(self.events)
+        if self._events is not None:
+            return len(self._events)
+        starts = self._col.starts
+        return int(starts[self._pos + 1] - starts[self._pos])
 
     def __repr__(self) -> str:
         return (
@@ -244,6 +299,19 @@ class Trace:
             raise TraceError(f"duplicate thread ids: {ids}")
         self.threads = list(threads)
         self.name = name
+        self._columnar: Optional[ColumnarTrace] = None
+
+    @classmethod
+    def from_columnar(cls, col: ColumnarTrace) -> "Trace":
+        """The trace of ``col``, held once: every thread is a frozen
+        view of its slice, and ``col`` is the trace's :meth:`columnar`
+        form."""
+        threads = [ThreadTrace(tid) for tid in col.thread_ids.tolist()]
+        for pos, thread in enumerate(threads):
+            thread._freeze(col, pos)
+        trace = cls(threads, name=col.name)
+        trace._columnar = col
+        return trace
 
     @property
     def num_threads(self) -> int:
@@ -278,43 +346,39 @@ class Trace:
                     f"{self.threads[0].thread_id} and {thread.thread_id}"
                 )
 
-    def columnar(self):
-        """Memoized columnar (SoA) form of this trace.
+    def columnar(self) -> ColumnarTrace:
+        """The trace's narrow columnar (SoA) form, built once.
 
-        Built once per trace object (again after
-        :meth:`release_columnar`) by
+        The first call builds it with
         :meth:`~repro.trace.columnar.ColumnarTrace.from_events`, which
-        concatenates the threads' rows (strictly encoding any thread
-        that keeps tuples), and shared by every consumer: the strict
-        pre-flight's passes and each simulated mode.  Traces are
-        append-only during capture and frozen once handed to
-        analysis/simulation; the memo assumes no post-capture mutation.
+        stacks the threads' rows into narrow columns (strictly encoding
+        any thread that keeps tuples), then freezes every thread: each
+        becomes a view of its slice and drops its capture buffer, so the
+        columns are the only copy of the events.  Every consumer shares
+        them: the strict pre-flight's passes and each simulated mode.
+        Later calls return the same object while every thread is still
+        its view; a recorder call on a frozen thread, a read of its
+        :attr:`~ThreadTrace.events` or a change to :attr:`threads` makes
+        the next call build and freeze again.
 
-        Raises :class:`~repro.common.errors.TraceError` (uncached) when
-        the trace is not columnar-encodable.
+        Raises :class:`~repro.common.errors.TraceError` (nothing frozen)
+        when the trace is not columnar-encodable.
         """
-        cached = self.__dict__.get("_columnar")
-        if cached is None:
-            from repro.trace.columnar import ColumnarTrace
-
+        cached = self._columnar
+        if cached is None or not self._views_of(cached):
             cached = ColumnarTrace.from_events(self)
-            self.__dict__["_columnar"] = cached
+            for pos, thread in enumerate(self.threads):
+                thread._freeze(cached, pos)
+            self._columnar = cached
         return cached
 
-    def release_columnar(self) -> None:
-        """Drop the :meth:`columnar` memo, a second copy of every event.
-
-        For callers done analysing and simulating the trace; a later
-        :meth:`columnar` call builds the memo again.
-        """
-        self.__dict__.pop("_columnar", None)
-
-    def __getstate__(self) -> dict:
-        # Keep pickle IPC (pool workers) lean: the columnar memo is
-        # derived data, cheaper to rebuild than to ship twice.
-        state = self.__dict__.copy()
-        state.pop("_columnar", None)
-        return state
+    def _views_of(self, col: ColumnarTrace) -> bool:
+        """True when the threads are exactly the views of ``col``."""
+        threads = self.threads
+        return len(threads) == col.num_threads and all(
+            thread._col is col and thread._pos == pos
+            for pos, thread in enumerate(threads)
+        )
 
     def __repr__(self) -> str:
         return (

@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.passes import (
+    detect_races_columnar,
+    lint_columnar,
+    offload_summary_columnar,
+    profile_columnar,
+)
+from repro.analysis.passes.profile_pass import screen_configs
 from repro.common.errors import TraceError
 from repro.memlayout.regions import REGION_SHIFT, Region
 from repro.runner.fingerprint import config_fingerprint, result_key
+from repro.runner.shm import attach_trace, publish_trace, unlink_segment
 from repro.sim.config import SystemConfig
 from repro.trace.columnar import ColumnarTrace, as_columnar, encode_events
-from repro.trace.events import EV_ATOMIC, EV_BARRIER, AtomicOp
+from repro.trace.events import EV_ATOMIC, EV_BARRIER, EV_LOAD, EV_STORE, AtomicOp
 from repro.trace.io import (
     load_columnar,
     load_trace,
@@ -260,4 +268,143 @@ def test_result_cache_key_survives_representation_change(tmp_path):
     assert (
         result_key(trace_digest(load_columnar(path)), fingerprint, "salt")
         == key_tuple
+    )
+
+
+# ---------------------------------------------------------------------------
+# Narrow storage: columns at and around the integer type limits
+# ---------------------------------------------------------------------------
+
+_NARROW = (np.int8, np.int16, np.int32, np.int64)
+_I64 = np.iinfo(np.int64)
+#: Upper and lower column bounds at and one past each narrow type's limit.
+_HIGHS = sorted(
+    {0, 2**40, 2**62, int(_I64.max)}
+    | {v for t in _NARROW[:-1] for v in (np.iinfo(t).max, np.iinfo(t).max + 1)}
+)
+_LOWS = sorted(
+    {0, int(_I64.min)}
+    | {v for t in _NARROW[:-1] for v in (np.iinfo(t).min, np.iinfo(t).min - 1)}
+)
+_OP_VALUES = [int(op) for op in AtomicOp]
+
+
+@st.composite
+def narrow_trace_matrices(draw):
+    """``(thread_ids, matrices)``: per-thread int64 rows whose columns
+    run up to (or down to) drawn type limits.
+
+    Every thread passes the same barrier ids, addresses and gaps are
+    non-negative (gaps stay below 2^40, so instruction counts cannot
+    overflow), and atomic rows carry a valid op, so the batch kernel
+    runs the trace; barrier ids, and the op and ret fields the kernel
+    and the tuple view ignore, take any value.  Addresses stay below
+    2^62 and sizes below 2^40, so an access's last byte is an int64.
+    """
+
+    def values(signed, top=int(_I64.max)):
+        high = draw(st.sampled_from([h for h in _HIGHS if h <= top]))
+        low = draw(st.sampled_from(_LOWS)) if signed else 0
+        return st.one_of(st.sampled_from([low, high]), st.integers(low, high))
+
+    addr, size, gap = values(False, 2**62), values(True, 2**40), values(False, 2**40)
+    op, ret = values(True), values(True)
+    barriers = draw(st.lists(values(True), max_size=2))
+    matrices = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = []
+        for segment in range(len(barriers) + 1):
+            for _ in range(draw(st.integers(0, 4))):
+                kind = draw(st.sampled_from([EV_LOAD, EV_STORE, EV_ATOMIC]))
+                rows.append([
+                    kind, draw(addr), draw(size), draw(gap),
+                    draw(st.sampled_from(_OP_VALUES))
+                    if kind == EV_ATOMIC else draw(op),
+                    draw(ret),
+                ])
+            if segment < len(barriers):
+                rows.append([
+                    EV_BARRIER, draw(addr), barriers[segment], draw(gap),
+                    draw(op), draw(ret),
+                ])
+        matrices.append(np.asarray(rows, dtype=np.int64).reshape(-1, 6))
+    return list(range(len(matrices))), matrices
+
+
+def _widened(col):
+    """``col`` with every column cast to int64 (the constructor keeps
+    the types it is given)."""
+    return ColumnarTrace(
+        name=col.name,
+        thread_ids=col.thread_ids,
+        starts=col.starts,
+        **{c: getattr(col, c).astype(np.int64) for c in _COLUMN_NAMES},
+    )
+
+
+_COLUMN_NAMES = ("kind", "addr", "size", "gap", "op", "ret")
+
+
+def _report_rows(report):
+    if report is None:
+        return None
+    return [
+        (f.rule_id, f.severity, f.message, f.thread_id, f.event_index)
+        for f in report.findings
+    ]
+
+
+@given(narrow_trace_matrices())
+@settings(max_examples=60, deadline=None)
+def test_narrow_columns_hold_the_int64_rows(tmp_path_factory, drawn):
+    thread_ids, matrices = drawn
+    col = ColumnarTrace.from_thread_matrices("narrow", thread_ids, matrices)
+    flat = np.concatenate(matrices)
+    for index, name in enumerate(_COLUMN_NAMES):
+        values = flat[:, index]
+        low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+        fits = [
+            t for t in _NARROW
+            if np.iinfo(t).min <= low and high <= np.iinfo(t).max
+        ]
+        assert getattr(col, name).dtype == np.dtype(fits[0]), name
+
+    wide = _widened(col)
+    trace = Trace.from_columnar(col)
+    for pos, matrix in enumerate(matrices):
+        assert col.thread_matrix(pos).tobytes() == matrix.tobytes()
+        assert trace.threads[pos].rows().tobytes() == matrix.tobytes()
+    digest = trace_digest(wide)
+    assert trace_digest(col) == trace_digest(trace) == digest
+
+    path = tmp_path_factory.mktemp("narrow") / "t.npz"
+    save_trace(trace, path)
+    loaded = load_trace(path, validate=False)
+    assert trace_digest(loaded) == digest
+    assert loaded.columnar().nbytes == col.nbytes
+    ref = publish_trace(trace)
+    try:
+        attached = attach_trace(ref)
+    finally:
+        unlink_segment(ref.name)
+    assert trace_digest(attached) == digest
+    assert [t.rows().tobytes() for t in attached.threads] == [
+        m.tobytes() for m in matrices
+    ]
+
+    for config in (
+        SystemConfig.graphpim(),
+        SystemConfig.graphpim(pmr_bypass=False, fp_extension=False),
+    ):
+        assert _report_rows(lint_columnar(col, config)) == _report_rows(
+            lint_columnar(wide, config)
+        )
+        assert profile_columnar(col, config) == profile_columnar(wide, config)
+        assert offload_summary_columnar(col, config) == (
+            offload_summary_columnar(wide, config)
+        )
+    configs = SystemConfig().evaluation_trio()
+    assert screen_configs(col, configs) == screen_configs(wide, configs)
+    assert _report_rows(detect_races_columnar(col)) == _report_rows(
+        detect_races_columnar(wide)
     )

@@ -10,6 +10,7 @@ checkpoint/resume, and cache verification with quarantine.
 """
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -19,6 +20,7 @@ import repro.runner.engine as engine_module
 from repro.chaos import ChaosPlan
 from repro.common.errors import RunnerError, SimulationError
 from repro.core.api import EvaluationReport, GraphPimSystem
+from repro.faults import FaultPlan
 from repro.runner import (
     CheckpointJournal,
     ExperimentRunner,
@@ -26,6 +28,7 @@ from repro.runner import (
     ResultCache,
     RunnerConfig,
     config_fingerprint,
+    evaluation_grid_specs,
     execute_spec,
     result_key,
     run_evaluation_grid,
@@ -155,6 +158,49 @@ class TestCacheKeys:
         assert config_fingerprint(base) == config_fingerprint(SystemConfig())
         tweaked = dataclasses.replace(base, mlp=base.mlp + 1)
         assert config_fingerprint(base) != config_fingerprint(tweaked)
+
+    def test_config_fingerprints_keep_their_values(self):
+        """The memoized fingerprint of every benchmark config (sweep,
+        Fig. 7, link faults, served catalog) is the sha256 of its
+        sorted-key JSON with the HMC and fault plan mapped by
+        ``dataclasses.asdict``, as before the memo."""
+
+        def asdict_fingerprint(config):
+            data = config.to_dict()
+            data["hmc"] = dataclasses.asdict(config.hmc)
+            if config.faults is not None:
+                data["faults"] = dataclasses.asdict(config.faults)
+            canonical = json.dumps(data, sort_keys=True)
+            return hashlib.sha256(canonical.encode()).hexdigest()
+
+        hmc = SystemConfig().hmc
+        configs = [m for s in evaluation_grid_specs("small") for m in s.modes]
+        for ctor in (SystemConfig.baseline, SystemConfig.upei):
+            for factor in (0.25, 0.5, 1.0, 2.0):
+                configs.append(
+                    ctor(hmc=hmc.scaled_link_bandwidth(factor))
+                )
+        for fus in (1, 2, 4, 8, 16):
+            for factor in (0.25, 0.5, 1.0, 2.0):
+                configs.append(
+                    SystemConfig.graphpim(
+                        hmc=hmc.with_fus(fus).scaled_link_bandwidth(factor)
+                    )
+                )
+        for ber in (1e-7, 1e-6, 1e-5):
+            plan = FaultPlan(seed=7, request_ber=ber, response_ber=ber)
+            for ctor in (SystemConfig.baseline, SystemConfig.graphpim):
+                configs.append(ctor().with_faults(plan))
+        for config in configs:
+            expected = asdict_fingerprint(config)
+            assert config_fingerprint(config) == expected
+            assert config_fingerprint(config) == expected  # memoized
+
+    def test_config_fingerprint_is_per_object_not_per_value(self):
+        as_int = dataclasses.replace(SystemConfig(), mlp=4)
+        as_float = dataclasses.replace(SystemConfig(), mlp=4.0)
+        assert as_int == as_float
+        assert config_fingerprint(as_int) != config_fingerprint(as_float)
 
     def test_result_key_depends_on_all_parts(self):
         key = result_key("t1", "c1", "s1")

@@ -280,10 +280,11 @@ def test_strict_job_derives_columns_once(monkeypatch):
     assert calls == {"from_events": 1, "encode_events": 0}
 
 
-def test_finished_job_releases_the_columnar_memo():
-    """A finished job drops its trace's columnar memo, the second copy
-    of every event; simulating the trace again rebuilds it and gives
-    the job's bytes."""
+def test_finished_job_holds_its_trace_once():
+    """After a strict job the trace's narrow columns are its only copy:
+    no thread keeps a capture buffer, ``columnar()`` keeps returning the
+    same object, the columns take at most 16 B per event, and simulating
+    the trace again gives the job's bytes."""
     spec = next(
         s for s in evaluation_grid_specs("tiny") if s.workload == "BFS"
     )
@@ -291,8 +292,51 @@ def test_finished_job_releases_the_columnar_memo():
         spec, RunnerConfig(parallel=False, cache_dir=None, strict=True)
     )
     trace = payload["run"].trace
-    assert "_columnar" not in trace.__dict__
+    assert all(thread.frozen for thread in trace.threads)
+    col = trace.columnar()
+    assert all(thread._rows is None for thread in trace.threads)
+    assert col.nbytes <= 16 * col.num_events
     for mode in spec.modes:
         again = json.dumps(simulate(trace, mode).to_dict(), sort_keys=True)
         done = payload["modes"][mode.display_name]["payload"]
         assert again == json.dumps(done, sort_keys=True)
+        assert trace.columnar() is col
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        lambda t: t.load(PMR + 8, 8),
+        lambda t: t.store(PMR + 8, 8),
+        lambda t: t.atomic(AtomicOp.CAS, PMR + 8, 8, with_return=False),
+        lambda t: (t.work(3), t.barrier(1)),
+        lambda t: t.append_block(
+            np.asarray([[EV_LOAD, 1 << 50, 4, 70000, -1, 0]])
+        ),
+        lambda t: t.events.append((EV_LOAD, PMR + 8, 8, 0)),
+    ],
+)
+def test_recording_on_a_frozen_thread_shows_in_the_next_columns(record):
+    trace = _sample_trace()
+    first = trace.columnar()
+    thread = trace.threads[1]
+    assert thread.frozen
+    record(thread)
+    expected = _sample_trace()
+    record(expected.threads[1])
+    col = trace.columnar()
+    assert col is not first
+    assert all(t.frozen or t._events is not None for t in trace.threads)
+    assert trace_digest(trace) == trace_digest(expected)
+    assert _columns(trace) == _columns(expected)
+    assert trace.columnar() is col
+
+
+def test_pickle_keeps_the_frozen_columns():
+    trace = _sample_trace()
+    col = trace.columnar()
+    back = pickle.loads(pickle.dumps(trace))
+    assert all(thread.frozen for thread in back.threads)
+    back_col = back.columnar()
+    assert back_col.nbytes == col.nbytes
+    assert trace_digest(back) == trace_digest(trace)

@@ -40,8 +40,10 @@ from repro.sim.system import (
     simulate_with_engine,
 )
 from repro.sim.vectorized import decline_reason, try_simulate_vectorized
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import AtomicOp
 from repro.trace.stream import ThreadTrace, Trace
+from tests.test_columnar import narrow_trace_matrices
 
 # ----------------------------------------------------------------------
 # Random traces (the test_property_sim idiom, plus multi-barrier phases)
@@ -302,6 +304,23 @@ def _tiny_trace(num_threads: int = 2) -> Trace:
 
 #: Hybrid DDR memory: an input the kernel still declines.
 _HYBRID = {"dram": DdrConfig(), "property_hmc_fraction": 0.5}
+
+
+@given(narrow_trace_matrices())
+@settings(max_examples=40, deadline=None)
+def test_narrow_columns_run_on_the_kernel_bit_identical(drawn):
+    """Columns of every width, up to their type limits, run on the
+    kernel in place and match the reference interpreter."""
+    thread_ids, matrices = drawn
+    trace = Trace.from_columnar(
+        ColumnarTrace.from_thread_matrices("narrow", thread_ids, matrices)
+    )
+    for config in SystemConfig().evaluation_trio():
+        result, reason = try_simulate_vectorized(trace, config)
+        assert reason is None
+        assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
+            simulate_reference(trace, config).to_dict(), sort_keys=True
+        )
 
 
 def test_hybrid_ddr_declines_and_falls_back():
