@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: style lint, type check, a warnings-as-errors build of the C
 # kernel, tier-1 tests, trace-lint (text + SARIF + baseline gating),
-# analysis-engine benchmark smoke,
+# analysis-engine, simulation-kernel, trace-capture and trace-memory
+# benchmark smokes, the paper's result shapes at small scale (the
+# figure, table, ablation and extension benchmarks),
 # simulation-kernel equivalence (kernel grid against the reference,
 # diffed JSON),
 # fault-injection smoke runs, a chaos smoke (kill a worker mid-grid,
@@ -155,6 +157,14 @@ step "trace memory benchmark (tiny-scale bytes-per-event guard)"
 # job is done.  The figure is a byte count, so it needs no RSS reading.
 run_or_fail env REPRO_SCALE=tiny python -m pytest -q \
     benchmarks/test_trace_memory_bench.py
+
+step "paper result shapes (figure, table, ablation, extension at small)"
+# The paper's claims as assertions: Fig. 7 ordering with the BC
+# exception, Tables III/V exact, Fig. 4 ordering and the rest.  They run
+# at small: tiny graphs fit the scaled LLC, the paper's own Fig. 14
+# effect, so Fig. 7 fails at tiny by design.
+run_or_fail env REPRO_SCALE=small python -m pytest -q --benchmark-disable \
+    benchmarks/test_{fig,tab,abl,ext}*.py
 
 step "simulation engines (kernel grid against the reference, diff the JSON)"
 # The batch kernel must produce byte-identical reports to the per-event

@@ -10,14 +10,13 @@ implementation over the tuple form, or both:
 - ``lint`` / ``race`` have **both**.  The vectorized implementations
   are gated by finding-for-finding equivalence tests against the PR 1
   per-event analyzers, which survive as the reference oracle and as the
-  fallback for traces the columnar form cannot represent (deliberately
-  malformed tuples) or that trip a vectorization guard.
+  fallback for traces that trip a vectorization guard.
 - ``profile`` / ``offload`` / ``screening`` are **vectorized-only** —
   whole-trace aggregations the per-event linter could never afford.
 
 The :class:`PassManager` runs the columnar implementation of each pass
 and falls back per pass to its per-event one when the columnar one
-returns ``None`` (a guard tripped) or the trace is not encodable.
+returns ``None`` (a guard tripped).
 Tests call the oracles directly: :func:`~repro.analysis.lint_trace`,
 :func:`~repro.analysis.detect_races` and each pass's
 :meth:`AnalysisPass.run_legacy`.
@@ -30,14 +29,14 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.common.errors import ConfigError, TraceError
+from repro.common.errors import ConfigError
 from repro.sim.config import SystemConfig
 from repro.trace.columnar import ColumnarTrace
+from repro.trace.stream import Trace
 from repro.analysis.findings import AnalysisReport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.memlayout.allocator import AddressSpace
-    from repro.trace.stream import Trace
 
 
 def run_starts(values: np.ndarray) -> np.ndarray:
@@ -80,31 +79,26 @@ def in_sorted_set(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
 class PassContext:
     """Everything a pass may consume.
 
-    ``columnar`` is None when the tuple trace is not columnar-encodable;
-    ``trace`` is materialized lazily from the columnar form when a
-    legacy fallback needs it.
+    ``trace`` is materialized lazily from ``columnar`` when a legacy
+    fallback needs it.
     """
 
     config: SystemConfig
-    trace: "Optional[Trace]" = None
-    columnar: Optional[ColumnarTrace] = None
+    columnar: ColumnarTrace
+    trace: Optional[Trace] = None
     address_space: "Optional[AddressSpace]" = None
     #: Extra configs for cross-config passes (screening).
     screen_configs: Sequence[SystemConfig] = ()
 
-    def require_trace(self) -> "Trace":
-        """Tuple-form trace, decoding from columnar on first use."""
+    def require_trace(self) -> Trace:
+        """The trace, built from the columns on first use."""
         if self.trace is None:
-            if self.columnar is None:
-                raise ConfigError("pass context has no trace")
-            self.trace = self.columnar.to_events()
+            self.trace = Trace.from_columnar(self.columnar)
         return self.trace
 
     @property
     def subject(self) -> str:
-        source = self.columnar if self.columnar is not None else self.trace
-        name = getattr(source, "name", "") or "trace"
-        return name
+        return self.columnar.name or "trace"
 
 
 @dataclass
@@ -113,8 +107,7 @@ class PassResult:
 
     name: str
     report: AnalysisReport
-    #: Which implementation actually ran ("vectorized" or "legacy"),
-    #: or "skipped" for a vectorized-only pass that could not run.
+    #: Which implementation actually ran ("vectorized" or "legacy").
     engine: str
     #: Structured pass-specific payload (profile passes).
     data: dict = field(default_factory=dict)
@@ -184,41 +177,24 @@ class PassManager:
     ) -> dict[str, PassResult]:
         """Run every pass; returns ``{pass name: PassResult}``.
 
-        ``trace`` may be a tuple-form ``Trace`` or a ``ColumnarTrace``.
+        ``trace`` may be a ``Trace`` or a ``ColumnarTrace``.
         """
+        if isinstance(trace, ColumnarTrace):
+            columnar, trace = trace, None
+        else:
+            columnar = trace.columnar()
         ctx = PassContext(
             config=config or SystemConfig.graphpim(),
+            columnar=columnar,
+            trace=trace,
             address_space=address_space,
             screen_configs=screen_configs,
         )
-        if isinstance(trace, ColumnarTrace):
-            ctx.columnar = trace
-        else:
-            ctx.trace = trace
-            try:
-                ctx.columnar = trace.columnar()
-            except TraceError:
-                # Deliberately malformed tuples (wrong arity, bad
-                # kinds) are exactly what the legacy linter reports;
-                # every pass falls back for this trace.
-                ctx.columnar = None
-
         results: dict[str, PassResult] = {}
         for pass_ in self.passes:
-            result = None
-            if ctx.columnar is not None:
-                result = pass_.run_columnar(ctx)
+            result = pass_.run_columnar(ctx)
             if result is None:
                 result = pass_.run_legacy(ctx)
-            if result is None:
-                # Vectorized-only pass on an unencodable trace (or a
-                # guard tripped with no oracle): record an empty result
-                # rather than silently dropping the pass.
-                result = PassResult(
-                    name=pass_.name,
-                    report=AnalysisReport(subject=ctx.subject),
-                    engine="skipped",
-                )
             results[pass_.name] = result
         return results
 

@@ -3,18 +3,10 @@
 Reimplements :func:`repro.analysis.trace_lint.lint_trace` as numpy mask
 algebra over :class:`~repro.trace.columnar.ColumnarTrace` columns.  The
 output is **finding-for-finding identical** to the per-event linter on
-every columnar-encodable trace — same rules, same messages, same
-emission order, same per-rule caps and suppression notes — which the
-equivalence tests in ``tests/test_passes.py`` enforce across the full
-workload grid and under property-based fuzzing.
-
-Equivalence notes (why some legacy checks have no vectorized twin):
-
-- Unknown event kinds, wrong tuple arities, and non-integer fields are
-  *unrepresentable* in the columnar form — ``from_events`` raises and
-  the PassManager falls back to the legacy linter, which reports them.
-- ``with_return`` is stored as an int64 0/1 column, so the legacy
-  "flag is not boolean" check can never fire on a columnar trace.
+every trace — same rules, same messages, same emission order, same
+per-rule caps and suppression notes — which the equivalence tests in
+``tests/test_passes.py`` enforce across the full workload grid and
+under property-based fuzzing.
 
 Emission order: the legacy linter walks threads in order and events in
 order, emitting intra-event checks in a fixed code order.  The columnar

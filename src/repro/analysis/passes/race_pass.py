@@ -198,6 +198,11 @@ def detect_races_columnar(
     # Bucket and key arithmetic needs int64 whatever the column widths.
     addr = col.addr.astype(np.int64, copy=False)
     well = (kind != EV_BARRIER) & (addr >= 0) & (size > 0)
+    if int(addr.max(initial=0)) + int(size.max(initial=0)) - 1 > _I64_MAX:
+        # Some access may end past 2^63 - 1, where ``addr + size - 1``
+        # wraps: ill-formed, as in the oracle's ``_well_formed``.  The
+        # test is skipped otherwise, since it allocates an int64 per event.
+        well &= size - 1 <= _I64_MAX - addr
     stores = np.flatnonzero(well & (kind == EV_STORE))
     if stores.size == 0:
         return report  # no plain-store writer, so no reportable cell

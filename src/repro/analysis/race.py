@@ -40,6 +40,9 @@ from repro.analysis.rules import make_finding
 #: log2 of the conflict-detection granularity (8-byte words).
 _BUCKET_SHIFT = 3
 
+#: The last byte address an access may reach.
+_I64_MAX = (1 << 63) - 1
+
 #: Cap on reported races; a broken workload races on every vertex.
 MAX_RACE_FINDINGS = 100
 
@@ -63,7 +66,7 @@ def _split_epochs(thread) -> list[list[tuple[int, tuple]]]:
     """Split one thread's events into per-epoch ``(index, event)`` lists."""
     epochs: list[list[tuple[int, tuple]]] = [[]]
     for index, event in enumerate(thread.event_tuples()):
-        if event and event[0] == EV_BARRIER:
+        if event[0] == EV_BARRIER:
             epochs.append([])
         else:
             epochs[-1].append((index, event))
@@ -76,13 +79,10 @@ def _buckets(addr: int, size: int) -> range:
 
 
 def _well_formed(event: tuple) -> bool:
-    return (
-        len(event) >= 4
-        and isinstance(event[1], int)
-        and event[1] >= 0
-        and isinstance(event[2], int)
-        and event[2] > 0
-    )
+    """An access whose bytes all lie in ``[0, 2**63)``, the addresses
+    an int64 column holds (as the vectorized pass's ``well`` mask)."""
+    addr, size = event[1], event[2]
+    return addr >= 0 and size > 0 and addr + size - 1 <= _I64_MAX
 
 
 def _lock_buckets(epoch_events: list[list[tuple[int, tuple]]]) -> set[int]:
@@ -98,7 +98,7 @@ def _lock_buckets(epoch_events: list[list[tuple[int, tuple]]]) -> set[int]:
             if not _well_formed(event):
                 continue
             kind, addr, size = event[0], event[1], event[2]
-            if kind == EV_ATOMIC and len(event) >= 6:
+            if kind == EV_ATOMIC:
                 if event[4] == AtomicOp.CAS:
                     cas_seen.update(_buckets(addr, size))
             elif kind == EV_STORE:

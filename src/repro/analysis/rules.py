@@ -54,7 +54,7 @@ RULES: dict[str, Rule] = {
         Rule(
             "TRC003",
             Severity.ERROR,
-            "malformed event tuple (arity, kind, op, or field domain)",
+            "malformed event (atomic op or field domain)",
         ),
         Rule(
             "RACE001",

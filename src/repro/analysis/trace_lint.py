@@ -19,7 +19,8 @@ otherwise silently assumes:
   WARNING: a wild-but-region-tagged address skews stats, it does not
   crash the replay).
 - ``TRC002`` — unbalanced/mismatched barrier sequences across threads.
-- ``TRC003`` — malformed event tuples (arity, kind, field domains).
+- ``TRC003`` — malformed events (negative sizes, gaps or barrier
+  fields, atomic ops no :class:`~repro.trace.events.AtomicOp` names).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.trace.events import (
     EV_ATOMIC,
     EV_BARRIER,
     EV_LOAD,
-    EV_STORE,
     AtomicOp,
 )
 from repro.trace.stream import Trace
@@ -44,7 +44,6 @@ from repro.analysis.rules import make_finding
 
 _VALID_REGIONS = frozenset(int(r) for r in Region)
 _PROPERTY_REGION = int(Region.PROPERTY)
-_EVENT_ARITY = {EV_LOAD: 4, EV_STORE: 4, EV_ATOMIC: 6, EV_BARRIER: 3}
 
 #: Per-rule cap on recorded findings; a systematically corrupt trace
 #: would otherwise produce one finding per event.
@@ -116,9 +115,7 @@ def lint_trace(
         for thread in trace.threads:
             for event in thread.event_tuples():
                 if (
-                    len(event) == 6
-                    and event[0] == EV_ATOMIC
-                    and isinstance(event[1], int)
+                    event[0] == EV_ATOMIC
                     and event[1] >> REGION_SHIFT == _PROPERTY_REGION
                 ):
                     offloaded_lines.add(event[1] >> 6)
@@ -128,29 +125,7 @@ def lint_trace(
     for thread in trace.threads:
         tid = thread.thread_id
         for index, event in enumerate(thread.event_tuples()):
-            kind = event[0] if event else None
-            arity = _EVENT_ARITY.get(kind)
-            if arity is None:
-                out.emit(
-                    "TRC003",
-                    f"unknown event kind {kind!r}",
-                    thread_id=tid,
-                    event_index=index,
-                    fix_hint="event[0] must be one of EV_LOAD/EV_STORE/"
-                    "EV_ATOMIC/EV_BARRIER",
-                )
-                continue
-            if len(event) != arity:
-                out.emit(
-                    "TRC003",
-                    f"event kind {kind} has arity {len(event)}, "
-                    f"expected {arity}",
-                    thread_id=tid,
-                    event_index=index,
-                    fix_hint="see repro.trace.events for tuple layouts",
-                )
-                continue
-
+            kind = event[0]
             if kind == EV_BARRIER:
                 barrier_id, gap = event[1], event[2]
                 if barrier_id < 0 or gap < 0:
@@ -197,25 +172,17 @@ def lint_trace(
                     )
 
             if kind == EV_ATOMIC:
-                op, with_return = event[4], event[5]
+                op = event[4]
                 if not isinstance(op, AtomicOp):
-                    try:
-                        op = AtomicOp(op)
-                    except ValueError:
-                        out.emit(
-                            "TRC003",
-                            f"atomic op {event[4]!r} is not an AtomicOp",
-                            thread_id=tid,
-                            event_index=index,
-                        )
-                        op = None
-                if not isinstance(with_return, (bool, int)):
+                    # The decoded tuple keeps an op no AtomicOp names
+                    # as its raw integer.
                     out.emit(
                         "TRC003",
-                        f"with_return flag {with_return!r} is not boolean",
+                        f"atomic op {op!r} is not an AtomicOp",
                         thread_id=tid,
                         event_index=index,
                     )
+                    op = None
                 if in_pmr and (op is None or op not in supported):
                     what = (
                         f"op {event[4]!r}" if op is None else f"{op.name}"

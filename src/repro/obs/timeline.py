@@ -118,7 +118,7 @@ class TimelineRecorder(NullRecorder):
         self.max_events = max_events
         self.ns_per_cycle = ns_per_cycle
         self.dropped_events = 0
-        self._events: "list[dict]" = []
+        self._entries: "list[dict]" = []
         #: track name -> pid (assigned in first-seen order).
         self._tracks: "dict[str, int]" = {}
         #: (track, lane) pairs that already carry a thread_name.
@@ -139,7 +139,7 @@ class TimelineRecorder(NullRecorder):
         if pid is None:
             pid = len(self._tracks)
             self._tracks[track] = pid
-            self._events.append(
+            self._entries.append(
                 {
                     "name": "process_name",
                     "ph": "M",
@@ -154,7 +154,7 @@ class TimelineRecorder(NullRecorder):
         if (track, lane) in self._labeled:
             return
         self._labeled.add((track, lane))
-        self._events.append(
+        self._entries.append(
             {
                 "name": "thread_name",
                 "ph": "M",
@@ -171,7 +171,7 @@ class TimelineRecorder(NullRecorder):
         self._stream_seen[stream] = seen + 1
         if seen % self.sample_every != 0:
             return False
-        if len(self._events) >= self.max_events:
+        if len(self._entries) >= self.max_events:
             self.dropped_events += 1
             return False
         return True
@@ -203,7 +203,7 @@ class TimelineRecorder(NullRecorder):
         }
         if args:
             event["args"] = args
-        self._events.append(event)
+        self._entries.append(event)
 
     def instant(
         self,
@@ -227,7 +227,7 @@ class TimelineRecorder(NullRecorder):
         }
         if args:
             event["args"] = args
-        self._events.append(event)
+        self._entries.append(event)
 
     # ------------------------------------------------------------------
     # Export
@@ -236,12 +236,12 @@ class TimelineRecorder(NullRecorder):
     @property
     def event_count(self) -> int:
         """Recorded span/instant events (metadata excluded)."""
-        return sum(1 for e in self._events if e["ph"] != "M")
+        return sum(1 for e in self._entries if e["ph"] != "M")
 
     def trace_dict(self) -> dict:
         """Chrome trace-event "JSON object format" payload."""
         return {
-            "traceEvents": list(self._events),
+            "traceEvents": list(self._entries),
             "displayTimeUnit": "ns",
             "otherData": {
                 "schema": TIMELINE_SCHEMA_VERSION,

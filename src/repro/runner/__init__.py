@@ -38,7 +38,6 @@ from repro.runner.engine import (
     SpecOutcome,
     evaluation_grid_specs,
     execute_spec,
-    execute_spec_async,
     motivation_extra_specs,
     plain_atomics_specs,
     run_evaluation_grid,
@@ -93,7 +92,6 @@ __all__ = [
     "config_fingerprint",
     "evaluation_grid_specs",
     "execute_spec",
-    "execute_spec_async",
     "motivation_extra_specs",
     "plain_atomics_specs",
     "publish_trace",

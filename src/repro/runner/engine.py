@@ -242,28 +242,6 @@ def execute_spec(
     }
 
 
-async def execute_spec_async(
-    spec: ExperimentSpec,
-    config: RunnerConfig,
-    executor=None,
-) -> dict:
-    """Single-spec asynchronous path (the service broker's hook).
-
-    Runs :func:`execute_spec` off the event loop — in ``executor``
-    (typically the broker's bounded ``ThreadPoolExecutor``) or the
-    loop's default executor — and returns the same payload dict.
-    Tracing and simulation release work to the cache exactly as the
-    grid path does, so a spec answered by the service and the same
-    spec run through ``repro run`` share cache objects bit-for-bit.
-    """
-    import asyncio
-
-    loop = asyncio.get_running_loop()
-    return await loop.run_in_executor(
-        executor, execute_spec, spec, config
-    )
-
-
 class ExperimentRunner:
     """Executes a grid of specs under one :class:`RunnerConfig`.
 

@@ -43,12 +43,11 @@ identically either way).
 **Fallback.**  :func:`try_simulate_vectorized` returns
 ``(None, reason)`` instead of a result when the input uses a feature
 the kernel does not model — hybrid DDR memory, timeline recording,
-more than 64 threads, an FP offload into a cube without FP units, an
-unencodable trace — or when no C compiler is available to build the
-loop, and the engine dispatcher
-(:func:`repro.sim.system.simulate_with_engine`) runs the reference
-instead.  The reference interpreter is unchanged and remains the
-oracle.
+more than 64 threads, an FP offload into a cube without FP units — or
+when no C compiler is available to build the loop, and the engine
+dispatcher (:func:`repro.sim.system.simulate_with_engine`) runs the
+reference instead.  The reference interpreter is unchanged and remains
+the oracle.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.common.errors import SimulationError, TraceError
+from repro.common.errors import SimulationError
 from repro.faults.injector import FaultInjector
 from repro.hmc.commands import HOST_TO_HMC, command_for_atomic
 from repro.hmc.device import HmcStats, retry_exhausted_error
@@ -213,10 +212,7 @@ def try_simulate_vectorized(
     reason = decline_reason(trace, config, recorder)
     if reason is not None:
         return None, reason
-    try:
-        col = trace.columnar()
-    except TraceError as exc:
-        return None, f"trace not columnar-encodable: {exc}"
+    col = trace.columnar()
     # Cached beside the columns, as ``Trace.columnar()`` caches them:
     # the rows are frozen once encoded, so the reason never goes stale.
     if "_kernel_decline" not in col.__dict__:

@@ -15,8 +15,8 @@ from repro.trace.events import (
     AtomicOp,
     is_fp_op,
 )
-from repro.trace.columnar import ColumnarTrace, as_columnar
-from repro.trace.io import load_columnar, load_trace, save_trace, trace_digest
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.io import load_trace, save_trace, trace_digest
 from repro.trace.stream import ThreadTrace, Trace
 from repro.trace.stats import TraceStats, summarize_trace
 
@@ -30,9 +30,7 @@ __all__ = [
     "ThreadTrace",
     "Trace",
     "TraceStats",
-    "as_columnar",
     "is_fp_op",
-    "load_columnar",
     "load_trace",
     "save_trace",
     "summarize_trace",

@@ -20,24 +20,21 @@ column keeps the narrowest signed integer type (int8, int16, int32 or
 int64) that holds its values, chosen from the column's range when the
 rows are stacked; :meth:`ColumnarTrace.thread_matrix` widens a thread
 back to its int64 rows.  So conversion is lossless both ways
-(``to_events(from_events(t))`` has ``t``'s events for every encodable
-trace), and ``.repro_cache/`` result keys and service spec_keys do not
-depend on which representation produced a trace.
+(``Trace.from_columnar(ColumnarTrace.from_events(t))`` has ``t``'s
+rows), and ``.repro_cache/`` result keys and service spec_keys do not
+depend on which form produced a trace.
 
 The vectorized analysis passes (:mod:`repro.analysis.passes`) and the
 batch simulation kernel (:mod:`repro.sim.vectorized`) consume this
-form; the tuple view (:attr:`ThreadTrace.events`, decoded by
+form; the tuple view (:meth:`ThreadTrace.event_tuples`, decoded by
 :func:`decode_thread_matrix`) serves the per-event reference
 interpreter and the legacy analyzers.
 
-Encodability: an event is columnar-encodable when it has a known kind,
-the exact arity for that kind, and integer fields that fit in int64.
-A thread that holds tuples instead of rows (hand-built or mutated
-through ``.events``) is strictly encoded by :func:`encode_events`,
-which raises :class:`~repro.common.errors.TraceError` on deliberately
-malformed tuples (wrong arity, non-int fields, unknown kinds); analysis
-callers fall back to the per-event implementations for those, which
-report the corruption as findings instead of dying.
+Every trace is columnar: a thread records nothing a row cannot hold
+(its recorders raise :class:`~repro.common.errors.TraceError`
+instead), and rows read from a file or handed to
+:meth:`ColumnarTrace.from_thread_matrices` or
+:meth:`ThreadTrace.append_block` are checked for unknown event kinds.
 """
 
 from __future__ import annotations
@@ -59,9 +56,6 @@ from repro.trace.events import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.stream import Trace
 
-#: Expected tuple arity per event kind (the encodable subset).
-_EVENT_ARITY = {EV_LOAD: 4, EV_STORE: 4, EV_ATOMIC: 6, EV_BARRIER: 3}
-
 _COLUMNS = ("kind", "addr", "size", "gap", "op", "ret")
 
 #: Column types, narrowest first, with the value range each holds.
@@ -82,80 +76,6 @@ def _narrowest_type(low: int, high: int) -> np.dtype:
         if type_min <= low and high <= type_max:
             return dtype
     return _NARROW_TYPES[-1][2]
-
-
-def _require_int(value, what: str, thread_id: int, index: int) -> int:
-    """Validate one event field as a columnar-encodable integer."""
-    # bool and IntEnum are int subclasses and encode fine; floats and
-    # arbitrary objects do not round-trip and must take the tuple path.
-    if not isinstance(value, (int, np.integer)):
-        raise TraceError(
-            f"thread {thread_id} event {index}: {what} {value!r} is not "
-            f"an integer (not columnar-encodable)"
-        )
-    return int(value)
-
-
-def encode_events(
-    events: Sequence[tuple], thread_id: int = 0
-) -> np.ndarray:
-    """Strictly encode one thread's event tuples as an (N, 6) matrix.
-
-    Only threads that keep tuples reach this (hand-built, or mutated
-    through ``.events``): builder-captured and loaded threads already
-    hold rows.  Validates kind, arity, and field integer-ness, and
-    raises :class:`TraceError` on anything the columnar form cannot
-    represent losslessly.  (The digest and the file format use the
-    tolerant encoder inside :mod:`repro.trace.io` for the same threads.)
-    """
-    rows = np.empty((len(events), 6), dtype=np.int64)
-    for i, event in enumerate(events):
-        kind = event[0] if event else None
-        arity = _EVENT_ARITY.get(kind)  # type: ignore[arg-type]
-        if arity is None:
-            raise TraceError(
-                f"thread {thread_id} event {i}: unknown event kind "
-                f"{kind!r} (not columnar-encodable)"
-            )
-        if len(event) != arity:
-            raise TraceError(
-                f"thread {thread_id} event {i}: kind {kind} has arity "
-                f"{len(event)}, expected {arity} (not columnar-encodable)"
-            )
-        try:
-            if kind == EV_BARRIER:
-                rows[i] = (
-                    kind,
-                    0,
-                    _require_int(event[1], "barrier id", thread_id, i),
-                    _require_int(event[2], "gap", thread_id, i),
-                    -1,
-                    0,
-                )
-            elif kind == EV_ATOMIC:
-                rows[i] = (
-                    kind,
-                    _require_int(event[1], "addr", thread_id, i),
-                    _require_int(event[2], "size", thread_id, i),
-                    _require_int(event[3], "gap", thread_id, i),
-                    _require_int(event[4], "atomic op", thread_id, i),
-                    _require_int(event[5], "with_return", thread_id, i),
-                )
-            else:
-                rows[i] = (
-                    kind,
-                    _require_int(event[1], "addr", thread_id, i),
-                    _require_int(event[2], "size", thread_id, i),
-                    _require_int(event[3], "gap", thread_id, i),
-                    -1,
-                    0,
-                )
-        except OverflowError:
-            raise TraceError(
-                f"thread {thread_id} event {i}: field exceeds int64 "
-                f"range (not columnar-encodable)"
-            ) from None
-    return rows
 
 
 def decode_thread_matrix(rows: np.ndarray) -> "list[tuple]":
@@ -181,21 +101,15 @@ def decode_thread_matrix(rows: np.ndarray) -> "list[tuple]":
     return events
 
 
-_KNOWN_KINDS = np.asarray(list(_EVENT_ARITY), dtype=np.int64)
-
-
 def check_event_kinds(kinds: np.ndarray) -> None:
     """Raise :class:`TraceError` naming the first unknown event kind."""
-    # The known kinds are the contiguous codes EV_LOAD..EV_BARRIER, so
-    # a range check clears a valid column without a membership test.
+    # The known kinds are the contiguous codes EV_LOAD..EV_BARRIER.
     if not kinds.size or (
         kinds.min() >= EV_LOAD and kinds.max() <= EV_BARRIER
     ):
         return
-    unknown = ~np.isin(kinds, _KNOWN_KINDS)
-    if np.any(unknown):
-        bad = int(kinds[np.argmax(unknown)])
-        raise TraceError(f"unknown event kind {bad} in trace file")
+    bad = int(kinds[np.argmax((kinds < EV_LOAD) | (kinds > EV_BARRIER))])
+    raise TraceError(f"unknown event kind {bad} in trace file")
 
 
 @dataclass
@@ -320,19 +234,6 @@ class ColumnarTrace:
             sequences.append(self.size[rows][mask])
         return sequences
 
-    def validate_barriers(self) -> None:
-        """Fail fast on mismatched per-thread barrier sequences."""
-        sequences = self.barrier_sequences()
-        first = sequences[0]
-        for pos in range(1, self.num_threads):
-            seq = sequences[pos]
-            if seq.size != first.size or not np.array_equal(seq, first):
-                raise TraceError(
-                    f"barrier sequence mismatch between thread "
-                    f"{int(self.thread_ids[0])} and "
-                    f"{int(self.thread_ids[pos])}"
-                )
-
     # ------------------------------------------------------------------
     # Conversions
     # ------------------------------------------------------------------
@@ -340,24 +241,12 @@ class ColumnarTrace:
     @classmethod
     def from_events(cls, trace: "Trace") -> "ColumnarTrace":
         """Columnar form of a :class:`Trace`: its threads' rows, stacked
-        into narrow columns.
-
-        A thread that keeps tuples is strictly encoded first
-        (:func:`encode_events`), so this raises :class:`TraceError`
-        when one of its events is not columnar-encodable (unknown kind,
-        wrong arity, non-integer or out-of-range field); callers needing
-        to analyze such traces use the per-event path instead.
-        """
-        matrices = []
-        for thread in trace.threads:
-            rows = thread.rows()
-            if rows is None:
-                rows = encode_events(
-                    thread.event_tuples(), thread.thread_id
-                )
-            matrices.append(rows)
+        into narrow columns."""
+        threads = trace.threads
         return cls._stack(
-            trace.name, [t.thread_id for t in trace.threads], matrices
+            trace.name,
+            [thread.thread_id for thread in threads],
+            [thread.rows() for thread in threads],
         )
 
     @classmethod
@@ -444,30 +333,9 @@ class ColumnarTrace:
             matrix[:, index] = getattr(self, column)[rows]
         return matrix
 
-    def to_events(self) -> "Trace":
-        """The :class:`Trace` of these columns (no per-event decode).
-
-        Its threads are views of this object, which is its
-        :meth:`~repro.trace.stream.Trace.columnar` form.
-        """
-        from repro.trace.stream import Trace
-
-        return Trace.from_columnar(self)
-
     def __repr__(self) -> str:
         return (
             f"ColumnarTrace(name={self.name!r}, "
             f"threads={self.num_threads}, events={self.num_events})"
         )
 
-
-def as_columnar(trace) -> ColumnarTrace:
-    """Coerce a :class:`Trace` or :class:`ColumnarTrace` to columnar.
-
-    For a :class:`Trace` this goes through :meth:`Trace.columnar`, so
-    the conversion is paid once per trace object no matter how many
-    passes or simulations consume it.
-    """
-    if isinstance(trace, ColumnarTrace):
-        return trace
-    return trace.columnar()

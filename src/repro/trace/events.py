@@ -1,9 +1,9 @@
 """Trace event encoding.
 
-A captured thread stores its events as canonical int64 rows
+A thread stores its events as canonical int64 rows
 ``(kind, addr, size, gap, op, ret)`` (:mod:`repro.trace.columnar`); the
-tuples below are a view of those rows, decoded on first access to
-:attr:`~repro.trace.stream.ThreadTrace.events` for the per-event
+tuples below are a view of those rows, decoded by
+:meth:`~repro.trace.stream.ThreadTrace.event_tuples` for the per-event
 reference interpreter and the legacy analyzers.  The first element of
 a tuple is one of the ``EV_*`` codes.
 

@@ -14,10 +14,11 @@ A thread's matrix is exactly the capture buffer of a
 captured trace move its rows unchanged, and a frozen thread widens its
 narrow columns back to the same int64 rows.  The layout is shared with
 the columnar structure-of-arrays form
-(:class:`~repro.trace.columnar.ColumnarTrace`): one file loads as
-either, :func:`save_trace` accepts both, and :func:`trace_digest`
-hashes both to the same value — so cache keys and spec_keys never
-depend on which representation produced the trace.
+(:class:`~repro.trace.columnar.ColumnarTrace`): :func:`save_trace`
+accepts both forms, and :func:`trace_digest` hashes both to the same
+value — so cache keys and spec_keys never depend on which form produced
+the trace.  A file loads as a :class:`~repro.trace.stream.Trace` whose
+threads are frozen views of its columns.
 """
 
 from __future__ import annotations
@@ -32,40 +33,11 @@ import numpy as np
 
 from repro.common.errors import TraceError
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.events import EV_ATOMIC, EV_BARRIER
-from repro.trace.stream import ThreadTrace, Trace
+from repro.trace.stream import Trace
 
 _FORMAT_VERSION = 1
 
 AnyTrace = Union[Trace, ColumnarTrace]
-
-
-def _encode_thread(thread: ThreadTrace) -> np.ndarray:
-    """Pack the tuples of a thread that keeps tuples into (N, 6) rows.
-
-    Tolerant (no kind, arity or type checks), unlike
-    :func:`~repro.trace.columnar.encode_events`: the digest and the file
-    take a thread's tuples as they are, so a malformed trace can still
-    be hashed and saved for the linter to report on.
-    """
-    events = thread.event_tuples()
-    rows = np.empty((len(events), 6), dtype=np.int64)
-    for i, event in enumerate(events):
-        kind = event[0]
-        if kind == EV_BARRIER:
-            rows[i] = (kind, 0, event[1], event[2], -1, 0)
-        elif kind == EV_ATOMIC:
-            rows[i] = (
-                kind,
-                event[1],
-                event[2],
-                event[3],
-                int(event[4]),
-                int(event[5]),
-            )
-        else:
-            rows[i] = (kind, event[1], event[2], event[3], -1, 0)
-    return rows
 
 
 def _thread_matrices(
@@ -81,10 +53,7 @@ def _thread_matrices(
             yield int(tid), trace.thread_matrix(pos)
         return
     for thread in trace.threads:
-        rows = thread.rows()
-        if rows is None:
-            rows = _encode_thread(thread)
-        yield thread.thread_id, rows
+        yield thread.thread_id, thread.rows()
 
 
 def trace_digest(trace: AnyTrace) -> str:
@@ -94,7 +63,7 @@ def trace_digest(trace: AnyTrace) -> str:
     is, a frozen thread's columns widened back — so the digest
     identifies the trace
     *content* independently of how it was produced (fresh execution,
-    loaded from disk, tuple form, or columnar form).  The experiment
+    loaded from disk, or columnar form).  The experiment
     runner keys its on-disk result cache on this, and the strict
     pre-flight uses it to skip re-linting an already-clean trace.
     """
@@ -107,7 +76,7 @@ def trace_digest(trace: AnyTrace) -> str:
 
 
 def save_trace(trace: AnyTrace, path: str | os.PathLike) -> None:
-    """Write a trace (tuple or columnar form) to a ``.npz`` bundle."""
+    """Write a trace (or its columnar form) to a ``.npz`` bundle."""
     payload = {
         "version": np.asarray([_FORMAT_VERSION]),
         "name": np.asarray([trace.name]),
@@ -168,7 +137,7 @@ def load_trace(path: str | os.PathLike, validate: bool = True) -> Trace:
 
     The rows are stacked into narrow columns as loaded and every thread
     is a frozen view of them (:meth:`Trace.from_columnar`); nothing is
-    decoded until a caller reads ``.events``.  Unknown event kinds
+    decoded until a caller asks for event tuples.  Unknown event kinds
     raise :class:`TraceError`.  ``validate=False`` skips the fail-fast
     barrier check so analysis tools (``repro lint``) can load a
     malformed trace and report *what* is wrong instead of dying on the
@@ -184,13 +153,3 @@ def load_trace(path: str | os.PathLike, validate: bool = True) -> Trace:
         trace.validate_barriers()
     return trace
 
-
-def load_columnar(
-    path: str | os.PathLike, validate: bool = True
-) -> ColumnarTrace:
-    """Read a trace bundle into the columnar form.
-
-    ``load_trace(path, validate).columnar()``: the rows as loaded,
-    stacked into narrow columns, with no per-event work.
-    """
-    return load_trace(path, validate=validate).columnar()

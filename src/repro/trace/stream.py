@@ -23,8 +23,8 @@ from repro.trace.events import (
 
 #: One canonical ``(kind, addr, size, gap, op, ret)`` row: six native
 #: int64s, byte-identical to a row of the ``(N, 6)`` matrix.  ``pack``
-#: raises ``struct.error`` on exactly the fields :func:`encode_events`
-#: rejects (non-integers, values outside int64).
+#: raises ``struct.error`` on a field no row holds: a non-integer or a
+#: value outside int64.
 _ROW = struct.Struct("=6q")
 _pack_row = _ROW.pack
 
@@ -37,58 +37,49 @@ class ThreadTrace:
     instructions; the pending work count is folded into the next event's
     ``gap`` field.
 
-    Storage: during capture each event is packed into its canonical
-    int64 row (:mod:`repro.trace.columnar`) in one growable buffer, the
-    layout the ``.npz`` format, :func:`~repro.trace.io.trace_digest` and
-    shared memory use, so none of them re-encodes it.
-    :meth:`Trace.columnar` then *freezes* the thread: its events move
-    into the trace's narrow columns, and the thread becomes a view of
-    its slice of them and drops the capture buffer.  A recorder call on
-    a frozen thread thaws it back to a capture buffer first.
-    :attr:`events` is a tuple view decoded on first access; from then
-    on the thread keeps tuples, so the returned list can be mutated like
-    any list.  The builder switches to tuples the same way on the first
-    event a row cannot hold exactly: a field :func:`encode_events`
-    would reject (non-integer, outside int64) or an atomic whose
-    ``with_return`` is not a bool (the view decodes ``ret`` as one).
+    Storage, in two states.  During capture each event is packed into
+    its canonical int64 row (:mod:`repro.trace.columnar`) in one
+    growable buffer, the layout the ``.npz`` format,
+    :func:`~repro.trace.io.trace_digest` and shared memory use, so none
+    of them re-encodes it.  :meth:`Trace.columnar` then *freezes* the
+    thread, once: its events move into the trace's narrow columns, and
+    the thread becomes a read-only view of its slice of them and drops
+    the capture buffer.  A recorder raises
+    :class:`~repro.common.errors.TraceError`, naming the thread and the
+    event index, on a field no row holds (a non-integer, a value outside
+    int64, an atomic's ``with_return`` that is not a bool) and on a
+    frozen thread; the recorded events are left as they were.
+    :meth:`event_tuples` decodes the tuple layouts of
+    :mod:`repro.trace.events` from the rows.
     """
 
-    __slots__ = (
-        "thread_id", "_rows", "_events", "_pending_work", "_col", "_pos"
-    )
+    __slots__ = ("thread_id", "_rows", "_pending_work", "_col", "_pos")
 
     def __init__(self, thread_id: int):
         self.thread_id = thread_id
-        #: Capture buffer, or None once the thread is frozen or keeps
-        #: tuples.
+        #: Capture buffer, or None once the thread is frozen.
         self._rows: Optional[bytearray] = bytearray()
-        #: Tuple storage, or None while the thread keeps rows.
-        self._events: Optional[list[tuple]] = None
         self._pending_work = 0
-        #: The trace columns this thread's events are in (at thread
-        #: position ``_pos``), or None when no columns speak for it.
+        #: The trace columns a frozen thread's events are in, at thread
+        #: position ``_pos``.
         self._col: Optional[ColumnarTrace] = None
         self._pos = 0
 
     def _freeze(self, col: ColumnarTrace, pos: int) -> None:
         """Point the thread at its slice of ``col`` and drop its capture
-        buffer.  A thread keeping tuples keeps them: they stay its
-        events (a tuple need not round-trip through a row exactly), and
-        the columns only record that nothing changed since."""
+        buffer."""
         self._col = col
         self._pos = pos
         self._rows = None
 
-    def _thaw(self) -> bool:
-        """Give a frozen thread its capture buffer back, for a recorder
-        call; True when it did.  The trace's next :meth:`Trace.columnar`
-        call then rebuilds the columns."""
-        col = self._col
-        if col is None or self._events is not None:
-            return False
-        self._rows = bytearray(col.thread_matrix(self._pos))
-        self._col = None
-        return True
+    def _refusal(self, problem: object = "") -> TraceError:
+        """The error for an event this thread cannot record."""
+        if self._rows is None:
+            problem = "the thread is frozen into its trace's columns"
+        return TraceError(
+            f"thread {self.thread_id} event {self.num_events}: cannot "
+            f"record it as a row ({problem})"
+        )
 
     def work(self, instructions: int = 1) -> None:
         """Record ``instructions`` non-memory instructions."""
@@ -98,31 +89,28 @@ class ThreadTrace:
 
     # The recorders below inline the row packing: they run once per
     # captured event, and a shared helper call would cost about as much
-    # as the pack itself.
+    # as the pack itself.  On a frozen thread ``self._rows += ...``
+    # raises TypeError (None has no ``+=``).
 
     def load(self, addr: int, size: int = 8) -> None:
         """Record a regular load."""
-        gap = self._pending_work
+        try:
+            self._rows += _pack_row(
+                EV_LOAD, addr, size, self._pending_work, -1, 0
+            )
+        except (struct.error, TypeError) as error:
+            raise self._refusal(error) from None
         self._pending_work = 0
-        if self._rows is not None or self._thaw():
-            try:
-                self._rows += _pack_row(EV_LOAD, addr, size, gap, -1, 0)
-                return
-            except struct.error:
-                pass
-        self.events.append((EV_LOAD, addr, size, gap))
 
     def store(self, addr: int, size: int = 8) -> None:
         """Record a regular store."""
-        gap = self._pending_work
+        try:
+            self._rows += _pack_row(
+                EV_STORE, addr, size, self._pending_work, -1, 0
+            )
+        except (struct.error, TypeError) as error:
+            raise self._refusal(error) from None
         self._pending_work = 0
-        if self._rows is not None or self._thaw():
-            try:
-                self._rows += _pack_row(EV_STORE, addr, size, gap, -1, 0)
-                return
-            except struct.error:
-                pass
-        self.events.append((EV_STORE, addr, size, gap))
 
     def atomic(
         self,
@@ -132,19 +120,16 @@ class ThreadTrace:
         with_return: bool = True,
     ) -> None:
         """Record a host atomic instruction (lock-prefixed RMW)."""
-        gap = self._pending_work
+        if with_return is not True and with_return is not False:
+            # The tuple view decodes ``ret`` as a bool.
+            raise self._refusal(f"with_return {with_return!r} is not a bool")
+        try:
+            self._rows += _pack_row(
+                EV_ATOMIC, addr, size, self._pending_work, op, with_return
+            )
+        except (struct.error, TypeError) as error:
+            raise self._refusal(error) from None
         self._pending_work = 0
-        if (self._rows is not None or self._thaw()) and (
-            with_return is True or with_return is False
-        ):
-            try:
-                self._rows += _pack_row(
-                    EV_ATOMIC, addr, size, gap, op, with_return
-                )
-                return
-            except struct.error:
-                pass
-        self.events.append((EV_ATOMIC, addr, size, gap, op, with_return))
 
     def barrier(self, barrier_id: int) -> None:
         """Record participation in a global barrier.
@@ -152,18 +137,13 @@ class ThreadTrace:
         Pending work is charged before the barrier is entered: the
         replay loop charges the event's gap cycles before it syncs.
         """
-        gap = self._pending_work
-        if gap:
-            self._pending_work = 0
-        else:
-            gap = 0
-        if self._rows is not None or self._thaw():
-            try:
-                self._rows += _pack_row(EV_BARRIER, 0, barrier_id, gap, -1, 0)
-                return
-            except struct.error:
-                pass
-        self.events.append((EV_BARRIER, barrier_id, gap))
+        try:
+            self._rows += _pack_row(
+                EV_BARRIER, 0, barrier_id, self._pending_work, -1, 0
+            )
+        except (struct.error, TypeError) as error:
+            raise self._refusal(error) from None
+        self._pending_work = 0
 
     def append_block(self, rows: np.ndarray, trailing_work: int = 0) -> None:
         """Record an ``(N, 6)`` int64 block of event rows in one call.
@@ -174,8 +154,7 @@ class ThreadTrace:
         and ``trailing_work`` (instructions executed after the block's
         last event) stays pending for the next event or barrier.  An
         empty block only adds ``trailing_work``.  ``rows`` is not
-        modified.  A thread that keeps tuples extends them with the
-        block's decoded events instead.
+        modified.
         """
         if trailing_work < 0:
             raise TraceError("work count must be non-negative")
@@ -184,71 +163,36 @@ class ThreadTrace:
             self._pending_work += trailing_work
             return
         check_event_kinds(block[:, 0])
+        if self._rows is None:
+            raise self._refusal()
         pending = self._pending_work
-        self._pending_work = trailing_work
-        if self._rows is not None or self._thaw():
-            # ``extend`` takes the array's buffer; ``+=`` would hand the
-            # sum to numpy.
-            if not pending:
-                self._rows.extend(block)
-                return
+        if pending:
             first = block[0].tolist()
             first[3] += pending
             try:
                 head = _pack_row(*first)
-            except struct.error:
-                pass
-            else:
-                self._rows += head
-                self._rows.extend(block[1:])
-                return
-        events = decode_thread_matrix(block)
-        if pending:
-            first_event = list(events[0])
-            first_event[2 if first_event[0] == EV_BARRIER else 3] += pending
-            events[0] = tuple(first_event)
-        self.events.extend(events)
-
-    @property
-    def events(self) -> list[tuple]:
-        """The event tuples (layouts in :mod:`repro.trace.events`).
-
-        Decoded from the rows on first access; the thread keeps the
-        returned list as its storage from then on, and since the caller
-        may edit it, the trace's next :meth:`Trace.columnar` call
-        rebuilds the columns.  Readers that only iterate use
-        :meth:`event_tuples`, which leaves the storage as it is.
-        """
-        events = self._events
-        if events is None:
-            events = decode_thread_matrix(self.rows())
-            self._events = events
-            self._rows = None
-        self._col = None
-        return events
+            except struct.error as error:
+                raise self._refusal(error) from None
+            self._rows += head
+            block = block[1:]
+        # ``extend`` takes the array's buffer; ``+=`` would hand the sum
+        # to numpy.
+        self._rows.extend(block)
+        self._pending_work = trailing_work
 
     def event_tuples(self) -> list[tuple]:
-        """The event tuples, leaving the thread's storage as it is.
-
-        A thread that keeps rows (captured or frozen) decodes a new list
-        per call; one that keeps tuples returns its own list, which the
-        caller must not mutate.
-        """
-        if self._events is not None:
-            return self._events
+        """The event tuples (layouts in :mod:`repro.trace.events`),
+        decoded from the rows into a new list on each call."""
         return decode_thread_matrix(self.rows())
 
-    def rows(self) -> Optional[np.ndarray]:
+    def rows(self) -> np.ndarray:
         """The events as a read-only ``(N, 6)`` int64 matrix.
 
-        None once the thread keeps tuples.  During capture this is a
-        view of the buffer, which it pins, so drop it before recording
-        further events; a frozen thread widens its slice of the trace's
-        columns into a new matrix.
+        During capture this is a view of the buffer, which it pins, so
+        drop it before recording further events; a frozen thread widens
+        its slice of the trace's columns into a new matrix.
         """
         if self._rows is None:
-            if self._events is not None or self._col is None:
-                return None
             matrix = self._col.thread_matrix(self._pos)
         else:
             matrix = np.frombuffer(self._rows, dtype=np.int64).reshape(-1, 6)
@@ -257,13 +201,11 @@ class ThreadTrace:
 
     @property
     def frozen(self) -> bool:
-        """True while the thread is a view of its trace's columns."""
-        return self._rows is None and self._events is None
+        """True once the thread is a view of its trace's columns."""
+        return self._rows is None
 
     def barrier_ids(self) -> list:
         """Barrier ids in stream order."""
-        if self._events is not None:
-            return [e[1] for e in self._events if e[0] == EV_BARRIER]
         if self._rows is None:
             col = self._col
             rows = col.thread_slice(self._pos)
@@ -277,8 +219,6 @@ class ThreadTrace:
         """Number of recorded events."""
         if self._rows is not None:
             return len(self._rows) // _ROW.size
-        if self._events is not None:
-            return len(self._events)
         starts = self._col.starts
         return int(starts[self._pos + 1] - starts[self._pos])
 
@@ -297,7 +237,9 @@ class Trace:
         ids = [t.thread_id for t in threads]
         if len(set(ids)) != len(ids):
             raise TraceError(f"duplicate thread ids: {ids}")
-        self.threads = list(threads)
+        #: A tuple: the columns :meth:`columnar` builds stand for exactly
+        #: these threads.
+        self.threads = tuple(threads)
         self.name = name
         self._columnar: Optional[ColumnarTrace] = None
 
@@ -349,36 +291,20 @@ class Trace:
     def columnar(self) -> ColumnarTrace:
         """The trace's narrow columnar (SoA) form, built once.
 
-        The first call builds it with
-        :meth:`~repro.trace.columnar.ColumnarTrace.from_events`, which
-        stacks the threads' rows into narrow columns (strictly encoding
-        any thread that keeps tuples), then freezes every thread: each
-        becomes a view of its slice and drops its capture buffer, so the
-        columns are the only copy of the events.  Every consumer shares
-        them: the strict pre-flight's passes and each simulated mode.
-        Later calls return the same object while every thread is still
-        its view; a recorder call on a frozen thread, a read of its
-        :attr:`~ThreadTrace.events` or a change to :attr:`threads` makes
-        the next call build and freeze again.
-
-        Raises :class:`~repro.common.errors.TraceError` (nothing frozen)
-        when the trace is not columnar-encodable.
+        The first call stacks the threads' rows into narrow columns
+        (:meth:`~repro.trace.columnar.ColumnarTrace.from_events`) and
+        freezes every thread: each becomes a read-only view of its slice
+        and drops its capture buffer, so the columns are the only copy
+        of the events.  Every consumer shares them: the strict
+        pre-flight's passes and each simulated mode.
         """
-        cached = self._columnar
-        if cached is None or not self._views_of(cached):
-            cached = ColumnarTrace.from_events(self)
+        col = self._columnar
+        if col is None:
+            col = ColumnarTrace.from_events(self)
             for pos, thread in enumerate(self.threads):
-                thread._freeze(cached, pos)
-            self._columnar = cached
-        return cached
-
-    def _views_of(self, col: ColumnarTrace) -> bool:
-        """True when the threads are exactly the views of ``col``."""
-        threads = self.threads
-        return len(threads) == col.num_threads and all(
-            thread._col is col and thread._pos == pos
-            for pos, thread in enumerate(threads)
-        )
+                thread._freeze(col, pos)
+            self._columnar = col
+        return col
 
     def __repr__(self) -> str:
         return (

@@ -37,7 +37,7 @@ from repro.memlayout.allocator import AddressSpace
 from repro.memlayout.regions import REGION_SHIFT, Region
 from repro.sim.cache import CacheConfig
 from repro.sim.config import SystemConfig
-from repro.trace.events import _FP_OPS, EV_LOAD, AtomicOp
+from repro.trace.events import _FP_OPS, AtomicOp
 from repro.trace.io import load_trace, save_trace
 from repro.trace.stream import ThreadTrace, Trace
 from repro.workloads.base import WorkloadRun
@@ -124,17 +124,16 @@ def test_trc002_non_monotone_barrier_ids():
 def test_trc003_malformed_tuples():
     t0 = ThreadTrace(0)
     t0.load(META + 8, 8)
-    t0.events.append((99, 1, 2, 3))  # unknown kind
-    t0.events.append((EV_LOAD, META + 8))  # wrong arity
-    t0.events.append((EV_LOAD, META + 8, -4, 0))  # negative size
+    t0.load(META + 8, -4)  # negative size
+    t0.store(META + 8, 0)  # empty access
     report = lint_trace(Trace([t0]))
-    assert report.count("TRC003") == 3
+    assert report.count("TRC003") == 2
     assert report.has_errors
     # Findings carry the offending event index.
     indices = {
         f.event_index for f in report.findings if f.rule_id == "TRC003"
     }
-    assert indices == {1, 2, 3}
+    assert indices == {1, 2}
 
 
 def test_pim001_fp_atomic_without_extension():
@@ -152,7 +151,7 @@ def test_pim001_fp_atomic_without_extension():
 
 def test_pim001_unknown_op_in_pmr():
     t0 = ThreadTrace(0)
-    t0.events.append((2, PMR + 8, 8, 0, 99, False))  # EV_ATOMIC, bad op
+    t0.atomic(99, PMR + 8, 8, False)  # no AtomicOp is 99
     report = lint_trace(Trace([t0]))
     assert "TRC003" in report.rule_ids()  # not an AtomicOp
     assert "PIM001" in report.rule_ids()  # and not offloadable
@@ -288,7 +287,7 @@ def _emit(thread, kind, bucket, size, base=PMR):
     elif kind == "add":
         thread.atomic(AtomicOp.ADD, addr, size, False)
     elif kind == "barrier":
-        thread.barrier(len([e for e in thread.events if e[0] == 3]))
+        thread.barrier(len(thread.barrier_ids()))
 
 
 @given(_events)
@@ -415,11 +414,11 @@ def test_load_trace_validate_flag(tmp_path):
 
 def test_load_trace_preserves_unknown_op(tmp_path):
     t0 = ThreadTrace(0)
-    t0.events.append((2, PMR + 8, 8, 0, 99, False))
+    t0.atomic(99, PMR + 8, 8, False)
     path = tmp_path / "badop.npz"
     save_trace(Trace([t0]), path)
     loaded = load_trace(path, validate=False)
-    assert loaded.threads[0].events[0][4] == 99
+    assert loaded.threads[0].event_tuples()[0][4] == 99
     assert "PIM001" in lint_trace(loaded).rule_ids()
 
 

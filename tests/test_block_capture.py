@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.common.errors import TraceError
 from repro.framework.layout import Slot, lay_out, work_slot
 from repro.graph.csr import CsrGraph
-from repro.trace.events import EV_ATOMIC, EV_BARRIER, EV_LOAD, EV_STORE, AtomicOp
+from repro.trace.events import EV_ATOMIC, EV_LOAD, EV_STORE, AtomicOp
 from repro.trace.io import trace_digest
 from repro.trace.stream import ThreadTrace
 from repro.workloads.reference import reference_workload
@@ -66,32 +66,13 @@ class TestAppendBlock:
         thread.store(64)
         assert thread.rows().tolist() == [[EV_STORE, 64, 8, 5, -1, 0]]
 
-    def test_thread_in_tuple_mode_extends_tuples(self):
+    def test_gap_past_int64_raises(self):
         thread = ThreadTrace(0)
         thread.load(64)
-        events = thread.events  # switches the thread to tuples
-        thread.work(1)
-        thread.append_block(
-            _rows(
-                (EV_ATOMIC, 128, 8, 2, int(AtomicOp.CAS), 1),
-                (EV_BARRIER, 0, 0, 0, -1, 0),
-            ),
-            6,
-        )
-        assert thread.rows() is None
-        assert events[1:] == [
-            (EV_ATOMIC, 128, 8, 3, AtomicOp.CAS, True),
-            (EV_BARRIER, 0, 0),
-        ]
-        thread.barrier(1)
-        assert events[-1] == (EV_BARRIER, 1, 6)
-
-    def test_gap_past_int64_switches_to_tuples(self):
-        thread = ThreadTrace(0)
         thread.work(2**63 - 1)
-        thread.append_block(_rows((EV_LOAD, 64, 8, 1, -1, 0)))
-        assert thread.rows() is None
-        assert thread.events == [(EV_LOAD, 64, 8, 2**63)]
+        with pytest.raises(TraceError, match="^thread 0 event 1: "):
+            thread.append_block(_rows((EV_LOAD, 64, 8, 1, -1, 0)))
+        assert thread.rows().tolist() == [[EV_LOAD, 64, 8, 0, -1, 0]]
 
     def test_rejects_unknown_kinds_and_negative_trailing_work(self):
         thread = ThreadTrace(0)

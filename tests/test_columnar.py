@@ -17,14 +17,9 @@ from repro.memlayout.regions import REGION_SHIFT, Region
 from repro.runner.fingerprint import config_fingerprint, result_key
 from repro.runner.shm import attach_trace, publish_trace, unlink_segment
 from repro.sim.config import SystemConfig
-from repro.trace.columnar import ColumnarTrace, as_columnar, encode_events
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import EV_ATOMIC, EV_BARRIER, EV_LOAD, EV_STORE, AtomicOp
-from repro.trace.io import (
-    load_columnar,
-    load_trace,
-    save_trace,
-    trace_digest,
-)
+from repro.trace.io import load_trace, save_trace, trace_digest
 from repro.trace.stream import ThreadTrace, Trace
 
 PMR = int(Region.PROPERTY) << REGION_SHIFT
@@ -35,9 +30,11 @@ META = int(Region.META) << REGION_SHIFT
 # Hypothesis: random builder-generated traces round-trip losslessly
 # ---------------------------------------------------------------------------
 
-_ops = st.sampled_from(list(AtomicOp))
+# Rows hold malformed fields too: the linter reports them, so the
+# strategy draws negative sizes and an op no AtomicOp names.
+_ops = st.one_of(st.sampled_from(list(AtomicOp)), st.just(99))
 _addr = st.integers(0, 1 << 44)
-_size = st.integers(1, 64)
+_size = st.integers(-8, 64)
 
 
 @st.composite
@@ -85,13 +82,13 @@ def _build_trace(per_thread_actions, name="hyp"):
 @settings(max_examples=80, deadline=None)
 def test_roundtrip_is_identity(per_thread):
     trace = _build_trace(per_thread)
-    back = ColumnarTrace.from_events(trace).to_events()
+    back = Trace.from_columnar(ColumnarTrace.from_events(trace))
     assert back.name == trace.name
     assert [t.thread_id for t in back.threads] == [
         t.thread_id for t in trace.threads
     ]
     for original, restored in zip(trace.threads, back.threads):
-        assert restored.events == original.events
+        assert restored.event_tuples() == original.event_tuples()
 
 
 @given(st.lists(_thread_events(), min_size=1, max_size=4))
@@ -108,9 +105,9 @@ def test_roundtrip_empty_threads():
     col = ColumnarTrace.from_events(trace)
     assert col.num_events == 0
     assert col.num_threads == 2
-    back = col.to_events()
+    back = Trace.from_columnar(col)
     assert [t.thread_id for t in back.threads] == [0, 3]
-    assert all(not t.events for t in back.threads)
+    assert all(not t.event_tuples() for t in back.threads)
     assert trace_digest(col) == trace_digest(trace)
 
 
@@ -123,47 +120,9 @@ def test_roundtrip_barrier_only():
         t.barrier(1)
         threads.append(t)
     trace = Trace(threads, name="barriers")
-    back = ColumnarTrace.from_events(trace).to_events()
+    back = Trace.from_columnar(ColumnarTrace.from_events(trace))
     for original, restored in zip(trace.threads, back.threads):
-        assert restored.events == original.events
-
-
-# ---------------------------------------------------------------------------
-# Encodability boundary
-# ---------------------------------------------------------------------------
-
-def _trace_with_events(events):
-    thread = ThreadTrace(0)
-    thread.events.extend(events)
-    return Trace([thread], name="bad")
-
-
-@pytest.mark.parametrize(
-    "event",
-    [
-        (99, 8, 8, 0),                     # unknown kind
-        (0, 8, 8),                         # wrong arity for a load
-        (2, 8, 8, 0, AtomicOp.ADD),        # wrong arity for an atomic
-        (0, 8.5, 8, 0),                    # non-integer field
-        (0, 1 << 80, 8, 0),                # exceeds int64
-        (),                                # empty tuple
-    ],
-)
-def test_from_events_rejects_unencodable(event):
-    with pytest.raises(TraceError):
-        ColumnarTrace.from_events(_trace_with_events([event]))
-
-
-def test_encode_events_accepts_enum_and_bool():
-    rows = encode_events([(EV_ATOMIC, PMR, 8, 3, AtomicOp.CAS, True)])
-    assert rows.dtype == np.int64
-    assert rows.tolist() == [[EV_ATOMIC, PMR, 8, 3, int(AtomicOp.CAS), 1]]
-
-
-def test_as_columnar_passthrough():
-    trace = _build_trace([[("load", META, 8)]])
-    col = as_columnar(trace)
-    assert as_columnar(col) is col
+        assert restored.event_tuples() == original.event_tuples()
 
 
 def test_structural_validation():
@@ -203,7 +162,7 @@ def test_epoch_ids_match_barrier_structure():
     assert col.epoch_ids().tolist() == [0, 0, 1, 1, 0, 1]
     assert col.event_thread_pos().tolist() == [0, 0, 0, 0, 1, 1]
     assert col.event_index_in_thread().tolist() == [0, 1, 2, 3, 0, 1]
-    col.validate_barriers()
+    Trace.from_columnar(col).validate_barriers()
 
 
 def test_validate_barriers_mismatch():
@@ -213,7 +172,7 @@ def test_validate_barriers_mismatch():
     t1.barrier(1)
     col = ColumnarTrace.from_events(Trace([t0, t1], name="m"))
     with pytest.raises(TraceError, match="barrier sequence mismatch"):
-        col.validate_barriers()
+        Trace.from_columnar(col).validate_barriers()
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +203,11 @@ def test_save_load_interop(tmp_path):
     assert tuple_path.read_bytes() == col_path.read_bytes()
 
     loaded_tuple = load_trace(col_path)
-    loaded_col = load_columnar(tuple_path)
+    loaded_col = load_trace(tuple_path).columnar()
     assert trace_digest(loaded_tuple) == trace_digest(trace)
     assert trace_digest(loaded_col) == trace_digest(trace)
     for original, restored in zip(trace.threads, loaded_tuple.threads):
-        assert restored.events == original.events
+        assert restored.event_tuples() == original.event_tuples()
 
 
 def test_result_cache_key_survives_representation_change(tmp_path):
@@ -266,7 +225,9 @@ def test_result_cache_key_survives_representation_change(tmp_path):
     path = tmp_path / "t.npz"
     save_trace(col, path)
     assert (
-        result_key(trace_digest(load_columnar(path)), fingerprint, "salt")
+        result_key(
+            trace_digest(load_trace(path).columnar()), fingerprint, "salt"
+        )
         == key_tuple
     )
 

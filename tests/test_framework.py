@@ -43,7 +43,7 @@ class TestContext:
         bid = ctx.barrier()
         assert bid == 0
         for thread in ctx.threads:
-            assert thread.events[-1][0:2] == (3, 0)  # EV_BARRIER, id 0
+            assert thread.event_tuples()[-1][0:2] == (3, 0)  # EV_BARRIER, id 0
 
     def test_barrier_ids_increment(self):
         ctx = FrameworkContext(num_threads=2)
@@ -59,12 +59,12 @@ class TestContext:
     def test_parallel_for_inserts_barrier(self):
         ctx = FrameworkContext(num_threads=2)
         ctx.parallel_for([1], lambda tid, tr, x: None)
-        assert ctx.threads[0].events[-1][0] == 3  # EV_BARRIER
+        assert ctx.threads[0].event_tuples()[-1][0] == 3  # EV_BARRIER
 
     def test_parallel_for_no_sync(self):
         ctx = FrameworkContext(num_threads=2)
         ctx.parallel_for([1], lambda tid, tr, x: None, sync=False)
-        assert not ctx.threads[0].events
+        assert not ctx.threads[0].event_tuples()
 
     def test_finish_validates_and_seals(self):
         ctx = FrameworkContext(num_threads=2, name="test")
@@ -114,15 +114,15 @@ class TestPropertyTable:
         table, trace = self._table()
         table.write(trace, 2, 7)
         assert table.read(trace, 2) == 7
-        kinds = [e[0] for e in trace.events]
+        kinds = [e[0] for e in trace.event_tuples()]
         assert kinds == [EV_STORE, EV_LOAD]
 
     def test_peek_untraced(self):
         table, trace = self._table()
         table.write(trace, 1, 5)
-        events_before = len(trace.events)
+        events_before = len(trace.event_tuples())
         assert table.peek(1) == 5
-        assert len(trace.events) == events_before
+        assert len(trace.event_tuples()) == events_before
 
     def test_cas_success(self):
         table, trace = self._table()
@@ -137,7 +137,7 @@ class TestPropertyTable:
     def test_cas_event_is_atomic_with_return(self):
         table, trace = self._table()
         table.cas(trace, 0, 0, 1)
-        event = trace.events[0]
+        event = trace.event_tuples()[0]
         assert event[0] == EV_ATOMIC
         assert event[4] is AtomicOp.CAS
         assert event[5] is True
@@ -176,7 +176,7 @@ class TestPropertyTable:
         table.fp_add(trace, 0, 1.5)
         table.fp_add(trace, 0, 2.0)
         assert table.peek(0) == pytest.approx(3.5)
-        assert trace.events[0][4] is AtomicOp.FP_ADD
+        assert trace.event_tuples()[0][4] is AtomicOp.FP_ADD
 
     def test_bitwise_or(self):
         table, trace = self._table()
@@ -187,7 +187,7 @@ class TestPropertyTable:
     def test_plain_atomics_mode(self):
         table, trace = self._table(plain=True)
         assert table.cas(trace, 0, 0, 1)  # functionally identical
-        kinds = [e[0] for e in trace.events]
+        kinds = [e[0] for e in trace.event_tuples()]
         assert kinds == [EV_LOAD, EV_STORE]  # but traced as plain RMW
 
     def test_vertex_object_load_precedes_access(self, tiny_csr):
@@ -195,9 +195,9 @@ class TestPropertyTable:
         table = ctx.property_table("t", 6)
         trace = ctx.threads[0]
         table.read(trace, 3)
-        assert trace.events[0][0] == EV_LOAD
-        assert region_of(trace.events[0][1]) is Region.STRUCTURE
-        assert region_of(trace.events[1][1]) is Region.PROPERTY
+        assert trace.event_tuples()[0][0] == EV_LOAD
+        assert region_of(trace.event_tuples()[0][1]) is Region.STRUCTURE
+        assert region_of(trace.event_tuples()[1][1]) is Region.PROPERTY
 
     def test_length_mismatch_rejected(self):
         ctx = FrameworkContext(num_threads=1)
@@ -245,7 +245,7 @@ class TestFrontier:
         trace = ctx.threads[0]
         frontier.push(trace, 1)
         frontier.drain(trace)
-        regions = {region_of(e[1]) for e in trace.events}
+        regions = {region_of(e[1]) for e in trace.event_tuples()}
         assert regions == {Region.META}
 
     def test_snapshot(self):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.common.errors import ConfigError
 from repro.core.presets import workload_params
 from repro.memlayout.allocator import AddressSpace
@@ -20,6 +21,7 @@ from repro.memlayout.regions import REGION_SHIFT, Region
 from repro.sim.config import SystemConfig
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import AtomicOp
+from repro.trace.io import save_trace
 from repro.trace.stream import ThreadTrace, Trace
 from repro.workloads.registry import all_workloads, get_workload
 from repro.analysis import analyze_run
@@ -246,6 +248,28 @@ def test_straddling_store_reaches_its_second_bucket(other):
     assert report.count("RACE001") == 1
 
 
+def test_access_past_int64_is_ill_formed(tmp_path, capsys):
+    """A store whose last byte lies past 2^63 - 1 is ill-formed, as a
+    non-positive size is: both detectors skip it, and ``repro lint``
+    exits by its findings."""
+
+    def huge(thread):
+        thread.store(127, 2**63 - 1)
+
+    def neighbour(thread):
+        thread.store(128, 8)
+        thread.load(127, 2**63 - 1)
+
+    trace = _synth([huge, neighbour])
+    report = detect_races_columnar(ColumnarTrace.from_events(trace))
+    assert_reports_equal(detect_races(trace), report)
+    assert not report.findings
+    path = tmp_path / "huge.npz"
+    save_trace(trace, path)
+    assert main(["lint", str(path)]) == 0
+    assert "0 error(s)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("cas_addr", [LOCK, LOCK - 8])
 def test_lock_cas_spanning_unwritten_bucket(cas_addr):
     def locked(thread):
@@ -291,7 +315,7 @@ def test_lint_region_bounds_and_bad_op_match_legacy():
         thread.load(region_end, 8)      # first untagged word
         thread.store(-8, 8)
         thread.atomic(AtomicOp.ADD, region_end - 8, 8)
-        thread.events.append((2, PMR + 8, 8, 0, 99, False))  # not an op
+        thread.atomic(99, PMR + 8, 8, False)  # not an op
 
     trace = _synth([thread_body])
     col = ColumnarTrace.from_events(trace)
@@ -341,17 +365,6 @@ def test_key_width_guard_falls_back_to_legacy():
     assert_reports_equal(detect_races(trace), results["race"].report)
 
 
-def test_malformed_tuples_fall_back_whole_pipeline():
-    thread = ThreadTrace(0)
-    thread.events.append((99, 1, 2, 3))  # unknown kind: not encodable
-    trace = Trace([thread], name="bad")
-    manager = PassManager(["lint", "race"])
-    results = manager.run(trace, SystemConfig.graphpim())
-    assert {r.engine for r in results.values()} == {"legacy"}
-    merged = manager.merged_report(results, "bad")
-    assert merged.count("TRC003") >= 1
-
-
 # ---------------------------------------------------------------------------
 # Merged order against the oracles, and the registry
 # ---------------------------------------------------------------------------
@@ -361,6 +374,7 @@ def _legacy_results(manager, run):
     :meth:`PassManager.run`'s results."""
     ctx = PassContext(
         config=SystemConfig.graphpim(),
+        columnar=run.trace.columnar(),
         trace=run.trace,
         address_space=run.address_space,
     )
@@ -469,19 +483,6 @@ def test_screening_pass_modes(small_graph):
     # Without the FP extension every FP_ADD stays host-side + exposed.
     assert gp_nofp["offloaded_atomics"] == 0
     assert gp_nofp["pim001_exposed"] == screen["pmr_atomics"]
-
-
-def test_profile_passes_skipped_under_legacy_engine():
-    # Vectorized-only passes have no oracle to fall back to on a trace
-    # the columnar form cannot encode.
-    thread = ThreadTrace(0)
-    thread.events.append((99, 1, 2, 3))  # unknown kind: not encodable
-    trace = Trace([thread], name="bad")
-    results = PassManager(["profile", "offload", "screening"]).run(
-        trace, SystemConfig.graphpim()
-    )
-    assert {r.engine for r in results.values()} == {"skipped"}
-    assert all(not r.data for r in results.values())
 
 
 def test_empty_trace_profiles():

@@ -216,7 +216,7 @@ def test_trace_work_is_conserved(work_amounts):
     for amount in work_amounts:
         trace.work(amount)
         trace.load(0, 8)
-    gaps = [event[3] for event in trace.events]
+    gaps = [event[3] for event in trace.event_tuples()]
     assert sum(gaps) == sum(work_amounts)
 
 

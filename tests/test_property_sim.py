@@ -63,7 +63,7 @@ def test_atomics_are_either_host_or_offloaded(specs):
     total_atomics = sum(
         1
         for thread in trace.threads
-        for event in thread.events
+        for event in thread.event_tuples()
         if event[0] == 2  # EV_ATOMIC
     )
     for config in SystemConfig().evaluation_trio():
@@ -98,7 +98,7 @@ def test_cycles_bounded_below_by_issue_time(specs):
     slowest_thread_instructions = max(
         sum(
             (event[3] if event[0] != 3 else event[2]) + (event[0] != 3)
-            for event in thread.events
+            for event in thread.event_tuples()
         )
         for thread in trace.threads
     )

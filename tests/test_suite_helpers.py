@@ -24,7 +24,10 @@ class TestSuiteHelpers:
         a = trace_workload("BFS", "tiny")
         b = trace_workload("BFS", "tiny")
         assert a.trace.num_events == b.trace.num_events
-        assert a.trace.threads[0].events == b.trace.threads[0].events
+        assert (
+            a.trace.threads[0].event_tuples()
+            == b.trace.threads[0].event_tuples()
+        )
 
     def test_trace_workload_uses_params(self):
         run = trace_workload("TC", "tiny")

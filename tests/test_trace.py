@@ -24,17 +24,17 @@ class TestThreadTrace:
     def test_load_event_layout(self):
         t = ThreadTrace(0)
         t.load(META + 8, 8)
-        assert t.events == [(EV_LOAD, META + 8, 8, 0)]
+        assert t.event_tuples() == [(EV_LOAD, META + 8, 8, 0)]
 
     def test_store_event_layout(self):
         t = ThreadTrace(0)
         t.store(META, 4)
-        assert t.events[0][0] == EV_STORE
+        assert t.event_tuples()[0][0] == EV_STORE
 
     def test_atomic_event_layout(self):
         t = ThreadTrace(0)
         t.atomic(AtomicOp.CAS, PROP, 8, with_return=True)
-        kind, addr, size, gap, op, ret = t.events[0]
+        kind, addr, size, gap, op, ret = t.event_tuples()[0]
         assert kind == EV_ATOMIC
         assert op is AtomicOp.CAS
         assert ret is True
@@ -44,14 +44,14 @@ class TestThreadTrace:
         t.work(5)
         t.work(2)
         t.load(META, 8)
-        assert t.events[0][3] == 7
+        assert t.event_tuples()[0][3] == 7
 
     def test_gap_resets_after_event(self):
         t = ThreadTrace(0)
         t.work(5)
         t.load(META, 8)
         t.load(META, 8)
-        assert t.events[1][3] == 0
+        assert t.event_tuples()[1][3] == 0
 
     def test_negative_work_rejected(self):
         with pytest.raises(TraceError):
@@ -61,12 +61,12 @@ class TestThreadTrace:
         t = ThreadTrace(0)
         t.work(9)
         t.barrier(0)
-        assert t.events[0] == (EV_BARRIER, 0, 9)
+        assert t.event_tuples()[0] == (EV_BARRIER, 0, 9)
 
     def test_barrier_without_work(self):
         t = ThreadTrace(0)
         t.barrier(3)
-        assert t.events[0] == (EV_BARRIER, 3, 0)
+        assert t.event_tuples()[0] == (EV_BARRIER, 3, 0)
 
     def test_num_events(self):
         t = ThreadTrace(0)

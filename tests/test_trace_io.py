@@ -33,16 +33,16 @@ class TestTraceIO:
         assert loaded.name == "demo"
         assert loaded.num_threads == 2
         for original, restored in zip(trace.threads, loaded.threads):
-            assert original.events == restored.events
+            assert original.event_tuples() == restored.event_tuples()
 
     def test_atomic_ops_preserved(self, tmp_path):
         path = tmp_path / "t.npz"
         save_trace(build_trace(), path)
         loaded = load_trace(path)
-        atomic = loaded.threads[0].events[1]
+        atomic = loaded.threads[0].event_tuples()[1]
         assert atomic[4] is AtomicOp.CAS
         assert atomic[5] is True
-        fp = loaded.threads[1].events[0]
+        fp = loaded.threads[1].event_tuples()[0]
         assert fp[4] is AtomicOp.FP_ADD
         assert fp[5] is False
 

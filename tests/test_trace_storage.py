@@ -1,9 +1,10 @@
-"""Row storage of captured traces against tuple storage.
+"""Two-state storage of traces: capture rows, then frozen columns.
 
 A :class:`ThreadTrace` packs each event into its canonical int64 row as
-it is captured and keeps tuples only once ``.events`` is read or an
-event cannot be held as a row exactly.  Every observable of a trace must
-be the same whichever storage holds it.
+it is captured, and :meth:`Trace.columnar` freezes it once into a view
+of the trace's narrow columns.  A recorder call that no row can hold,
+or that reaches a frozen thread, raises and leaves the events as they
+were.  Every observable of a trace must be the same in either state.
 """
 
 import json
@@ -21,7 +22,6 @@ from repro.runner import RunnerConfig, execute_spec
 from repro.runner.engine import evaluation_grid_specs
 from repro.runner.shm import attach_trace, publish_trace, unlink_segment
 from repro.sim.system import simulate
-from repro.trace import columnar as columnar_mod
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import EV_ATOMIC, EV_BARRIER, EV_LOAD, EV_STORE, AtomicOp
 from repro.trace.io import load_trace, save_trace, trace_digest
@@ -35,7 +35,7 @@ _addr = st.one_of(
     _int64.map(np.int64),
     st.just(2**63),  # one past int64: no row can hold it
 )
-_size = st.one_of(st.integers(1, 64), st.integers(1, 64).map(np.int64))
+_size = st.one_of(st.integers(-64, 64), st.integers(1, 64).map(np.int64))
 _op = st.one_of(
     st.sampled_from(list(AtomicOp)),
     st.sampled_from(list(AtomicOp)).map(lambda op: np.int64(int(op))),
@@ -56,60 +56,33 @@ _actions = st.lists(
 )
 
 
-def _replay(thread, actions):
-    """Drive the builder API with one thread's action list."""
-    for method, *args in actions:
-        if method == "atomic":
-            op, addr, size, ret = args
-            thread.atomic(op, addr, size, with_return=ret)
-        else:
-            getattr(thread, method)(*args)
-    return thread
+def _record(thread, method, args):
+    """Drive one builder call."""
+    if method == "atomic":
+        op, addr, size, ret = args
+        thread.atomic(op, addr, size, with_return=ret)
+    else:
+        getattr(thread, method)(*args)
 
 
-def _tuples(actions):
-    """The tuples a builder recording only tuples produces."""
-    events, pending = [], 0
-    for method, *args in actions:
-        if method == "work":
-            pending += args[0]
-        elif method == "barrier":
-            # A zero pending count stays pending, as the builder keeps it.
-            gap, pending = (pending, 0) if pending else (0, pending)
-            events.append((EV_BARRIER, args[0], gap))
-        elif method == "atomic":
-            op, addr, size, ret = args
-            events.append((EV_ATOMIC, addr, size, pending, op, ret))
-            pending = 0
-        else:
-            kind = EV_LOAD if method == "load" else EV_STORE
-            events.append((kind, args[0], args[1], pending))
-            pending = 0
-    return events
-
-
-def _row_trace(per_thread):
-    return Trace(
-        [_replay(ThreadTrace(tid), a) for tid, a in enumerate(per_thread)],
-        name="rows",
-    )
-
-
-def _tuple_trace(per_thread):
-    threads = []
-    for tid, actions in enumerate(per_thread):
-        thread = ThreadTrace(tid)
-        thread.events.extend(_tuples(actions))
-        threads.append(thread)
-    return Trace(threads, name="rows")
-
-
-def _outcome(fn, trace):
-    """``fn(trace)``'s value, or its exception's type and message."""
-    try:
-        return "ok", fn(trace)
-    except Exception as error:  # the same failure is part of the contract
-        return "error", type(error), str(error)
+def _expected_row(method, args, pending):
+    """The row a recorder call appends, or None when no row holds it."""
+    if method == "atomic":
+        op, addr, size, ret = args
+        if ret is not True and ret is not False:
+            return None
+        row = (EV_ATOMIC, addr, size, pending, op, ret)
+    elif method == "barrier":
+        row = (EV_BARRIER, 0, args[0], pending, -1, 0)
+    else:
+        kind = EV_LOAD if method == "load" else EV_STORE
+        row = (kind, args[0], args[1], pending, -1, 0)
+    if not all(
+        isinstance(v, (int, np.integer)) and -(2**63) <= v < 2**63
+        for v in row
+    ):
+        return None
+    return [int(v) for v in row]
 
 
 def _columns(trace):
@@ -124,82 +97,84 @@ def _columns(trace):
     )
 
 
-def _saved(tmp_path):
-    def run(trace):
-        path = tmp_path / "t.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path, validate=False)
-        return trace_digest(loaded), [t.events for t in loaded.threads]
-
-    return run
-
-
-def _pickled(trace):
-    back = pickle.loads(pickle.dumps(trace))
-    return (
-        back.name,
-        [t.thread_id for t in back.threads],
-        _outcome(trace_digest, back),
-        [t.events for t in back.threads],
-    )
+def _observed(trace, tmp_path):
+    """Digest, rows, tuples and barrier ids, and the same read back from
+    a saved file and from a pickle."""
+    path = tmp_path / "t.npz"
+    save_trace(trace, path)
+    seen = []
+    for view in (
+        trace,
+        load_trace(path, validate=False),
+        pickle.loads(pickle.dumps(trace)),
+    ):
+        seen.append((
+            trace_digest(view),
+            [t.rows().tolist() for t in view.threads],
+            [t.event_tuples() for t in view.threads],
+            view.barrier_sequences(),
+        ))
+    return seen
 
 
 @given(st.lists(_actions, min_size=1, max_size=3))
-@example([[("work", 0.0), ("barrier", 0)]])  # a zero pending count
-@example([[("work", 0.0), ("barrier", 0), ("load", 8, 8)]])
+@example([[("work", 0.0), ("barrier", 0)]])  # a float gap, even zero
 @settings(max_examples=120, deadline=None)
-def test_row_storage_matches_tuple_storage(tmp_path_factory, per_thread):
-    saved = _saved(tmp_path_factory.mktemp("storage"))
-    tuples = _tuple_trace(per_thread)
-    # A fresh row trace per observable: reading .events switches a
-    # thread to tuples, and each check must see the storage as captured.
-    for observe in (trace_digest, _columns, saved, _pickled):
-        assert _outcome(observe, _row_trace(per_thread)) == _outcome(
-            observe, tuples
-        ), observe
-    rows = _row_trace(per_thread)
-    assert [t.num_events for t in rows.threads] == [
-        len(_tuples(actions)) for actions in per_thread
-    ]
-    assert rows.barrier_sequences() == tuples.barrier_sequences()
-    assert [t.events for t in rows.threads] == [t.events for t in tuples.threads]
+def test_recorders_append_a_row_or_raise(tmp_path_factory, per_thread):
+    threads = []
+    for tid, actions in enumerate(per_thread):
+        thread = ThreadTrace(tid)
+        expected, pending = [], 0
+        for method, *args in actions:
+            if method == "work":
+                thread.work(args[0])
+                pending += args[0]
+                continue
+            row = _expected_row(method, args, pending)
+            if row is None:
+                with pytest.raises(
+                    TraceError, match=f"^thread {tid} event {len(expected)}: "
+                ):
+                    _record(thread, method, args)
+            else:
+                _record(thread, method, args)
+                expected.append(row)
+                pending = 0
+            assert thread.rows().tolist() == expected
+        threads.append(thread)
+    trace = Trace(threads, name="rows")
+    tmp_path = tmp_path_factory.mktemp("storage")
+    captured = _observed(trace, tmp_path)
+    col = trace.columnar()
+    assert all(thread.frozen for thread in trace.threads)
+    assert _observed(trace, tmp_path) == captured
+    assert trace_digest(col) == captured[0][0]
 
 
 def test_builder_keeps_rows_until_events_are_read():
+    """Reading the tuples decodes a new list and leaves the rows."""
     thread = ThreadTrace(0)
     thread.work(3)
     thread.load(PMR, 8)
     thread.atomic(AtomicOp.ADD, PMR + 64, 8, with_return=False)
     thread.barrier(0)
-    assert thread.rows().tolist() == [
+    rows = [
         [EV_LOAD, PMR, 8, 3, -1, 0],
         [EV_ATOMIC, PMR + 64, 8, 0, int(AtomicOp.ADD), 0],
         [EV_BARRIER, 0, 0, 0, -1, 0],
     ]
-    events = thread.events
-    assert thread.rows() is None
-    # The decoded list is the storage now: appending to it records.
-    events.append((EV_LOAD, PMR, 8, 0))
+    assert thread.rows().tolist() == rows
+    events = thread.event_tuples()
+    assert events == [
+        (EV_LOAD, PMR, 8, 3),
+        (EV_ATOMIC, PMR + 64, 8, 0, AtomicOp.ADD, False),
+        (EV_BARRIER, 0, 0),
+    ]
+    events.append((EV_LOAD, PMR, 8, 0))  # records nothing
     thread.store(PMR, 8)
-    assert thread.num_events == 5
-    assert thread.events[-1] == (EV_STORE, PMR, 8, 0)
-
-
-@pytest.mark.parametrize(
-    "record",
-    [
-        lambda t: (t.work(1.5), t.load(PMR, 8)),
-        lambda t: t.load(2**63, 8),
-        lambda t: t.atomic(AtomicOp.CAS, PMR, 8, with_return=None),
-        lambda t: t.atomic(AtomicOp.CAS, PMR, 8, with_return=2),
-    ],
-)
-def test_unrepresentable_event_switches_to_tuples(record):
-    thread = ThreadTrace(0)
-    thread.load(PMR, 8)
-    record(thread)
-    assert thread.rows() is None
-    assert thread.events[0] == (EV_LOAD, PMR, 8, 0)
+    assert thread.num_events == 4
+    assert thread.rows().tolist() == rows + [[EV_STORE, PMR, 8, 0, -1, 0]]
+    assert thread.event_tuples()[-1] == (EV_STORE, PMR, 8, 0)
 
 
 def _sample_trace():
@@ -213,6 +188,25 @@ def _sample_trace():
     return Trace(threads, name="sample")
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        lambda t: (t.work(1.5), t.load(PMR, 8)),
+        lambda t: t.load(2**63, 8),
+        lambda t: t.atomic(AtomicOp.CAS, PMR, 8, with_return=None),
+        lambda t: t.atomic(AtomicOp.CAS, PMR, 8, with_return=2),
+    ],
+)
+def test_unrepresentable_event_raises(record):
+    trace = _sample_trace()
+    thread = trace.threads[1]
+    before = (thread.rows().tobytes(), trace_digest(trace))
+    with pytest.raises(TraceError, match="^thread 1 event 3: "):
+        record(thread)
+    assert (thread.rows().tobytes(), trace_digest(trace)) == before
+    assert _columns(trace) == _columns(_sample_trace())
+
+
 def test_loaded_attached_and_converted_traces_keep_rows(tmp_path):
     trace = _sample_trace()
     digest = trace_digest(trace)
@@ -223,12 +217,12 @@ def test_loaded_attached_and_converted_traces_keep_rows(tmp_path):
         attached = attach_trace(ref)
     finally:
         unlink_segment(ref.name)
-    converted = trace.columnar().to_events()
+    converted = Trace.from_columnar(trace.columnar())
     for rebuilt in (load_trace(path), attached, converted):
-        assert all(t.rows() is not None for t in rebuilt.threads)
+        assert all(t.frozen for t in rebuilt.threads)
         assert trace_digest(rebuilt) == digest
-        assert [t.events for t in rebuilt.threads] == [
-            t.events for t in trace.threads
+        assert [t.rows().tolist() for t in rebuilt.threads] == [
+            t.rows().tolist() for t in trace.threads
         ]
 
 
@@ -251,23 +245,17 @@ def test_unknown_kind_in_a_file_raises_with_its_path(tmp_path):
 
 def test_strict_job_derives_columns_once(monkeypatch):
     """A strict three-mode job stacks its trace's columns once, for the
-    pre-flight and every simulated mode, and never encodes a tuple."""
-    calls = {"from_events": 0, "encode_events": 0}
+    pre-flight and every simulated mode."""
+    calls = {"from_events": 0}
     from_events = ColumnarTrace.from_events.__func__
-    encode_events = columnar_mod.encode_events
 
     def counting_from_events(cls, trace):
         calls["from_events"] += 1
         return from_events(cls, trace)
 
-    def counting_encode_events(*args, **kwargs):
-        calls["encode_events"] += 1
-        return encode_events(*args, **kwargs)
-
     monkeypatch.setattr(
         ColumnarTrace, "from_events", classmethod(counting_from_events)
     )
-    monkeypatch.setattr(columnar_mod, "encode_events", counting_encode_events)
     spec = next(
         s for s in evaluation_grid_specs("tiny") if s.workload == "BFS"
     )
@@ -277,7 +265,7 @@ def test_strict_job_derives_columns_once(monkeypatch):
         spec, RunnerConfig(parallel=False, cache_dir=None, strict=True)
     )
     assert len(payload["modes"]) == 3
-    assert calls == {"from_events": 1, "encode_events": 0}
+    assert calls == {"from_events": 1}
 
 
 def test_finished_job_holds_its_trace_once():
@@ -313,23 +301,18 @@ def test_finished_job_holds_its_trace_once():
         lambda t: t.append_block(
             np.asarray([[EV_LOAD, 1 << 50, 4, 70000, -1, 0]])
         ),
-        lambda t: t.events.append((EV_LOAD, PMR + 8, 8, 0)),
     ],
 )
-def test_recording_on_a_frozen_thread_shows_in_the_next_columns(record):
+def test_recording_on_a_frozen_thread_raises(record):
     trace = _sample_trace()
-    first = trace.columnar()
-    thread = trace.threads[1]
-    assert thread.frozen
-    record(thread)
-    expected = _sample_trace()
-    record(expected.threads[1])
     col = trace.columnar()
-    assert col is not first
-    assert all(t.frozen or t._events is not None for t in trace.threads)
-    assert trace_digest(trace) == trace_digest(expected)
-    assert _columns(trace) == _columns(expected)
+    before = (_columns(trace), trace_digest(trace))
+    thread = trace.threads[1]
+    with pytest.raises(TraceError, match="^thread 1 event 3: .*frozen"):
+        record(thread)
+    assert thread.frozen
     assert trace.columnar() is col
+    assert (_columns(trace), trace_digest(trace)) == before
 
 
 def test_pickle_keeps_the_frozen_columns():

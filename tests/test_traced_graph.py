@@ -23,7 +23,7 @@ class TestTracedGraph:
     def test_neighbors_trace_offsets_then_columns(self, setup):
         _ctx, tg, trace = setup
         list(tg.neighbors(trace, 0))
-        loads = [e for e in trace.events if e[0] == EV_LOAD]
+        loads = [e for e in trace.event_tuples() if e[0] == EV_LOAD]
         # Two offset loads + one column load per neighbor.
         assert len(loads) == 2 + 2
         for event in loads:
@@ -32,24 +32,24 @@ class TestTracedGraph:
     def test_offset_loads_are_adjacent(self, setup):
         _ctx, tg, trace = setup
         list(tg.neighbors(trace, 3))
-        first, second = trace.events[0], trace.events[1]
+        first, second = trace.event_tuples()[:2]
         assert second[1] - first[1] == 8
 
     def test_column_loads_are_sequential(self, setup):
         _ctx, tg, trace = setup
         list(tg.neighbors(trace, 0))
-        column_loads = trace.events[2:]
+        column_loads = trace.event_tuples()[2:]
         assert column_loads[1][1] - column_loads[0][1] == 8
 
     def test_degree_traced(self, setup):
         _ctx, tg, trace = setup
         assert tg.degree(trace, 0) == 2
-        assert len(trace.events) == 2  # two offset loads
+        assert len(trace.event_tuples()) == 2  # two offset loads
 
     def test_work_charged_per_neighbor(self, setup):
         _ctx, tg, trace = setup
         list(tg.neighbors(trace, 0))
-        total_gap = sum(e[3] for e in trace.events)
+        total_gap = sum(e[3] for e in trace.event_tuples())
         from repro.framework.traced_graph import (
             NEIGHBOR_LOOP_WORK,
             VERTEX_VISIT_WORK,
@@ -79,6 +79,6 @@ class TestTracedGraph:
 
     def test_neighbor_array_untraced(self, setup):
         _ctx, tg, trace = setup
-        before = len(trace.events)
+        before = len(trace.event_tuples())
         tg.neighbor_array(0)
-        assert len(trace.events) == before
+        assert len(trace.event_tuples()) == before

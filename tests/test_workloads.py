@@ -320,5 +320,11 @@ class TestRegistry:
     def test_traces_are_deterministic(self, sparse_graph):
         a = get_workload("BFS").run(sparse_graph, num_threads=4, root=0)
         b = get_workload("BFS").run(sparse_graph, num_threads=4, root=0)
-        assert a.trace.threads[0].events == b.trace.threads[0].events
-        assert a.trace.threads[3].events == b.trace.threads[3].events
+        assert (
+            a.trace.threads[0].event_tuples()
+            == b.trace.threads[0].event_tuples()
+        )
+        assert (
+            a.trace.threads[3].event_tuples()
+            == b.trace.threads[3].event_tuples()
+        )
