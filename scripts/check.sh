@@ -6,9 +6,9 @@
 # figure, table, ablation and extension benchmarks),
 # simulation-kernel equivalence (kernel grid against the reference,
 # diffed JSON),
-# fault-injection smoke runs, a chaos smoke (kill a worker mid-grid,
-# then freeze one into a hang; assert bit-identical recovery and no
-# leaked shm segments),
+# fault-injection smoke runs, chaos smokes (kill a worker on its first
+# job, kill one after it sent a traced run, freeze one into a hang;
+# assert bit-identical recovery and no shared memory segments),
 # observability smoke, an end-to-end smoke of the simulation service
 # (boot, submit, SIGTERM drain), a fleet smoke (two pull-workers,
 # one SIGKILLed mid-lease, bit-identical redispatch), and the
@@ -267,21 +267,26 @@ run_or_fail python -m repro cache --cache-dir "$fault_cache" --verify
 rm -rf "$fault_cache"
 
 step "repro run (chaos smoke: kill or stall one worker, bit-identical recovery)"
-# A chaos plan that kills a worker mid-grid, or freezes one mid-job
-# until the supervisor reads the silence as a hang (at least one worker
-# crash), must still complete with zero failures and produce workload
-# results byte-identical to a serial chaos-free run, and the supervised
-# pool must leave no shared memory segments behind in /dev/shm.
+# A chaos plan that kills a worker on its first job, kills one right
+# after it sent a traced run (at least one worker crash: the
+# re-dispatch carries that run, so the replacement skips tracing), or
+# freezes one mid-job until the supervisor reads the silence as a hang
+# (at least one worker crash), must still complete with zero failures
+# and produce workload results byte-identical to a serial chaos-free
+# run.  The pool hands traces over its pipes, so /dev/shm must hold no
+# repro_* segment afterwards.
 chaos_dir="$(mktemp -d)"
 run_or_fail python -m repro run --scale tiny --no-parallel --no-cache \
     --json > "$chaos_dir/serial.json"
 run_or_fail python -m repro run --scale tiny --jobs 2 --no-cache \
     --chaos "kill=0:0,seed=7" --json > "$chaos_dir/chaos.json"
 run_or_fail python -m repro run --scale tiny --jobs 2 --no-cache \
+    --chaos "kill=0:0:trace,seed=7" --json > "$chaos_dir/trace.json"
+run_or_fail python -m repro run --scale tiny --jobs 2 --no-cache \
     --heartbeat-timeout 2 --chaos "stall=0:0:60,seed=7" --json \
     > "$chaos_dir/stall.json"
 # "<result file> <minimum worker crashes>"
-for check in "chaos 0" "stall 1"; do
+for check in "chaos 0" "trace 1" "stall 1"; do
     plan="${check% *}"
     if python -c '
 import json, sys
@@ -311,7 +316,7 @@ if [ -d /dev/shm ]; then
         find /dev/shm -maxdepth 1 -name 'repro_*'
         failures=$((failures + 1))
     else
-        echo "shm leak check passed (no repro_* segments left)"
+        echo "shared memory check passed (no repro_* segments)"
     fi
 fi
 rm -rf "$chaos_dir"

@@ -18,7 +18,8 @@ converge on results **bit-identical** to a serial in-process server:
    reference;
 5. require ``fleet_lease_expiries_total >= 1`` and
    ``fleet_jobs_redispatched_total >= 1``, zero active leases, no new
-   ``/dev/shm/repro_*`` segments, SIGTERM worker B, then SIGTERM the
+   ``/dev/shm/repro_*`` segments (worker B's pool hands traces over
+   its pipes and makes none), SIGTERM worker B, then SIGTERM the
    broker and require exit code 0.
 
 Exit code 0 means every step passed.  Run directly::

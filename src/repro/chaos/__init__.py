@@ -4,7 +4,7 @@ Public surface:
 
 - :class:`~repro.chaos.plan.ChaosPlan` — frozen, seeded,
   JSON-round-trippable description of the faults to inject (worker
-  kills, heartbeat stalls, shm/cache corruption, journal tears).
+  kills, heartbeat stalls, cache corruption, journal tears).
 - :func:`~repro.chaos.hooks.corrupt_cache_entries` /
   :func:`~repro.chaos.hooks.truncate_journal` — the parent-side
   injection points (worker-side hooks live in

@@ -3,10 +3,9 @@
 The PR 3 :class:`~repro.faults.plan.FaultPlan` idiom pointed at our own
 infrastructure instead of the simulated HMC links: a :class:`ChaosPlan`
 describes *what goes wrong in the worker fleet* — a worker killed after
-K jobs, a worker frozen mid-job, cache entries or shared-memory
-segments corrupted, the checkpoint journal torn mid-record — so the
-supervision machinery can be exercised deterministically from tests and
-``scripts/check.sh``.
+K jobs, a worker frozen mid-job, cache entries corrupted, the
+checkpoint journal torn mid-record — so the supervision machinery can
+be exercised deterministically from tests and ``scripts/check.sh``.
 
 Plans are frozen, hashable, and JSON-round-trippable, and every random
 choice (which bytes to flip) derives from ``seed`` through
@@ -40,9 +39,9 @@ class ChaosPlan:
     #: The doomed worker exits after completing this many jobs (0 =
     #: dies on its first job).
     kill_after_jobs: int = 0
-    #: When True the kill fires *after* the worker published its trace
-    #: segment, exercising the resume path (a surviving worker attaches
-    #: the orphaned segment instead of re-tracing).
+    #: When True the kill fires *after* the worker sent its traced
+    #: run, exercising the resume path (the supervisor re-dispatches
+    #: the job with that run, and the replacement skips tracing).
     kill_after_trace: bool = False
     #: Pool worker index that freezes mid-job, job loop and heartbeat
     #: thread alike (-1 disables the stall fault).
@@ -52,9 +51,6 @@ class ChaosPlan:
     #: How long the worker stays frozen; anything beyond
     #: ``heartbeat_timeout_s`` reads as a hang to the supervisor.
     stall_seconds: float = 0.0
-    #: Flip payload bytes in every published shm segment, forcing the
-    #: CRC check to fail and the npz fallback to engage.
-    corrupt_shm: bool = False
     #: Flip bytes in up to this many result-cache object files before
     #: the grid starts (corrupt entries must read as misses).
     corrupt_cache_entries: int = 0
@@ -102,7 +98,6 @@ class ChaosPlan:
         return (
             self.kill_worker >= 0
             or self.stall_worker >= 0
-            or self.corrupt_shm
             or self.corrupt_cache_entries > 0
             or self.truncate_journal_bytes > 0
             or bool(self.poison_workload)
@@ -127,14 +122,14 @@ class ChaosPlan:
 
     @classmethod
     def from_spec(cls, spec: str) -> "ChaosPlan":
-        """Parse a CLI chaos spec like ``kill=0:1,shm=1,seed=7``.
+        """Parse a CLI chaos spec like ``kill=0:1:trace,seed=7``.
 
         Keys: ``kill`` (``worker[:after_jobs[:trace]]`` — a trailing
-        ``:trace`` delays the kill until the trace is published),
-        ``stall`` (``worker:after_jobs:seconds``), ``shm`` (0/1),
-        ``cache`` (entry count), ``journal`` (bytes), ``poison``
-        (workload code), ``lease`` (jobs leased before a fleet worker
-        abandons its batch), ``seed``.
+        ``:trace`` delays the kill until the traced run is sent),
+        ``stall`` (``worker:after_jobs:seconds``), ``cache`` (entry
+        count), ``journal`` (bytes), ``poison`` (workload code),
+        ``lease`` (jobs leased before a fleet worker abandons its
+        batch), ``seed``.
         """
         kwargs: dict = {}
         for part in filter(None, (p.strip() for p in spec.split(","))):
@@ -164,8 +159,6 @@ class ChaosPlan:
                     kwargs["stall_worker"] = int(worker)
                     kwargs["stall_after_jobs"] = int(after or 0)
                     kwargs["stall_seconds"] = float(seconds or 0.0)
-                elif key == "shm":
-                    kwargs["corrupt_shm"] = bool(int(raw))
                 elif key == "cache":
                     kwargs["corrupt_cache_entries"] = int(raw)
                 elif key == "journal":
@@ -179,8 +172,7 @@ class ChaosPlan:
                 else:
                     raise ConfigError(
                         f"unknown chaos spec key {key!r}; known: kill, "
-                        "stall, shm, cache, journal, poison, lease, "
-                        "seed"
+                        "stall, cache, journal, poison, lease, seed"
                     )
             except ValueError as error:
                 raise ConfigError(
@@ -204,8 +196,6 @@ class ChaosPlan:
                 f"{self.stall_seconds:g}s after "
                 f"{self.stall_after_jobs} job(s)"
             )
-        if self.corrupt_shm:
-            parts.append("corrupt shm segments")
         if self.corrupt_cache_entries:
             parts.append(
                 f"corrupt {self.corrupt_cache_entries} cache entry(ies)"

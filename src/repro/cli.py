@@ -193,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         default=None,
         help="grid mode: chaos-injection plan for resilience testing, "
-        "e.g. kill=0:1,seed=7 (kill/stall/shm/cache/journal/poison)",
+        "e.g. kill=0:1,seed=7 (kill/stall/cache/journal/poison)",
     )
     run.add_argument(
         "--progress",

@@ -39,15 +39,6 @@ class RunnerError(ReproError):
     """
 
 
-class ShmError(ReproError):
-    """A shared-memory trace segment was missing, torn, or corrupt.
-
-    Raised by :mod:`repro.runner.shm` when a segment fails its
-    magic/version/CRC32 verification on attach; consumers treat it as
-    "fall back to the npz spill file", never as a fatal grid error.
-    """
-
-
 class ServiceError(ReproError):
     """The simulation service could not accept or answer a request.
 

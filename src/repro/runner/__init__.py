@@ -20,8 +20,7 @@ Entry points:
   behind the resume checkpoint, the service's drain checkpoint and the
   fleet roster.
 - :class:`SupervisedWorkerPool` — the heartbeat-monitored worker pool
-  behind every parallel grid, with shared-memory trace hand-off and
-  crash/hang/timeout/poison recovery.
+  behind every parallel grid, with crash/hang/timeout/poison recovery.
 """
 
 from repro.chaos import ChaosPlan
@@ -44,13 +43,6 @@ from repro.runner.engine import (
     run_full_grid,
 )
 from repro.runner.pool import PoolOutcome, SupervisedWorkerPool
-from repro.runner.shm import (
-    ShmError,
-    ShmTraceRef,
-    attach_trace,
-    publish_trace,
-    unlink_segment,
-)
 from repro.runner.fingerprint import (
     CODE_VERSION,
     config_fingerprint,
@@ -84,21 +76,16 @@ __all__ = [
     "ResultCache",
     "RunnerConfig",
     "RunnerReport",
-    "ShmError",
-    "ShmTraceRef",
     "SpecOutcome",
     "SupervisedWorkerPool",
-    "attach_trace",
     "config_fingerprint",
     "evaluation_grid_specs",
     "execute_spec",
     "motivation_extra_specs",
     "plain_atomics_specs",
-    "publish_trace",
     "result_key",
     "spec_key",
     "run_evaluation_grid",
     "run_full_grid",
     "trace_digest",
-    "unlink_segment",
 ]

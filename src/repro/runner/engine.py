@@ -10,9 +10,9 @@ parallel grid runs on; results are bit-identical either way because
 each job is internally deterministic and jobs share nothing.
 
 Pool workers return the stable ``SimResult.to_dict()`` payloads (the
-representation the disk cache stores) and hand the traced
-:class:`~repro.workloads.base.WorkloadRun` back through shared memory,
-so downstream experiments can re-simulate the trace under swept
+representation the disk cache stores) and send the traced
+:class:`~repro.workloads.base.WorkloadRun` back over their pipe, so
+downstream experiments can re-simulate the trace under swept
 configs.
 
 The pool owns the failure taxonomy (crash, hang, timeout with
@@ -113,9 +113,9 @@ def trace_spec(
     """Phase 1 of a job: trace the workload and gate it (strict).
 
     Returns the functional run and its trace digest.  Split out of
-    :func:`execute_spec` so the supervised pool can publish the trace
-    to shared memory between tracing and simulation — a re-dispatched
-    job re-attaches the published trace instead of re-running this.
+    :func:`execute_spec` so a pool worker can send the traced run to
+    the supervisor between tracing and simulation — a re-dispatched
+    job receives that run instead of re-running this.
     """
     graph = workload_graph(spec.workload, spec.scale)
     workload = get_workload(spec.workload)
@@ -417,7 +417,6 @@ class ExperimentRunner:
                 "wall_seconds": report.wall_seconds,
                 "pool_restarts": report.pool_restarts,
                 "worker_crashes": report.worker_crashes,
-                "shm_attach_failures": report.shm_attach_failures,
             },
         )
         if report.failures and not self.config.allow_partial:
@@ -535,7 +534,6 @@ class ExperimentRunner:
             pool.shutdown()
         report.pool_restarts += result.restarts
         report.worker_crashes += result.worker_crashes
-        report.shm_attach_failures += result.shm_attach_failures
         return list(result.leftover)
 
     def _fail(

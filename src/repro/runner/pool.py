@@ -1,13 +1,14 @@
-"""Supervised worker pool with heartbeats, crash recovery, shm traces.
+"""Supervised worker pool with heartbeats and crash recovery.
 
 The one parallel execution path of the runner: each worker is a
-spawned process wired to the supervisor by one duplex pipe.
-Workers trace a spec, publish the trace into a CRC32-stamped
-shared-memory segment (:mod:`repro.runner.shm`) with an ``.npz`` spill
-file as the fallback transport, report the published handle
-(``traced``), simulate the spec's modes, and report the results
-(``done``) — while a daemon thread emits periodic heartbeats the whole
-time.
+spawned process wired to the supervisor by one duplex pipe, which
+carries every message both ways.  Workers trace a spec, freeze the
+trace into its narrow columns and send the traced
+:class:`~repro.workloads.base.WorkloadRun` (``traced``), simulate the
+spec's modes, and report the results (``done``) — while a daemon
+thread emits periodic heartbeats the whole time.  The supervisor keeps
+each job's traced run: it is both the resume state of a re-dispatch
+and, on ``done``, the run the finished job hands to ``collect``.
 
 The supervisor multiplexes every worker pipe and process sentinel
 through :func:`multiprocessing.connection.wait` and reacts to the
@@ -15,8 +16,9 @@ failure taxonomy:
 
 - **crash** — the process sentinel fires (segfault, OOM kill, chaos
   ``os._exit``).  The in-flight job is re-dispatched to a surviving
-  worker; if the trace was already published, the replacement attaches
-  the shm segment (or loads the spill) instead of re-tracing.
+  worker; if the dead worker had already sent its traced run, the
+  ``job`` message carries it, and the replacement skips tracing and
+  the pre-flight.
 - **hang** — no heartbeat for ``heartbeat_timeout_s``.  The worker is
   SIGKILLed and treated as a crash.
 - **timeout** — a job exceeds ``job_timeout_s``.  The worker is killed
@@ -29,14 +31,13 @@ failure taxonomy:
 Dead workers are replaced up to ``max_pool_restarts`` times; once the
 budget is spent and no workers survive, the circuit opens and the
 remaining jobs are handed back to the engine for serial in-process
-execution.  ``shutdown()`` reaps every child and unlinks every shm
-segment, and the pool converts SIGTERM into an exception that unwinds
-through that cleanup — a terminated grid leaves no orphans and no
-``/dev/shm`` litter.
+execution.  ``shutdown()`` reaps every child, and the pool converts
+SIGTERM into an exception that unwinds through that cleanup — a
+terminated grid leaves no orphans.
 
 Chaos hooks (:class:`~repro.chaos.plan.ChaosPlan` riding on
 ``RunnerConfig``) fire at the worker-side injection points: deliberate
-``os._exit`` before a job or after publishing its trace, a stall that
+``os._exit`` before a job or after sending its traced run, a stall that
 freezes the whole worker mid-job, and a crash on a designated poison
 workload.
 """
@@ -45,9 +46,7 @@ from __future__ import annotations
 
 import os
 import random
-import shutil
 import signal
-import tempfile
 import threading
 import time
 from collections import deque
@@ -55,18 +54,10 @@ from dataclasses import dataclass, field
 from multiprocessing import connection, get_context
 from typing import Callable, Optional
 
-from repro.common.errors import ReproError, RunnerError, ShmError
+from repro.common.errors import ReproError, RunnerError
 from repro.obs.logs import get_logger
 from repro.obs.progress import BufferedPublisher, ProgressSnapshot
-from repro.runner.shm import (
-    ShmTraceRef,
-    attach_trace,
-    corrupt_segment,
-    publish_trace,
-    unlink_segment,
-)
 from repro.runner.spec import ExperimentSpec, RunnerConfig
-from repro.trace.io import load_trace, save_trace
 from repro.workloads.base import WorkloadRun
 
 _log = get_logger("runner.pool")
@@ -91,9 +82,7 @@ _SPAWN_GRACE_S = 60.0
 # ----------------------------------------------------------------------
 
 
-def _worker_main(
-    conn, worker_id: int, config: RunnerConfig, spill_dir: str
-) -> None:
+def _worker_main(conn, worker_id: int, config: RunnerConfig) -> None:
     """Worker entry point: heartbeat thread + job loop over the pipe."""
     import repro.workloads  # noqa: F401  (registry side effects)
 
@@ -178,8 +167,7 @@ def _worker_main(
             stall = None
         try:
             payload = _execute_job(
-                spec, config, resume, spill_dir, worker_id, index,
-                send, state,
+                spec, config, resume, worker_id, index, send, state
             )
         except ReproError as error:
             send((_MSG_ERR, index, "error", str(error)))
@@ -202,53 +190,29 @@ def _worker_main(
 def _execute_job(
     spec: ExperimentSpec,
     config: RunnerConfig,
-    resume: Optional[dict],
-    spill_dir: str,
+    resume: "Optional[tuple[WorkloadRun, str]]",
     worker_id: int,
     index: int,
     send: Callable[[tuple], None],
     state: dict,
 ) -> dict:
-    """One job, worker-side: trace (or re-attach), then simulate."""
+    """One job, worker-side: trace (or take the resumed run), then
+    simulate."""
     from repro.runner import engine as engine_mod
 
     started = time.perf_counter()
-    attach_failures = 0
     if resume is not None:
-        # Re-dispatched after another worker died mid-job: the trace
-        # was already published, so attach it instead of re-tracing
-        # (and skip the preflight — it gated the original trace).
-        trace, attach_failures = _reload_trace(resume)
-        trace_hash = resume["trace_hash"]
-        core = resume["run_core"]
-        run = WorkloadRun(
-            workload=core["workload"],
-            trace=trace,
-            address_space=core["address_space"],
-            outputs=core["outputs"],
-        )
+        # Re-dispatched after another worker died mid-job: it sent this
+        # run already traced and gated, so skip tracing and the
+        # pre-flight.
+        run, trace_hash = resume
     else:
         run, trace_hash = engine_mod.trace_spec(spec, config)
-        npz_path = os.path.join(spill_dir, f"job{index}.npz")
-        save_trace(run.trace, npz_path)
-        try:
-            shm_ref: Optional[ShmTraceRef] = publish_trace(run.trace)
-        except (ShmError, OSError):
-            # No shared memory available (tiny /dev/shm, exhausted
-            # fds): the npz spill alone still carries the trace.
-            shm_ref = None
-        send(
-            (_MSG_TRACED, index, {
-                "shm": shm_ref,
-                "npz": npz_path,
-                "trace_hash": trace_hash,
-                "run_core": {
-                    "workload": run.workload,
-                    "address_space": run.address_space,
-                    "outputs": run.outputs,
-                },
-            })
-        )
+        # Freeze before sending: a frozen trace pickles as its narrow
+        # columns, not its int64 capture rows, and simulation reads
+        # this memo next anyway.
+        run.trace.columnar()
+        send((_MSG_TRACED, index, (run, trace_hash)))
         chaos = config.chaos
         if (
             chaos is not None
@@ -266,23 +230,9 @@ def _execute_job(
     frames = publisher.drain() if publisher is not None else []
     return {
         "modes": modes,
-        "trace_hash": trace_hash,
         "seconds": time.perf_counter() - started,
-        "shm_attach_failures": attach_failures,
         "frames": [snap.to_dict() for snap in frames],
     }
-
-
-def _reload_trace(resume: dict) -> "tuple":
-    """Attach the published trace; fall back to the npz spill."""
-    failures = 0
-    ref = resume.get("shm")
-    if ref is not None:
-        try:
-            return attach_trace(ref), failures
-        except ShmError:
-            failures = 1
-    return load_trace(resume["npz"]), failures
 
 
 # ----------------------------------------------------------------------
@@ -299,9 +249,10 @@ class _Job:
     attempts: int = 0
     worker_deaths: int = 0
     timeouts: int = 0
-    #: Published-trace handle (set on the ``traced`` message); a
-    #: re-dispatch ships it so the next worker skips tracing.
-    resume: Optional[dict] = None
+    #: The traced run and its digest, from the ``traced`` message: a
+    #: re-dispatch ships it so the next worker skips tracing, and
+    #: ``done`` hands the run to ``collect``.
+    resume: "Optional[tuple[WorkloadRun, str]]" = None
     not_before: float = 0.0
     dispatched_at: float = 0.0
     backoff_rng: Optional[random.Random] = None
@@ -333,9 +284,6 @@ class PoolOutcome:
     #: Workers that died unexpectedly (crash) or were killed for
     #: missing heartbeats (hang).
     worker_crashes: int = 0
-    #: Shm attaches that failed CRC/magic verification and fell back
-    #: to the npz spill (worker- and parent-side combined).
-    shm_attach_failures: int = 0
     circuit_open: bool = False
 
 
@@ -360,13 +308,10 @@ class SupervisedWorkerPool:
         on_progress: Optional[PoolProgressFn] = None,
     ):
         self.config = config
-        self.chaos = config.chaos
         self._ctx = get_context("spawn")
         self._workers: "dict[int, _Worker]" = {}
         self._next_worker_id = 0
         self._target = 1
-        self._spill_dir: Optional[str] = None
-        self._segments: "dict[int, ShmTraceRef]" = {}
         self._queue: "deque[_Job]" = deque()
         self._unfinished: "set[int]" = set()
         self._outcome = PoolOutcome()
@@ -392,7 +337,6 @@ class SupervisedWorkerPool:
         ``finally`` regardless of how this returns or raises.
         """
         self._collect = collect
-        self._spill_dir = tempfile.mkdtemp(prefix="repro-pool-")
         self._queue = deque(_Job(index, spec) for index, spec in jobs)
         self._unfinished = {index for index, _ in jobs}
         self._target = min(self.config.resolved_jobs(), len(jobs))
@@ -429,7 +373,7 @@ class SupervisedWorkerPool:
         return self._outcome
 
     def shutdown(self) -> None:
-        """Reap every child, unlink every segment, drop the spill dir.
+        """Reap every child.
 
         Idempotent, and safe mid-grid: an exception (including the
         SIGTERM-turned-RunnerError) unwinding through the engine's
@@ -453,12 +397,6 @@ class SupervisedWorkerPool:
                 worker.conn.close()
             except OSError:
                 pass
-        for ref in self._segments.values():
-            unlink_segment(ref.name)
-        self._segments.clear()
-        if self._spill_dir is not None:
-            shutil.rmtree(self._spill_dir, ignore_errors=True)
-            self._spill_dir = None
 
     # -- scheduling -----------------------------------------------------
 
@@ -468,7 +406,7 @@ class SupervisedWorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, worker_id, self.config, self._spill_dir),
+            args=(child_conn, worker_id, self.config),
             name=f"repro-pool-{worker_id}",
             daemon=True,
         )
@@ -589,34 +527,12 @@ class SupervisedWorkerPool:
             if len(message) > 3:
                 self._forward_frames(message[3])
         elif kind == _MSG_TRACED:
-            _, index, ref = message
+            _, index, traced = message
             job = worker.job
-            if job is None or job.index != index:
-                # Stale message from an abandoned dispatch (e.g. the
-                # job timed out and was detached): the parent is the
-                # only process left that knows this segment's name, so
-                # unlink it here or it leaks until interpreter exit.
-                stale_shm = ref.get("shm")
-                if stale_shm is not None:
-                    unlink_segment(stale_shm.name)
-                return
-            job.resume = ref
-            shm_ref = ref.get("shm")
-            if shm_ref is not None:
-                self._segments[index] = shm_ref
-                if self.chaos is not None and self.chaos.corrupt_shm:
-                    corrupt_segment(
-                        shm_ref.name, self.chaos.rng("shm", index)
-                    )
-                    _log.warning(
-                        "chaos: corrupted shm segment %s",
-                        shm_ref.name,
-                        extra={
-                            "event": "chaos_shm_corrupted",
-                            "segment": shm_ref.name,
-                            "job_index": index,
-                        },
-                    )
+            # A stale message from an abandoned dispatch (the job timed
+            # out and was detached) is dropped.
+            if job is not None and job.index == index:
+                job.resume = traced
         elif kind == _MSG_DONE:
             _, index, lite = message
             job = worker.job
@@ -646,31 +562,24 @@ class SupervisedWorkerPool:
             self._on_progress(index, snapshot)
 
     def _finish_job(self, job: _Job, lite: dict) -> None:
-        self._outcome.shm_attach_failures += lite.get(
-            "shm_attach_failures", 0
-        )
         self._forward_frames(
             [(job.index, snap) for snap in lite.get("frames", [])]
         )
-        run = self._rehydrate_run(job)
-        if run is None:
-            self._fail_job(
-                job, "crash",
-                "published trace unreadable after job completion "
-                "(shm and npz spill both failed)",
-            )
-            return
+        # Every job that reaches ``done`` holds its traced run: a
+        # resumed job was dispatched with it, and any other job's worker
+        # sent it (``traced``) down the same pipe ahead of ``done``.
+        assert job.resume is not None
+        run, trace_hash = job.resume
         queue_seconds = max(
             0.0,
             (time.monotonic() - job.dispatched_at) - lite["seconds"],
         )
-        self._cleanup_job(job)
         self._unfinished.discard(job.index)
         self._collect(job.index, {
             "status": "done",
             "payload": {
                 "run": run,
-                "trace_hash": lite["trace_hash"],
+                "trace_hash": trace_hash,
                 "modes": lite["modes"],
                 "seconds": lite["seconds"],
             },
@@ -678,43 +587,7 @@ class SupervisedWorkerPool:
             "queue_seconds": queue_seconds,
         })
 
-    def _rehydrate_run(self, job: _Job) -> Optional[WorkloadRun]:
-        """Rebuild the finished job's WorkloadRun from shm (or spill)."""
-        ref = job.resume
-        if ref is None:  # a done message without a traced message
-            return None
-        trace = None
-        shm_ref = ref.get("shm")
-        if shm_ref is not None:
-            try:
-                trace = attach_trace(shm_ref)
-            except ShmError as error:
-                self._outcome.shm_attach_failures += 1
-                _log.warning(
-                    "shm attach failed for job %d, using npz spill: %s",
-                    job.index,
-                    error,
-                    extra={
-                        "event": "shm_attach_failed",
-                        "job_index": job.index,
-                        "segment": shm_ref.name,
-                    },
-                )
-        if trace is None:
-            try:
-                trace = load_trace(ref["npz"])
-            except (ReproError, OSError):
-                return None
-        core = ref["run_core"]
-        return WorkloadRun(
-            workload=core["workload"],
-            trace=trace,
-            address_space=core["address_space"],
-            outputs=core["outputs"],
-        )
-
     def _fail_job(self, job: _Job, kind: str, message: str) -> None:
-        self._cleanup_job(job)
         self._unfinished.discard(job.index)
         self._collect(job.index, {
             "status": "failed",
@@ -722,17 +595,6 @@ class SupervisedWorkerPool:
             "message": message,
             "attempts": max(job.attempts, 1),
         })
-
-    def _cleanup_job(self, job: _Job) -> None:
-        ref = self._segments.pop(job.index, None)
-        if ref is not None:
-            unlink_segment(ref.name)
-        resume = job.resume
-        if resume is not None and resume.get("npz"):
-            try:
-                os.unlink(resume["npz"])
-            except OSError:
-                pass
 
     # -- supervision ----------------------------------------------------
 
@@ -807,9 +669,8 @@ class SupervisedWorkerPool:
             worker.process.kill()
         worker.process.join(5.0)
         # Harvest messages still buffered in the pipe before closing
-        # it.  Losing a ``traced`` here would orphan its shm segment
-        # until interpreter exit and forfeit the resume state; a
-        # buffered ``done`` means the job actually finished and must
+        # it.  Losing a ``traced`` here would forfeit the resume state;
+        # a buffered ``done`` means the job actually finished and must
         # not be re-dispatched.
         while True:
             try:

@@ -61,14 +61,16 @@ class RunnerConfig:
     job_timeout_s:
         Per-job wall-clock budget in pool mode; a worker that exceeds
         it is killed and the job is retried (up to ``job_retries``) or
-        recorded as a timeout failure.  None disables the deadline.
+        recorded as a timeout failure.  None disables the deadline; a
+        budget of 0 or less, which no job could meet, is rejected.
         In-process execution cannot be preempted, so the timeout only
         applies to pool jobs — not to jobs a broken pool's open
         circuit hands back for in-process execution.
     job_retries:
-        How many times a timed-out job is resubmitted before being
-        recorded as failed.  Deterministic errors (bad spec, simulation
-        errors) are never retried — rerunning them cannot help.
+        How many times (>= 0) a timed-out job is resubmitted before
+        being recorded as failed.  Deterministic errors (bad spec,
+        simulation errors) are never retried — rerunning them cannot
+        help.
     backoff_base_s:
         Full-jitter exponential backoff between retry attempts: the
         n-th retry waits a uniform draw from
@@ -101,8 +103,8 @@ class RunnerConfig:
         (``repro run --max-pool-restarts``).
     chaos:
         Optional :class:`~repro.chaos.plan.ChaosPlan` of deliberate
-        infrastructure faults (worker kills, heartbeat stalls, shm and
-        cache corruption, journal tears) for resilience testing
+        infrastructure faults (worker kills, heartbeat stalls, cache
+        corruption, journal tears) for resilience testing
         (``repro run --chaos``).  Execution-strategy only — like
         ``jobs``, never part of cache identity: a chaos grid must
         produce bit-identical results or the supervision layer is
@@ -138,6 +140,10 @@ class RunnerConfig:
     progress_interval_events: int = 0
 
     def __post_init__(self) -> None:
+        if self.job_timeout_s is not None and self.job_timeout_s <= 0:
+            raise ConfigError("job_timeout_s must be > 0 (or None)")
+        if self.job_retries < 0:
+            raise ConfigError("job_retries must be >= 0")
         if self.heartbeat_interval_s <= 0:
             raise ConfigError("heartbeat_interval_s must be > 0")
         if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
@@ -345,9 +351,6 @@ class RunnerReport:
     pool_restarts: int = 0
     #: Workers that crashed or were killed for missed heartbeats.
     worker_crashes: int = 0
-    #: Shared-memory trace attaches that failed verification and fell
-    #: back to the npz spill file.
-    shm_attach_failures: int = 0
 
     @property
     def jobs_total(self) -> int:
@@ -409,7 +412,6 @@ class RunnerReport:
             "engine_fallbacks": self.engine_fallbacks,
             "pool_restarts": self.pool_restarts,
             "worker_crashes": self.worker_crashes,
-            "shm_attach_failures": self.shm_attach_failures,
         }
 
     def summary_line(self) -> str:
@@ -424,15 +426,10 @@ class RunnerReport:
         )
         if self.engine_fallbacks:
             line += f" [{self.engine_fallbacks} engine fallback(s)]"
-        if (
-            self.pool_restarts
-            or self.worker_crashes
-            or self.shm_attach_failures
-        ):
+        if self.pool_restarts or self.worker_crashes:
             line += (
                 f" [pool: {self.pool_restarts} restart(s), "
-                f"{self.worker_crashes} worker crash(es), "
-                f"{self.shm_attach_failures} shm fallback(s)]"
+                f"{self.worker_crashes} worker crash(es)]"
             )
         return line
 

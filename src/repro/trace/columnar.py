@@ -14,8 +14,7 @@ every other representation shares::
 The canonical row is six int64s.  A
 :class:`~repro.trace.stream.ThreadTrace` packs its events into these
 rows as they are captured, the ``.npz`` format (:mod:`repro.trace.io`)
-and the shared-memory transport store them, and
-:func:`~repro.trace.io.trace_digest` hashes them.  In memory each
+stores them, and :func:`~repro.trace.io.trace_digest` hashes them.  In memory each
 column keeps the narrowest signed integer type (int8, int16, int32 or
 int64) that holds its values, chosen from the column's range when the
 rows are stacked; :meth:`ColumnarTrace.thread_matrix` widens a thread

@@ -2,9 +2,11 @@
 
 Phase-1 trace generation (functional workload execution) is the
 expensive half of the pipeline for large graphs; saving traces lets a
-user trace once and replay under many system configurations, across
-processes.  Traces are stored as compressed ``.npz`` bundles with one
-column-oriented array set per thread.
+user trace once and replay under many system configurations in later
+processes (``repro trace -o``, then ``repro simulate``).  Traces are
+stored as compressed ``.npz`` bundles with one column-oriented array
+set per thread.  The worker pool writes no files: its workers send a
+frozen trace, pickled as its narrow columns, over their pipe.
 
 Event columns: ``kind``, ``addr``, ``size`` (barrier id for barrier
 events), ``gap``, ``op`` (-1 when not an atomic), ``ret`` (0/1).

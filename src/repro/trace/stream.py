@@ -39,16 +39,18 @@ class ThreadTrace:
 
     Storage, in two states.  During capture each event is packed into
     its canonical int64 row (:mod:`repro.trace.columnar`) in one
-    growable buffer, the layout the ``.npz`` format,
-    :func:`~repro.trace.io.trace_digest` and shared memory use, so none
-    of them re-encodes it.  :meth:`Trace.columnar` then *freezes* the
-    thread, once: its events move into the trace's narrow columns, and
-    the thread becomes a read-only view of its slice of them and drops
-    the capture buffer.  A recorder raises
+    growable buffer, the layout the ``.npz`` format and
+    :func:`~repro.trace.io.trace_digest` use, so neither re-encodes it.
+    :meth:`Trace.columnar` then *freezes* the thread, once: its events
+    move into the trace's narrow columns, and the thread becomes a
+    read-only view of its slice of them and drops the capture buffer;
+    a frozen trace pickles as those columns (how a pool worker sends
+    it).  A recorder raises
     :class:`~repro.common.errors.TraceError`, naming the thread and the
     event index, on a field no row holds (a non-integer, a value outside
-    int64, an atomic's ``with_return`` that is not a bool) and on a
-    frozen thread; the recorded events are left as they were.
+    int64, an atomic's ``with_return`` that is not a bool), on a work
+    count that is not a non-negative integer and on a frozen thread;
+    the recorded events and the pending work are left as they were.
     :meth:`event_tuples` decodes the tuple layouts of
     :mod:`repro.trace.events` from the rows.
     """
@@ -81,10 +83,27 @@ class ThreadTrace:
             f"record it as a row ({problem})"
         )
 
-    def work(self, instructions: int = 1) -> None:
-        """Record ``instructions`` non-memory instructions."""
+    def _check_work(self, instructions: object) -> None:
+        """Raise unless ``instructions`` is a non-negative integer.
+
+        Called only for a count that is not a plain non-negative int,
+        so the common case costs :meth:`work` one type test.
+        """
+        if not isinstance(instructions, (int, np.integer)):
+            raise self._refusal(
+                f"work count {instructions!r} is not an integer"
+            )
         if instructions < 0:
-            raise TraceError("work count must be non-negative")
+            raise self._refusal(f"work count {instructions!r} is negative")
+
+    def work(self, instructions: int = 1) -> None:
+        """Record ``instructions`` non-memory instructions.
+
+        A count that is not a non-negative integer raises here, with the
+        pending work left as it was.
+        """
+        if type(instructions) is not int or instructions < 0:
+            self._check_work(instructions)
         self._pending_work += instructions
 
     # The recorders below inline the row packing: they run once per
@@ -156,8 +175,8 @@ class ThreadTrace:
         empty block only adds ``trailing_work``.  ``rows`` is not
         modified.
         """
-        if trailing_work < 0:
-            raise TraceError("work count must be non-negative")
+        if type(trailing_work) is not int or trailing_work < 0:
+            self._check_work(trailing_work)
         block = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, 6)
         if not block.shape[0]:
             self._pending_work += trailing_work

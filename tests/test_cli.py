@@ -162,6 +162,17 @@ class TestCli:
         assert main(["run", "--chaos", "explode=yes"]) == 2
         assert "chaos" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, field",
+        [("--timeout=0", "job_timeout_s"), ("--retries=-1", "job_retries")],
+    )
+    def test_run_grid_rejects_invalid_timeout_settings(
+        self, capsys, option, field
+    ):
+        args = ["run", "--scale", "tiny", "--no-cache", "--jobs", "2"]
+        assert main(args + [option, "--allow-partial"]) == 2
+        assert field in capsys.readouterr().err
+
     def test_run_grid_with_chaos_kill_completes(self, tmp_path, capsys):
         args = [
             "run", "--scale", "tiny", "--no-cache", "--jobs", "2",

@@ -1,5 +1,7 @@
 """Columnar trace IR: lossless conversion and digest preservation."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from repro.analysis.passes.profile_pass import screen_configs
 from repro.common.errors import TraceError
 from repro.memlayout.regions import REGION_SHIFT, Region
 from repro.runner.fingerprint import config_fingerprint, result_key
-from repro.runner.shm import attach_trace, publish_trace, unlink_segment
 from repro.sim.config import SystemConfig
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import EV_ATOMIC, EV_BARRIER, EV_LOAD, EV_STORE, AtomicOp
@@ -343,13 +344,13 @@ def test_narrow_columns_hold_the_int64_rows(tmp_path_factory, drawn):
     loaded = load_trace(path, validate=False)
     assert trace_digest(loaded) == digest
     assert loaded.columnar().nbytes == col.nbytes
-    ref = publish_trace(trace)
-    try:
-        attached = attach_trace(ref)
-    finally:
-        unlink_segment(ref.name)
-    assert trace_digest(attached) == digest
-    assert [t.rows().tobytes() for t in attached.threads] == [
+    # How a pool worker sends a trace: pickled once frozen, as its
+    # narrow columns.
+    unpickled = pickle.loads(pickle.dumps(trace))
+    assert all(t.frozen for t in unpickled.threads)
+    assert trace_digest(unpickled) == digest
+    assert unpickled.columnar().nbytes == col.nbytes
+    assert [t.rows().tobytes() for t in unpickled.threads] == [
         m.tobytes() for m in matrices
     ]
 

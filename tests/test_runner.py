@@ -18,7 +18,7 @@ import pytest
 
 import repro.runner.engine as engine_module
 from repro.chaos import ChaosPlan
-from repro.common.errors import RunnerError, SimulationError
+from repro.common.errors import ConfigError, RunnerError, SimulationError
 from repro.core.api import EvaluationReport, GraphPimSystem
 from repro.faults import FaultPlan
 from repro.runner import (
@@ -375,8 +375,10 @@ class _RecordingRng:
         return delay
 
 
-#: Small-scale specs take seconds to trace and simulate: far over the
-#: 0.25 s budget the timeout tests give them.
+#: Small-scale specs overrun the 0.1 s budget the timeout tests give
+#: them on every attempt, a retry that only simulates included: PRank,
+#: the quicker one, traces in about 0.1 s and simulates its three modes
+#: in about 0.2 s on a 2-vCPU host.
 SLOW_SPECS = [_spec("BC", scale="small"), _spec("PRank", scale="small")]
 
 #: Real pool workers, short heartbeats and a tight job deadline.  Every
@@ -388,10 +390,27 @@ TIMEOUT_KW = dict(
     parallel=True,
     cache_dir=None,
     heartbeat_interval_s=0.05,
-    job_timeout_s=0.25,
+    job_timeout_s=0.1,
     backoff_base_s=0.05,
     max_pool_restarts=8,
 )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("job_timeout_s", 0),  # a deadline no job can meet
+        ("job_timeout_s", -1.0),
+        ("job_retries", -1),
+        ("heartbeat_interval_s", 0),
+        ("heartbeat_timeout_s", 0.5),  # not above the 1 s interval
+        ("max_pool_restarts", -1),
+        ("progress_interval_events", -1),
+    ],
+)
+def test_runner_config_rejects_invalid_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        RunnerConfig(**{field: value})
 
 
 class TestRunnerResilience:
