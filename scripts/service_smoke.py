@@ -9,8 +9,12 @@ the full serving contract once, and checks the SIGTERM drain promise:
 3. submit one tiny job through the typed client and poll it to
    completion;
 4. resubmit the identical spec and require a bit-identical response;
-5. scrape ``/metrics`` and require the service metric families;
-6. send SIGTERM and require exit code 0 within the drain window;
+5. scrape ``/metrics``, require the service metric families, and
+   require that the client's calls shared connections (fewer
+   connections than requests);
+6. send SIGTERM while the client's connection sits idle, and require
+   exit code 0 within the drain window and no traceback in the
+   server's output;
 7. require an empty queue journal — a clean drain leaves no
    ``service_queue.jsonl`` behind.
 
@@ -34,6 +38,15 @@ from repro.service.client import ServiceClient
 def fail(message):
     print(f"service smoke FAILED: {message}", file=sys.stderr)
     return 1
+
+
+def metric_total(metrics, name):
+    """The sum of every series of one family in Prometheus text."""
+    return sum(
+        float(line.rsplit(" ", 1)[1])
+        for line in metrics.splitlines()
+        if line.startswith((name + "{", name + " "))
+    )
 
 
 def main():
@@ -110,16 +123,30 @@ def drive(process, cache_dir):
         if family not in metrics:
             return fail(f"/metrics is missing {family}")
     print("service smoke: /metrics exposes the service families")
+    requests = metric_total(metrics, "service_requests_total")
+    connections = metric_total(metrics, "service_connections_total")
+    if not 0 < connections < requests:
+        return fail(
+            f"{connections:g} connection(s) for {requests:g} request(s): "
+            f"the client's calls did not share connections"
+        )
+    print(
+        f"service smoke: {requests:g} requests over "
+        f"{connections:g} connection(s)"
+    )
 
-    # 6. SIGTERM drains and exits 0
+    # 6. SIGTERM, with the client's connection idle, drains and exits 0
     process.send_signal(signal.SIGTERM)
     try:
-        code = process.wait(timeout=60)
+        output, _ = process.communicate(timeout=60)
     except subprocess.TimeoutExpired:
         return fail("service did not exit within 60s of SIGTERM")
-    if code != 0:
-        print(process.stdout.read(), file=sys.stderr)
-        return fail(f"service exited {code} after SIGTERM")
+    if process.returncode != 0:
+        print(output, file=sys.stderr)
+        return fail(f"service exited {process.returncode} after SIGTERM")
+    if "Traceback" in output:
+        print(output, file=sys.stderr)
+        return fail("the server printed a traceback")
 
     # 7. a clean drain leaves no queue journal
     journal = os.path.join(cache_dir, QUEUE_CHECKPOINT_FILENAME)

@@ -179,6 +179,8 @@ class FleetWorker:
                     self.client.fleet_deregister(self.worker_id)
                 except ServiceError:
                     pass  # broker gone: the reaper cleans us up
+            # The job loop's and the heartbeat thread's connections.
+            self.client.close()
         return self._summary(batches)
 
     def _summary(self, batches: int) -> dict:

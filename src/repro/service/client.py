@@ -14,12 +14,16 @@ Admission rejections surface as typed exceptions carrying the server's
 ``Retry-After`` hint (:class:`ClientBackpressureError`), so callers can
 implement polite retry loops; :meth:`ServiceClient.submit_and_wait`
 implements one.
+
+Calls reuse a persistent connection, one per calling thread; see
+:class:`ServiceClient`.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field
@@ -108,8 +112,26 @@ class JobStatus:
         return self.body.get("error", "")
 
 
+#: What a reused connection raises when the server closed it before
+#: reading the request (idle timeout, restart): a reset or broken pipe
+#: on send, or end of stream before the status line
+#: (``http.client.RemoteDisconnected``, a ``ConnectionResetError``).
+_STALE_ERRORS = (ConnectionResetError, BrokenPipeError)
+
+
 class ServiceClient:
-    """Small blocking client; one HTTP connection per call."""
+    """Small blocking client over persistent HTTP connections.
+
+    Each thread that calls it gets its own connection, opened on its
+    first call and reused for the next ones, so one client can be
+    shared between threads (a fleet worker's job loop and heartbeat
+    thread).  When a reused connection fails before any response byte
+    arrives, because the server closed it while it sat idle, the call
+    is sent once more on a fresh connection; it is never resent once a
+    response has started.  :meth:`events` streams over a connection of
+    its own.  :meth:`close` closes every thread's connection; one left
+    by a finished thread is closed when the next thread connects.
+    """
 
     def __init__(
         self,
@@ -131,10 +153,39 @@ class ServiceClient:
         )
         self.timeout_s = timeout_s
         self.client_id = client_id
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: (
+            "dict[threading.Thread, http.client.HTTPConnection]"
+        ) = {}
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call opens anew."""
+        with self._lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+            self._local = threading.local()
+        for conn in connections:
+            conn.close()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, created on its first call."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self._host, self._port, timeout=self.timeout_s
+            )
+            with self._lock:
+                for thread in list(self._connections):
+                    if not thread.is_alive():
+                        self._connections.pop(thread).close()
+                self._connections[threading.current_thread()] = conn
+                self._local.conn = conn
+        return conn
 
     def _request(
         self,
@@ -146,7 +197,7 @@ class ServiceClient:
         payload = (
             json.dumps(body).encode("utf-8") if body is not None else None
         )
-        headers = {"Connection": "close"}
+        headers: "dict[str, str]" = {}
         if payload is not None:
             headers["Content-Type"] = "application/json"
         if self.client_id:
@@ -155,25 +206,30 @@ class ServiceClient:
             # Correlation id: the server echoes it, binds its logs to
             # it, and carries it with the job through lease/complete.
             headers["X-Request-Id"] = request_id
-        conn = http.client.HTTPConnection(
-            self._host, self._port, timeout=self.timeout_s
-        )
+        conn = self._connection()
         try:
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
+            reused = conn.sock is not None
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+            except _STALE_ERRORS:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
             data = response.read()
-            return (
-                response.status,
-                {k.lower(): v for k, v in response.getheaders()},
-                data,
-            )
         except (OSError, http.client.HTTPException) as error:
+            conn.close()
             raise ServiceError(
                 f"{method} {path} failed against "
                 f"{self._host}:{self._port}: {error}"
             ) from error
-        finally:
-            conn.close()
+        return (
+            response.status,
+            {k.lower(): v for k, v in response.getheaders()},
+            data,
+        )
 
     @staticmethod
     def _json(data: bytes) -> dict:

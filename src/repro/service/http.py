@@ -1,8 +1,11 @@
 """Zero-dependency asyncio HTTP/JSON frontend for the job broker.
 
 ``repro serve`` binds :class:`ServiceServer` — a deliberately small
-HTTP/1.1 implementation on ``asyncio.start_server`` (one request per
-connection, ``Connection: close``) exposing:
+HTTP/1.1 implementation on ``asyncio.start_server`` with persistent
+connections: a connection carries one request after another until the
+client sends ``Connection: close``, a request cannot be framed, an
+event stream ends, the service stops or drains, or the connection sits
+idle for :data:`KEEPALIVE_IDLE_S`.  It exposes:
 
 - ``POST /v1/jobs`` — submit an experiment (full
   :meth:`~repro.runner.spec.ExperimentSpec.to_dict` form or the
@@ -34,6 +37,11 @@ a request produced — HTTP layer, broker, runner — correlate on one
 ``X-Request-Id`` header; the id a submission carried travels with the
 job through lease and complete, so worker-side log lines correlate
 with the original submit.
+
+``POST /v1/jobs`` remembers the last :data:`SUBMIT_MEMO_ENTRIES`
+submission bodies it accepted, byte for byte: a repeated body skips
+the JSON parse and the spec build, and goes straight to the broker's
+admission steps.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import json
 import signal
 import threading
 import uuid
+from collections import OrderedDict
 from typing import Awaitable, Callable, Optional
 
 from repro.common.errors import ConfigError, ReproError, ServiceError
@@ -62,6 +71,15 @@ _log = get_logger("service.http")
 
 #: Largest accepted request body (a full ExperimentSpec is ~2 KiB).
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: Seconds a kept-alive connection may wait for its next request
+#: before the server closes it.
+KEEPALIVE_IDLE_S = 15.0
+
+#: Submission bodies whose parsed spec the server keeps (LRU), and the
+#: largest body it keeps: about 6 KiB an entry for a two-mode spec.
+SUBMIT_MEMO_ENTRIES = 128
+SUBMIT_MEMO_MAX_BODY = 64 * 1024
 
 #: Request-latency histogram bounds in seconds (admission and polls
 #: are sub-millisecond; only misconfigured handlers reach the tail).
@@ -184,8 +202,18 @@ class ServiceServer:
             self.config, registry=self.registry
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        self._stopping = False
+        #: Connections waiting for their next request -> handler task.
+        self._idle: "dict[asyncio.StreamWriter, asyncio.Task]" = {}
+        #: Exact submission body -> (spec, priority, client), LRU.
+        self._submissions: (
+            "OrderedDict[bytes, tuple[ExperimentSpec, str, str]]"
+        ) = OrderedDict()
         self._m_requests = self.registry.counter(
             "service_requests_total", "HTTP requests by route and code"
+        )
+        self._m_connections = self.registry.counter(
+            "service_connections_total", "HTTP connections accepted"
         )
         self._m_latency = self.registry.histogram(
             "service_request_seconds",
@@ -206,9 +234,20 @@ class ServiceServer:
         )
 
     async def stop(self) -> int:
-        """Stop accepting connections, then drain the broker."""
+        """Stop accepting connections, then drain the broker.
+
+        Idle connections are closed at once; a connection busy with a
+        request answers it with ``Connection: close`` and reads no
+        more.  From Python 3.12 ``wait_closed`` waits for every open
+        connection, so an idle one must not be left open.
+        """
         if self._server is not None:
+            self._stopping = True
             self._server.close()
+            for writer in self._idle:
+                writer.close()
+            if self._idle:
+                await asyncio.wait(list(self._idle.values()))
             await self._server.wait_closed()
             self._server = None
         return await self.broker.drain()
@@ -222,15 +261,40 @@ class ServiceServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        self._m_connections.inc()
+        try:
+            while await self._serve_one(reader, writer):
+                pass
+        finally:
+            writer.close()
+
+    async def _serve_one(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> bool:
+        """Read and answer one request; True keeps the connection open.
+
+        As in HTTP/1.1 the connection stays open unless the client sent
+        ``Connection: close`` (or spoke HTTP/1.0 without keep-alive),
+        the request could not be framed (a 400, 413 or 500 may leave
+        its body unread), the answer was an event stream, or the
+        service is stopping or draining.
+        """
         request_id = uuid.uuid4().hex[:12]
         loop = asyncio.get_running_loop()
         started = loop.time()
         route = "unparsed"
-        code = 0  # 0 = no response written (empty connection)
+        code = 0  # 0 = no response written (connection closed)
+        keep_alive = False  # only a routed answer may keep it open
         try:
-            method, path, headers = await self._read_head(reader)
-            if method is None:
-                return  # client closed without sending a request
+            request_line = await self._next_request_line(reader, writer)
+            if not request_line:
+                return False
+            started = loop.time()
+            method, path, headers, wanted = await self._read_head(
+                request_line, reader
+            )
             # Honor a caller-supplied correlation id: the same
             # request_id then spans client, HTTP layer, broker, and
             # (through lease/complete) the worker that executed it.
@@ -252,28 +316,18 @@ class ServiceServer:
                     code = await self._stream_events(
                         writer, job_id, headers, request_id
                     )
-                    _log.info(
-                        "%s %s -> %d",
-                        method,
-                        path,
-                        code,
-                        extra={
-                            "event": "request",
-                            "method": method,
-                            "path": path,
-                            "route": route,
-                            "code": code,
-                            "duration_s": loop.time() - started,
-                        },
+                else:
+                    body = await self._read_body(reader, headers)
+                    route, code, payload, extra = await self._route(
+                        method, path, body
                     )
-                    return
-                body = await self._read_body(reader, headers)
-                route, code, payload, extra = await self._route(
-                    method, path, body
-                )
-                self._write_response(
-                    writer, code, payload, request_id, extra
-                )
+                    keep_alive = wanted and not (
+                        self._stopping or self.broker.draining
+                    )
+                    self._write_response(
+                        writer, code, payload, request_id, extra,
+                        keep_alive,
+                    )
                 _log.info(
                     "%s %s -> %d",
                     method,
@@ -319,18 +373,46 @@ class ServiceServer:
                 self._m_latency.observe(
                     loop.time() - started, route=route
                 )
-            try:
-                await writer.drain()
-            except ConnectionError:
-                pass
-            writer.close()
-
-    async def _read_head(self, reader: asyncio.StreamReader):
-        request_line = await reader.readline()
-        if not request_line.strip():
-            return None, None, None
         try:
-            method, path, _version = (
+            await writer.drain()
+        except ConnectionError:
+            return False
+        return keep_alive
+
+    async def _next_request_line(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> bytes:
+        """The next request line, or ``b""`` when the connection is done.
+
+        While it waits the connection is idle: :meth:`stop` closes it,
+        and so does a timer after :data:`KEEPALIVE_IDLE_S`.  A line that
+        arrives on a connection closed meanwhile is dropped unanswered,
+        so a client that resends on a fresh connection is served once.
+        """
+        if self._stopping:
+            return b""
+        timer = asyncio.get_running_loop().call_later(
+            KEEPALIVE_IDLE_S, writer.close
+        )
+        self._idle[writer] = asyncio.current_task()
+        try:
+            line = await reader.readline()
+        finally:
+            timer.cancel()
+            del self._idle[writer]
+        if writer.is_closing() or not line.strip():
+            return b""
+        return line
+
+    async def _read_head(
+        self, request_line: bytes, reader: asyncio.StreamReader
+    ):
+        """``(method, path, headers, wanted)`` of one request, where
+        ``wanted`` says whether the client would keep the connection."""
+        try:
+            method, path, version = (
                 request_line.decode("latin-1").strip().split(" ", 2)
             )
         except ValueError:
@@ -342,15 +424,28 @@ class ServiceServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        return method.upper(), path, headers
+        tokens = {
+            token.strip()
+            for token in headers.get("connection", "").lower().split(",")
+        }
+        if version.upper() == "HTTP/1.1":
+            wanted = "close" not in tokens
+        else:
+            wanted = "keep-alive" in tokens
+        return method.upper(), path, headers, wanted
 
     async def _read_body(self, reader, headers: dict) -> bytes:
-        length = int(headers.get("content-length", 0) or 0)
-        if length <= 0:
-            return b""
-        if length > MAX_BODY_BYTES:
+        if "transfer-encoding" in headers:
+            raise ServiceError(
+                "request bodies need Content-Length "
+                "(Transfer-Encoding is not supported)"
+            )
+        length = headers.get("content-length") or "0"
+        if not length.isdecimal():
+            raise ServiceError("malformed Content-Length")
+        if int(length) > MAX_BODY_BYTES:
             raise _BodyTooLarge()
-        return await reader.readexactly(length)
+        return await reader.readexactly(int(length))
 
     # ------------------------------------------------------------------
     # Routing
@@ -507,21 +602,30 @@ class ServiceServer:
         )
 
     async def _submit(self, body: bytes):
+        entry = self._submissions.get(body)
+        if entry is None:
+            try:
+                parsed = json.loads(body.decode("utf-8") or "{}")
+            except (UnicodeDecodeError, json.JSONDecodeError) as error:
+                return (
+                    "/v1/jobs", 400,
+                    {"error": f"invalid JSON body: {error}"}, {},
+                )
+            try:
+                entry = (
+                    spec_from_request(parsed),
+                    parsed.get("priority", "interactive"),
+                    str(parsed.get("client", "")),
+                )
+            except ServiceError as error:
+                return "/v1/jobs", 400, {"error": str(error)}, {}
+        spec, priority, client = entry
         try:
-            parsed = json.loads(body.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            return (
-                "/v1/jobs", 400,
-                {"error": f"invalid JSON body: {error}"}, {},
-            )
-        try:
-            spec = spec_from_request(parsed)
-            priority = parsed.get("priority", "interactive")
-            client = str(parsed.get("client", ""))
             job, outcome = await self.broker.submit(
                 spec, priority=priority, client=client
             )
         except AdmissionError as error:
+            self._remember(body, entry)
             code = 503 if isinstance(error, DrainingError) else 429
             return (
                 "/v1/jobs", code,
@@ -534,6 +638,7 @@ class ServiceServer:
             )
         except ServiceError as error:
             return "/v1/jobs", 400, {"error": str(error)}, {}
+        self._remember(body, entry)
         code = 200 if job.finished else 202
         return (
             "/v1/jobs", code,
@@ -545,6 +650,19 @@ class ServiceServer:
             },
             {},
         )
+
+    def _remember(self, body: bytes, entry: tuple) -> None:
+        """Keep an admissible body's parse for its next submission.
+
+        Only bodies the broker admitted or turned away for load reach
+        here: one it refused as invalid is parsed again each time.
+        """
+        if len(body) > SUBMIT_MEMO_MAX_BODY:
+            return
+        self._submissions[body] = entry
+        self._submissions.move_to_end(body)
+        while len(self._submissions) > SUBMIT_MEMO_ENTRIES:
+            self._submissions.popitem(last=False)
 
     def _job_status(self, job_id: str):
         route = "/v1/jobs/{id}"
@@ -648,7 +766,13 @@ class ServiceServer:
     # ------------------------------------------------------------------
 
     def _write_response(
-        self, writer, code: int, payload, request_id: str, extra: dict
+        self,
+        writer,
+        code: int,
+        payload,
+        request_id: str,
+        extra: dict,
+        keep_alive: bool = False,
     ) -> None:
         if isinstance(payload, tuple):
             body, content_type = payload
@@ -662,7 +786,7 @@ class ServiceServer:
             f"Content-Type: {content_type}",
             f"Content-Length: {len(body)}",
             f"X-Request-Id: {request_id}",
-            "Connection: close",
+            f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
         for name, value in extra.items():
             head.append(f"{name}: {value}")
@@ -802,8 +926,11 @@ class ThreadedServer:
 
 
 __all__ = [
+    "KEEPALIVE_IDLE_S",
     "MAX_BODY_BYTES",
     "REQUEST_SECONDS_BUCKETS",
+    "SUBMIT_MEMO_ENTRIES",
+    "SUBMIT_MEMO_MAX_BODY",
     "ServiceServer",
     "ThreadedServer",
     "sanitize_request_id",

@@ -589,6 +589,7 @@ class TestFleetHttpSurface:
             assert 'service_queue_depth{lane="batch"}' in metrics
             client.fleet_deregister("w1")
             assert not client.ready()
+            client.close()
 
     def test_http_request_id_echo_and_job_binding(self, tmp_path):
         config = fleet_config(tmp_path)
@@ -607,6 +608,7 @@ class TestFleetHttpSurface:
             lease = client.fleet_lease("w1", max_jobs=4)
             (leased,) = lease["jobs"]
             assert leased["request_id"] == "trace-me-42"
+            client.close()
 
     def test_fleet_routes_validate_input(self, tmp_path):
         config = fleet_config(tmp_path)
@@ -624,6 +626,7 @@ class TestFleetHttpSurface:
                 "POST", "/v1/fleet/warp", {"worker_id": "w1"}
             )
             assert code == 404
+            client.close()
 
 
 # ----------------------------------------------------------------------
@@ -648,6 +651,7 @@ def serial_bytes(tmp_path_factory):
     with ThreadedServer(config) as server:
         client = ServiceClient(f"http://127.0.0.1:{server.port}")
         status = client.submit_and_wait(timeout_s=180, **SUBMIT_KWARGS)
+        client.close()
     return status.raw
 
 
@@ -675,6 +679,7 @@ class TestFleetEndToEnd:
                 worker.stop()
                 thread.join(timeout=30)
             health = client.health()
+            client.close()
         assert status.raw == serial_bytes
         assert worker.executed == 1
         assert health["fleet"]["lease_expiries"] == 0
@@ -731,6 +736,7 @@ class TestFleetEndToEnd:
                 survivor.stop()
                 survivor_thread.join(timeout=30)
             metrics = client.metrics_text()
+            client.close()
         assert status.raw == serial_bytes
         assert survivor.executed == 1
         assert "fleet_lease_expiries_total 1" in metrics

@@ -20,10 +20,12 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -45,7 +47,8 @@ from repro.service.client import (
     ClientBackpressureError,
     ServiceClient,
 )
-from repro.service.http import spec_from_request
+from repro.service import http as http_module
+from repro.service.http import MAX_BODY_BYTES, spec_from_request
 from repro.sim.config import SystemConfig
 from repro.sim.system import SimResult
 
@@ -526,11 +529,19 @@ class TestBrokerPersistence:
 
 
 async def http_request(port, method, path, body=None):
-    """Minimal HTTP/1.1 round trip; returns (code, headers, body)."""
+    """Minimal HTTP/1.1 round trip; returns (code, headers, body).
+
+    ``body`` is a JSON-able object or the exact bytes to send.  The
+    request carries ``Connection: close`` and the helper reads to EOF,
+    so it returns only once the server has closed the connection.
+    """
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    payload = (
-        json.dumps(body).encode("utf-8") if body is not None else b""
-    )
+    if isinstance(body, bytes):
+        payload = body
+    else:
+        payload = (
+            json.dumps(body).encode("utf-8") if body is not None else b""
+        )
     head = (
         f"{method} {path} HTTP/1.1\r\n"
         f"Host: t\r\n"
@@ -579,9 +590,13 @@ class TestHttpFrontend:
         assert health[0] == 200
         assert json.loads(health[2])["status"] == "ok"
         assert "x-request-id" in health[1]
+        assert health[1]["connection"] == "close"
         assert ready[0] == 200
         assert metrics[0] == 200
         text = metrics[2].decode()
+        assert "# TYPE service_connections_total counter" in text
+        # One connection per request so far: health, ready, metrics.
+        assert "service_connections_total 3" in text
         assert "# TYPE service_queue_depth gauge" in text
         assert "# TYPE service_coalesced_hits_total counter" in text
         assert "# TYPE service_rejected_total counter" in text
@@ -752,6 +767,415 @@ class TestHttpFrontend:
 
 
 # ----------------------------------------------------------------------
+# Persistent connections and request framing
+# ----------------------------------------------------------------------
+
+
+def raw_request(method, path, body=b"", headers=(), version="HTTP/1.1"):
+    """The bytes of one request with no ``Connection`` header unless
+    ``headers`` adds one."""
+    head = [
+        f"{method} {path} {version}",
+        "Host: t",
+        f"Content-Length: {len(body)}",
+        *headers,
+    ]
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+async def read_response(reader):
+    """One Content-Length framed response: (code, headers, body)."""
+    head = await reader.readuntil(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        if line:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+    body = await reader.readexactly(int(headers["content-length"]))
+    return int(lines[0].split(" ")[1]), headers, body
+
+
+async def read_to_close(reader):
+    """What arrives before the server closes (a reset counts as a close)."""
+    try:
+        return await asyncio.wait_for(reader.read(), timeout=10)
+    except ConnectionResetError:
+        return b""
+
+
+def requests_seen(server, route):
+    counter = server.registry.counter("service_requests_total")
+    return sum(
+        counter.value(route=route, code=str(code))
+        for code in (200, 202, 400, 404, 405, 413, 429, 500, 503)
+    )
+
+
+def connections_seen(server):
+    return server.registry.counter("service_connections_total").value()
+
+
+class TestPersistentConnections:
+    def test_one_connection_carries_many_requests(self, tmp_path):
+        execute = CountingExecute()
+        body = json.dumps({"spec": make_spec().to_dict()}).encode()
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            answers = []
+            writer.write(raw_request("GET", "/healthz"))
+            answers.append(await read_response(reader))
+            writer.write(raw_request("POST", "/v1/jobs", body))
+            answers.append(await read_response(reader))
+            job_id = json.loads(answers[-1][2])["job_id"]
+            # Two pipelined requests are answered in order.
+            writer.write(
+                raw_request("GET", f"/v1/jobs/{job_id}")
+                + raw_request("GET", "/metrics")
+            )
+            answers.append(await read_response(reader))
+            answers.append(await read_response(reader))
+            writer.write(
+                raw_request("GET", "/readyz", headers=["Connection: close"])
+            )
+            answers.append(await read_response(reader))
+            rest = await read_to_close(reader)
+            writer.close()
+            return answers, rest, connections_seen(server)
+
+        answers, rest, connections = asyncio.run(
+            with_server(service_config(tmp_path), execute, scenario)
+        )
+        assert [code for code, _, _ in answers] == [200, 202, 200, 200, 200]
+        assert [headers["connection"] for _, headers, _ in answers] == (
+            ["keep-alive"] * 4 + ["close"]
+        )
+        assert json.loads(answers[2][2])["job_id"] == spec_key(make_spec())
+        assert "service_connections_total 1" in answers[3][2].decode()
+        assert rest == b""
+        assert connections == 1
+
+    def test_http10_keeps_alive_only_when_asked(self, tmp_path):
+        execute = CountingExecute()
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            asked = []
+            for _ in range(2):
+                writer.write(raw_request(
+                    "GET", "/healthz", version="HTTP/1.0",
+                    headers=["Connection: keep-alive"],
+                ))
+                asked.append(await read_response(reader))
+            writer.write(raw_request("GET", "/healthz", version="HTTP/1.0"))
+            plain = await read_response(reader)
+            rest = await read_to_close(reader)
+            writer.close()
+            return asked, plain, rest
+
+        asked, plain, rest = asyncio.run(
+            with_server(service_config(tmp_path), execute, scenario)
+        )
+        assert [headers["connection"] for _, headers, _ in asked] == [
+            "keep-alive", "keep-alive"
+        ]
+        assert plain[0] == 200 and plain[1]["connection"] == "close"
+        assert rest == b""
+
+    @pytest.mark.parametrize(
+        "first, code",
+        [
+            pytest.param(
+                f"POST /v1/jobs HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode(),
+                413,
+                id="body-too-large",
+            ),
+            pytest.param(b"GARBAGE\r\n", 400, id="malformed-request-line"),
+            pytest.param(
+                b"POST /v1/jobs HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+                400,
+                id="bad-content-length",
+            ),
+            pytest.param(
+                b"POST /v1/jobs HTTP/1.1\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+                400,
+                id="chunked-body",
+            ),
+        ],
+    )
+    def test_unframed_request_closes_the_connection(
+        self, tmp_path, first, code
+    ):
+        """Bytes after a request the server could not frame are never
+        parsed as the next request: it answers once and closes."""
+        execute = CountingExecute()
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(first + raw_request("GET", "/healthz"))
+            answer = await read_response(reader)
+            rest = await read_to_close(reader)
+            writer.close()
+            return answer, rest, requests_seen(server, "/healthz")
+
+        answer, rest, healthz = asyncio.run(
+            with_server(service_config(tmp_path), execute, scenario)
+        )
+        assert answer[0] == code
+        assert answer[1]["connection"] == "close"
+        assert rest == b""
+        assert healthz == 0
+
+    def test_handler_error_closes_the_connection(self, tmp_path):
+        execute = CountingExecute()
+
+        async def scenario(server):
+            async def crash(method, path, body):
+                raise RuntimeError("injected handler bug")
+
+            server._route = crash
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(raw_request("GET", "/healthz") * 2)
+            answer = await read_response(reader)
+            rest = await read_to_close(reader)
+            writer.close()
+            return answer, rest
+
+        answer, rest = asyncio.run(
+            with_server(service_config(tmp_path), execute, scenario)
+        )
+        assert answer[0] == 500
+        assert answer[1]["connection"] == "close"
+        assert rest == b""
+
+    def test_stop_closes_an_idle_connection(self, tmp_path, caplog):
+        """A client's kept-alive connection idle across ``stop()``: the
+        server closes it without waiting, cancelling or logging an
+        error, and drains."""
+        execute = CountingExecute()
+        config = service_config(tmp_path)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(
+                lambda _loop, context: errors.append(context)
+            )
+            server = ServiceServer(
+                config, broker=JobBroker(config, execute=execute)
+            )
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(raw_request("GET", "/healthz"))
+            answer = await read_response(reader)
+            handlers = list(server._idle.values())
+            checkpointed = await asyncio.wait_for(server.stop(), 10)
+            rest = await read_to_close(reader)
+            writer.close()
+            return answer, handlers, checkpointed, rest, errors
+
+        answer, handlers, checkpointed, rest, errors = asyncio.run(main())
+        assert answer[0] == 200 and answer[1]["connection"] == "keep-alive"
+        assert len(handlers) == 1
+        assert handlers[0].done() and not handlers[0].cancelled()
+        assert handlers[0].exception() is None
+        assert checkpointed == 0
+        assert rest == b""
+        assert errors == []
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+        assert not (tmp_path / "cache" / QUEUE_CHECKPOINT_FILENAME).exists()
+
+    def test_stop_answers_the_request_in_flight_then_closes(self, tmp_path):
+        execute = CountingExecute()
+
+        async def scenario(server):
+            entered = asyncio.Event()
+            release = asyncio.Event()
+            route = server._route
+
+            async def slow_route(method, path, body):
+                entered.set()
+                await release.wait()
+                return await route(method, path, body)
+
+            server._route = slow_route
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            # The second, pipelined request arrives before stop() and
+            # must not be read.
+            writer.write(
+                raw_request("GET", "/healthz") + raw_request("GET", "/readyz")
+            )
+            await entered.wait()
+            stopping = asyncio.ensure_future(server.stop())
+            await asyncio.sleep(0.05)
+            release.set()
+            answer = await read_response(reader)
+            rest = await read_to_close(reader)
+            writer.close()
+            await asyncio.wait_for(stopping, 10)
+            return answer, rest, requests_seen(server, "/readyz")
+
+        answer, rest, readyz = asyncio.run(
+            with_server(service_config(tmp_path), execute, scenario)
+        )
+        assert answer[0] == 200
+        assert answer[1]["connection"] == "close"
+        assert rest == b""
+        assert readyz == 0
+
+
+# ----------------------------------------------------------------------
+# Submission memo (POST /v1/jobs bodies)
+# ----------------------------------------------------------------------
+
+
+def count_parses(monkeypatch):
+    """Count ``spec_from_request`` calls made by the HTTP layer."""
+    calls = []
+    real = http_module.spec_from_request
+
+    def counting(body):
+        calls.append(body)
+        return real(body)
+
+    monkeypatch.setattr(http_module, "spec_from_request", counting)
+    return calls
+
+
+class TestSubmissionMemo:
+    def test_identical_bodies_share_one_parse(self, tmp_path, monkeypatch):
+        parses = count_parses(monkeypatch)
+        execute = CountingExecute()
+        body = {"spec": make_spec().to_dict(), "client": "a"}
+
+        async def scenario(server):
+            answers = [
+                await http_request(server.port, "POST", "/v1/jobs", body)
+                for _ in range(3)
+            ]
+            return answers, len(server._submissions)
+
+        answers, memo = asyncio.run(
+            with_server(service_config(tmp_path), execute, scenario)
+        )
+        assert len(parses) == 1
+        assert memo == 1
+        assert [code for code, _, _ in answers][0] == 202
+        assert {json.loads(raw)["job_id"] for _, _, raw in answers} == {
+            spec_key(make_spec())
+        }
+        assert len(execute.calls) == 1
+
+    def test_client_field_keeps_its_own_rate_limit_bucket(self, tmp_path):
+        execute = CountingExecute()
+        config = service_config(
+            tmp_path, rate_limit_rps=0.001, rate_limit_burst=1
+        )
+        spec = make_spec().to_dict()
+
+        async def scenario(server):
+            port = server.port
+            first = await http_request(
+                port, "POST", "/v1/jobs", {"spec": spec, "client": "a"}
+            )
+            again = await http_request(
+                port, "POST", "/v1/jobs", {"spec": spec, "client": "a"}
+            )
+            other = await http_request(
+                port, "POST", "/v1/jobs", {"spec": spec, "client": "b"}
+            )
+            return first, again, other, len(server._submissions)
+
+        first, again, other, memo = asyncio.run(
+            with_server(config, execute, scenario)
+        )
+        assert first[0] == 202
+        assert again[0] == 429
+        assert json.loads(again[2])["reason"] == "rate_limited"
+        assert other[0] in (200, 202)
+        assert memo == 2
+
+    def test_invalid_bodies_are_never_memoized(self, tmp_path, monkeypatch):
+        parses = count_parses(monkeypatch)
+        execute = CountingExecute()
+        bodies = [
+            b"{not json",
+            json.dumps({"workload": "NOPE"}).encode(),
+            json.dumps(
+                {"spec": make_spec().to_dict(), "priority": "urgent"}
+            ).encode(),
+        ]
+
+        async def scenario(server):
+            answers = []
+            for body in bodies:
+                for _ in range(2):
+                    answers.append(await http_request(
+                        server.port, "POST", "/v1/jobs", body
+                    ))
+            return answers, len(server._submissions)
+
+        answers, memo = asyncio.run(
+            with_server(service_config(tmp_path), execute, scenario)
+        )
+        assert [code for code, _, _ in answers] == [400] * 6
+        assert len({raw for _, _, raw in answers}) == 3
+        assert memo == 0
+        assert len(parses) == 4  # the two parseable bodies, twice each
+        assert execute.calls == []
+
+    def test_memo_never_grows_past_its_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(http_module, "SUBMIT_MEMO_ENTRIES", 3)
+        execute = CountingExecute()
+        bodies = {
+            threads: {"spec": make_spec(threads=threads).to_dict()}
+            for threads in (1, 2, 4, 8, 16)
+        }
+
+        async def scenario(server):
+            sizes = []
+            for threads in (1, 2, 4, 1, 8, 16):
+                code, _, raw = await http_request(
+                    server.port, "POST", "/v1/jobs", bodies[threads]
+                )
+                assert code in (200, 202), raw
+                sizes.append(len(server._submissions))
+            kept = [
+                json.loads(body)["spec"]["num_threads"]
+                for body in server._submissions
+            ]
+            monkeypatch.setattr(http_module, "SUBMIT_MEMO_MAX_BODY", 64)
+            await http_request(
+                server.port, "POST", "/v1/jobs",
+                {"spec": make_spec(threads=32).to_dict()},
+            )
+            return sizes, kept, len(server._submissions)
+
+        sizes, kept, after_large = asyncio.run(
+            with_server(service_config(tmp_path), execute, scenario)
+        )
+        assert sizes == [1, 2, 3, 3, 3, 3]
+        # LRU: resubmitting 1 kept it over 2 and 4.
+        assert kept == [1, 8, 16]
+        assert after_large == 3  # a body over the size limit is not kept
+
+
+# ----------------------------------------------------------------------
 # Typed client + end-to-end with the real runner
 # ----------------------------------------------------------------------
 
@@ -787,6 +1211,7 @@ class TestClientEndToEnd:
             assert "service_jobs_total" in metrics
             assert 'service_submissions_total{outcome="accepted"} 1'\
                 in metrics
+            client.close()
 
         # After the context exits the server has drained cleanly:
         # no queued work was abandoned, so no journal exists.
@@ -813,6 +1238,7 @@ class TestClientEndToEnd:
                     return error
                 finally:
                     gate.set()
+                    client.close()
 
             return await loop.run_in_executor(None, drive)
 
@@ -826,6 +1252,131 @@ class TestClientEndToEnd:
             ServiceClient("ftp://somewhere")
         with pytest.raises(ServiceError):
             ServiceClient("")
+
+
+class TestClientConnections:
+    def test_threads_share_one_client(self, tmp_path):
+        """Threads calling one client each get the answers to their own
+        requests, over one connection per thread."""
+        execute = CountingExecute()
+        config = service_config(tmp_path, workers=2, queue_capacity=64)
+        threads, rounds = 6, 5
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+            client = ServiceClient(f"http://127.0.0.1:{server.port}")
+            barrier = threading.Barrier(threads)
+
+            def drive(index):
+                barrier.wait(timeout=30)
+                wrong = []
+                for step in range(rounds):
+                    spec = make_spec(threads=1 + index * rounds + step)
+                    ticket = client.submit(spec=spec)
+                    status = client.wait(ticket.job_id, timeout_s=30)
+                    if ticket.job_id != spec_key(spec) or (
+                        status.body["trace_hash"]
+                        != f"trace-BFS-{spec.num_threads}"
+                    ):
+                        wrong.append((index, step, ticket, status))
+                return wrong
+
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(threads) as pool:
+                    answers = await asyncio.gather(*[
+                        loop.run_in_executor(pool, drive, index)
+                        for index in range(threads)
+                    ])
+            finally:
+                sys.setswitchinterval(switch)
+            open_before = len(server._idle)
+            client.close()  # every thread's connection, threads gone
+            for _ in range(500):
+                if not server._idle:
+                    break
+                await asyncio.sleep(0.01)
+            return (
+                answers, connections_seen(server), open_before,
+                len(server._idle),
+            )
+
+        answers, connections, open_before, open_after = asyncio.run(
+            with_server(config, execute, scenario)
+        )
+        assert answers == [[]] * threads
+        assert len(execute.calls) == threads * rounds
+        assert connections == threads
+        assert (open_before, open_after) == (threads, 0)
+
+    def test_stale_connection_is_resent_once(self, tmp_path, monkeypatch):
+        """The server closes an idle connection; the client's next call
+        resends on a fresh one, and the server sees it exactly once."""
+        monkeypatch.setattr(http_module, "KEEPALIVE_IDLE_S", 0.2)
+        execute = CountingExecute()
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+
+            def drive():
+                client = ServiceClient(f"http://127.0.0.1:{server.port}")
+                try:
+                    client.health()
+                    time.sleep(0.6)  # past the idle timeout
+                    return client.submit(spec=make_spec())
+                finally:
+                    client.close()
+
+            ticket = await loop.run_in_executor(None, drive)
+            return (
+                ticket,
+                requests_seen(server, "/v1/jobs"),
+                connections_seen(server),
+            )
+
+        ticket, submits, connections = asyncio.run(
+            with_server(service_config(tmp_path), execute, scenario)
+        )
+        assert ticket.outcome == "accepted"
+        assert submits == 1
+        assert connections == 2
+
+    def test_no_resend_once_a_response_started(self):
+        """A response cut off mid-body fails the call; it is not sent
+        again on another connection."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        seen = []
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                for answer in (
+                    b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+                    b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\n{",
+                ):
+                    seen.append(stream.readline())
+                    while stream.readline() not in (b"\r\n", b""):
+                        pass
+                    conn.sendall(answer)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout_s=5)
+        try:
+            assert client.health() == {}
+            with pytest.raises(ServiceError):
+                client.health()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            listener.settimeout(0.2)
+            with pytest.raises(socket.timeout):
+                listener.accept()  # no second connection was opened
+        finally:
+            client.close()
+            listener.close()
+        assert len(seen) == 2
 
 
 # ----------------------------------------------------------------------
@@ -969,3 +1520,34 @@ class TestServeSigterm:
                     proc.communicate()
             assert proc.returncode == 0, stderr
             assert not (cache_dir / QUEUE_CHECKPOINT_FILENAME).exists()
+
+    def test_sigterm_with_an_idle_client_connection(self, tmp_path):
+        """SIGTERM while a client holds a kept-alive connection idle:
+        a clean drain, and no traceback from the idle handler."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        cache_dir = tmp_path / "cache"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--cache-dir", str(cache_dir)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, line
+            client = ServiceClient(line.split("listening on ")[1].strip())
+            assert client.health()["status"] == "ok"
+            proc.send_signal(signal.SIGTERM)
+            stdout, stderr = proc.communicate(timeout=60)
+            client.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, stderr
+        assert "Traceback" not in stdout + stderr
+        assert not (cache_dir / QUEUE_CHECKPOINT_FILENAME).exists()

@@ -504,7 +504,10 @@ class TestServiceStreaming:
 
             def scrape():
                 client = ServiceClient(f"http://127.0.0.1:{port}")
-                return client.metrics_text()
+                try:
+                    return client.metrics_text()
+                finally:
+                    client.close()
 
             return await loop.run_in_executor(None, scrape)
 
@@ -538,3 +541,4 @@ class TestServiceStreaming:
             assert events[-1].event == "done"
             # The streamed terminal matches the polled terminal state.
             assert client.status(ticket.job_id).done
+            client.close()
