@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: style lint, type check, a warnings-as-errors build of the C
 # kernel, tier-1 tests, trace-lint (text + SARIF + baseline gating),
-# analysis-engine, simulation-kernel, trace-capture and trace-memory
-# benchmark smokes, the paper's result shapes at small scale (the
-# figure, table, ablation and extension benchmarks),
+# analysis-engine, simulation-kernel, trace-capture, trace-memory and
+# service-client benchmark smokes, the paper's result shapes at small
+# scale (the figure, table, ablation and extension benchmarks),
 # simulation-kernel equivalence (kernel grid against the reference,
 # diffed JSON),
 # fault-injection smoke runs, chaos smokes (kill a worker on its first
@@ -157,6 +157,13 @@ step "trace memory benchmark (tiny-scale bytes-per-event guard)"
 # job is done.  The figure is a byte count, so it needs no RSS reading.
 run_or_fail env REPRO_SCALE=tiny python -m pytest -q \
     benchmarks/test_trace_memory_bench.py
+
+step "service client benchmark (hit round trip against http.client)"
+# The record lives in BENCH_client.json; here a warm served hit (submit
+# then status) through ServiceClient must cost the client less CPU than
+# the same bytes through a kept-alive http.client connection, and both
+# transports must send identical bytes.
+run_or_fail python -m pytest -q benchmarks/test_client_bench.py
 
 step "paper result shapes (figure, table, ablation, extension at small)"
 # The paper's claims as assertions: Fig. 7 ordering with the BC

@@ -1,7 +1,7 @@
 """Typed synchronous client for the simulation service.
 
-Zero-dependency (stdlib :mod:`http.client`) so any consumer that can
-import :mod:`repro` can talk to ``repro serve``::
+Zero-dependency (a small HTTP/1.1 transport on a plain socket) so any
+consumer that can import :mod:`repro` can talk to ``repro serve``::
 
     from repro.service.client import ServiceClient
 
@@ -16,21 +16,34 @@ implement polite retry loops; :meth:`ServiceClient.submit_and_wait`
 implements one.
 
 Calls reuse a persistent connection, one per calling thread; see
-:class:`ServiceClient`.
+:class:`ServiceClient`.  The client speaks the framing ``repro serve``
+speaks and no more.  A request goes out in one ``sendall``, its body
+(if any) framed by ``Content-Length``.  A response's status line and
+headers are bounded as :mod:`http.client` bounds them (64 KiB a line,
+100 header lines); its body is exactly ``Content-Length`` bytes, or,
+when it gives no length, every byte up to the end of the stream, after
+which the connection is closed.  A response framed by
+``Transfer-Encoding`` (chunked), or one past those bounds, raises
+:class:`~repro.common.errors.ServiceError`.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, BinaryIO, Optional
 
 from repro.common.errors import ServiceError
 from repro.runner.spec import ExperimentSpec
+
+#: Bounds on a response's head, as :mod:`http.client` sets them: the
+#: longest status or header line, and the most header lines.
+MAX_LINE_BYTES = 65536
+MAX_HEADER_LINES = 100
 
 
 class ClientBackpressureError(ServiceError):
@@ -112,25 +125,112 @@ class JobStatus:
         return self.body.get("error", "")
 
 
-#: What a reused connection raises when the server closed it before
-#: reading the request (idle timeout, restart): a reset or broken pipe
-#: on send, or end of stream before the status line
-#: (``http.client.RemoteDisconnected``, a ``ConnectionResetError``).
-_STALE_ERRORS = (ConnectionResetError, BrokenPipeError)
+def _read_line(reader: BinaryIO, what: str) -> bytes:
+    line = reader.readline(MAX_LINE_BYTES + 1)
+    if len(line) > MAX_LINE_BYTES:
+        raise ServiceError(f"{what} longer than {MAX_LINE_BYTES} bytes")
+    return line
+
+
+def _read_head(reader: BinaryIO) -> "tuple[int, dict[str, str], bool]":
+    """One response's status code, its headers (names lower-cased), and
+    whether the server keeps the connection open after it."""
+    line = _read_line(reader, "status line")
+    if not line:
+        raise ServiceError("the server closed the connection unanswered")
+    version, _, rest = line.partition(b" ")
+    try:
+        code = int(rest[:3])
+    except ValueError:
+        code = 0
+    if not version.startswith(b"HTTP/1.") or not 100 <= code <= 999:
+        raise ServiceError(f"malformed status line {line[:80]!r}")
+    headers: "dict[str, str]" = {}
+    for _ in range(MAX_HEADER_LINES + 1):
+        line = _read_line(reader, "header line")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
+            raise ServiceError(f"malformed header line {line[:80]!r}")
+        headers[name.strip().lower()] = value.strip()
+    else:
+        raise ServiceError(f"more than {MAX_HEADER_LINES} header lines")
+    if "transfer-encoding" in headers:
+        raise ServiceError(
+            f"response framed by Transfer-Encoding: "
+            f"{headers['transfer-encoding']} (the client reads "
+            f"Content-Length or close-delimited bodies only)"
+        )
+    tokens = {
+        token.strip()
+        for token in headers.get("connection", "").lower().split(",")
+    }
+    # An older HTTP/1.x server's connection is not reused.
+    keep_alive = version == b"HTTP/1.1" and "close" not in tokens
+    return code, headers, keep_alive
+
+
+def _read_response(
+    reader: BinaryIO,
+) -> "tuple[int, dict[str, str], bytes, bool]":
+    """``(code, headers, body, keep_alive)`` of one whole response."""
+    code, headers, keep_alive = _read_head(reader)
+    length = headers.get("content-length")
+    if length is None:
+        return code, headers, reader.read(), False
+    if not length.isdecimal():
+        raise ServiceError(f"malformed Content-Length {length!r}")
+    body = reader.read(int(length))
+    if len(body) != int(length):
+        raise ServiceError(
+            f"response ended after {len(body)} of {length} body bytes"
+        )
+    return code, headers, body, keep_alive
+
+
+class _Connection:
+    """One TCP connection to the server and a buffered reader on it."""
+
+    def __init__(self, address: "tuple[str, int]", timeout_s: float):
+        self.sock = socket.create_connection(address, timeout_s)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reader: BinaryIO = self.sock.makefile("rb")
+
+    def send(self, request: bytes) -> bool:
+        """Send one request; False when the server closed the connection
+        before any byte of an answer (a reset, a broken pipe, or end of
+        stream: it closed the connection while it sat idle)."""
+        try:
+            self.sock.sendall(request)
+            return bool(self.reader.peek(1))
+        except (ConnectionResetError, BrokenPipeError):
+            return False
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
 
 
 class ServiceClient:
     """Small blocking client over persistent HTTP connections.
 
-    Each thread that calls it gets its own connection, opened on its
-    first call and reused for the next ones, so one client can be
-    shared between threads (a fleet worker's job loop and heartbeat
-    thread).  When a reused connection fails before any response byte
-    arrives, because the server closed it while it sat idle, the call
-    is sent once more on a fresh connection; it is never resent once a
-    response has started.  :meth:`events` streams over a connection of
-    its own.  :meth:`close` closes every thread's connection; one left
-    by a finished thread is closed when the next thread connects.
+    Each thread that calls it gets its own connection, a socket with
+    ``TCP_NODELAY`` opened on its first call and reused for the next
+    ones, so one client can be shared between threads (a fleet worker's
+    job loop and heartbeat thread).  The connection is closed, and the
+    next call opens a new one, after a response that says
+    ``Connection: close`` or has no ``Content-Length``, and after any
+    failed call.  When a reused connection fails before any response
+    byte arrives, because the server closed it while it sat idle, the
+    call is sent once more on a fresh connection; it is never resent
+    once a response has started.  :meth:`events` streams over a
+    connection of its own.  :meth:`close` closes every thread's
+    connection; one left by a finished thread is closed when the next
+    thread connects.
+
+    ``base_url`` is ``http://host:port`` or a bare ``host:port``; the
+    port defaults to 80, and an IPv6 host goes in brackets.
     """
 
     def __init__(
@@ -139,25 +239,30 @@ class ServiceClient:
         timeout_s: float = 30.0,
         client_id: str = "",
     ):
+        if "://" not in base_url:
+            base_url = f"http://{base_url}"
         parsed = urllib.parse.urlsplit(base_url)
-        if parsed.scheme not in ("http", ""):
+        if parsed.scheme != "http":
             raise ServiceError(
                 f"unsupported scheme {parsed.scheme!r} (http only)"
             )
-        netloc = parsed.netloc or parsed.path
-        if not netloc:
+        try:
+            port = parsed.port
+        except ValueError as error:
+            raise ServiceError(
+                f"bad port in base url {base_url!r}: {error}"
+            ) from None
+        if not parsed.hostname:
             raise ServiceError(f"cannot parse base url {base_url!r}")
-        self._host = netloc.split(":")[0]
-        self._port = (
-            int(netloc.split(":")[1]) if ":" in netloc else 80
-        )
+        self._host = parsed.hostname
+        self._port = 80 if port is None else port
+        host = f"[{self._host}]" if ":" in self._host else self._host
+        self._authority = f"{host}:{self._port}"
         self.timeout_s = timeout_s
         self.client_id = client_id
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._connections: (
-            "dict[threading.Thread, http.client.HTTPConnection]"
-        ) = {}
+        self._connections: "dict[threading.Thread, _Connection]" = {}
 
     def close(self) -> None:
         """Close every thread's connection; a later call opens anew."""
@@ -172,20 +277,55 @@ class ServiceClient:
     # Transport
     # ------------------------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's connection, created on its first call."""
+    def _connection(self) -> "tuple[_Connection, bool]":
+        """This thread's connection, and whether an earlier call used
+        it; opened when the thread has none."""
         conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = http.client.HTTPConnection(
-                self._host, self._port, timeout=self.timeout_s
-            )
-            with self._lock:
-                for thread in list(self._connections):
-                    if not thread.is_alive():
-                        self._connections.pop(thread).close()
-                self._connections[threading.current_thread()] = conn
-                self._local.conn = conn
-        return conn
+        if conn is not None:
+            return conn, True
+        conn = _Connection((self._host, self._port), self.timeout_s)
+        with self._lock:
+            for thread in list(self._connections):
+                if not thread.is_alive():
+                    self._connections.pop(thread).close()
+            self._connections[threading.current_thread()] = conn
+        self._local.conn = conn
+        return conn, False
+
+    def _drop(self, conn: _Connection) -> None:
+        """Close this thread's connection; its next call opens anew."""
+        self._local.conn = None
+        with self._lock:
+            thread = threading.current_thread()
+            if self._connections.get(thread) is conn:
+                del self._connections[thread]
+        conn.close()
+
+    def _encode(
+        self,
+        method: str,
+        path: str,
+        headers: "dict[str, str]",
+        payload: bytes = b"",
+    ) -> bytes:
+        """One request's bytes: the request line, ``Host``, ``headers``
+        in order, a blank line, then ``payload``."""
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self._authority}\r\n"
+        for name, value in headers.items():
+            if "\r" in value or "\n" in value:
+                raise ServiceError(
+                    f"{name} header holds a line break: {value!r}"
+                )
+            head += f"{name}: {value}\r\n"
+        return (head + "\r\n").encode("latin-1") + payload
+
+    def _failure(
+        self, method: str, path: str, error: Exception
+    ) -> ServiceError:
+        return ServiceError(
+            f"{method} {path} failed against "
+            f"{self._host}:{self._port}: {error}"
+        )
 
     def _request(
         self,
@@ -194,42 +334,41 @@ class ServiceClient:
         body: Optional[dict] = None,
         request_id: str = "",
     ) -> "tuple[int, dict[str, str], bytes]":
-        payload = (
-            json.dumps(body).encode("utf-8") if body is not None else None
-        )
         headers: "dict[str, str]" = {}
-        if payload is not None:
+        payload = b""
+        if body is not None:
+            payload = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
+            headers["Content-Length"] = str(len(payload))
         if self.client_id:
             headers["X-Client-Id"] = self.client_id
         if request_id:
             # Correlation id: the server echoes it, binds its logs to
             # it, and carries it with the job through lease/complete.
             headers["X-Request-Id"] = request_id
-        conn = self._connection()
+        request = self._encode(method, path, headers, payload)
+        conn = None
         try:
-            reused = conn.sock is not None
-            try:
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
-            except _STALE_ERRORS:
-                if not reused:
-                    raise
-                conn.close()
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
-            data = response.read()
-        except (OSError, http.client.HTTPException) as error:
-            conn.close()
-            raise ServiceError(
-                f"{method} {path} failed against "
-                f"{self._host}:{self._port}: {error}"
-            ) from error
-        return (
-            response.status,
-            {k.lower(): v for k, v in response.getheaders()},
-            data,
-        )
+            conn, reused = self._connection()
+            sent = conn.send(request)
+            if not sent and reused:  # closed while idle: resend once
+                self._drop(conn)
+                conn, _ = self._connection()
+                sent = conn.send(request)
+            if not sent:
+                raise ServiceError(
+                    "the server closed the connection unanswered"
+                )
+            code, response_headers, data, keep_alive = _read_response(
+                conn.reader
+            )
+        except (OSError, ServiceError) as error:
+            if conn is not None:
+                self._drop(conn)
+            raise self._failure(method, path, error) from error
+        if not keep_alive:
+            self._drop(conn)
+        return code, response_headers, data
 
     @staticmethod
     def _json(data: bytes) -> dict:
@@ -387,36 +526,32 @@ class ServiceClient:
             headers["X-Client-Id"] = self.client_id
         if last_event_id is not None:
             headers["Last-Event-ID"] = str(last_event_id)
-        conn = http.client.HTTPConnection(
-            self._host,
-            self._port,
-            timeout=(
-                timeout_s if timeout_s is not None else self.timeout_s
-            ),
-        )
         path = f"/v1/jobs/{urllib.parse.quote(job_id)}/events"
+        request = self._encode("GET", path, headers)
+        try:
+            conn = _Connection(
+                (self._host, self._port),
+                timeout_s if timeout_s is not None else self.timeout_s,
+            )
+        except OSError as error:
+            raise self._failure("GET", path, error) from error
         try:
             try:
-                conn.request("GET", path, headers=headers)
-                response = conn.getresponse()
-            except (OSError, http.client.HTTPException) as error:
-                raise ServiceError(
-                    f"GET {path} failed against "
-                    f"{self._host}:{self._port}: {error}"
-                ) from error
-            if response.status == 404:
+                conn.sock.sendall(request)
+                code, _headers, _keep_alive = _read_head(conn.reader)
+            except (OSError, ServiceError) as error:
+                raise self._failure("GET", path, error) from error
+            if code == 404:
                 raise ServiceError(f"unknown job {job_id!r}")
-            if response.status != 200:
-                raise ServiceError(
-                    f"events answered HTTP {response.status}"
-                )
+            if code != 200:
+                raise ServiceError(f"events answered HTTP {code}")
             event_id = 0
             event_name = "message"
             data_lines: "list[str]" = []
             while True:
                 try:
-                    raw = response.readline()
-                except (OSError, http.client.HTTPException) as error:
+                    raw = conn.reader.readline()
+                except OSError as error:
                     raise ServiceError(
                         f"event stream for {job_id} broke: {error}"
                     ) from error

@@ -54,7 +54,7 @@ import uuid
 from collections import OrderedDict
 from typing import Awaitable, Callable, Optional
 
-from repro.common.errors import ConfigError, ReproError, ServiceError
+from repro.common.errors import ReproError, ServiceError
 from repro.obs.logs import get_logger, request_id_context
 from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.runner.spec import ExperimentSpec
@@ -95,7 +95,9 @@ _STATUS_TEXT = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -277,9 +279,9 @@ class ServiceServer:
 
         As in HTTP/1.1 the connection stays open unless the client sent
         ``Connection: close`` (or spoke HTTP/1.0 without keep-alive),
-        the request could not be framed (a 400, 413 or 500 may leave
-        its body unread), the answer was an event stream, or the
-        service is stopping or draining.
+        the request could not be framed (a 400, 413, 414, 431 or 500
+        may leave part of it unread), the answer was an event stream,
+        or the service is stopping or draining.
         """
         request_id = uuid.uuid4().hex[:12]
         loop = asyncio.get_running_loop()
@@ -342,11 +344,10 @@ class ServiceServer:
                         "duration_s": loop.time() - started,
                     },
                 )
-        except _BodyTooLarge:
-            code = 413
+        except _TooLarge as error:
+            code = error.code
             self._write_response(
-                writer, 413, {"error": "request body too large"},
-                request_id, {},
+                writer, code, {"error": str(error)}, request_id, {}
             )
         except ServiceError as error:
             code = 400
@@ -399,6 +400,8 @@ class ServiceServer:
         self._idle[writer] = asyncio.current_task()
         try:
             line = await reader.readline()
+        except ValueError:  # past the reader's limit
+            raise _TooLarge(414, "request line too long") from None
         finally:
             timer.cancel()
             del self._idle[writer]
@@ -419,7 +422,10 @@ class ServiceServer:
             raise ServiceError("malformed request line") from None
         headers: "dict[str, str]" = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # past the reader's limit
+                raise _TooLarge(431, "header line too long") from None
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -444,7 +450,7 @@ class ServiceServer:
         if not length.isdecimal():
             raise ServiceError("malformed Content-Length")
         if int(length) > MAX_BODY_BYTES:
-            raise _BodyTooLarge()
+            raise _TooLarge(413, "request body too large")
         return await reader.readexactly(int(length))
 
     # ------------------------------------------------------------------
@@ -795,8 +801,13 @@ class ServiceServer:
         )
 
 
-class _BodyTooLarge(Exception):
-    """Internal: request body exceeded MAX_BODY_BYTES."""
+class _TooLarge(Exception):
+    """Internal: a request line or header line past the stream reader's
+    limit (64 KiB), or a body past :data:`MAX_BODY_BYTES`."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 # ----------------------------------------------------------------------

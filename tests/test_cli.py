@@ -186,3 +186,11 @@ class TestCli:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "url", ["http://h:abc", "http://h:70000", "ftp://h:8477"]
+    )
+    def test_service_commands_reject_a_bad_url(self, capsys, url):
+        assert main(["submit", "--url", url, "BFS"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro submit: ") and err.count("\n") == 1

@@ -46,6 +46,7 @@ from repro.service import (
 from repro.service.client import (
     ClientBackpressureError,
     ServiceClient,
+    StreamEvent,
 )
 from repro.service import http as http_module
 from repro.service.http import MAX_BODY_BYTES, spec_from_request
@@ -908,13 +909,27 @@ class TestPersistentConnections:
                 400,
                 id="chunked-body",
             ),
+            # Past the stream reader's 64 KiB line limit.
+            pytest.param(
+                raw_request("GET", "/" + "a" * 70_000),
+                414,
+                id="request-line-too-long",
+            ),
+            pytest.param(
+                raw_request(
+                    "GET", "/healthz", headers=["X-Big: " + "a" * 70_000]
+                ),
+                431,
+                id="header-line-too-long",
+            ),
         ],
     )
     def test_unframed_request_closes_the_connection(
-        self, tmp_path, first, code
+        self, tmp_path, caplog, first, code
     ):
         """Bytes after a request the server could not frame are never
-        parsed as the next request: it answers once and closes."""
+        parsed as the next request: it answers once, closes, and logs
+        no error (the input was the client's fault)."""
         execute = CountingExecute()
 
         async def scenario(server):
@@ -934,6 +949,7 @@ class TestPersistentConnections:
         assert answer[1]["connection"] == "close"
         assert rest == b""
         assert healthz == 0
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
     def test_handler_error_closes_the_connection(self, tmp_path):
         execute = CountingExecute()
@@ -1248,10 +1264,41 @@ class TestClientEndToEnd:
         assert error.retry_after_s > 0
 
     def test_client_rejects_bad_urls(self):
-        with pytest.raises(ServiceError):
-            ServiceClient("ftp://somewhere")
-        with pytest.raises(ServiceError):
-            ServiceClient("")
+        for url in (
+            "ftp://somewhere",
+            "",
+            "http://h:abc",
+            "http://h:70000",
+            "localhost:abc",
+            "http://:8477",
+        ):
+            with pytest.raises(ServiceError):
+                ServiceClient(url)
+
+    @pytest.mark.parametrize(
+        "template, family",
+        [
+            ("http://127.0.0.1:{port}", socket.AF_INET),
+            ("127.0.0.1:{port}", socket.AF_INET),
+            ("localhost:{port}", socket.AF_INET),
+            ("http://127.0.0.1:{port}/ignored/path", socket.AF_INET),
+            ("http://[::1]:{port}", socket.AF_INET6),
+        ],
+    )
+    def test_client_accepts_url_forms(self, template, family):
+        """A scheme-less ``host:port`` means http, and an IPv6 host goes
+        in brackets; each form reaches the server it names."""
+        try:
+            server = ScriptedServer([OK_EMPTY], family=family)
+        except OSError:
+            pytest.skip("no IPv6 loopback on this host")
+        with server:
+            client = ServiceClient(template.format(port=server.port))
+            try:
+                assert client.health() == {}
+            finally:
+                client.close()
+        assert server.requests[0].startswith(b"GET /healthz HTTP/1.1\r\n")
 
 
 class TestClientConnections:
@@ -1345,38 +1392,308 @@ class TestClientConnections:
     def test_no_resend_once_a_response_started(self):
         """A response cut off mid-body fails the call; it is not sent
         again on another connection."""
-        listener = socket.create_server(("127.0.0.1", 0))
-        port = listener.getsockname()[1]
-        seen = []
+        server = ScriptedServer([
+            OK_EMPTY,
+            b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\n{",
+        ])
+        with server:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.port}", timeout_s=5
+            )
+            try:
+                assert client.health() == {}
+                with pytest.raises(ServiceError):
+                    client.health()
+            finally:
+                client.close()
+        assert len(server.requests) == 2
+        assert server.connections == 1  # no second connection was opened
 
-        def serve():
-            conn, _ = listener.accept()
+    def test_no_resend_on_a_fresh_connection(self):
+        """A new connection the server closes unanswered fails the call:
+        only a reused one can have gone stale."""
+        server = ScriptedServer([])
+        with server:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.port}", timeout_s=5
+            )
+            try:
+                with pytest.raises(ServiceError, match="unanswered"):
+                    client.health()
+            finally:
+                client.close()
+        assert server.connections == 1
+
+
+# ----------------------------------------------------------------------
+# Client transport against a scripted socket server
+# ----------------------------------------------------------------------
+
+OK_EMPTY = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"
+
+
+def read_request(stream) -> bytes:
+    """One request's bytes off a server-side stream: head, then the
+    ``Content-Length`` body; ``b""`` when the client closed first."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        line = stream.readline()
+        if not line:
+            return head
+        head += line
+    for line in head.split(b"\r\n"):
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            return head + stream.read(int(value))
+    return head
+
+
+def request_headers(request: bytes) -> "list[tuple[str, str]]":
+    """The (lower-cased name, value) pairs of one request, in order."""
+    head = request.split(b"\r\n\r\n", 1)[0].decode("latin-1")
+    pairs = []
+    for line in head.split("\r\n")[1:]:
+        name, _, value = line.partition(":")
+        pairs.append((name.strip().lower(), value.strip()))
+    return pairs
+
+
+class ScriptedServer:
+    """A listening socket that answers requests with canned bytes.
+
+    Each argument is the list of answers for one connection, in the
+    order connections arrive: the server reads a whole request, sends
+    the next answer, and after the last one closes the connection, or,
+    with ``hold=True``, waits for the client to close it first.
+    ``requests`` holds every request's bytes; ``connections`` counts
+    the connections accepted, including any the script did not expect.
+    """
+
+    def __init__(self, *script, hold=False, family=socket.AF_INET):
+        host = "::1" if family == socket.AF_INET6 else "127.0.0.1"
+        self.listener = socket.create_server((host, 0), family=family)
+        self.port = self.listener.getsockname()[1]
+        self.requests: "list[bytes]" = []
+        self.connections = 0
+        self._script = script
+        self._hold = hold
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def _serve(self):
+        for answers in self._script:
+            conn, _ = self.listener.accept()
+            self.connections += 1
             with conn, conn.makefile("rb") as stream:
-                for answer in (
-                    b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}",
-                    b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\n{",
-                ):
-                    seen.append(stream.readline())
-                    while stream.readline() not in (b"\r\n", b""):
-                        pass
-                    conn.sendall(answer)
+                try:
+                    for answer in answers:
+                        self.requests.append(read_request(stream))
+                        conn.sendall(answer)
+                    if self._hold:
+                        stream.read()
+                except OSError:
+                    pass  # the client gave up mid-answer
 
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        client = ServiceClient(f"http://127.0.0.1:{port}", timeout_s=5)
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive(), "scripted server still running"
+        self.listener.settimeout(0.2)
         try:
-            assert client.health() == {}
-            with pytest.raises(ServiceError):
-                client.health()
-            thread.join(timeout=5)
-            assert not thread.is_alive()
-            listener.settimeout(0.2)
-            with pytest.raises(socket.timeout):
-                listener.accept()  # no second connection was opened
-        finally:
-            client.close()
-            listener.close()
-        assert len(seen) == 2
+            self.listener.accept()[0].close()
+            self.connections += 1
+        except socket.timeout:
+            pass
+        self.listener.close()
+
+
+class TestClientTransport:
+    @pytest.mark.parametrize(
+        "first",
+        [
+            pytest.param(
+                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+                b"Connection: close\r\n\r\n{}",
+                id="connection-close",
+            ),
+            pytest.param(
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                b"\r\n{}",
+                id="no-length-read-to-close",
+            ),
+        ],
+    )
+    def test_closing_answer_opens_a_new_connection(self, first):
+        server = ScriptedServer([first], [OK_EMPTY])
+        with server:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.port}", timeout_s=5
+            )
+            try:
+                assert client.health() == {}
+                assert client.health() == {}
+            finally:
+                client.close()
+        assert len(server.requests) == 2
+        assert server.connections == 2
+
+    @pytest.mark.parametrize(
+        "answer, complaint",
+        [
+            pytest.param(
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n",
+                "Transfer-Encoding",
+                id="chunked",
+            ),
+            pytest.param(
+                b"HTTP/1.1 200 OK\r\nX-Big: " + b"a" * 70_000
+                + b"\r\nContent-Length: 2\r\n\r\n{}",
+                "header line longer than 65536 bytes",
+                id="header-line-too-long",
+            ),
+            pytest.param(
+                b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 101
+                + b"Content-Length: 2\r\n\r\n{}",
+                "more than 100 header lines",
+                id="too-many-headers",
+            ),
+            pytest.param(
+                b"SMTP 220 ready\r\n\r\n",
+                "malformed status line",
+                id="not-http",
+            ),
+        ],
+    )
+    def test_unsupported_framing_raises(self, answer, complaint):
+        """An answer the client cannot frame fails the call at once,
+        though the server holds the connection open, and the client
+        drops that connection."""
+        server = ScriptedServer([answer], hold=True)
+        with server:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.port}", timeout_s=30
+            )
+            started = time.monotonic()
+            try:
+                with pytest.raises(ServiceError, match=complaint):
+                    client.health()
+                assert time.monotonic() - started < 10
+            finally:
+                client.close()
+        assert server.connections == 1
+
+    def test_requests_carry_exactly_their_headers(self, monkeypatch):
+        """Each request goes out in one ``sendall`` with the headers the
+        client means to send, and no others."""
+        sent = []
+        sendall = socket.socket.sendall
+
+        def record(sock, data, *args):
+            if sock.getpeername()[1] == server.port:  # client side only
+                sent.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        submitted = json.dumps(
+            {"job_id": "j1", "status": "queued", "outcome": "accepted"}
+        ).encode()
+        server = ScriptedServer([
+            b"HTTP/1.1 202 Accepted\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(submitted), submitted),
+            b"HTTP/1.1 200 OK\r\nContent-Length: 32\r\n\r\n"
+            b'{"job_id":"j1","status":"done"}\n',
+        ])
+        spec = make_spec()
+        with server:
+            monkeypatch.setattr(socket.socket, "sendall", record)
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.port}", client_id="ci"
+            )
+            try:
+                ticket = client.submit(spec=spec, request_id="rq-1")
+                status = client.status(ticket.job_id)
+            finally:
+                client.close()
+                monkeypatch.undo()
+        assert ticket.outcome == "accepted" and status.done
+        assert status.raw == b'{"job_id":"j1","status":"done"}\n'
+        assert sent == server.requests
+        post, get = server.requests
+        body = json.dumps(
+            {"priority": "interactive", "client": "ci",
+             "spec": spec.to_dict()}
+        ).encode()
+        assert post.startswith(b"POST /v1/jobs HTTP/1.1\r\n")
+        assert post.endswith(b"\r\n\r\n" + body)
+        authority = f"127.0.0.1:{server.port}"
+        assert request_headers(post) == [
+            ("host", authority),
+            ("content-type", "application/json"),
+            ("content-length", str(len(body))),
+            ("x-client-id", "ci"),
+            ("x-request-id", "rq-1"),
+        ]
+        assert get.startswith(b"GET /v1/jobs/j1 HTTP/1.1\r\n")
+        assert request_headers(get) == [
+            ("host", authority), ("x-client-id", "ci"),
+        ]
+
+    def test_header_values_cannot_split_the_head(self):
+        client = ServiceClient("http://127.0.0.1:9", client_id="a\r\nb")
+        with pytest.raises(ServiceError, match="line break"):
+            client.health()
+
+    def test_events_parse_the_stream(self):
+        """``events()`` skips heartbeat comments, joins multi-line
+        ``data:`` fields, and resumes with ``Last-Event-ID``."""
+        stream = (
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
+            b"Connection: close\r\n\r\n"
+            b": heartbeat\n\n"
+            b'id: 3\nevent: progress\ndata: {"events_done":\ndata: 5}\n\n'
+            b": heartbeat\n\n"
+            b'id: 4\nevent: done\ndata: {"status": "done"}\n\n'
+        )
+        server = ScriptedServer([stream])
+        with server:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.port}", client_id="ci",
+                timeout_s=5,
+            )
+            events = list(client.events("j1", last_event_id=2))
+        assert events == [
+            StreamEvent(3, "progress", {"events_done": 5}),
+            StreamEvent(4, "done", {"status": "done"}),
+        ]
+        (request,) = server.requests
+        assert request.startswith(b"GET /v1/jobs/j1/events HTTP/1.1\r\n")
+        assert request_headers(request) == [
+            ("host", f"127.0.0.1:{server.port}"),
+            ("accept", "text/event-stream"),
+            ("connection", "close"),
+            ("x-client-id", "ci"),
+            ("last-event-id", "2"),
+        ]
+
+    def test_import_leaves_http_client_out(self):
+        """The client needs no :mod:`http.client` (nor the :mod:`email`
+        parser it imports) anywhere in ``repro.service``."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import sys, repro.service\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name == 'http.client'\n"
+            "             or name.split('.')[0] == 'email'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------
