@@ -1,26 +1,38 @@
 """Service client: what one served hit costs through ``ServiceClient``.
 
-A hit is the two requests perfbench's ``served`` client makes for 99%
-of its stream: ``POST /v1/jobs`` for a spec the service has already
-answered, then ``GET /v1/jobs/{id}`` for its result body.  Against one
-warm :class:`ThreadedServer` this benchmark times hits through
-:class:`ServiceClient`, and, as the reference, the same two requests,
-byte for byte, through a kept-alive :class:`http.client.HTTPConnection`,
-the transport the client used before its own socket transport.  That
-oracle lives only here.  Before timing, both send one hit to a scripted
-socket server and the bytes they sent must be equal.
+A hit is what perfbench's ``served`` client does for 99% of its stream:
+``submit`` a spec the service has already answered, then ``status`` for
+its result body.  The server answers such a submission with the job
+document itself (200, ``Content-Location: /v1/jobs/{id}``), so the
+client sends one request, ``POST /v1/jobs``, and answers ``status``
+from the document it kept.  Against one warm :class:`ThreadedServer`
+this benchmark times hits through :class:`ServiceClient`, and, as the
+reference, the same request, byte for byte, through a kept-alive
+:class:`http.client.HTTPConnection`, the transport the client used
+before its own socket transport.  That oracle lives only here.  Before
+timing, both send one hit to a scripted socket server that answers with
+``Content-Location``, and the bytes they sent must be equal.
+
+Beside it the benchmark records the hit as it was before one-trip
+answers: the submission and then ``GET /v1/jobs/{id}``, replayed through
+``http.client``.  The server now answers that submission with the
+document too (2.2 KiB here), where it used to send a ticket of about
+200 bytes, so the replay reads about 2 KiB more than the old hit did.
+That figure is recorded, not guarded.
 
 The server runs in this process, so a hit's wall time covers the
 server's handling as well as the client's, though only the client side
-differs between the two.  The calling thread's CPU time per hit is the
-client's share alone (the server thread's CPU is not in it), and the
-guard is on that: the *ratio* of the two transports' client CPU per
-hit, so absolute machine speed cancels.  The wall-time ratio is
-recorded beside it but not guarded: on a loaded machine the wait for a
-CPU swamped it (0.95x in one run of three parallel copies on two
-vCPUs, against 1.16-1.18x alone), while the CPU ratio held at
-1.26-1.44x.  Every figure is the best of ``ROUNDS`` rounds of ``HITS``
-hits, the two transports alternating round by round.
+differs between the transports.  The calling thread's CPU time per hit
+is the client's share alone (the server thread's CPU is not in it), and
+the guard is on that: the *ratio* of the two transports' client CPU per
+one-trip hit, so absolute machine speed cancels.  The wall-time ratio
+is recorded beside it but not guarded: on a loaded machine the wait for
+a CPU can swamp it (0.95x in one run of three parallel copies on two
+vCPUs when a hit was two trips).  Run as three parallel copies, the
+one-trip hit read 1.19-1.30x in wall time (six runs) and 1.31-1.60x in
+client CPU (nine runs), against 1.25-1.28x and 1.31-1.38x alone.  Every
+figure is the best of ``ROUNDS`` rounds of ``HITS`` hits, the three
+ways alternating round by round.
 
 Regenerate the committed record with::
 
@@ -36,14 +48,14 @@ from pathlib import Path
 from repro.runner import RunnerConfig, spec_key
 from repro.service import ServiceConfig, ThreadedServer
 from repro.service.client import ServiceClient
-from tests.test_service import ScriptedServer, make_spec
+from tests.test_service import ScriptedServer, make_spec, one_trip
 
 #: Required ratio of the client CPU a hit costs through ``http.client``
 #: to what it costs through ``ServiceClient`` (recorded: see
 #: ``BENCH_client.json``).
 MIN_CPU_SPEEDUP = 1.12
 
-#: Hits per timed round, and rounds per transport.
+#: Hits per timed round, and rounds per way of sending one.
 HITS = 50
 ROUNDS = 15
 
@@ -59,10 +71,10 @@ def _parse(request: bytes):
     return method, path, headers, body
 
 
-def _oracle_hit(conn: http.client.HTTPConnection, requests, authority: str):
+def _replay(conn: http.client.HTTPConnection, requests, authority: str):
     """Send ``requests`` over ``conn`` as they were captured, with
-    ``Host`` set to ``authority``; returns the response bodies."""
-    bodies = []
+    ``Host`` set to ``authority``; returns ``(status, body)`` of each."""
+    answers = []
     for method, path, headers, body in requests:
         conn.putrequest(method, path, skip_host=True,
                         skip_accept_encoding=True)
@@ -70,35 +82,38 @@ def _oracle_hit(conn: http.client.HTTPConnection, requests, authority: str):
             conn.putheader(name, authority if name == "Host" else value)
         conn.endheaders(body or None)
         response = conn.getresponse()
-        bodies.append((response.status, response.read()))
-    return bodies
+        answers.append((response.status, response.read()))
+    return answers
 
 
 def _captured_hits(spec, job_id: str):
-    """One hit's requests from each transport, as a server received them."""
-    ticket = json.dumps(
-        {"job_id": job_id, "status": "done", "outcome": "duplicate"}
-    ).encode()
-    answers = [
-        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
-        % (len(ticket), ticket),
-        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}",
-    ]
-    server = ScriptedServer(answers, answers)
+    """As a scripted server received them: the one-trip hit
+    ``ServiceClient`` sends, the same hit replayed by ``http.client``,
+    and the parsed requests of the old two-trip hit (the submission,
+    then the ``GET`` a client without the document sends)."""
+    document = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"
+    server = ScriptedServer([one_trip(job_id)], [document], [one_trip(job_id)])
     with server:
         authority = f"127.0.0.1:{server.port}"
         client = ServiceClient(f"http://{authority}")
+        fetcher = ServiceClient(f"http://{authority}")
         try:
             client.status(client.submit(spec=spec).job_id)
+            fetcher.status(job_id)
         finally:
             client.close()
-        ours = [_parse(request) for request in server.requests]
+            fetcher.close()
+        ours = _parse(server.requests[0])
         conn = http.client.HTTPConnection("127.0.0.1", server.port)
         try:
-            _oracle_hit(conn, ours, authority)
+            _replay(conn, [ours], authority)
         finally:
             conn.close()
-    return server.requests[:2], server.requests[2:], ours
+    return (
+        server.requests[:1],
+        server.requests[2:],
+        [ours, _parse(server.requests[1])],
+    )
 
 
 def _per_hit(hit) -> "tuple[float, float]":
@@ -115,8 +130,11 @@ def _per_hit(hit) -> "tuple[float, float]":
 def test_client_hit_round_trip(tmp_path):
     spec = make_spec()
     job_id = spec_key(spec)
-    client_bytes, oracle_bytes, requests = _captured_hits(spec, job_id)
+    client_bytes, oracle_bytes, two_trip = _captured_hits(spec, job_id)
     assert oracle_bytes == client_bytes, "the two transports sent other bytes"
+    assert [request[:2] for request in two_trip] == [
+        ("POST", "/v1/jobs"), ("GET", f"/v1/jobs/{job_id}"),
+    ]
 
     config = ServiceConfig(
         port=0, workers=1,
@@ -135,18 +153,25 @@ def test_client_hit_round_trip(tmp_path):
                 return client.status(ticket.job_id).raw
 
             def oracle_hit():
-                (submitted, _), (code, raw) = _oracle_hit(
-                    conn, requests, authority
+                ((code, raw),) = _replay(conn, two_trip[:1], authority)
+                assert code == 200
+                return raw
+
+            def two_trip_hit():
+                (submitted, _), (code, raw) = _replay(
+                    conn, two_trip, authority
                 )
                 assert submitted == 200 and code == 200
                 return raw
 
-            assert client_hit() == oracle_hit()
+            assert client_hit() == oracle_hit() == two_trip_hit()
             ours = [float("inf")] * 2
             oracle = [float("inf")] * 2
+            old = [float("inf")] * 2
             for _ in range(ROUNDS):
                 ours = list(map(min, ours, _per_hit(client_hit)))
                 oracle = list(map(min, oracle, _per_hit(oracle_hit)))
+                old = list(map(min, old, _per_hit(two_trip_hit)))
         finally:
             client.close()
             conn.close()
@@ -160,18 +185,26 @@ def test_client_hit_round_trip(tmp_path):
         "client_cpu_us_per_hit": round(ours[1] * 1e6, 1),
         "http_client_cpu_us_per_hit": round(oracle[1] * 1e6, 1),
         "cpu_speedup": round(oracle[1] / ours[1], 2),
+        "two_trip_http_client_us_per_hit": round(old[0] * 1e6, 1),
+        "two_trip_http_client_cpu_us_per_hit": round(old[1] * 1e6, 1),
+        "one_trip_speedup": round(old[0] / ours[0], 2),
+        "one_trip_cpu_speedup": round(old[1] / ours[1], 2),
     }
     print()
     print(
         f"  hit wall: ServiceClient {record['client_us_per_hit']} us, "
         f"http.client {record['http_client_us_per_hit']} us, "
-        f"{record['speedup']}x"
+        f"{record['speedup']}x; two trips through http.client "
+        f"{record['two_trip_http_client_us_per_hit']} us, "
+        f"{record['one_trip_speedup']}x"
     )
     print(
         f"  hit client CPU: ServiceClient "
         f"{record['client_cpu_us_per_hit']} us, http.client "
         f"{record['http_client_cpu_us_per_hit']} us, "
-        f"{record['cpu_speedup']}x"
+        f"{record['cpu_speedup']}x; two trips through http.client "
+        f"{record['two_trip_http_client_cpu_us_per_hit']} us, "
+        f"{record['one_trip_cpu_speedup']}x"
     )
     if os.environ.get("REPRO_WRITE_BENCH"):
         _BENCH_FILE.write_text(json.dumps(record, indent=2) + "\n")

@@ -8,7 +8,9 @@ the full serving contract once, and checks the SIGTERM drain promise:
 2. wait for ``/readyz``;
 3. submit one tiny job through the typed client and poll it to
    completion;
-4. resubmit the identical spec and require a bit-identical response;
+4. resubmit the identical spec and require it answered in one round
+   trip: done, with no ``GET /v1/jobs/{id}`` (that route's count on
+   ``/metrics`` does not move), and bit-identical to a plain GET;
 5. scrape ``/metrics``, require the service metric families, and
    require that the client's calls shared connections (fewer
    connections than requests);
@@ -40,12 +42,21 @@ def fail(message):
     return 1
 
 
-def metric_total(metrics, name):
-    """The sum of every series of one family in Prometheus text."""
+def metric_total(metrics, name, label=""):
+    """The sum of every series of one family in Prometheus text, or of
+    those whose labels hold ``label``."""
     return sum(
         float(line.rsplit(" ", 1)[1])
         for line in metrics.splitlines()
-        if line.startswith((name + "{", name + " "))
+        if line.startswith((name + "{", name + " ")) and label in line
+    )
+
+
+def job_fetches(client):
+    """How many ``GET /v1/jobs/{id}`` requests the server has answered."""
+    return metric_total(
+        client.metrics_text(), "service_requests_total",
+        'route="/v1/jobs/{id}"',
     )
 
 
@@ -101,15 +112,29 @@ def drive(process, cache_dir):
     cycles = results["GraphPIM"]["cycles"]
     print(f"service smoke: job done (GraphPIM {cycles:.0f} cycles)")
 
-    # 4. identical resubmission answers bit-identically
+    # 4. identical resubmission answers in one trip, bit-identically
+    fetches = job_fetches(client)
     again = client.submit(
         workload="BFS", scale="tiny", modes=["baseline", "graphpim"]
     )
-    if not again.done:
+    if not again.done or again.outcome != "duplicate":
         return fail(f"resubmission not answered from memory: {again}")
-    if client.status(again.job_id).raw != status.raw:
+    answered = client.status(again.job_id).raw
+    if job_fetches(client) != fetches:
+        return fail("the resubmission's result was fetched with a GET")
+    # A new client keeps no document, so its status is a plain GET.
+    plain = ServiceClient(f"http://{host}:{port}")
+    try:
+        fetched = plain.status(again.job_id).raw
+    finally:
+        plain.close()
+    if job_fetches(client) != fetches + 1:
+        return fail("a new client's status did not GET the job")
+    if not answered == fetched == status.raw:
         return fail("resubmitted response bytes differ")
-    print("service smoke: duplicate answered bit-identically")
+    print(
+        "service smoke: duplicate answered in one trip, bit-identically"
+    )
 
     # 5. metrics exposition
     metrics = client.metrics_text()

@@ -1068,77 +1068,83 @@ def _cmd_submit(args) -> int:
     from repro.service.client import ServiceClient
 
     client = ServiceClient(_service_url(args))
-    modes = [part.strip() for part in args.modes.split(",") if part.strip()]
-    ticket = client.submit(
-        workload=args.workload,
-        scale=args.scale,
-        modes=modes,
-        threads=args.threads,
-        faults=args.faults,
-        priority=args.priority,
-    )
-    if args.no_wait:
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "job_id": ticket.job_id,
-                        "status": ticket.status,
-                        "outcome": ticket.outcome,
-                    }
-                )
-            )
-        else:
-            print(f"job    : {ticket.job_id}")
-            print(f"status : {ticket.status} ({ticket.outcome})")
-            print(f"poll   : repro status {ticket.job_id}")
-        return 0
-    status = client.wait(ticket.job_id, timeout_s=args.timeout)
-    if args.json:
-        sys.stdout.buffer.write(status.raw)
-        if not status.raw.endswith(b"\n"):
-            sys.stdout.buffer.write(b"\n")
-        return 0
-    print(f"job      : {ticket.job_id} ({ticket.outcome})")
-    for label, payload in sorted(status.results.items()):
-        print(f"{label:10s} {payload['cycles']:14.0f} cycles")
-    baseline = status.results.get("Baseline")
-    graphpim = status.results.get("GraphPIM")
-    if baseline and graphpim and graphpim["cycles"]:
-        print(
-            f"speedup  : "
-            f"{baseline['cycles'] / graphpim['cycles']:.2f}x"
+    try:
+        modes = [part.strip() for part in args.modes.split(",") if part.strip()]
+        ticket = client.submit(
+            workload=args.workload,
+            scale=args.scale,
+            modes=modes,
+            threads=args.threads,
+            faults=args.faults,
+            priority=args.priority,
         )
-    return 0
+        if args.no_wait:
+            if args.json:
+                print(
+                    json.dumps(
+                        {
+                            "job_id": ticket.job_id,
+                            "status": ticket.status,
+                            "outcome": ticket.outcome,
+                        }
+                    )
+                )
+            else:
+                print(f"job    : {ticket.job_id}")
+                print(f"status : {ticket.status} ({ticket.outcome})")
+                print(f"poll   : repro status {ticket.job_id}")
+            return 0
+        status = client.wait(ticket.job_id, timeout_s=args.timeout)
+        if args.json:
+            sys.stdout.buffer.write(status.raw)
+            if not status.raw.endswith(b"\n"):
+                sys.stdout.buffer.write(b"\n")
+            return 0
+        print(f"job      : {ticket.job_id} ({ticket.outcome})")
+        for label, payload in sorted(status.results.items()):
+            print(f"{label:10s} {payload['cycles']:14.0f} cycles")
+        baseline = status.results.get("Baseline")
+        graphpim = status.results.get("GraphPIM")
+        if baseline and graphpim and graphpim["cycles"]:
+            print(
+                f"speedup  : "
+                f"{baseline['cycles'] / graphpim['cycles']:.2f}x"
+            )
+        return 0
+    finally:
+        client.close()
 
 
 def _cmd_status(args) -> int:
     from repro.service.client import ServiceClient
 
     client = ServiceClient(_service_url(args))
-    if args.job_id is None:
-        health = client.health()
-        if args.json:
-            print(json.dumps(health, indent=2))
+    try:
+        if args.job_id is None:
+            health = client.health()
+            if args.json:
+                print(json.dumps(health, indent=2))
+                return 0
+            print(f"status   : {health.get('status')}")
+            print(f"draining : {health.get('draining')}")
+            print(f"queued   : {health.get('queued')}")
+            print(f"inflight : {health.get('inflight')}")
             return 0
-        print(f"status   : {health.get('status')}")
-        print(f"draining : {health.get('draining')}")
-        print(f"queued   : {health.get('queued')}")
-        print(f"inflight : {health.get('inflight')}")
+        status = client.status(args.job_id)
+        if args.json:
+            sys.stdout.buffer.write(status.raw)
+            if not status.raw.endswith(b"\n"):
+                sys.stdout.buffer.write(b"\n")
+            return 0
+        print(f"job    : {status.job_id}")
+        print(f"status : {status.status}")
+        if status.error:
+            print(f"error  : {status.error}")
+        for label, payload in sorted(status.results.items()):
+            print(f"{label:10s} {payload['cycles']:14.0f} cycles")
         return 0
-    status = client.status(args.job_id)
-    if args.json:
-        sys.stdout.buffer.write(status.raw)
-        if not status.raw.endswith(b"\n"):
-            sys.stdout.buffer.write(b"\n")
-        return 0
-    print(f"job    : {status.job_id}")
-    print(f"status : {status.status}")
-    if status.error:
-        print(f"error  : {status.error}")
-    for label, payload in sorted(status.results.items()):
-        print(f"{label:10s} {payload['cycles']:14.0f} cycles")
-    return 0
+    finally:
+        client.close()
 
 
 def _cmd_watch(args) -> int:
@@ -1148,74 +1154,77 @@ def _cmd_watch(args) -> int:
     from repro.service.client import ServiceClient
 
     client = ServiceClient(_service_url(args))
-    deadline = _time.monotonic() + args.timeout
-    last_id: int | None = None
-    while True:
-        try:
-            for event in client.events(
-                args.job_id, last_event_id=last_id
-            ):
-                last_id = event.event_id
-                if args.json:
-                    print(
-                        json.dumps(
-                            {
-                                "id": event.event_id,
-                                "event": event.event,
-                                "data": event.data,
-                            }
-                        ),
-                        flush=True,
-                    )
-                elif event.event == "progress":
-                    data = event.data
-                    done = data.get("events_done", 0)
-                    total = data.get("events_total", 0)
-                    pct = 100.0 * done / total if total else 0.0
-                    line = (
-                        f"progress     {pct:5.1f}%  "
-                        f"{done}/{total} events"
-                    )
-                    name = data.get("label") or data.get("phase", "")
-                    if name:
-                        line += f"  {name}"
-                    eta = data.get("eta_s")
-                    if eta is not None:
-                        line += f"  eta {eta:.0f}s"
-                    print(line, flush=True)
-                elif event.event == "span":
-                    spans = event.data.get("spans") or []
-                    names = [
-                        span.get("name", "?") for span in spans[:4]
-                    ]
-                    more = len(spans) - len(names)
-                    line = (
-                        f"span         {len(spans)} span(s): "
-                        + ", ".join(names)
-                    )
-                    if more > 0:
-                        line += f", +{more} more"
-                    print(line, flush=True)
-                else:
-                    detail = event.data.get("status", "")
-                    if event.event == "failed":
-                        detail = event.data.get("error", "") or detail
-                    print(f"{event.event:12s} {detail}", flush=True)
-                if event.terminal:
-                    return 1 if event.event == "failed" else 0
-        except ServiceError as error:
-            # Unknown job ids are final; a torn stream is retried with
-            # Last-Event-ID resume below.
-            if "unknown job" in str(error):
-                raise
-        if _time.monotonic() >= deadline:
-            print(
-                f"repro watch: no terminal event after "
-                f"{args.timeout:g}s",
-                file=sys.stderr,
-            )
-            return 2
-        _time.sleep(0.5)
+    try:
+        deadline = _time.monotonic() + args.timeout
+        last_id: int | None = None
+        while True:
+            try:
+                for event in client.events(
+                    args.job_id, last_event_id=last_id
+                ):
+                    last_id = event.event_id
+                    if args.json:
+                        print(
+                            json.dumps(
+                                {
+                                    "id": event.event_id,
+                                    "event": event.event,
+                                    "data": event.data,
+                                }
+                            ),
+                            flush=True,
+                        )
+                    elif event.event == "progress":
+                        data = event.data
+                        done = data.get("events_done", 0)
+                        total = data.get("events_total", 0)
+                        pct = 100.0 * done / total if total else 0.0
+                        line = (
+                            f"progress     {pct:5.1f}%  "
+                            f"{done}/{total} events"
+                        )
+                        name = data.get("label") or data.get("phase", "")
+                        if name:
+                            line += f"  {name}"
+                        eta = data.get("eta_s")
+                        if eta is not None:
+                            line += f"  eta {eta:.0f}s"
+                        print(line, flush=True)
+                    elif event.event == "span":
+                        spans = event.data.get("spans") or []
+                        names = [
+                            span.get("name", "?") for span in spans[:4]
+                        ]
+                        more = len(spans) - len(names)
+                        line = (
+                            f"span         {len(spans)} span(s): "
+                            + ", ".join(names)
+                        )
+                        if more > 0:
+                            line += f", +{more} more"
+                        print(line, flush=True)
+                    else:
+                        detail = event.data.get("status", "")
+                        if event.event == "failed":
+                            detail = event.data.get("error", "") or detail
+                        print(f"{event.event:12s} {detail}", flush=True)
+                    if event.terminal:
+                        return 1 if event.event == "failed" else 0
+            except ServiceError as error:
+                # Unknown job ids are final; a torn stream is retried with
+                # Last-Event-ID resume below.
+                if "unknown job" in str(error):
+                    raise
+            if _time.monotonic() >= deadline:
+                print(
+                    f"repro watch: no terminal event after "
+                    f"{args.timeout:g}s",
+                    file=sys.stderr,
+                )
+                return 2
+            _time.sleep(0.5)
+    finally:
+        client.close()
 
 
 def _cmd_trace(args) -> int:

@@ -514,11 +514,7 @@ class JobBroker:
                 continue  # stale record: drop, don't crash boot
             if priority not in LANES:
                 priority = "batch"
-            job = Job(
-                job_id=spec_key(spec, self.config.runner.cache_salt),
-                spec=spec,
-                priority=priority,
-            )
+            job = Job(job_id=self.key_of(spec), spec=spec, priority=priority)
             self._jobs[job.job_id] = job
             self._lanes[priority].append(job)
             self._m_jobs.inc(status="restored")
@@ -530,6 +526,11 @@ class JobBroker:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
+
+    def key_of(self, spec: ExperimentSpec) -> str:
+        """The job id of ``spec``: its ``spec_key`` under this broker's
+        cache salt."""
+        return spec_key(spec, self.config.runner.cache_salt)
 
     def _bucket_for(self, client: str) -> TokenBucket:
         bucket = self._buckets.get(client)
@@ -559,8 +560,12 @@ class JobBroker:
         spec: ExperimentSpec,
         priority: str = "interactive",
         client: str = "",
+        key: Optional[str] = None,
     ) -> "tuple[Job, str]":
         """Admit one spec; returns ``(job, outcome)``.
+
+        ``key`` is ``spec``'s :meth:`key_of`, when the caller already
+        has it (the HTTP layer keeps it beside a memoized parse).
 
         ``outcome`` is one of ``"accepted"`` (queued), ``"coalesced"``
         (an identical job is already queued or running),
@@ -591,7 +596,8 @@ class JobBroker:
                         bucket.retry_after_s(), 0.05
                     ),
                 )
-        key = spec_key(spec, self.config.runner.cache_salt)
+        if key is None:
+            key = self.key_of(spec)
         existing = self._jobs.get(key)
         if existing is not None and not existing.finished:
             # Single-flight: ride the live job, whatever its phase.

@@ -15,6 +15,12 @@ Admission rejections surface as typed exceptions carrying the server's
 implement polite retry loops; :meth:`ServiceClient.submit_and_wait`
 implements one.
 
+A submission the server answers with the job document (a done job:
+status 200 with ``Content-Location: /v1/jobs/{id}``) costs one round
+trip: the client keeps that document, and :meth:`ServiceClient.status`
+and :meth:`ServiceClient.wait` answer the job from it without asking
+again.
+
 Calls reuse a persistent connection, one per calling thread; see
 :class:`ServiceClient`.  The client speaks the framing ``repro serve``
 speaks and no more.  A request goes out in one ``sendall``, its body
@@ -44,6 +50,11 @@ from repro.runner.spec import ExperimentSpec
 #: longest status or header line, and the most header lines.
 MAX_LINE_BYTES = 65536
 MAX_HEADER_LINES = 100
+
+#: Done job documents one client keeps from one-trip submissions, and
+#: submission bodies it keeps encoded, one per spec object and priority.
+DONE_JOBS_KEPT = 128
+ENCODED_SPECS_KEPT = 128
 
 
 class ClientBackpressureError(ServiceError):
@@ -189,6 +200,15 @@ def _read_response(
     return code, headers, body, keep_alive
 
 
+def _keep(kept: dict, key, value, bound: int) -> None:
+    """Put ``key`` in ``kept`` as its newest entry, then drop the oldest
+    entries past ``bound`` (a dict keeps insertion order)."""
+    kept.pop(key, None)
+    kept[key] = value
+    while len(kept) > bound:
+        del kept[next(iter(kept))]
+
+
 class _Connection:
     """One TCP connection to the server and a buffered reader on it."""
 
@@ -229,6 +249,14 @@ class ServiceClient:
     connection; one left by a finished thread is closed when the next
     thread connects.
 
+    A submission answered with the job document (a done job: 200 with
+    ``Content-Location``) is one round trip.  The client keeps the last
+    :data:`DONE_JOBS_KEPT` such documents under its lock, and
+    :meth:`status` and :meth:`wait` answer those jobs from them without
+    a request; a later submission of the job that is answered any other
+    way drops its document.  A ``spec`` submission's body is encoded
+    once per spec object and priority.
+
     ``base_url`` is ``http://host:port`` or a bare ``host:port``; the
     port defaults to 80, and an IPv6 host goes in brackets.
     """
@@ -263,6 +291,12 @@ class ServiceClient:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._connections: "dict[threading.Thread, _Connection]" = {}
+        #: Job id -> the done status a one-trip submission answered.
+        self._done: "dict[str, JobStatus]" = {}
+        #: (id(spec), priority, client id) -> (spec, encoded body).
+        self._bodies: (
+            "dict[tuple[int, str, str], tuple[ExperimentSpec, bytes]]"
+        ) = {}
 
     def close(self) -> None:
         """Close every thread's connection; a later call opens anew."""
@@ -331,13 +365,18 @@ class ServiceClient:
         self,
         method: str,
         path: str,
-        body: Optional[dict] = None,
+        body: "dict | bytes | None" = None,
         request_id: str = "",
     ) -> "tuple[int, dict[str, str], bytes]":
+        """One request and its response; ``body`` is a JSON object, or
+        one already encoded."""
         headers: "dict[str, str]" = {}
         payload = b""
         if body is not None:
-            payload = json.dumps(body).encode("utf-8")
+            payload = (
+                body if isinstance(body, bytes)
+                else json.dumps(body).encode("utf-8")
+            )
             headers["Content-Type"] = "application/json"
             headers["Content-Length"] = str(len(payload))
         if self.client_id:
@@ -382,6 +421,38 @@ class ServiceClient:
             raise ServiceError("server sent a non-object JSON body")
         return parsed
 
+    @staticmethod
+    def _job_status(job_id: str, data: bytes, parsed: dict) -> JobStatus:
+        return JobStatus(
+            job_id=parsed.get("job_id", job_id),
+            status=parsed.get("status", "unknown"),
+            raw=data,
+            body=parsed,
+        )
+
+    def _spec_body(self, spec: ExperimentSpec, priority: str) -> bytes:
+        """The encoded submission body for ``spec``, built once per spec
+        object, priority and client id.
+
+        Keyed on the object, not on equality: equal specs can have
+        different ``spec_key``s (a param of 2 and one of 2.0), so each
+        must send its own bytes.  The entry holds the spec, so no other
+        object takes its id while the entry lives.
+        """
+        key = (id(spec), priority, self.client_id)
+        with self._lock:
+            kept = self._bodies.get(key)
+        if kept is not None:
+            return kept[1]
+        body: "dict[str, Any]" = {"priority": priority}
+        if self.client_id:
+            body["client"] = self.client_id
+        body["spec"] = spec.to_dict()
+        payload = json.dumps(body).encode("utf-8")
+        with self._lock:
+            _keep(self._bodies, key, (spec, payload), ENCODED_SPECS_KEPT)
+        return payload
+
     # ------------------------------------------------------------------
     # API surface
     # ------------------------------------------------------------------
@@ -404,16 +475,18 @@ class ServiceClient:
         :class:`~repro.runner.spec.ExperimentSpec`) or the shorthand
         fields.  Raises :class:`ClientBackpressureError` on 429/503
         and :class:`~repro.common.errors.ServiceError` on other
-        protocol failures.
+        protocol failures.  A done job's document, when the server
+        answers with it, is kept for :meth:`status`.
         """
-        body: "dict[str, Any]" = {"priority": priority}
-        if self.client_id:
-            body["client"] = self.client_id
+        body: "dict[str, Any] | bytes"
         if spec is not None:
-            body["spec"] = spec.to_dict()
+            body = self._spec_body(spec, priority)
         else:
             if workload is None:
                 raise ServiceError("submit needs a workload or a spec")
+            body = {"priority": priority}
+            if self.client_id:
+                body["client"] = self.client_id
             body["workload"] = workload
             if scale is not None:
                 body["scale"] = scale
@@ -445,14 +518,40 @@ class ServiceClient:
             raise ServiceError(
                 f"submit rejected with HTTP {code}: {detail}"
             )
+        location = headers.get("content-location") if code == 200 else None
+        if location is None:
+            ticket = SubmitTicket(
+                job_id=parsed["job_id"],
+                status=parsed["status"],
+                outcome=parsed.get("outcome", ""),
+            )
+            with self._lock:
+                self._done.pop(ticket.job_id, None)
+            return ticket
+        # The body is the document of the job Content-Location names.
+        job_id = urllib.parse.unquote(location.rpartition("/")[2])
+        status = self._job_status(job_id, data, parsed)
+        with self._lock:
+            if status.done:
+                _keep(self._done, job_id, status, DONE_JOBS_KEPT)
+            else:
+                self._done.pop(job_id, None)
         return SubmitTicket(
-            job_id=parsed["job_id"],
-            status=parsed["status"],
-            outcome=parsed.get("outcome", ""),
+            job_id=job_id,
+            status=status.status,
+            outcome=headers.get("x-job-outcome", ""),
         )
 
     def status(self, job_id: str) -> JobStatus:
-        """Current state of one job (raw response bytes retained)."""
+        """Current state of one job (raw response bytes retained).
+
+        A job whose submission this client saw answered done in one
+        trip is answered from that document, without a request.
+        """
+        with self._lock:
+            kept = self._done.get(job_id)
+        if kept is not None:
+            return kept
         code, _headers, data = self._request(
             "GET", f"/v1/jobs/{urllib.parse.quote(job_id)}"
         )
@@ -462,13 +561,7 @@ class ServiceClient:
             raise ServiceError(
                 f"status failed with HTTP {code}: {data[:200]!r}"
             )
-        parsed = self._json(data)
-        return JobStatus(
-            job_id=parsed.get("job_id", job_id),
-            status=parsed.get("status", "unknown"),
-            raw=data,
-            body=parsed,
-        )
+        return self._job_status(job_id, data, self._json(data))
 
     def wait(
         self,

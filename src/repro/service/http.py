@@ -10,8 +10,9 @@ idle for :data:`KEEPALIVE_IDLE_S`.  It exposes:
 - ``POST /v1/jobs`` — submit an experiment (full
   :meth:`~repro.runner.spec.ExperimentSpec.to_dict` form or the
   shorthand ``{"workload": "BFS", "scale": "tiny", "modes":
-  ["baseline", "graphpim"]}``); 202 + job id, 200 when answered
-  immediately, 429/503 + ``Retry-After`` when admission rejects;
+  ["baseline", "graphpim"]}``); 202 + job id, 200 + the job document
+  when it is already done, 429/503 + ``Retry-After`` when admission
+  rejects;
 - ``GET /v1/jobs/{id}`` — job status, or the canonical result body
   once done (bit-identical for every caller of the same spec);
 - ``GET /v1/jobs/{id}/events`` — Server-Sent Events stream of the
@@ -39,9 +40,16 @@ job through lease and complete, so worker-side log lines correlate
 with the original submit.
 
 ``POST /v1/jobs`` remembers the last :data:`SUBMIT_MEMO_ENTRIES`
-submission bodies it accepted, byte for byte: a repeated body skips
-the JSON parse and the spec build, and goes straight to the broker's
-admission steps.
+submission bodies it accepted, byte for byte, with the parsed spec and
+its ``spec_key``: a repeated body skips the JSON parse, the spec build
+and the hash, and goes straight to the broker's admission steps.
+
+A submission whose job is already done (outcome ``duplicate`` or
+``cache_hit``) is answered in the same round trip: a 200 whose body is
+the job document ``GET /v1/jobs/{id}`` returns, byte for byte, with
+``Content-Location: /v1/jobs/{id}`` naming it (RFC 9110 §8.7) and
+``X-Job-Outcome`` carrying the outcome.  A live submission gets a 202
+ticket to poll.
 """
 
 from __future__ import annotations
@@ -115,6 +123,10 @@ _REQUEST_ID_SAFE = frozenset(
     "abcdefghijklmnopqrstuvwxyz"
     "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
 )
+
+
+def _new_request_id() -> str:
+    return uuid.uuid4().hex[:12]
 
 
 def sanitize_request_id(raw: str) -> str:
@@ -207,9 +219,11 @@ class ServiceServer:
         self._stopping = False
         #: Connections waiting for their next request -> handler task.
         self._idle: "dict[asyncio.StreamWriter, asyncio.Task]" = {}
-        #: Exact submission body -> (spec, priority, client), LRU.
+        #: Exact submission body -> (spec, priority, client, spec_key),
+        #: LRU.  Keyed on the bytes, not on spec equality: equal specs
+        #: can key differently (a param of 2 and one of 2.0).
         self._submissions: (
-            "OrderedDict[bytes, tuple[ExperimentSpec, str, str]]"
+            "OrderedDict[bytes, tuple[ExperimentSpec, str, str, str]]"
         ) = OrderedDict()
         self._m_requests = self.registry.counter(
             "service_requests_total", "HTTP requests by route and code"
@@ -283,7 +297,7 @@ class ServiceServer:
         may leave part of it unread), the answer was an event stream,
         or the service is stopping or draining.
         """
-        request_id = uuid.uuid4().hex[:12]
+        request_id = ""  # generated once the head shows none is usable
         loop = asyncio.get_running_loop()
         started = loop.time()
         route = "unparsed"
@@ -302,7 +316,7 @@ class ServiceServer:
             # (through lease/complete) the worker that executed it.
             request_id = (
                 sanitize_request_id(headers.get("x-request-id", ""))
-                or request_id
+                or _new_request_id()
             )
             with request_id_context(request_id):
                 bare = path.split("?", 1)[0]
@@ -347,12 +361,14 @@ class ServiceServer:
         except _TooLarge as error:
             code = error.code
             self._write_response(
-                writer, code, {"error": str(error)}, request_id, {}
+                writer, code, {"error": str(error)},
+                request_id or _new_request_id(), {},
             )
         except ServiceError as error:
             code = 400
             self._write_response(
-                writer, 400, {"error": str(error)}, request_id, {}
+                writer, 400, {"error": str(error)},
+                request_id or _new_request_id(), {},
             )
         except (ConnectionError, asyncio.IncompleteReadError,
                 asyncio.LimitOverrunError):
@@ -364,7 +380,7 @@ class ServiceServer:
                 self._write_response(
                     writer, 500,
                     {"error": f"{type(error).__name__}: {error}"},
-                    request_id, {},
+                    request_id or _new_request_id(), {},
                 )
             except ConnectionError:
                 pass
@@ -618,17 +634,19 @@ class ServiceServer:
                     {"error": f"invalid JSON body: {error}"}, {},
                 )
             try:
-                entry = (
-                    spec_from_request(parsed),
-                    parsed.get("priority", "interactive"),
-                    str(parsed.get("client", "")),
-                )
+                spec = spec_from_request(parsed)
             except ServiceError as error:
                 return "/v1/jobs", 400, {"error": str(error)}, {}
-        spec, priority, client = entry
+            entry = (
+                spec,
+                parsed.get("priority", "interactive"),
+                str(parsed.get("client", "")),
+                self.broker.key_of(spec),
+            )
+        spec, priority, client, key = entry
         try:
             job, outcome = await self.broker.submit(
-                spec, priority=priority, client=client
+                spec, priority=priority, client=client, key=key
             )
         except AdmissionError as error:
             self._remember(body, entry)
@@ -645,9 +663,18 @@ class ServiceServer:
         except ServiceError as error:
             return "/v1/jobs", 400, {"error": str(error)}, {}
         self._remember(body, entry)
-        code = 200 if job.finished else 202
+        if job.status == "done":
+            # A hit in one round trip: the body is the job document
+            # itself, the bytes GET /v1/jobs/{id} answers.
+            return (
+                "/v1/jobs", 200, job.result_bytes,
+                {
+                    "Content-Location": f"/v1/jobs/{job.job_id}",
+                    "X-Job-Outcome": outcome,
+                },
+            )
         return (
-            "/v1/jobs", code,
+            "/v1/jobs", 202,
             {
                 "job_id": job.job_id,
                 "status": job.status,

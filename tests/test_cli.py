@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import gc
 import json
+import sys
+import warnings
 
 import pytest
 
 from repro.cli import main
+from repro.runner import RunnerConfig
+from repro.service import ServiceConfig, ThreadedServer
 
 
 class TestCli:
@@ -194,3 +199,35 @@ class TestCli:
         assert main(["submit", "--url", url, "BFS"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro submit: ") and err.count("\n") == 1
+
+    def test_service_commands_close_their_client(self, tmp_path, capsys):
+        """``submit``, ``status`` and ``watch`` close their kept-alive
+        connection: none is left for the collector to warn about."""
+        config = ServiceConfig(
+            port=0, workers=1,
+            runner=RunnerConfig(cache_dir=str(tmp_path / "cache")),
+        )
+        unclosed = []
+        hook = sys.unraisablehook
+        sys.unraisablehook = unclosed.append
+        try:
+            with ThreadedServer(config) as server, warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                url = f"http://127.0.0.1:{server.port}"
+                submit = ["submit", "BFS", "--url", url, "--scale", "tiny",
+                          "--modes", "baseline"]
+                assert main(submit + ["--json"]) == 0
+                job_id = json.loads(capsys.readouterr().out)["job_id"]
+                for argv in (
+                    submit,  # a duplicate, answered in one trip
+                    submit + ["--no-wait"],
+                    ["status", "--url", url],
+                    ["status", job_id, "--url", url],
+                    ["watch", job_id, "--url", url],
+                ):
+                    assert main(argv) == 0, argv
+                    gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        assert [str(entry.exc_value) for entry in unclosed] == []
+        assert "(duplicate)" in capsys.readouterr().out

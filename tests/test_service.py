@@ -48,18 +48,21 @@ from repro.service.client import (
     ServiceClient,
     StreamEvent,
 )
+from repro.service import broker as broker_module
+from repro.service import client as client_module
 from repro.service import http as http_module
 from repro.service.http import MAX_BODY_BYTES, spec_from_request
 from repro.sim.config import SystemConfig
 from repro.sim.system import SimResult
 
 
-def make_spec(workload="BFS", threads=16, modes=None):
+def make_spec(workload="BFS", threads=16, modes=None, params=None):
     return ExperimentSpec.for_workload(
         workload,
         "tiny",
         modes=modes or [SystemConfig.baseline()],
         num_threads=threads,
+        params=params,
     )
 
 
@@ -1694,6 +1697,294 @@ class TestClientTransport:
             text=True, timeout=60, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+
+# ----------------------------------------------------------------------
+# One-trip hits: a done submission answers with the job document
+# ----------------------------------------------------------------------
+
+
+def one_trip(job_id, outcome="duplicate", status="done"):
+    """A done submission's answer: the job document, named by
+    ``Content-Location``."""
+    document = canonical_json({"job_id": job_id, "status": status})
+    return (
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+        b"Content-Location: /v1/jobs/%s\r\nX-Job-Outcome: %s\r\n\r\n%s"
+        % (len(document), job_id.encode(), outcome.encode(), document)
+    )
+
+
+def answer(code, payload):
+    body = json.dumps(payload).encode()
+    return b"HTTP/1.1 %d X\r\nContent-Length: %d\r\n\r\n%s" % (
+        code, len(body), body,
+    )
+
+
+def request_line(request: bytes) -> bytes:
+    return request.split(b"\r\n", 1)[0]
+
+
+class TestOneTripHits:
+    def test_done_submission_answers_with_the_job_document(self, tmp_path):
+        """``duplicate``, and ``cache_hit`` after a restart, answer 200
+        with the bytes ``GET /v1/jobs/{id}`` returns, named by
+        ``Content-Location``, the outcome in ``X-Job-Outcome``."""
+        execute = CountingExecute()
+        config = service_config(tmp_path)
+        body = {"spec": make_spec().to_dict()}
+        job_id = spec_key(make_spec())
+
+        async def first_boot(server):
+            accepted = await http_request(server.port, "POST", "/v1/jobs", body)
+            await asyncio.wait_for(
+                server.broker.get(job_id).done_event.wait(), 30
+            )
+            again = await http_request(server.port, "POST", "/v1/jobs", body)
+            fetched = await http_request(
+                server.port, "GET", f"/v1/jobs/{job_id}"
+            )
+            return accepted, again, fetched
+
+        async def second_boot(server):
+            hit = await http_request(server.port, "POST", "/v1/jobs", body)
+            fetched = await http_request(
+                server.port, "GET", f"/v1/jobs/{job_id}"
+            )
+            return hit, fetched
+
+        accepted, duplicate, fetched = asyncio.run(
+            with_server(config, execute, first_boot)
+        )
+        cache_hit, refetched = asyncio.run(
+            with_server(config, execute, second_boot)
+        )
+        assert accepted[0] == 202
+        assert "content-location" not in accepted[1]
+        assert json.loads(accepted[2])["outcome"] == "accepted"
+        for (code, headers, raw), outcome in (
+            (duplicate, "duplicate"), (cache_hit, "cache_hit"),
+        ):
+            assert code == 200
+            assert headers["content-location"] == f"/v1/jobs/{job_id}"
+            assert headers["x-job-outcome"] == outcome
+            assert raw == fetched[2] == refetched[2]
+        assert json.loads(fetched[2])["status"] == "done"
+        assert len(execute.calls) == 1
+
+    def test_repeated_body_keys_its_spec_once(self, tmp_path, monkeypatch):
+        """The server keeps a body's ``spec_key`` beside its memoized
+        parse and hands it to the broker."""
+        keyed = []
+        real = broker_module.spec_key
+        monkeypatch.setattr(
+            broker_module, "spec_key",
+            lambda spec, salt: keyed.append(spec) or real(spec, salt),
+        )
+        execute = CountingExecute()
+        body = {"spec": make_spec().to_dict()}
+
+        async def scenario(server):
+            job_id = json.loads(
+                (await http_request(server.port, "POST", "/v1/jobs", body))[2]
+            )["job_id"]
+            await asyncio.wait_for(
+                server.broker.get(job_id).done_event.wait(), 30
+            )
+            return job_id, [
+                await http_request(server.port, "POST", "/v1/jobs", body)
+                for _ in range(3)
+            ]
+
+        job_id, hits = asyncio.run(
+            with_server(service_config(tmp_path), execute, scenario)
+        )
+        assert job_id == spec_key(make_spec())
+        assert [headers["x-job-outcome"] for _, headers, _ in hits] == [
+            "duplicate"
+        ] * 3
+        assert len(keyed) == 1
+
+    def test_request_id_generated_only_when_none_is_usable(
+        self, tmp_path, monkeypatch
+    ):
+        generated = []
+        real = http_module._new_request_id
+        monkeypatch.setattr(
+            http_module, "_new_request_id",
+            lambda: generated.append(1) or real(),
+        )
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            answers = []
+            for headers in (
+                ["X-Request-Id: rq-7"], [], ["X-Request-Id: not usable"],
+            ):
+                writer.write(raw_request("GET", "/healthz", headers=headers))
+                _, answered, _ = await read_response(reader)
+                answers.append((answered["x-request-id"], len(generated)))
+            writer.close()
+            return answers
+
+        answers = asyncio.run(
+            with_server(service_config(tmp_path), CountingExecute(), scenario)
+        )
+        assert answers[0] == ("rq-7", 0)
+        assert [generated for _, generated in answers] == [0, 1, 2]
+        assert answers[2][0] != "not usable"
+
+    def test_status_and_wait_after_a_done_submit_ask_nothing(self, tmp_path):
+        execute = CountingExecute()
+        spec = make_spec()
+
+        async def scenario(server):
+            job, _ = await server.broker.submit(spec)
+            await asyncio.wait_for(job.done_event.wait(), 30)
+            loop = asyncio.get_running_loop()
+            client = ServiceClient(f"http://127.0.0.1:{server.port}")
+
+            def drive():
+                ticket = client.submit(spec=spec)
+                return (
+                    ticket,
+                    client.status(ticket.job_id),
+                    client.wait(ticket.job_id, timeout_s=5),
+                )
+
+            try:
+                answers = await loop.run_in_executor(None, drive)
+            finally:
+                client.close()
+            # Counted on the event loop, after the last answer's count.
+            return (
+                job.result_bytes,
+                answers,
+                requests_seen(server, "/v1/jobs"),
+                requests_seen(server, "/v1/jobs/{id}"),
+            )
+
+        document, (ticket, status, waited), posts, gets = asyncio.run(
+            with_server(service_config(tmp_path), execute, scenario)
+        )
+        assert (ticket.job_id, ticket.status, ticket.outcome) == (
+            spec_key(spec), "done", "duplicate",
+        )
+        assert status is waited
+        assert status.raw == document and status.body["status"] == "done"
+        assert (posts, gets) == (1, 0)
+
+    def test_jobs_not_kept_ask_the_server(self):
+        """A job the client holds no document for, and one whose later
+        submission was answered 202, are fetched from the server."""
+        server = ScriptedServer([
+            one_trip("j1"),
+            answer(200, {"job_id": "j2", "status": "done"}),
+            answer(202, {"job_id": "j1", "status": "queued",
+                         "outcome": "accepted"}),
+            answer(200, {"job_id": "j1", "status": "running"}),
+        ])
+        spec = make_spec()
+        with server:
+            client = ServiceClient(f"http://127.0.0.1:{server.port}")
+            try:
+                ticket = client.submit(spec=spec)
+                kept = client.status("j1")
+                other = client.status("j2")
+                resubmitted = client.submit(spec=spec)
+                live = client.status("j1")
+            finally:
+                client.close()
+        assert (ticket.job_id, ticket.done, ticket.outcome) == (
+            "j1", True, "duplicate",
+        )
+        assert kept.done and kept.raw == canonical_json(
+            {"job_id": "j1", "status": "done"}
+        )
+        assert other.done and resubmitted.outcome == "accepted"
+        assert live.status == "running"
+        assert [request_line(request) for request in server.requests] == [
+            b"POST /v1/jobs HTTP/1.1",
+            b"GET /v1/jobs/j2 HTTP/1.1",
+            b"POST /v1/jobs HTTP/1.1",
+            b"GET /v1/jobs/j1 HTTP/1.1",
+        ]
+
+    def test_kept_documents_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(client_module, "DONE_JOBS_KEPT", 2)
+        server = ScriptedServer([
+            one_trip("j1"), one_trip("j2", "cache_hit"), one_trip("j3"),
+            answer(200, {"job_id": "j1", "status": "done"}),
+        ])
+        with server:
+            client = ServiceClient(f"http://127.0.0.1:{server.port}")
+            try:
+                for threads in (1, 2, 4):
+                    client.submit(spec=make_spec(threads=threads))
+                kept = sorted(client._done)
+                for job_id in ("j3", "j2", "j1"):
+                    client.status(job_id)
+            finally:
+                client.close()
+        assert kept == ["j2", "j3"]
+        assert len(server.requests) == 4
+        assert request_line(server.requests[-1]) == (
+            b"GET /v1/jobs/j1 HTTP/1.1"
+        )
+
+    def test_ticket_without_content_location_is_not_kept(self):
+        """A done ticket with no ``Content-Location`` (an older server)
+        carries no document: the status is fetched."""
+        server = ScriptedServer([
+            answer(200, {"job_id": "j1", "status": "done",
+                         "outcome": "duplicate"}),
+            answer(200, {"job_id": "j1", "status": "done", "results": {}}),
+        ])
+        with server:
+            client = ServiceClient(f"http://127.0.0.1:{server.port}")
+            try:
+                ticket = client.submit(spec=make_spec())
+                status = client.status(ticket.job_id)
+            finally:
+                client.close()
+        assert ticket.done and ticket.outcome == "duplicate"
+        assert status.done and "results" in status.body
+        assert len(server.requests) == 2
+
+    def test_bodies_are_encoded_once_per_spec_object(self, monkeypatch):
+        """One spec object sends the same bytes, encoded once; an equal
+        spec whose param is 2.0 rather than 2 keys differently, and sends
+        its own bytes."""
+        encoded = []
+        real = ExperimentSpec.to_dict
+        monkeypatch.setattr(
+            ExperimentSpec, "to_dict",
+            lambda spec: encoded.append(spec) or real(spec),
+        )
+        twice = make_spec(params={"iterations": 2})
+        floated = make_spec(params={"iterations": 2.0})
+        assert twice == floated and spec_key(twice) != spec_key(floated)
+        ticket = answer(202, {"job_id": "j", "status": "queued"})
+        server = ScriptedServer([ticket] * 4)
+        with server:
+            client = ServiceClient(f"http://127.0.0.1:{server.port}")
+            try:
+                client.submit(spec=twice)
+                client.submit(spec=twice)
+                client.submit(spec=floated)
+                client.submit(spec=twice, priority="batch")
+            finally:
+                client.close()
+        bodies = [
+            request.split(b"\r\n\r\n", 1)[1] for request in server.requests
+        ]
+        assert bodies[0] == bodies[1]
+        assert len(set(bodies)) == 3
+        assert b'["iterations", 2.0]' in bodies[2]
+        assert len(encoded) == 3
 
 
 # ----------------------------------------------------------------------
