@@ -1,26 +1,35 @@
-"""Trace memory: bytes each Figure 7 trace holds per event once frozen.
+"""Trace memory: bytes each Figure 7 trace holds per event once frozen,
+and the memory its capture peaks at.
 
 Runs each Figure 7 spec of the scale's evaluation grid as a strict job
 (pre-flight plus the three modes, no result cache) and records, per
 trace, the bytes its narrow columns hold per event
 (:attr:`ColumnarTrace.nbytes` over the event count).  After the job the
 columns are the trace's only copy: no thread keeps a capture buffer.
-The figure is a count, not a timing, so it repeats exactly and the
-guard needs no slack: at most :data:`MAX_BYTES_PER_EVENT` for every
-trace, and no more than the committed record at the recorded scale.
+It then captures the spec's workload once more under
+:mod:`tracemalloc` and records the capture's peak of traced memory per
+byte of the int64 rows it captured (48 per event): the capture buffers
+with their growth slack plus the largest step's temporaries, so a
+change that grows those temporaries shows here.  Both figures are
+counts, not timings, so they repeat exactly and the guard needs no
+slack: at most :data:`MAX_BYTES_PER_EVENT` for every trace, and no more
+than the committed record at the recorded scale.
 
 Regenerate the committed record with::
 
     REPRO_WRITE_BENCH=1 python -m pytest benchmarks/test_trace_memory_bench.py
 """
 
+import gc
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 from repro.analysis import clear_preflight_cache
-from repro.core.presets import resolve_scale
+from repro.core.presets import resolve_scale, workload_graph
 from repro.runner import RunnerConfig, evaluation_grid_specs, execute_spec
+from repro.workloads.registry import get_workload
 
 #: Ceiling on the bytes a frozen trace holds per event (the int64 row
 #: it replaces is 48 B).
@@ -29,6 +38,29 @@ MAX_BYTES_PER_EVENT = 16.0
 _COLUMNS = ("kind", "addr", "size", "gap", "op", "ret")
 
 _BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_memory.json"
+
+#: Per-trace figures the committed record bounds from above.
+_GUARDED = ("bytes_per_event", "capture_peak_per_row_byte")
+
+
+def _capture_peak_per_row_byte(spec) -> float:
+    """Peak traced memory of one capture of ``spec``'s workload over
+    the bytes of the int64 rows it recorded."""
+    graph = workload_graph(spec.workload, spec.scale)
+    # Collect first, so no earlier garbage is freed inside the window.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run = get_workload(spec.workload).run(
+            graph,
+            num_threads=spec.num_threads,
+            plain_atomics=spec.plain_atomics,
+            **spec.params_dict(),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (48 * run.trace.num_events)
 
 
 def test_trace_memory_per_event():
@@ -51,6 +83,9 @@ def test_trace_memory_per_event():
             "bytes": col.nbytes,
             "bytes_per_event": round(col.nbytes / col.num_events, 3),
             "types": {c: getattr(col, c).dtype.name for c in _COLUMNS},
+            "capture_peak_per_row_byte": round(
+                _capture_peak_per_row_byte(spec), 3
+            ),
         }
     record["combined"] = {
         "events": events_total,
@@ -63,7 +98,8 @@ def test_trace_memory_per_event():
         if isinstance(rec, dict) and "bytes_per_event" in rec:
             print(
                 f"  {code:8s}: {rec['events']:>9,} events  "
-                f"{rec['bytes_per_event']:6.3f} B/event"
+                f"{rec['bytes_per_event']:6.3f} B/event  capture peak "
+                f"{rec.get('capture_peak_per_row_byte', '-')}x rows"
             )
     if os.environ.get("REPRO_WRITE_BENCH"):
         _BENCH_FILE.write_text(json.dumps(record, indent=2) + "\n")
@@ -79,7 +115,11 @@ def test_trace_memory_per_event():
         committed = json.loads(_BENCH_FILE.read_text())
         if committed.get("scale") == scale:
             for code, rec in record.items():
-                if isinstance(rec, dict) and "bytes_per_event" in rec:
-                    assert rec["bytes_per_event"] <= (
-                        committed[code]["bytes_per_event"]
-                    ), f"{code}: more bytes per event than recorded"
+                if not (isinstance(rec, dict) and code in committed):
+                    continue
+                for figure in _GUARDED:
+                    if figure in rec and figure in committed[code]:
+                        assert rec[figure] <= committed[code][figure], (
+                            f"{code}: {figure} {rec[figure]} over the "
+                            f"recorded {committed[code][figure]}"
+                        )

@@ -2,17 +2,40 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from repro.common.errors import ConfigError
+from repro.framework.layout import Layout
 from repro.graph.csr import CsrGraph
 from repro.memlayout.allocator import AddressSpace, Allocation
 from repro.memlayout.regions import Region
 from repro.trace.stream import ThreadTrace, Trace
 
 T = TypeVar("T")
+
+#: Most summed item cost one :meth:`FrameworkContext.parallel_blocks`
+#: group takes.  The step weighs its items: out-degree + 1 for a vertex
+#: that walks its edges, about deg^2 for a triangle-count merge walk,
+#: 1 otherwise.  A group's temporaries grow with its cost, so this
+#: bounds them: an edge step of the 400-vertex ``tiny`` inputs (about
+#: 9.9K) runs in three groups instead of sixteen thread calls, one of
+#: the 2,000-vertex ``small`` inputs (about 49K) in about one group per
+#: thread (DESIGN section 18).
+GROUP_BUDGET = 4096
+
+
+class ThreadGroup(NamedTuple):
+    """Consecutive virtual threads whose parts of a step run as one.
+
+    ``counts[k]`` items of ``items`` belong to thread ``first + k``, in
+    thread order; each thread's are its stride partition, in order.
+    """
+
+    first: int
+    counts: np.ndarray
+    items: np.ndarray
 
 
 class FrameworkContext:
@@ -175,24 +198,67 @@ class FrameworkContext:
 
     def parallel_blocks(
         self,
-        items: Sequence[T],
-        body: Callable[[int, ThreadTrace, Sequence[T]], None],
+        items: np.ndarray,
+        body: Callable[[ThreadGroup], Layout],
+        cost=None,
     ) -> None:
-        """Run ``body(tid, trace, part)`` once per thread on its partition.
+        """Run ``body(group)`` once per group of consecutive threads.
 
         The decide-then-emit form of :meth:`parallel_for`, in the same
-        thread-major order: thread 0's whole partition runs before
-        thread 1's, so a thread sees the writes of every earlier thread
-        of the step.  The body decides the step's effects for its part
-        and records them as one row block
-        (:func:`repro.framework.layout.lay_out`).  A thread with no
-        items records nothing, as under :meth:`parallel_for`.  A
-        barrier closes the step.
+        thread-major order: the group's threads' stride partitions run
+        as one sequence (thread 0's whole partition, then thread 1's),
+        so an item sees the writes of every earlier item of the step.
+        The body decides the group's effects and returns its rows as a
+        :class:`~repro.framework.layout.Layout` with one segment per
+        thread (:func:`~repro.framework.layout.lay_out` over
+        ``group.counts``); each thread appends its own segment, so
+        pending and trailing work fold per thread.  A thread with no
+        items records nothing.  A barrier closes the step.
+
+        Consecutive threads join a group while their summed item
+        ``cost`` (one entry per item; 1 each when omitted) stays within
+        :data:`GROUP_BUDGET`, which bounds a group's temporaries; a
+        thread whose part alone exceeds it runs alone.
         """
-        for tid, part in enumerate(self.partition(items)):
-            if len(part):
-                body(tid, self.threads[tid], part)
+        threads = self.num_threads
+        n = len(items)
+        if n:
+            owner = np.arange(n) % threads
+            counts = np.bincount(owner, minlength=threads)
+            weight = counts if cost is None else np.bincount(
+                owner, cost, threads
+            )
+            # Item indices in thread-major order: items[tid::threads]
+            # for each thread in turn.
+            rows = -(-n // threads)
+            order = np.arange(rows * threads).reshape(rows, threads).T.ravel()
+            ordered = items[order[order < n]]
+            bounds = np.zeros(threads + 1, dtype=np.int64)
+            np.cumsum(counts, out=bounds[1:])
+            first = 0
+            total = 0
+            for tid, spent in enumerate(weight.tolist()):
+                if tid > first and total + spent > GROUP_BUDGET:
+                    self._run_group(first, tid, bounds, ordered, body)
+                    first, total = tid, 0
+                total += spent
+            self._run_group(first, threads, bounds, ordered, body)
         self.barrier()
+
+    def _run_group(self, first, end, bounds, ordered, body) -> None:
+        """One :meth:`parallel_blocks` call of ``body``: threads
+        ``first`` to ``end - 1``, whose items are
+        ``ordered[bounds[first]:bounds[end]]``."""
+        lo, hi = int(bounds[first]), int(bounds[end])
+        if hi == lo:
+            return
+        layout = body(
+            ThreadGroup(first, np.diff(bounds[first : end + 1]), ordered[lo:hi])
+        )
+        for segment, thread in enumerate(self.threads[first:end]):
+            thread.append_block(
+                layout.rows(segment), layout.trailing[segment]
+            )
 
     def finish(self) -> Trace:
         """Seal the context and return the recorded trace."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.framework.context import FrameworkContext
+from repro.framework.context import FrameworkContext, ThreadGroup
 from repro.framework.layout import Slot
 from repro.trace.events import EV_LOAD, EV_STORE
 from repro.trace.stream import ThreadTrace
@@ -54,37 +54,6 @@ class Frontier:
         self._read = 0
         return drained
 
-    def _slot_addrs(self, cursor: int, count: int) -> np.ndarray:
-        slots = (cursor + np.arange(count)) % self._capacity
-        return self._alloc.addrs_of(slots)
-
-    def push_slots(self, vertices: np.ndarray, pushed: np.ndarray) -> list:
-        """Queue ``vertices[pushed]``, in order.
-
-        Returns the slot of the :meth:`push` stores, one entry per
-        entry of ``vertices``, to lay out beside the rows that decided
-        them.
-        """
-        count = int(np.count_nonzero(pushed))
-        addr = np.zeros(len(vertices), dtype=np.int64)
-        addr[pushed] = self._slot_addrs(self._push_cursor, count)
-        self._push_cursor += count
-        self._items.extend(vertices[pushed].tolist())
-        return [Slot(EV_STORE, addr, 8, QUEUE_OP_WORK, pushed)]
-
-    def drain_block(self, trace: ThreadTrace) -> list[int]:
-        """:meth:`drain`, recorded as one row block."""
-        drained = self._items[self._read :]
-        count = len(drained)
-        rows = np.empty((count, 6), dtype=np.int64)
-        rows[:] = (EV_LOAD, 0, 8, QUEUE_OP_WORK, -1, 0)
-        rows[:, 1] = self._slot_addrs(self._pop_cursor, count)
-        trace.append_block(rows)
-        self._pop_cursor += count
-        self._items = []
-        self._read = 0
-        return drained
-
     def snapshot(self) -> list[int]:
         """Untraced view of queued items (assertions only)."""
         return self._items[self._read :]
@@ -94,3 +63,83 @@ class Frontier:
 
     def __bool__(self) -> bool:
         return self._read < len(self._items)
+
+
+class ThreadFrontiers:
+    """The next frontier of a decide-then-emit step: one traced FIFO per
+    virtual thread, each laid out and traced as a :class:`Frontier`.
+
+    The queues are allocated in thread order, as a list of
+    :class:`Frontier` would be (``{label}.{tid}``); a thread pushes onto
+    its own queue at its own cursor, and drains it after the barrier.
+    """
+
+    def __init__(
+        self, ctx: FrameworkContext, label: str, capacity_hint: int = 1024
+    ):
+        self._capacity = max(capacity_hint, 16)
+        self._threads = ctx.threads
+        self._bases = np.array(
+            [
+                ctx.alloc_meta(f"{label}.{tid}", self._capacity, 8).base
+                for tid in range(ctx.num_threads)
+            ],
+            dtype=np.int64,
+        )
+        self._push_cursor = np.zeros(ctx.num_threads, dtype=np.int64)
+        self._pop_cursor = np.zeros(ctx.num_threads, dtype=np.int64)
+        self._items: "list[list[int]]" = [[] for _ in range(ctx.num_threads)]
+
+    def _slot_addrs(self, cursor, owner: np.ndarray) -> np.ndarray:
+        """Addresses of consecutive queue slots: entry ``i`` is the next
+        slot of thread ``owner[i]`` (``owner`` sorted) past ``cursor``,
+        which advances."""
+        counts = np.bincount(owner, minlength=cursor.size)
+        rank = np.arange(owner.size) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        slots = (cursor[owner] + rank) % self._capacity
+        cursor += counts
+        return self._bases[owner] + slots * 8
+
+    def push_slots(
+        self,
+        group: ThreadGroup,
+        degrees: np.ndarray,
+        targets: np.ndarray,
+        pushed: np.ndarray,
+    ) -> list:
+        """Queue ``targets[pushed]``, in order, each on the queue of the
+        thread whose item owns the edge (``group``'s items own
+        ``degrees`` edges each).
+
+        Returns the slot of the :meth:`Frontier.push` stores, one entry
+        per edge, to lay out beside the rows that decided them.
+        """
+        threads = np.arange(group.first, group.first + group.counts.size)
+        owner = np.repeat(np.repeat(threads, group.counts), degrees)[pushed]
+        addr = np.zeros(targets.size, dtype=np.int64)
+        addr[pushed] = self._slot_addrs(self._push_cursor, owner)
+        queued = targets[pushed].tolist()
+        bounds = np.searchsorted(owner, np.arange(len(self._items) + 1))
+        for items, lo, hi in zip(self._items, bounds, bounds[1:]):
+            items.extend(queued[lo:hi])
+        return [Slot(EV_STORE, addr, 8, QUEUE_OP_WORK, pushed)]
+
+    def drain(self) -> "list[int]":
+        """Each thread pops its whole queue (traced metadata loads, one
+        row block per thread); returns the items, in thread order."""
+        counts = np.array([len(items) for items in self._items])
+        owner = np.repeat(np.arange(counts.size), counts)
+        rows = np.empty((owner.size, 6), dtype=np.int64)
+        rows[:] = (EV_LOAD, 0, 8, QUEUE_OP_WORK, -1, 0)
+        rows[:, 1] = self._slot_addrs(self._pop_cursor, owner)
+        drained: "list[int]" = []
+        start = 0
+        for thread, items in zip(self._threads, self._items):
+            if items:
+                thread.append_block(rows[start : start + len(items)])
+                start += len(items)
+                drained.extend(items)
+                items.clear()
+        return drained

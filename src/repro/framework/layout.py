@@ -7,11 +7,12 @@ per edge, then a few tail rows.  Some rows depend on what the step
 decided (a CAS that won, a neighbour one level down), so each row is a
 :class:`Slot` whose ``keep`` selects where it happens.
 
-:func:`lay_out` turns the slots of one thread's share of a step into
-the ``(N, 6)`` int64 block :meth:`ThreadTrace.append_block` records,
-with the gaps the per-event recorders would have produced: a slot's
-``work`` is counted where the slot runs, whether or not it records an
-event, and lands in the gap of the next row that does.
+:func:`lay_out` turns the slots of a group of threads' shares of a step
+(one segment of items per thread, in thread order) into the ``(N, 6)``
+int64 rows :meth:`ThreadTrace.append_block` records, with the gaps the
+per-event recorders would have produced: a slot's ``work`` is counted
+where the slot runs, whether or not it records an event, and lands in
+the gap of the next row of the same segment that does.
 """
 
 from __future__ import annotations
@@ -52,85 +53,125 @@ def work_slot(instructions, keep=True) -> Slot:
     return Slot(WORK, work=instructions, keep=keep)
 
 
+class Layout(NamedTuple):
+    """The rows :func:`lay_out` decided, split into segments.
+
+    Segment ``k`` owns rows ``bounds[k]`` to ``bounds[k + 1] - 1`` and
+    leaves ``trailing[k]`` instructions pending after its last row.
+    Until :meth:`rows` builds a segment's ``(N, 6)`` block, a row is
+    held as the index of its template (its constant fields) and its
+    address and gap, a third of its bytes: only one segment's block
+    exists at a time.
+    """
+
+    templates: np.ndarray
+    ids: np.ndarray
+    addrs: np.ndarray
+    gaps: np.ndarray
+    bounds: "list[int]"
+    trailing: "list[int]"
+
+    def rows(self, segment: int = 0) -> np.ndarray:
+        """The ``(N, 6)`` int64 block of one segment's rows."""
+        lo, hi = self.bounds[segment], self.bounds[segment + 1]
+        # Whole template rows, gathered as 48-byte records, then the
+        # per-row address and gap.
+        rows = self.templates[self.ids[lo:hi]].view(np.int64).reshape(-1, 6)
+        rows[:, 1] = self.addrs[lo:hi]
+        rows[:, 3] = self.gaps[lo:hi]
+        return rows
+
+
 def lay_out(
-    count: int,
+    counts,
     head: Sequence[Slot] = (),
     edge: Sequence[Slot] = (),
     tail: Sequence[Slot] = (),
     degrees=None,
-) -> "tuple[np.ndarray, int]":
-    """The rows of ``count`` items, in order, and the work left after them.
+) -> Layout:
+    """The rows of consecutive segments of items, in order.
 
+    ``counts`` holds each segment's item count (an int is one segment).
     Item ``i`` records its ``head`` slots, then ``degrees[i]`` copies of
     the ``edge`` slots (edge arrays run over all items' edges in
-    order), then its ``tail`` slots.  Returns ``(rows, trailing_work)``
-    for :meth:`~repro.trace.stream.ThreadTrace.append_block`.
+    order), then its ``tail`` slots.  The work count restarts at each
+    segment, so each segment's rows and trailing work are those of its
+    items laid out alone, ready for one thread's
+    :meth:`~repro.trace.stream.ThreadTrace.append_block`.
     """
+    counts = np.atleast_1d(np.asarray(counts, dtype=np.int64))
+    item_bounds = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=item_bounds[1:])
+    count = int(item_bounds[-1])
     if degrees is None or not edge:
         degrees = np.zeros(count, dtype=np.int64)
     degrees = np.asarray(degrees, dtype=np.int64)
-    n_edges = int(degrees.sum())
-    # One entry row per item head, per edge and per item tail, stacked
-    # in that order; one column per slot, padded to the widest group.
-    groups = ((head, count), (edge, n_edges), (tail, count))
-    first = np.cumsum([0] + [n if slots else 0 for slots, n in groups])
+    # Entry rows in layout order: each item's head, its edges, its
+    # tail; one column per slot, padded to the widest group.
+    per_item = bool(head) + degrees + bool(tail)
+    item_end = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(per_item, out=item_end[1:])
+    entries = int(item_end[-1])
     width = max(len(head), len(edge), len(tail), 1)
-    addr = np.zeros((first[-1], width), dtype=np.int64)
-    work = np.zeros((first[-1], width), dtype=np.int64)
+    addr = np.zeros((entries, width), dtype=np.int64)
+    work = np.zeros((entries, width), dtype=np.int64)
     # Row of ``templates`` (the slot's constant fields) where the slot
     # records its event; 0 where it records none (not kept, a work slot
     # or padding).
-    event = np.zeros((first[-1], width), dtype=np.int64)
+    event = np.zeros((entries, width), dtype=np.int16)
     templates = [(0, 0, 0, 0, 0, 0)]
-    for (slots, n), start in zip(groups, first):
-        rows = slice(start, start + n)
+    groups = []
+    if head:
+        groups.append((head, item_end[:-1]))
+    if edge:
+        n_edges = int(degrees.sum())
+        first_edge = np.cumsum(degrees) - degrees
+        groups.append((edge, np.arange(n_edges) + np.repeat(
+            item_end[:-1] + bool(head) - first_edge, degrees
+        )))
+    if tail:
+        groups.append((tail, item_end[1:] - 1))
+    for slots, at in groups:
         for s, slot in enumerate(slots):
             if np.ndim(slot.work) or slot.work:
-                work[rows, s] = np.multiply(slot.work, slot.keep)
+                work[at, s] = np.multiply(slot.work, slot.keep)
             if slot.kind != WORK:
-                addr[rows, s] = slot.addr
-                event[rows, s] = np.multiply(len(templates), slot.keep)
+                addr[at, s] = slot.addr
+                event[at, s] = np.multiply(len(templates), slot.keep)
                 templates.append(
                     (slot.kind, 0, slot.size, 0, slot.op, slot.ret)
                 )
 
-    # The entry rows in item order: each item's head, edges, tail.
-    per_item = bool(head) + degrees + bool(tail)
-    item_start = np.cumsum(per_item) - per_item
-    order = np.empty(first[-1], dtype=np.int64)
-    if head:
-        order[item_start] = first[0] + np.arange(count)
-    if edge:
-        first_edge = np.cumsum(degrees) - degrees
-        order[
-            np.repeat(item_start + bool(head) - first_edge, degrees)
-            + np.arange(n_edges)
-        ] = first[1] + np.arange(n_edges)
-    if tail:
-        order[item_start + per_item - 1] = first[2] + np.arange(count)
-
-    # Candidates in layout order; ``counted`` is the work recorded up to
-    # and including each, so a row's gap is the difference to the last
-    # row recorded before it.
-    counted = np.cumsum(np.take(work, order, axis=0))
-    event = np.take(event, order, axis=0).ravel()
+    # ``counted`` is the work recorded up to and including each cell,
+    # so a row's gap is the difference to the last row recorded before
+    # it in its segment (or to the segment's start).  Each cell matrix
+    # is dropped once read.
     kept = np.flatnonzero(event)
-    if not kept.size:
-        empty = np.empty((0, 6), dtype=np.int64)
-        return empty, int(counted[-1]) if counted.size else 0
-    # Whole template rows, gathered as 48-byte records, then the
-    # per-entry address and the gap.
-    block = (
-        np.take(
-            np.array(templates, dtype=np.int64).view(_ROW).ravel(),
-            event[kept],
-        )
-        .view(np.int64)
-        .reshape(-1, 6)
+    ids = event.ravel()[kept]
+    del event
+    counted = work.ravel()
+    np.cumsum(counted, out=counted)
+    gaps = counted[kept]
+    # Work counted before each segment boundary; a segment's trailing
+    # work is what it counted after its last row (all of it, if none).
+    cells = item_end[item_bounds] * width
+    before = np.zeros(cells.size, dtype=np.int64)
+    inner = cells > 0
+    before[inner] = counted[cells[inner] - 1]
+    del work, counted
+    bounds = np.searchsorted(kept, cells)
+    starts, ends = bounds[:-1], bounds[1:]
+    recorded = ends > starts
+    trailing = before[1:] - before[:-1]
+    trailing[recorded] = before[1:][recorded] - gaps[ends[recorded] - 1]
+    opening = gaps[starts[recorded]] - before[:-1][recorded]
+    gaps[1:] -= gaps[:-1].copy()
+    gaps[starts[recorded]] = opening
+    return Layout(
+        np.array(templates, dtype=np.int64).view(_ROW).ravel(),
+        ids,
+        addr.ravel()[kept],
+        gaps,
+        bounds.tolist(),
+        trailing.tolist(),
     )
-    block[:, 1] = addr.ravel()[order[kept // width] * width + kept % width]
-    at_row = counted[kept]
-    block[0, 3] = at_row[0]
-    block[1:, 3] = np.diff(at_row)
-    return block, int(counted[-1] - at_row[-1])
-

@@ -104,19 +104,41 @@ class SubmitTicket:
         return self.status == "done"
 
 
+def _json_object(data: bytes) -> dict:
+    """``data`` decoded as a JSON object, or :class:`ServiceError`."""
+    try:
+        parsed = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ServiceError(f"server sent unparseable JSON: {error}") from error
+    if not isinstance(parsed, dict):
+        raise ServiceError("server sent a non-object JSON body")
+    return parsed
+
+
 @dataclass(frozen=True)
 class JobStatus:
-    """One ``GET /v1/jobs/{id}`` response, raw bytes retained.
+    """One job document, raw bytes retained.
 
     ``raw`` is the exact body the server sent — for a done job these
     bytes are canonical and bit-identical across every client of the
-    same spec, which tests assert directly.
+    same spec, which tests assert directly.  ``body`` is the document
+    decoded: a ``GET /v1/jobs/{id}`` answer is decoded as it arrives
+    (its status is read from it), a done submission's document on the
+    first access of ``body``.
     """
 
     job_id: str
     status: str
     raw: bytes
-    body: dict = field(repr=False, default_factory=dict)
+    _body: Optional[dict] = field(default=None, repr=False, compare=False)
+
+    @property
+    def body(self) -> dict:
+        """The decoded document; :class:`ServiceError` if ``raw`` is
+        not a JSON object."""
+        if self._body is None:
+            object.__setattr__(self, "_body", _json_object(self.raw))
+        return self._body
 
     @property
     def done(self) -> bool:
@@ -409,27 +431,6 @@ class ServiceClient:
             self._drop(conn)
         return code, response_headers, data
 
-    @staticmethod
-    def _json(data: bytes) -> dict:
-        try:
-            parsed = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ServiceError(
-                f"server sent unparseable JSON: {error}"
-            ) from error
-        if not isinstance(parsed, dict):
-            raise ServiceError("server sent a non-object JSON body")
-        return parsed
-
-    @staticmethod
-    def _job_status(job_id: str, data: bytes, parsed: dict) -> JobStatus:
-        return JobStatus(
-            job_id=parsed.get("job_id", job_id),
-            status=parsed.get("status", "unknown"),
-            raw=data,
-            body=parsed,
-        )
-
     def _spec_body(self, spec: ExperimentSpec, priority: str) -> bytes:
         """The encoded submission body for ``spec``, built once per spec
         object, priority and client id.
@@ -501,7 +502,22 @@ class ServiceClient:
         code, headers, data = self._request(
             "POST", "/v1/jobs", body, request_id=request_id
         )
-        parsed = self._json(data)
+        location = headers.get("content-location") if code == 200 else None
+        if location is not None:
+            # The document of the job Content-Location names, which the
+            # server sends only for a done job; kept undecoded.
+            job_id = urllib.parse.unquote(location.rpartition("/")[2])
+            with self._lock:
+                _keep(
+                    self._done, job_id, JobStatus(job_id, "done", data),
+                    DONE_JOBS_KEPT,
+                )
+            return SubmitTicket(
+                job_id=job_id,
+                status="done",
+                outcome=headers.get("x-job-outcome", ""),
+            )
+        parsed = _json_object(data)
         if code in (429, 503):
             raise ClientBackpressureError(
                 parsed.get("error", f"rejected with HTTP {code}"),
@@ -518,29 +534,14 @@ class ServiceClient:
             raise ServiceError(
                 f"submit rejected with HTTP {code}: {detail}"
             )
-        location = headers.get("content-location") if code == 200 else None
-        if location is None:
-            ticket = SubmitTicket(
-                job_id=parsed["job_id"],
-                status=parsed["status"],
-                outcome=parsed.get("outcome", ""),
-            )
-            with self._lock:
-                self._done.pop(ticket.job_id, None)
-            return ticket
-        # The body is the document of the job Content-Location names.
-        job_id = urllib.parse.unquote(location.rpartition("/")[2])
-        status = self._job_status(job_id, data, parsed)
-        with self._lock:
-            if status.done:
-                _keep(self._done, job_id, status, DONE_JOBS_KEPT)
-            else:
-                self._done.pop(job_id, None)
-        return SubmitTicket(
-            job_id=job_id,
-            status=status.status,
-            outcome=headers.get("x-job-outcome", ""),
+        ticket = SubmitTicket(
+            job_id=parsed["job_id"],
+            status=parsed["status"],
+            outcome=parsed.get("outcome", ""),
         )
+        with self._lock:
+            self._done.pop(ticket.job_id, None)
+        return ticket
 
     def status(self, job_id: str) -> JobStatus:
         """Current state of one job (raw response bytes retained).
@@ -561,7 +562,13 @@ class ServiceClient:
             raise ServiceError(
                 f"status failed with HTTP {code}: {data[:200]!r}"
             )
-        return self._job_status(job_id, data, self._json(data))
+        parsed = _json_object(data)
+        return JobStatus(
+            job_id=parsed.get("job_id", job_id),
+            status=parsed.get("status", "unknown"),
+            raw=data,
+            _body=parsed,
+        )
 
     def wait(
         self,
@@ -720,7 +727,7 @@ class ServiceClient:
         code, _headers, data = self._request(
             "POST", f"/v1/fleet/{action}", body, request_id=request_id
         )
-        parsed = self._json(data)
+        parsed = _json_object(data)
         if code == 503:
             raise ClientBackpressureError(
                 parsed.get("error", "service is draining"),
@@ -796,7 +803,7 @@ class ServiceClient:
         code, _headers, data = self._request("GET", "/healthz")
         if code != 200:
             raise ServiceError(f"healthz answered HTTP {code}")
-        return self._json(data)
+        return _json_object(data)
 
     def ready(self) -> bool:
         """True when the server accepts new work (not draining)."""

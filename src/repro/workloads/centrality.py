@@ -41,13 +41,14 @@ class DegreeCentrality(Workload):
         in_degree = ctx.property_table("dc.in_degree", n, 0)
         out_degree = ctx.property_table("dc.out_degree", n, 0)
 
-        def count(tid, trace, part):
+        def count(group):
+            part = group.items
             edges, degrees = tg.edge_positions(part)
             targets = graph.columns[edges]
             in_degree.values[:] += np.bincount(targets, minlength=n)
             out_degree.values[part] = degrees
-            trace.append_block(*lay_out(
-                len(part),
+            return lay_out(
+                group.counts,
                 head=tg.offset_slots(part, work=2),
                 edge=[
                     *tg.column_slots(edges),
@@ -56,9 +57,9 @@ class DegreeCentrality(Workload):
                 ],
                 tail=out_degree.write_slots(part),
                 degrees=degrees,
-            ))
+            )
 
-        ctx.parallel_blocks(np.arange(n), count)
+        ctx.parallel_blocks(np.arange(n), count, graph.out_degrees() + 1)
         return {
             "in_degree": in_degree.values.copy(),
             "out_degree": out_degree.values.copy(),
@@ -120,20 +121,22 @@ class BetweennessCentrality(Workload):
     ) -> None:
         n = tg.num_vertices
         columns = tg.graph.columns
+        cost = tg.graph.out_degrees() + 1
         trace0 = ctx.threads[0]
 
-        def reset(tid, trace, part):
+        def reset(group):
+            part = group.items
             sigma.values[part] = 0
             depth.values[part] = UNVISITED
             delta.values[part] = 0.0
-            trace.append_block(*lay_out(
-                len(part),
+            return lay_out(
+                group.counts,
                 head=[
                     *sigma.write_slots(part, work=2),
                     *depth.write_slots(part),
                     *delta.write_slots(part),
                 ],
-            ))
+            )
 
         ctx.parallel_blocks(np.arange(n), reset)
         sigma.write(trace0, source, 1)
@@ -144,11 +147,12 @@ class BetweennessCentrality(Workload):
         while levels[-1].size:
             next_level: list[int] = []
 
-            def expand(tid, trace, part, _level=level):
+            def expand(group, _level=level):
                 # A neighbour's depth reads UNVISITED at its first visitor
                 # in thread-major order, which claims it with a CAS; that
                 # visitor and every later one read _level + 1 and add
                 # sigma (earlier threads' claims included).
+                part = group.items
                 edges, degrees = tg.edge_positions(part)
                 targets = columns[edges]
                 seen = depth.values[targets]
@@ -164,8 +168,8 @@ class BetweennessCentrality(Workload):
                     targets[below],
                     np.repeat(sigma.values[part], degrees)[below],
                 )
-                trace.append_block(*lay_out(
-                    len(part),
+                return lay_out(
+                    group.counts,
                     head=[
                         *sigma.read_slots(part, work=4),
                         *tg.offset_slots(part),
@@ -181,9 +185,9 @@ class BetweennessCentrality(Workload):
                         ),
                     ],
                     degrees=degrees,
-                ))
+                )
 
-            ctx.parallel_blocks(levels[-1], expand)
+            ctx.parallel_blocks(levels[-1], expand, cost[levels[-1]])
             levels.append(np.array(next_level, dtype=np.int64))
             level += 1
 
@@ -191,7 +195,8 @@ class BetweennessCentrality(Workload):
         for back_level in range(len(levels) - 2, -1, -1):
             frontier = levels[back_level]
 
-            def accumulate(tid, trace, part, _level=back_level):
+            def accumulate(group, _level=back_level):
+                part = group.items
                 edges, degrees = tg.edge_positions(part)
                 targets = columns[edges]
                 below = depth.values[targets] == _level + 1
@@ -209,8 +214,8 @@ class BetweennessCentrality(Workload):
                 delta.values[part[nonzero]] += acc[nonzero]
                 counted = part != source
                 centrality.values[part[counted]] += acc[counted]
-                trace.append_block(*lay_out(
-                    len(part),
+                return lay_out(
+                    group.counts,
                     head=[
                         *sigma.read_slots(part, work=4),
                         *tg.offset_slots(part),
@@ -231,9 +236,9 @@ class BetweennessCentrality(Workload):
                         ),
                     ],
                     degrees=degrees,
-                ))
+                )
 
-            ctx.parallel_blocks(frontier, accumulate)
+            ctx.parallel_blocks(frontier, accumulate, cost[frontier])
 
 
 DC = register(DegreeCentrality())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.framework.context import FrameworkContext
-from repro.framework.frontier import Frontier
+from repro.framework.frontier import ThreadFrontiers
 from repro.framework.layout import lay_out
 from repro.graph.csr import CsrGraph
 from repro.trace.events import AtomicOp
@@ -34,19 +34,16 @@ class ConnectedComponents(Workload):
         n = undirected.num_vertices
         label = ctx.property_table("cc.label", n, 0)
 
-        def init(tid, trace, part):
+        def init(group):
+            part = group.items
             label.values[part] = part
-            trace.append_block(*lay_out(
-                len(part), head=label.write_slots(part, work=1)
-            ))
+            return lay_out(group.counts, head=label.write_slots(part, work=1))
 
         vertices = np.arange(n)
         ctx.parallel_blocks(vertices, init)
 
-        next_frontiers = [
-            Frontier(ctx, f"cc.frontier.{tid}", n)
-            for tid in range(ctx.num_threads)
-        ]
+        next_frontier = ThreadFrontiers(ctx, "cc.frontier", n)
+        cost = undirected.out_degrees() + 1
         # A vertex reads the label earlier vertices of the same step
         # lowered (thread-major order), so the decide loop runs in order.
         labels = label.values.tolist()
@@ -57,7 +54,8 @@ class ConnectedComponents(Workload):
         # via CAS); the old value returned by the cmpxchg tells the
         # thread whether its label won.
         while frontier.size:
-            def propagate(tid, trace, part):
+            def propagate(group):
+                part = group.items
                 edges, degrees = tg.edge_positions(part)
                 targets = undirected.columns[edges]
                 bounds = [0, *np.cumsum(degrees).tolist()]
@@ -71,8 +69,8 @@ class ConnectedComponents(Workload):
                             lowered.append(i)
                 pushed = np.zeros(edges.size, dtype=bool)
                 pushed[lowered] = True
-                trace.append_block(*lay_out(
-                    len(part),
+                return lay_out(
+                    group.counts,
                     head=[
                         *label.read_slots(part, work=3),
                         *tg.offset_slots(part),
@@ -80,16 +78,17 @@ class ConnectedComponents(Workload):
                     edge=[
                         *tg.column_slots(edges),
                         *label.atomic_slots(AtomicOp.CAS, targets, True),
-                        *next_frontiers[tid].push_slots(targets, pushed),
+                        *next_frontier.push_slots(
+                            group, degrees, targets, pushed
+                        ),
                     ],
                     degrees=degrees,
-                ))
+                )
 
-            ctx.parallel_blocks(frontier, propagate)
-            merged: list[int] = []
-            for tid, nf in enumerate(next_frontiers):
-                merged.extend(nf.drain_block(ctx.threads[tid]))
-            frontier = np.array(list(dict.fromkeys(merged)), dtype=np.int64)
+            ctx.parallel_blocks(frontier, propagate, cost[frontier])
+            frontier = np.array(
+                list(dict.fromkeys(next_frontier.drain())), dtype=np.int64
+            )
             rounds += 1
 
         label.values[:] = labels

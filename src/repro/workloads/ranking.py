@@ -54,8 +54,9 @@ class PageRank(Workload):
         for _ in range(iterations):
             dangling_mass = 0.0
 
-            def scatter(tid, trace, part):
+            def scatter(group):
                 nonlocal dangling_mass
+                part = group.items
                 ru = rank.values[part]
                 deg = out_degrees[part]
                 live = deg != 0
@@ -70,8 +71,8 @@ class PageRank(Workload):
                     targets,
                     np.repeat(damping * ru[live] / deg[live], deg[live]),
                 )
-                trace.append_block(*lay_out(
-                    len(part),
+                return lay_out(
+                    group.counts,
                     head=[
                         *rank.read_slots(part, work=3),
                         # divide + loop setup
@@ -84,23 +85,24 @@ class PageRank(Workload):
                         ),
                     ],
                     degrees=degrees,
-                ))
+                )
 
-            ctx.parallel_blocks(vertices, scatter)
+            ctx.parallel_blocks(vertices, scatter, out_degrees + 1)
 
             dangling_share = dangling_mass / n
 
-            def swap(tid, trace, part):
+            def swap(group):
+                part = group.items
                 rank.values[part] = next_rank.values[part] + dangling_share
                 next_rank.values[part] = base
-                trace.append_block(*lay_out(
-                    len(part),
+                return lay_out(
+                    group.counts,
                     head=[
                         *next_rank.read_slots(part, work=4),
                         *rank.write_slots(part),
                         *next_rank.write_slots(part),
                     ],
-                ))
+                )
 
             ctx.parallel_blocks(vertices, swap)
 

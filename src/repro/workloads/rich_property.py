@@ -60,10 +60,11 @@ class TriangleCount(Workload):
         columns = undirected.columns.tolist()
         columns_alloc = tg.columns_alloc
 
-        def count_for(tid, trace, part):
+        def count_for(group):
             # Decide each merge walk: its column loads, in order, and the
             # triangles it finds.  An entry is one neighbour load (a
             # "j" entry) or one merge step's pair of loads.
+            part = group.items
             loads: list[int] = []
             pair: list[int] = []
             entries = np.zeros(len(part), dtype=np.int64)
@@ -107,8 +108,8 @@ class TriangleCount(Workload):
             addr = columns_alloc.addrs_of(loads)
             pair_addr = np.zeros_like(addr)
             pair_addr[step_rows] = columns_alloc.addrs_of(pairs[step_rows])
-            trace.append_block(*lay_out(
-                len(part),
+            return lay_out(
+                group.counts,
                 head=[work_slot(3)],
                 edge=[
                     Slot(EV_LOAD, addr, 8, 2, neighbour_rows),
@@ -123,12 +124,14 @@ class TriangleCount(Workload):
                     AtomicOp.ADD, part, False, keep=found != 0
                 ),
                 degrees=entries,
-            ))
+            )
 
         if not 0.0 < sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
         step = max(1, int(round(1.0 / sample_fraction)))
-        ctx.parallel_blocks(np.arange(0, n, step), count_for)
+        sampled = np.arange(0, n, step)
+        # A merge walk per neighbour: up to about deg^2 entries a vertex.
+        ctx.parallel_blocks(sampled, count_for, degrees[sampled] ** 2 + 1)
         counts = triangles.values.copy()
         return {
             # counts[u] = triangles whose minimum vertex is u.

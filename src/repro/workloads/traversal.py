@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.framework.context import FrameworkContext
-from repro.framework.frontier import Frontier
+from repro.framework.frontier import ThreadFrontiers
 from repro.framework.layout import lay_out
 from repro.graph.csr import CsrGraph
 from repro.trace.events import AtomicOp
@@ -51,46 +51,40 @@ class BreadthFirstSearch(Workload):
         tg = ctx.register_graph(graph)
         depth = ctx.property_table("bfs.depth", graph.num_vertices, UNVISITED)
 
-        next_frontiers = [
-            Frontier(ctx, f"bfs.frontier.{tid}", graph.num_vertices)
-            for tid in range(ctx.num_threads)
-        ]
+        next_frontier = ThreadFrontiers(ctx, "bfs.frontier", graph.num_vertices)
         depth.write(ctx.threads[0], root, 0)
         frontier = np.array([root])
+        out_degrees = graph.out_degrees()
         level = 0
         while frontier.size:
-            def visit(tid, trace, part, _level=level):
+            def visit(group, _level=level):
                 # Section II-D: "all neighbor vertices' properties are
                 # accessed via CAS atomic operations" -- one CAS per
                 # traversed edge.  It wins at the neighbour's first
                 # visitor in thread-major order, if still unvisited.
+                part = group.items
                 edges, degrees = tg.edge_positions(part)
                 targets = graph.columns[edges]
                 first = np.zeros(targets.size, dtype=bool)
                 first[np.unique(targets, return_index=True)[1]] = True
                 claimed = first & (depth.values[targets] == UNVISITED)
                 depth.values[targets[claimed]] = _level + 1
-                trace.append_block(*lay_out(
-                    len(part),
+                return lay_out(
+                    group.counts,
                     # pop bookkeeping + depth register reuse
                     head=tg.offset_slots(part, work=4),
                     edge=[
                         *tg.column_slots(edges),
                         *depth.atomic_slots(AtomicOp.CAS, targets, True),
-                        *next_frontiers[tid].push_slots(targets, claimed),
+                        *next_frontier.push_slots(
+                            group, degrees, targets, claimed
+                        ),
                     ],
                     degrees=degrees,
-                ))
+                )
 
-            ctx.parallel_blocks(frontier, visit)
-            frontier = np.array(
-                [
-                    v
-                    for tid, nf in enumerate(next_frontiers)
-                    for v in nf.drain_block(ctx.threads[tid])
-                ],
-                dtype=np.int64,
-            )
+            ctx.parallel_blocks(frontier, visit, out_degrees[frontier] + 1)
+            frontier = np.array(next_frontier.drain(), dtype=np.int64)
             level += 1
 
         depths = depth.values.copy()
@@ -180,10 +174,7 @@ class ShortestPath(Workload):
         dist = ctx.property_table(
             "sssp.dist", graph.num_vertices, INFINITE_DIST, dtype=np.float64
         )
-        next_frontiers = [
-            Frontier(ctx, f"sssp.frontier.{tid}", graph.num_vertices)
-            for tid in range(ctx.num_threads)
-        ]
+        next_frontier = ThreadFrontiers(ctx, "sssp.frontier", graph.num_vertices)
         dist.write(ctx.threads[0], root, 0.0)
         # Relaxations read distances lowered earlier in the same step
         # (thread-major order), so the decide loop runs in order.
@@ -193,6 +184,7 @@ class ShortestPath(Workload):
             if graph.weights is not None
             else [1.0] * graph.num_edges
         )
+        out_degrees = graph.out_degrees()
         frontier = np.array([root])
         rounds = 0
         # Bellman-Ford terminates after at most V rounds; the frontier
@@ -200,7 +192,8 @@ class ShortestPath(Workload):
         # an atomic CAS-min relaxation (lock cmpxchg loop, Table II);
         # the returned old value signals whether the distance improved.
         while frontier.size and rounds <= graph.num_vertices:
-            def relax(tid, trace, part):
+            def relax(group):
+                part = group.items
                 edges, degrees = tg.edge_positions(part)
                 targets = graph.columns[edges]
                 bounds = [0, *np.cumsum(degrees).tolist()]
@@ -217,8 +210,8 @@ class ShortestPath(Workload):
                             improved.append(i)
                 pushed = np.zeros(edges.size, dtype=bool)
                 pushed[improved] = True
-                trace.append_block(*lay_out(
-                    len(part),
+                return lay_out(
+                    group.counts,
                     head=[
                         *dist.read_slots(part, work=4),
                         *tg.offset_slots(part),
@@ -227,17 +220,18 @@ class ShortestPath(Workload):
                         *tg.column_slots(edges, graph.weights is not None),
                         # add + compare
                         *dist.atomic_slots(AtomicOp.CAS, targets, True, work=2),
-                        *next_frontiers[tid].push_slots(targets, pushed),
+                        *next_frontier.push_slots(
+                            group, degrees, targets, pushed
+                        ),
                     ],
                     degrees=degrees,
-                ))
+                )
 
-            ctx.parallel_blocks(frontier, relax)
-            merged: list[int] = []
-            for tid, nf in enumerate(next_frontiers):
-                merged.extend(nf.drain_block(ctx.threads[tid]))
+            ctx.parallel_blocks(frontier, relax, out_degrees[frontier] + 1)
             # Deduplicate while keeping deterministic order.
-            frontier = np.array(list(dict.fromkeys(merged)), dtype=np.int64)
+            frontier = np.array(
+                list(dict.fromkeys(next_frontier.drain())), dtype=np.int64
+            )
             rounds += 1
 
         dist.values[:] = dists
@@ -279,11 +273,10 @@ class KCoreDecomposition(Workload):
             # count is small — Section IV-B1).
             k = 5
 
-        def init(tid, trace, part):
+        def init(group):
+            part = group.items
             degree.values[part] = out_degrees[part]
-            trace.append_block(*lay_out(
-                len(part), head=degree.write_slots(part, work=2)
-            ))
+            return lay_out(group.counts, head=degree.write_slots(part, work=2))
 
         vertices = np.arange(n)
         ctx.parallel_blocks(vertices, init)
@@ -301,8 +294,9 @@ class KCoreDecomposition(Workload):
             changed = False
             removals_this_round = []
 
-            def scan_and_update(tid, trace, part):
+            def scan_and_update(group):
                 nonlocal changed
+                part = group.items
                 was_active = np.zeros(len(part), dtype=bool)
                 removed = np.zeros(len(part), dtype=bool)
                 for i, v in enumerate(part.tolist()):
@@ -318,8 +312,8 @@ class KCoreDecomposition(Workload):
                             degrees_left[columns[j]] -= 1
                 edges, _ = tg.edge_positions(part[removed])
                 targets = graph.columns[edges]
-                trace.append_block(*lay_out(
-                    len(part),
+                return lay_out(
+                    group.counts,
                     head=[
                         *active.read_slots(part, work=3),
                         *degree.read_slots(part, keep=was_active),
@@ -331,9 +325,9 @@ class KCoreDecomposition(Workload):
                         *degree.atomic_slots(AtomicOp.SUB, targets, False),
                     ],
                     degrees=np.where(removed, out_degrees[part], 0),
-                ))
+                )
 
-            ctx.parallel_blocks(vertices, scan_and_update)
+            ctx.parallel_blocks(vertices, scan_and_update, out_degrees + 1)
             removed_total += len(removals_this_round)
             rounds += 1
 

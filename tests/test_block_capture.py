@@ -2,11 +2,12 @@
 the Figure 7 workloads against their per-event references.
 
 The references (:mod:`repro.workloads.reference`) record one event per
-framework call; the registered workloads decide each step first and
-record one row block per thread.  Over random small graphs (duplicate
-edges, self-loops, isolated vertices, weights), every parameter, 1 to
-64 threads and both ``plain_atomics`` settings, the two must produce
-the same ``trace_digest`` and bit-equal functional outputs.
+framework call; the registered workloads decide each step once per
+group of threads and record one row block per thread.  Over random
+small graphs (duplicate edges, self-loops, isolated vertices, weights),
+every parameter, 1 to 64 threads and both ``plain_atomics`` settings,
+the two must produce the same ``trace_digest`` and bit-equal functional
+outputs, and so must every way of grouping the threads.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import TraceError
+from repro.core.presets import workload_graph, workload_params
+from repro.framework import context
 from repro.framework.layout import Slot, lay_out, work_slot
 from repro.graph.csr import CsrGraph
 from repro.trace.events import EV_ATOMIC, EV_LOAD, EV_STORE, AtomicOp
@@ -116,7 +119,7 @@ class TestLayOut:
         # Two items: item 0 has two edges, item 1 none.  The edge's
         # second row runs only where ``keep`` holds; its work still
         # lands in the next row that runs, and so does the work slot.
-        rows, trailing = lay_out(
+        layout = lay_out(
             2,
             head=[Slot(EV_LOAD, np.array([10, 20]), work=5)],
             edge=[
@@ -128,7 +131,7 @@ class TestLayOut:
             tail=[Slot(EV_STORE, np.array([70, 80]), size=4)],
             degrees=np.array([2, 0]),
         )
-        assert rows.tolist() == [
+        assert layout.rows().tolist() == [
             [EV_LOAD, 10, 8, 5, -1, 0],
             [EV_LOAD, 30, 8, 1, -1, 0],
             [EV_LOAD, 40, 8, 7 + 1, -1, 0],
@@ -137,22 +140,108 @@ class TestLayOut:
             [EV_LOAD, 20, 8, 5, -1, 0],
             [EV_STORE, 80, 4, 0, -1, 0],
         ]
-        assert trailing == 0
+        assert layout.bounds == [0, 7]
+        assert layout.trailing == [0]
 
     def test_work_after_the_last_row_is_trailing(self):
-        rows, trailing = lay_out(
+        layout = lay_out(
             3,
             head=[
                 Slot(EV_LOAD, 8, work=1, keep=np.array([True, False, False])),
                 work_slot(np.array([2, 3, 4])),
             ],
         )
-        assert rows.tolist() == [[EV_LOAD, 8, 8, 1, -1, 0]]
-        assert trailing == 9
+        assert layout.rows().tolist() == [[EV_LOAD, 8, 8, 1, -1, 0]]
+        assert layout.bounds == [0, 1]
+        assert layout.trailing == [9]
 
     def test_no_items(self):
-        rows, trailing = lay_out(0, head=[Slot(EV_LOAD, 8)])
-        assert rows.shape == (0, 6) and trailing == 0
+        layout = lay_out(0, head=[Slot(EV_LOAD, 8)])
+        assert layout.rows().shape == (0, 6)
+        assert layout.bounds == [0, 0]
+        assert layout.trailing == [0]
+
+
+def _slots(vertices, degrees):
+    """A step's slots over ``vertices``: a head load, per edge a load
+    and a store kept where the target is odd, then work 2, and a tail
+    store where the vertex is even.  Edge ``j`` of vertex ``v`` targets
+    ``10 * v + j``."""
+    first = np.cumsum(degrees) - degrees
+    targets = np.repeat(vertices * 10 - first, degrees) + np.arange(
+        int(degrees.sum())
+    )
+    return dict(
+        head=[Slot(EV_LOAD, vertices * 8, work=3)],
+        edge=[
+            Slot(EV_LOAD, targets * 8, work=1),
+            Slot(EV_STORE, targets * 8, work=1, keep=targets % 2 == 1),
+            work_slot(2),
+        ],
+        tail=[Slot(EV_STORE, vertices * 8 + 4, keep=vertices % 2 == 0)],
+        degrees=degrees,
+    )
+
+
+class TestSegmentedLayOut:
+    """One call over several threads' items equals one call per thread."""
+
+    def _check(self, counts, degrees, pending=()):
+        vertices = np.arange(len(degrees))
+        whole = lay_out(counts, **_slots(vertices, degrees))
+        grouped = [ThreadTrace(tid) for tid in range(len(counts))]
+        alone = [ThreadTrace(tid) for tid in range(len(counts))]
+        for tid, work in enumerate(pending):
+            grouped[tid].work(work)
+            alone[tid].work(work)
+        start = 0
+        for tid, count in enumerate(counts):
+            part = slice(start, start + count)
+            layout = lay_out(count, **_slots(vertices[part], degrees[part]))
+            rows = layout.rows()
+            assert layout.bounds == [0, len(rows)]
+            alone[tid].append_block(rows, *layout.trailing)
+            assert whole.rows(tid).tolist() == rows.tolist()
+            assert whole.trailing[tid] == layout.trailing[0]
+            grouped[tid].append_block(whole.rows(tid), whole.trailing[tid])
+            start += count
+        for a, b in zip(grouped, alone):
+            a.barrier(0)
+            b.barrier(0)
+            assert a.rows().tobytes() == b.rows().tobytes()
+        return whole
+
+    def test_pending_work_folds_per_thread(self):
+        self._check([2, 3], np.array([1, 0, 2, 1, 0]), pending=(5, 7))
+
+    def test_trailing_work_per_thread(self):
+        # Each thread's last item is odd (no tail store) and ends on
+        # its edge's work slot: that work stays pending on its thread.
+        whole = self._check([2, 2], np.array([0, 1, 2, 1]))
+        assert whole.trailing == [2, 2]
+
+    def test_thread_whose_items_record_no_rows(self):
+        # Thread 1's one item runs only its head's work: no row, and the
+        # work stays pending on thread 1.  The unkept edge load of
+        # thread 2 counts no work.
+        whole = lay_out(
+            [1, 1, 1],
+            head=[work_slot(3)],
+            edge=[
+                Slot(EV_LOAD, 8, work=1, keep=np.array([True, False])),
+                work_slot(2),
+            ],
+            tail=[Slot(EV_STORE, 16, work=4, keep=np.arange(3) != 1)],
+            degrees=np.array([1, 0, 1]),
+        )
+        assert whole.bounds == [0, 2, 2, 3]
+        assert [row[3] for k in range(3) for row in whole.rows(k)] == [4, 6, 9]
+        assert whole.trailing == [0, 3, 0]
+
+    def test_thread_with_no_items(self):
+        whole = self._check([2, 0, 0, 1], np.array([1, 2, 1]), (1, 2, 3, 4))
+        assert whole.bounds[1] == whole.bounds[2] == whole.bounds[3]
+        assert whole.trailing[1] == whole.trailing[2] == 0
 
 
 @st.composite
@@ -244,3 +333,37 @@ def test_block_capture_matches_reference(code, data):
     assert block.outputs.keys() == reference.outputs.keys()
     for key, value in reference.outputs.items():
         assert _same_output(block.outputs[key], value), key
+
+
+@pytest.mark.parametrize("code", FIGURE7_CODES)
+def test_grouping_does_not_change_capture(code, monkeypatch):
+    """One thread per group and one group per step capture the same
+    trace and outputs as the default budget."""
+    graph = workload_graph(code, "tiny")
+    params = workload_params(code)
+    # (threads, threads with items) of each group.
+    widths: "list[tuple[int, int]]" = []
+    run_group = context.FrameworkContext._run_group
+
+    def spy(self, first, end, bounds, *args):
+        counts = np.diff(bounds[first : end + 1])
+        widths.append((end - first, int(np.count_nonzero(counts))))
+        return run_group(self, first, end, bounds, *args)
+
+    monkeypatch.setattr(context.FrameworkContext, "_run_group", spy)
+    captures = {}
+    for budget in (None, 0, float("inf")):
+        if budget is not None:
+            monkeypatch.setattr(context, "GROUP_BUDGET", budget)
+        widths.clear()
+        captures[budget] = get_workload(code).run(graph, **params)
+        if budget == 0:
+            assert {busy for _, busy in widths} <= {0, 1}
+        elif budget is not None:
+            assert {threads for threads, _ in widths} == {16}
+    default = captures[None]
+    for run in captures.values():
+        assert trace_digest(run.trace) == trace_digest(default.trace)
+        assert run.outputs.keys() == default.outputs.keys()
+        for key, value in default.outputs.items():
+            assert _same_output(run.outputs[key], value), key

@@ -1954,6 +1954,94 @@ class TestOneTripHits:
         assert status.done and "results" in status.body
         assert len(server.requests) == 2
 
+    def test_a_hit_read_through_raw_and_status_decodes_nothing(
+        self, monkeypatch
+    ):
+        """A kept document is decoded on the first access of ``body``,
+        once, to what the server sent."""
+        document = canonical_json({
+            "job_id": "j1", "status": "done", "error": "",
+            "results": {"Baseline": {"cycles": 1234.0}},
+        })
+        server = ScriptedServer([
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+            b"Content-Location: /v1/jobs/j1\r\n"
+            b"X-Job-Outcome: cache_hit\r\n\r\n%s"
+            % (len(document), document)
+        ])
+        expected = json.loads(document)
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(
+            client_module.json, "loads",
+            lambda *args, **kwargs: decoded.append(args) or loads(
+                *args, **kwargs
+            ),
+        )
+        with server:
+            client = ServiceClient(f"http://127.0.0.1:{server.port}")
+            try:
+                ticket = client.submit(spec=make_spec())
+                status = client.status(ticket.job_id)
+                waited = client.wait(ticket.job_id, timeout_s=5)
+            finally:
+                client.close()
+        assert (ticket.outcome, status.job_id, status.status) == (
+            "cache_hit", "j1", "done",
+        )
+        assert waited is status and status.raw == document
+        assert decoded == []
+        assert status.body == expected and len(decoded) == 1
+        assert status.results == expected["results"]
+        assert status.error == "" and len(decoded) == 1
+
+    @pytest.mark.parametrize("document", [b"{not json", b"[1, 2]", b"\xff"])
+    def test_a_malformed_one_trip_body_raises_on_first_access(
+        self, document
+    ):
+        server = ScriptedServer([
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+            b"Content-Location: /v1/jobs/j1\r\n\r\n%s"
+            % (len(document), document)
+        ])
+        with server:
+            client = ServiceClient(f"http://127.0.0.1:{server.port}")
+            try:
+                ticket = client.submit(spec=make_spec())
+                status = client.status(ticket.job_id)
+            finally:
+                client.close()
+        assert ticket.done and status.raw == document
+        for read in ("body", "results", "error"):
+            with pytest.raises(ServiceError, match="JSON"):
+                getattr(status, read)
+
+    def test_repro_status_prints_the_document(self, capsys):
+        from repro.cli import main
+
+        document = {
+            "job_id": "j1", "status": "failed", "error": "boom",
+            "results": {"GraphPIM": {"cycles": 10.0},
+                        "Baseline": {"cycles": 25.4}},
+        }
+        server = ScriptedServer([answer(200, document)], [
+            answer(200, document)
+        ])
+        with server:
+            url = f"http://127.0.0.1:{server.port}"
+            assert main(["status", "j1", "--url", url]) == 0
+            text = capsys.readouterr().out
+            assert main(["status", "j1", "--url", url, "--json"]) == 0
+            raw = capsys.readouterr().out
+        assert text == (
+            "job    : j1\n"
+            "status : failed\n"
+            "error  : boom\n"
+            "Baseline               25 cycles\n"
+            "GraphPIM               10 cycles\n"
+        )
+        assert json.loads(raw) == document
+
     def test_bodies_are_encoded_once_per_spec_object(self, monkeypatch):
         """One spec object sends the same bytes, encoded once; an equal
         spec whose param is 2.0 rather than 2 keys differently, and sends
