@@ -11,13 +11,16 @@ the full serving contract once, and checks the SIGTERM drain promise:
 4. resubmit the identical spec and require it answered in one round
    trip: done, with no ``GET /v1/jobs/{id}`` (that route's count on
    ``/metrics`` does not move), and bit-identical to a plain GET;
-5. scrape ``/metrics``, require the service metric families, and
+5. submit the same workload under other modes, a new job whose trace
+   comes from the server's trace memo (``service_trace_reuses_total``
+   reads 1);
+6. scrape ``/metrics``, require the service metric families, and
    require that the client's calls shared connections (fewer
    connections than requests);
-6. send SIGTERM while the client's connection sits idle, and require
+7. send SIGTERM while the client's connection sits idle, and require
    exit code 0 within the drain window and no traceback in the
    server's output;
-7. require an empty queue journal — a clean drain leaves no
+8. require an empty queue journal — a clean drain leaves no
    ``service_queue.jsonl`` behind.
 
 Exit code 0 means every step passed.  Run directly::
@@ -136,7 +139,18 @@ def drive(process, cache_dir):
         "service smoke: duplicate answered in one trip, bit-identically"
     )
 
-    # 5. metrics exposition
+    # 5. the same workload under other modes reuses the kept trace
+    other = client.submit_and_wait(
+        timeout_s=240, workload="BFS", scale="tiny", modes=["upei"]
+    )
+    if other.body["trace_hash"] != status.body["trace_hash"]:
+        return fail("the same workload traced to another digest")
+    reuses = metric_total(client.metrics_text(), "service_trace_reuses_total")
+    if reuses != 1:
+        return fail(f"service_trace_reuses_total reads {reuses:g}, not 1")
+    print("service smoke: a second job of BFS reused its trace")
+
+    # 6. metrics exposition
     metrics = client.metrics_text()
     for family in (
         "service_queue_depth",
@@ -160,7 +174,7 @@ def drive(process, cache_dir):
         f"{connections:g} connection(s)"
     )
 
-    # 6. SIGTERM, with the client's connection idle, drains and exits 0
+    # 7. SIGTERM, with the client's connection idle, drains and exits 0
     process.send_signal(signal.SIGTERM)
     try:
         output, _ = process.communicate(timeout=60)
@@ -173,7 +187,7 @@ def drive(process, cache_dir):
         print(output, file=sys.stderr)
         return fail("the server printed a traceback")
 
-    # 7. a clean drain leaves no queue journal
+    # 8. a clean drain leaves no queue journal
     journal = os.path.join(cache_dir, QUEUE_CHECKPOINT_FILENAME)
     if os.path.exists(journal) and os.path.getsize(journal):
         return fail(f"drain left a non-empty queue journal: {journal}")

@@ -256,8 +256,8 @@ class FrameworkContext:
             ThreadGroup(first, np.diff(bounds[first : end + 1]), ordered[lo:hi])
         )
         for segment, thread in enumerate(self.threads[first:end]):
-            thread.append_block(
-                layout.rows(segment), layout.trailing[segment]
+            thread.append_columns(
+                layout.segment(segment), layout.trailing[segment]
             )
 
     def finish(self) -> Trace:

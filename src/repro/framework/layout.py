@@ -8,8 +8,8 @@ decided (a CAS that won, a neighbour one level down), so each row is a
 :class:`Slot` whose ``keep`` selects where it happens.
 
 :func:`lay_out` turns the slots of a group of threads' shares of a step
-(one segment of items per thread, in thread order) into the ``(N, 6)``
-int64 rows :meth:`ThreadTrace.append_block` records, with the gaps the
+(one segment of items per thread, in thread order) into the six event
+columns :meth:`ThreadTrace.append_columns` records, with the gaps the
 per-event recorders would have produced: a slot's ``work`` is counted
 where the slot runs, whether or not it records an event, and lands in
 the gap of the next row of the same segment that does.
@@ -21,11 +21,10 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.trace.columnar import narrowed, narrowest_type, stack_rows
+
 #: Kind of a :class:`Slot` that records work but no event.
 WORK = -1
-
-#: One ``(N, 6)`` int64 row as a single record, for whole-row gathers.
-_ROW = np.dtype((np.void, 48))
 
 
 class Slot(NamedTuple):
@@ -54,32 +53,27 @@ def work_slot(instructions, keep=True) -> Slot:
 
 
 class Layout(NamedTuple):
-    """The rows :func:`lay_out` decided, split into segments.
+    """The rows :func:`lay_out` decided, as six narrow columns (``kind``,
+    ``addr``, ``size``, ``gap``, ``op``, ``ret``), split into segments.
 
     Segment ``k`` owns rows ``bounds[k]`` to ``bounds[k + 1] - 1`` and
     leaves ``trailing[k]`` instructions pending after its last row.
-    Until :meth:`rows` builds a segment's ``(N, 6)`` block, a row is
-    held as the index of its template (its constant fields) and its
-    address and gap, a third of its bytes: only one segment's block
-    exists at a time.
+    Each column is in the narrowest signed type that holds it, so a
+    thread's capture columns take a segment without a range scan.
     """
 
-    templates: np.ndarray
-    ids: np.ndarray
-    addrs: np.ndarray
-    gaps: np.ndarray
+    columns: "tuple[np.ndarray, ...]"
     bounds: "list[int]"
     trailing: "list[int]"
 
+    def segment(self, segment: int = 0) -> "tuple[np.ndarray, ...]":
+        """The six columns' slices (views) of one segment's rows."""
+        lo, hi = self.bounds[segment], self.bounds[segment + 1]
+        return tuple(column[lo:hi] for column in self.columns)
+
     def rows(self, segment: int = 0) -> np.ndarray:
         """The ``(N, 6)`` int64 block of one segment's rows."""
-        lo, hi = self.bounds[segment], self.bounds[segment + 1]
-        # Whole template rows, gathered as 48-byte records, then the
-        # per-row address and gap.
-        rows = self.templates[self.ids[lo:hi]].view(np.int64).reshape(-1, 6)
-        rows[:, 1] = self.addrs[lo:hi]
-        rows[:, 3] = self.gaps[lo:hi]
-        return rows
+        return stack_rows(self.segment(segment))
 
 
 def lay_out(
@@ -97,7 +91,7 @@ def lay_out(
     order), then its ``tail`` slots.  The work count restarts at each
     segment, so each segment's rows and trailing work are those of its
     items laid out alone, ready for one thread's
-    :meth:`~repro.trace.stream.ThreadTrace.append_block`.
+    :meth:`~repro.trace.stream.ThreadTrace.append_columns`.
     """
     counts = np.atleast_1d(np.asarray(counts, dtype=np.int64))
     item_bounds = np.zeros(counts.size + 1, dtype=np.int64)
@@ -167,11 +161,17 @@ def lay_out(
     opening = gaps[starts[recorded]] - before[:-1][recorded]
     gaps[1:] -= gaps[:-1].copy()
     gaps[starts[recorded]] = opening
+    # The constant fields, gathered by template from columns as narrow
+    # as the templates allow.
+    fields = list(zip(*templates))
+    kind, size, op, ret = (
+        np.array(
+            fields[c], dtype=narrowest_type(min(fields[c]), max(fields[c]))
+        )[ids]
+        for c in (0, 2, 4, 5)
+    )
     return Layout(
-        np.array(templates, dtype=np.int64).view(_ROW).ravel(),
-        ids,
-        addr.ravel()[kept],
-        gaps,
+        (kind, addr.ravel()[kept], size, narrowed(gaps), op, ret),
         bounds.tolist(),
         trailing.tolist(),
     )

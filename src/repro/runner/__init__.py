@@ -35,6 +35,7 @@ from repro.runner.engine import (
     ExperimentRunner,
     GridResults,
     SpecOutcome,
+    clear_trace_memo,
     evaluation_grid_specs,
     execute_spec,
     motivation_extra_specs,
@@ -78,6 +79,7 @@ __all__ = [
     "RunnerReport",
     "SpecOutcome",
     "SupervisedWorkerPool",
+    "clear_trace_memo",
     "config_fingerprint",
     "evaluation_grid_specs",
     "execute_spec",

@@ -2,7 +2,10 @@
 
 One :class:`ExperimentSpec` is executed by :func:`execute_spec` —
 trace the workload once, then for each mode either load the simulation
-result from the content-addressed cache or simulate and store it.  The
+result from the content-addressed cache or simulate and store it.  A
+process keeps its most recently used frozen traces (:func:`trace_spec`),
+so a later job of the same workload skips graph build, capture and
+digest.  The
 same function runs in-process (``parallel=False``) and, split into its
 :func:`trace_spec` and :func:`simulate_spec_modes` phases, inside the
 :class:`~repro.runner.pool.SupervisedWorkerPool` workers that every
@@ -37,14 +40,16 @@ Resilience features ride on :class:`RunnerConfig`:
 from __future__ import annotations
 
 import random
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import repro.workloads  # noqa: F401  (registry side effects for workers)
 from repro.common.errors import ReproError, RunnerError
 from repro.core.api import EvaluationReport
-from repro.core.presets import workload_graph, workload_params
+from repro.core.presets import resolve_scale, workload_graph, workload_params
 from repro.obs.logs import configure_logging, get_logger
 from repro.obs.progress import (
     CallbackPublisher,
@@ -107,6 +112,88 @@ class SpecOutcome:
         )
 
 
+#: Most frozen trace bytes (:attr:`ColumnarTrace.nbytes`) the trace memo
+#: keeps: the eight ``tiny`` Figure 7 traces take 7.7 MB.  A trace
+#: larger than this is not kept.
+TRACE_MEMO_BYTES = 8 << 20
+
+
+class _TraceMemo:
+    """Frozen traces and their digests by trace identity, least recently
+    used first, within :data:`TRACE_MEMO_BYTES` of columns.
+
+    One per process.  A lock guards it, because the service broker runs
+    jobs on executor threads; two concurrent misses of one identity may
+    both capture, and the first to finish is kept.
+    """
+
+    def __init__(self) -> None:
+        #: key -> (run, trace digest, column bytes), oldest use first.
+        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> "Optional[tuple[WorkloadRun, str]]":
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0], entry[1]
+
+    def put(self, key: tuple, run: WorkloadRun, trace_hash: str) -> None:
+        """Keep ``run``, freezing its trace, and evict the least recently
+        used traces past the bound."""
+        size = run.trace.columnar().nbytes
+        with self._lock:
+            if size > TRACE_MEMO_BYTES or key in self._entries:
+                return
+            self._entries[key] = (run, trace_hash, size)
+            self._bytes += size
+            while self._bytes > TRACE_MEMO_BYTES:
+                _key, (_run, _hash, dropped) = self._entries.popitem(
+                    last=False
+                )
+                self._bytes -= dropped
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
+
+
+_TRACES = _TraceMemo()
+
+
+def clear_trace_memo() -> None:
+    """Drop every kept trace (tests)."""
+    _TRACES.clear()
+
+
+def trace_identity(spec: ExperimentSpec) -> Optional[tuple]:
+    """Everything ``spec``'s trace depends on, or None when a parameter
+    value cannot be a key.
+
+    ``workload_graph(workload, scale)`` builds its graph from a fixed
+    seed, so the graph follows from the workload and the scale; the
+    capture adds the thread count, ``plain_atomics`` and the parameters,
+    each with its type (a parameter of 2 and one of 2.0 are different
+    arguments).
+    """
+    key = (
+        spec.workload,
+        resolve_scale(spec.scale),
+        spec.num_threads,
+        spec.plain_atomics,
+        tuple((name, type(value), value) for name, value in spec.params),
+    )
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
 def trace_spec(
     spec: ExperimentSpec, config: RunnerConfig
 ) -> "tuple[WorkloadRun, str]":
@@ -117,15 +204,37 @@ def trace_spec(
     the supervisor between tracing and simulation — a re-dispatched
     job receives that run instead of re-running this.
     """
-    graph = workload_graph(spec.workload, spec.scale)
-    workload = get_workload(spec.workload)
-    run = workload.run(
-        graph,
-        num_threads=spec.num_threads,
-        plain_atomics=spec.plain_atomics,
-        **spec.params_dict(),
-    )
-    trace_hash = trace_digest(run.trace)
+    run, trace_hash, _reused = _trace_and_check(spec, config)
+    return run, trace_hash
+
+
+def _trace_and_check(
+    spec: ExperimentSpec, config: RunnerConfig
+) -> "tuple[WorkloadRun, str, bool]":
+    """:func:`trace_spec`, also saying whether the run came from the
+    trace memo.
+
+    A miss builds the graph, captures, digests and freezes the trace,
+    and keeps the frozen run.  The strict pre-flight runs either way,
+    under this spec's GraphPIM config; its clean set makes a repeat
+    cheap.
+    """
+    key = trace_identity(spec)
+    kept = _TRACES.get(key) if key is not None else None
+    if kept is None:
+        graph = workload_graph(spec.workload, spec.scale)
+        workload = get_workload(spec.workload)
+        run = workload.run(
+            graph,
+            num_threads=spec.num_threads,
+            plain_atomics=spec.plain_atomics,
+            **spec.params_dict(),
+        )
+        trace_hash = trace_digest(run.trace)
+        if key is not None:
+            _TRACES.put(key, run, trace_hash)
+    else:
+        run, trace_hash = kept
     if config.strict and not spec.strict_exempt:
         from repro.analysis import preflight_run
 
@@ -139,7 +248,7 @@ def trace_spec(
             trace_hash=trace_hash,
             baseline=config.lint_baseline,
         )
-    return run, trace_hash
+    return run, trace_hash, kept is not None
 
 
 def simulate_spec_modes(
@@ -218,18 +327,21 @@ def execute_spec(
 
     Payload layout::
 
-        {"run": WorkloadRun, "trace_hash": str, "seconds": float,
+        {"run": WorkloadRun, "trace_hash": str, "trace_reused": bool,
+         "seconds": float,
          "modes": {label: {"payload": SimResult.to_dict(), "cached": bool,
                            "fallback": bool}}}
 
-    ``fallback`` is set when the kernel declined a freshly simulated
-    mode and the reference interpreter ran it (never for cache hits).
+    ``trace_reused`` is set when the run came from this process's trace
+    memo (:func:`trace_spec`) instead of a capture.  ``fallback`` is
+    set when the kernel declined a freshly simulated mode and the
+    reference interpreter ran it (never for cache hits).
     ``publisher`` streams live progress frames and ``recorder``
     observes timeline spans from simulated modes; both ride the
     execution only and never alter the payload.
     """
     started = time.perf_counter()
-    run, trace_hash = trace_spec(spec, config)
+    run, trace_hash, reused = _trace_and_check(spec, config)
     modes = simulate_spec_modes(
         run, trace_hash, spec, config, publisher=publisher,
         recorder=recorder,
@@ -237,6 +349,7 @@ def execute_spec(
     return {
         "run": run,
         "trace_hash": trace_hash,
+        "trace_reused": reused,
         "modes": modes,
         "seconds": time.perf_counter() - started,
     }

@@ -321,6 +321,11 @@ class JobBroker:
             "Mode simulations where the vectorized kernel declined "
             "and the reference interpreter ran instead",
         )
+        self._m_trace_reuses = reg.counter(
+            "service_trace_reuses_total",
+            "Jobs executed here whose trace came from the process's "
+            "trace memo instead of a capture",
+        )
         self._m_prune_runs = reg.counter(
             "service_cache_prune_runs_total",
             "Completed cache-prune sweeps",
@@ -921,6 +926,8 @@ class JobBroker:
                 self._publish_spans(job_id, recorder, flush=True)
             if token is not None:
                 reset_request_id(token)
+        if payload.get("trace_reused"):
+            self._m_trace_reuses.inc()
         self._finish_done(
             job,
             payload["trace_hash"],

@@ -11,14 +11,17 @@ every other representation shares::
     atomic     : (kind, addr,       size, gap, op, with_return)
     barrier    : (kind, 0,    barrier_id,  gap, -1, 0)
 
-The canonical row is six int64s.  A
-:class:`~repro.trace.stream.ThreadTrace` packs its events into these
-rows as they are captured, the ``.npz`` format (:mod:`repro.trace.io`)
-stores them, and :func:`~repro.trace.io.trace_digest` hashes them.  In memory each
-column keeps the narrowest signed integer type (int8, int16, int32 or
-int64) that holds its values, chosen from the column's range when the
-rows are stacked; :meth:`ColumnarTrace.thread_matrix` widens a thread
-back to its int64 rows.  So conversion is lossless both ways
+The canonical row is six int64s: the ``.npz`` format
+(:mod:`repro.trace.io`) stores it and
+:func:`~repro.trace.io.trace_digest` hashes it.  In memory each column
+keeps the narrowest signed integer type (int8, int16, int32 or int64)
+that holds its values (:func:`narrowest_type`), from capture on: a
+:class:`~repro.trace.stream.ThreadTrace` appends its events to a
+:class:`ColumnBuffers`, which widens a column in place when a value
+needs more, and :meth:`ColumnarTrace.from_events` stacks the threads'
+buffers into the trace's columns, each in the widest of its threads'
+types.  :meth:`ColumnarTrace.thread_matrix` widens a thread back to its
+int64 rows.  So conversion is lossless both ways
 (``Trace.from_columnar(ColumnarTrace.from_events(t))`` has ``t``'s
 rows), and ``.repro_cache/`` result keys and service spec_keys do not
 depend on which form produced a trace.
@@ -32,14 +35,17 @@ interpreter and the legacy analyzers.
 Every trace is columnar: a thread records nothing a row cannot hold
 (its recorders raise :class:`~repro.common.errors.TraceError`
 instead), and rows read from a file or handed to
-:meth:`ColumnarTrace.from_thread_matrices` or
-:meth:`ThreadTrace.append_block` are checked for unknown event kinds.
+:meth:`ColumnarTrace.from_thread_matrices`,
+:meth:`ThreadTrace.append_block` or :meth:`ThreadTrace.append_columns`
+are checked for unknown event kinds.
 """
 
 from __future__ import annotations
 
+import struct
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -63,18 +69,58 @@ _NARROW_TYPES = tuple(
     for t in (np.int8, np.int16, np.int32, np.int64)
 )
 
-#: Rows transposed at a time while stacking: a (6, _STACK_CHUNK) int64
-#: scratch block (384 KB) stays in cache between its write and its reads.
-_STACK_CHUNK = 8192
+#: One canonical row, packed: six native int64s.
+_ROW = struct.Struct("=6q")
+
+#: ``array`` type code of each column type, for appending a few values
+#: given as Python ints.
+_ARRAY_CODES = {
+    dtype: next(c for c in "bhilq" if array(c).itemsize == dtype.itemsize)
+    for _low, _high, dtype in _NARROW_TYPES
+}
+
+#: The unsigned type of each column type's width.
+_UNSIGNED = {
+    dtype: np.dtype(f"u{dtype.itemsize}") for _low, _high, dtype in _NARROW_TYPES
+}
+
+#: Most packed rows :meth:`ColumnBuffers.append_rows` moves in Python;
+#: numpy's per-call cost pays off only on more.
+_FEW_ROWS = 8
 
 
-def _narrowest_type(low: int, high: int) -> np.dtype:
+def narrowest_type(low: int, high: int) -> np.dtype:
     """The narrowest signed integer type holding every value in
     ``[low, high]`` (int64 for anything an int64 column holds)."""
     for type_min, type_max, dtype in _NARROW_TYPES:
         if type_min <= low and high <= type_max:
             return dtype
     return _NARROW_TYPES[-1][2]
+
+
+def narrowed(values: np.ndarray) -> np.ndarray:
+    """``values`` in the narrowest signed type that holds them (int8
+    when empty), not copied when already in it."""
+    if not values.size:
+        return values.astype(_NARROW_TYPES[0][2])
+    return values.astype(
+        narrowest_type(int(values.min()), int(values.max())), copy=False
+    )
+
+
+def stack_rows(
+    columns: Sequence[np.ndarray], out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Six equal-length columns of any signed widths as ``(N, 6)`` int64
+    rows (the canonical rows): a new matrix, or the first ``N`` rows of
+    ``out``."""
+    count = len(columns[0])
+    if out is None:
+        out = np.empty((count, len(_COLUMNS)), dtype=np.int64)
+    matrix = out[:count]
+    for index, values in enumerate(columns):
+        matrix[:, index] = values
+    return matrix
 
 
 def decode_thread_matrix(rows: np.ndarray) -> "list[tuple]":
@@ -102,13 +148,105 @@ def decode_thread_matrix(rows: np.ndarray) -> "list[tuple]":
 
 def check_event_kinds(kinds: np.ndarray) -> None:
     """Raise :class:`TraceError` naming the first unknown event kind."""
-    # The known kinds are the contiguous codes EV_LOAD..EV_BARRIER.
-    if not kinds.size or (
-        kinds.min() >= EV_LOAD and kinds.max() <= EV_BARRIER
-    ):
+    if not kinds.size:
+        return
+    unsigned = _UNSIGNED.get(kinds.dtype)
+    if unsigned is not None:
+        # The known kinds are the codes EV_LOAD (0) to EV_BARRIER; read
+        # as unsigned, a negative kind is larger than all of them.
+        known = kinds.view(unsigned).max() <= EV_BARRIER
+    else:
+        known = kinds.min() >= EV_LOAD and kinds.max() <= EV_BARRIER
+    if known:
         return
     bad = int(kinds[np.argmax((kinds < EV_LOAD) | (kinds > EV_BARRIER))])
     raise TraceError(f"unknown event kind {bad} in trace file")
+
+
+class ColumnBuffers:
+    """One thread's events during capture, as six growable columns.
+
+    Column ``i`` (``kind``, ``addr``, ``size``, ``gap``, ``op``,
+    ``ret``) is a ``bytearray`` of values in ``types[i]``, the narrowest
+    signed type that holds every value appended to it so far: a value
+    that needs more widens the column in place (its values are cast into
+    a new buffer).  A ``bytearray`` grows by reallocation with about an
+    eighth of slack, so a growing column is never held twice.  This is
+    the trace layer's one narrowing routine: capture appends here, and
+    so does :meth:`ColumnarTrace.from_thread_matrices` for each thread
+    it loads.
+    """
+
+    __slots__ = ("_data", "types", "size")
+
+    def __init__(self) -> None:
+        self._data = [bytearray() for _ in _COLUMNS]
+        self.types = [_NARROW_TYPES[0][2]] * len(_COLUMNS)
+        #: Events appended so far.
+        self.size = 0
+
+    def _fit(self, index: int, low: int, high: int) -> np.dtype:
+        """Widen column ``index`` unless its type holds ``[low, high]``;
+        returns its type."""
+        have = self.types[index]
+        need = narrowest_type(low, high)
+        if need.itemsize > have.itemsize:
+            old = np.frombuffer(self._data[index], dtype=have)
+            self._data[index] = bytearray(old.astype(need))
+            self.types[index] = have = need
+        return have
+
+    def append(self, columns: Sequence[np.ndarray]) -> None:
+        """Append six equal-length signed integer arrays, one per
+        column.  Only an array whose type does not cast safely into its
+        column's is scanned for its range."""
+        count = len(columns[0])
+        if not count:
+            return
+        for index, values in enumerate(columns):
+            have = self.types[index]
+            if values.dtype != have:
+                if not np.can_cast(values.dtype, have):
+                    have = self._fit(
+                        index, int(values.min()), int(values.max())
+                    )
+                values = values.astype(have)
+            elif not values.flags.c_contiguous:
+                values = np.ascontiguousarray(values)
+            self._data[index].extend(values)
+        self.size += count
+
+    def append_rows(self, rows: "bytes | bytearray") -> None:
+        """Append packed canonical int64 rows."""
+        count = len(rows) // _ROW.size
+        if count > _FEW_ROWS:
+            # One transposing copy, then every column's range at once.
+            block = np.frombuffer(rows, dtype=np.int64).reshape(-1, 6)
+            columns = block.T.copy()
+            lows = columns.min(axis=1).tolist()
+            highs = columns.max(axis=1).tolist()
+            for index, values in enumerate(columns):
+                have = self._fit(index, lows[index], highs[index])
+                self._data[index].extend(values.astype(have, copy=False))
+            self.size += count
+            return
+        for index, values in enumerate(zip(*_ROW.iter_unpack(rows))):
+            # ``array`` refuses a value its type cannot hold.
+            try:
+                packed = array(_ARRAY_CODES[self.types[index]], values)
+            except OverflowError:
+                have = self._fit(index, min(values), max(values))
+                packed = array(_ARRAY_CODES[have], values)
+            self._data[index] += packed
+        self.size += count
+
+    def views(self) -> "list[np.ndarray]":
+        """The six columns as arrays over the buffers, which they pin:
+        drop them before the next append."""
+        return [
+            np.frombuffer(data, dtype=dtype)
+            for data, dtype in zip(self._data, self.types)
+        ]
 
 
 @dataclass
@@ -187,6 +325,11 @@ class ColumnarTrace:
         """Row slice of the thread at position ``pos`` (not thread id)."""
         return slice(int(self.starts[pos]), int(self.starts[pos + 1]))
 
+    def thread_columns(self, pos: int) -> "list[np.ndarray]":
+        """The six columns' slices (views) of the thread at ``pos``."""
+        rows = self.thread_slice(pos)
+        return [getattr(self, column)[rows] for column in _COLUMNS]
+
     def iter_threads(self) -> Iterator[tuple[int, slice]]:
         """Yield ``(thread_id, row_slice)`` in thread order."""
         for pos in range(self.num_threads):
@@ -239,13 +382,25 @@ class ColumnarTrace:
 
     @classmethod
     def from_events(cls, trace: "Trace") -> "ColumnarTrace":
-        """Columnar form of a :class:`Trace`: its threads' rows, stacked
-        into narrow columns."""
+        """The narrow columns of a :class:`Trace`, which this freezes.
+
+        Each capturing thread's buffers are stacked into the columns and
+        freed, one thread at a time, and the thread becomes a read-only
+        view of its slice; a thread already frozen is copied from its
+        view and left as it is.  :meth:`Trace.columnar` calls this once
+        per trace and keeps the result.
+        """
         threads = trace.threads
+
+        def freeze(pos: int, col: "ColumnarTrace") -> None:
+            if not threads[pos].frozen:
+                threads[pos]._freeze(col, pos)
+
         return cls._stack(
             trace.name,
             [thread.thread_id for thread in threads],
-            [thread.rows() for thread in threads],
+            [thread._column_views() for thread in threads],
+            freeze,
         )
 
     @classmethod
@@ -255,82 +410,74 @@ class ColumnarTrace:
         thread_ids: Sequence[int],
         matrices: Sequence[np.ndarray],
     ) -> "ColumnarTrace":
-        """Assemble from per-thread (N, 6) matrices (the npz layout)."""
-        mats = [
-            np.asarray(m, dtype=np.int64).reshape(-1, 6) for m in matrices
-        ]
-        for matrix in mats:
-            check_event_kinds(matrix[:, 0])
-        return cls._stack(name, thread_ids, mats)
+        """Assemble from per-thread (N, 6) matrices (the npz layout),
+        each narrowed on its own as capture narrows it."""
+        parts = []
+        for matrix in matrices:
+            rows = np.asarray(matrix, dtype=np.int64).reshape(-1, 6)
+            check_event_kinds(rows[:, 0])
+            buffers = ColumnBuffers()
+            buffers.append(rows.T)
+            parts.append(buffers.views())
+        return cls._stack(name, thread_ids, parts)
 
     @classmethod
     def _stack(
         cls,
         name: str,
         thread_ids: Sequence[int],
-        matrices: Sequence[np.ndarray],
+        parts: "list[Optional[list[np.ndarray]]]",
+        copied: "Optional[Callable[[int, ColumnarTrace], None]]" = None,
     ) -> "ColumnarTrace":
-        """Copy per-thread (N, 6) int64 rows into narrow thread-major
-        columns.
+        """Copy per-thread narrow columns into thread-major columns.
 
-        Two passes over the rows, each transposing one chunk of a thread
-        at a time into a small scratch block: the first takes every
-        column's min and max, which fix the column types, and the second
-        casts into the narrow columns.  Transposed chunks read as
-        contiguous memory; gathering each column straight out of the
-        strided rows took more than twice as long.
+        ``parts[pos]`` holds thread ``pos``'s six columns, of any signed
+        widths; each trace column takes the widest of its threads' types,
+        which is the narrowest type holding all of its values when every
+        thread's column is narrowest for its own.  ``parts[pos]`` is
+        dropped once copied, and ``copied(pos, trace)`` called, so a
+        caller that drops its own references frees each thread as it
+        goes.
         """
-        starts = np.zeros(len(matrices) + 1, dtype=np.int64)
-        np.cumsum([m.shape[0] for m in matrices], out=starts[1:])
-        width = len(_COLUMNS)
-        scratch = np.empty((width, _STACK_CHUNK), dtype=np.int64)
-
-        def chunks():
-            for matrix in matrices:
-                for lo in range(0, matrix.shape[0], _STACK_CHUNK):
-                    part = matrix[lo : lo + _STACK_CHUNK]
-                    block = scratch[:, : part.shape[0]]
-                    block[...] = part.T
-                    yield block
-
-        # An empty range (no events) leaves low > high: int8 columns.
-        low = np.full(width, np.iinfo(np.int64).max)
-        high = np.full(width, np.iinfo(np.int64).min)
-        for block in chunks():
-            np.minimum(low, block.min(axis=1), out=low)
-            np.maximum(high, block.max(axis=1), out=high)
-        columns = [
-            np.empty(int(starts[-1]), dtype=_narrowest_type(lo, hi))
-            for lo, hi in zip(low.tolist(), high.tolist())
+        starts = np.zeros(len(parts) + 1, dtype=np.int64)
+        np.cumsum([len(part[0]) for part in parts], out=starts[1:])
+        types = [
+            max(
+                (part[index].dtype for part in parts),
+                key=lambda dtype: dtype.itemsize,
+                default=_NARROW_TYPES[0][2],
+            )
+            for index in range(len(_COLUMNS))
         ]
-        at = 0
-        for block in chunks():
-            end = at + block.shape[1]
-            for column, values in zip(columns, block):
-                column[at:end] = values
-            at = end
-        return cls(
+        col = cls(
             name=name,
             thread_ids=np.asarray(thread_ids, dtype=np.int64),
             starts=starts,
-            **dict(zip(_COLUMNS, columns)),
+            **{
+                column: np.empty(int(starts[-1]), dtype=dtype)
+                for column, dtype in zip(_COLUMNS, types)
+            },
         )
+        targets = [getattr(col, column) for column in _COLUMNS]
+        bounds = starts.tolist()
+        for pos, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            for target, values in zip(targets, parts[pos]):
+                target[lo:hi] = values
+            parts[pos] = None
+            if copied is not None:
+                copied(pos, col)
+        return col
 
     def thread_matrix(self, pos: int) -> np.ndarray:
         """One thread's events as the canonical (N, 6) int64 matrix.
 
         The thread's slice of every column, widened back to int64:
-        byte-identical to the rows a
-        :class:`~repro.trace.stream.ThreadTrace` captures, which
+        byte-identical to the rows its events were recorded as, which
         :func:`repro.trace.io.save_trace` writes and
         :func:`repro.trace.io.trace_digest` hashes — what keeps digests
         representation-independent.
         """
-        rows = self.thread_slice(pos)
-        matrix = np.empty((rows.stop - rows.start, 6), dtype=np.int64)
-        for index, column in enumerate(_COLUMNS):
-            matrix[:, index] = getattr(self, column)[rows]
-        return matrix
+        return stack_rows(self.thread_columns(pos))
 
     def __repr__(self) -> str:
         return (

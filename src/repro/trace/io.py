@@ -11,21 +11,21 @@ frozen trace, pickled as its narrow columns, over their pipe.
 Event columns: ``kind``, ``addr``, ``size`` (barrier id for barrier
 events), ``gap``, ``op`` (-1 when not an atomic), ``ret`` (0/1).
 
-A thread's matrix is exactly the capture buffer of a
-:class:`~repro.trace.stream.ThreadTrace`, so saving and hashing a
-captured trace move its rows unchanged, and a frozen thread widens its
-narrow columns back to the same int64 rows.  The layout is shared with
-the columnar structure-of-arrays form
-(:class:`~repro.trace.columnar.ColumnarTrace`): :func:`save_trace`
-accepts both forms, and :func:`trace_digest` hashes both to the same
-value — so cache keys and spec_keys never depend on which form produced
-the trace.  A file loads as a :class:`~repro.trace.stream.Trace` whose
-threads are frozen views of its columns.
+A thread's matrix is its events as canonical int64 rows, widened from
+its narrow columns: saving holds one thread's rows at a time, and
+hashing one scratch block of them.  The layout is shared with the columnar
+structure-of-arrays form (:class:`~repro.trace.columnar.ColumnarTrace`):
+:func:`save_trace` accepts both forms, and :func:`trace_digest` hashes
+both to the same value — so cache keys and spec_keys never depend on
+which form produced the trace.  A file loads as a
+:class:`~repro.trace.stream.Trace` whose threads are frozen views of its
+columns.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import zipfile
 import zlib
@@ -34,7 +34,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from repro.common.errors import TraceError
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import ColumnarTrace, stack_rows
 from repro.trace.stream import Trace
 
 _FORMAT_VERSION = 1
@@ -42,54 +42,78 @@ _FORMAT_VERSION = 1
 AnyTrace = Union[Trace, ColumnarTrace]
 
 
-def _thread_matrices(
-    trace: AnyTrace,
-) -> "Iterator[tuple[int, np.ndarray]]":
-    """Canonical per-thread (id, (N, 6) matrix) pairs for either form.
+#: Rows widened at a time while hashing: the ``(_DIGEST_ROWS, 6)`` int64
+#: scratch block (384 KiB) stays in cache from its write to the hash.
+_DIGEST_ROWS = 8192
 
-    Lazy, so a consumer that takes one pair at a time holds one widened
-    matrix at a time.  A capture buffer comes back as a view, not a copy.
-    """
+
+def _thread_columns(
+    trace: AnyTrace,
+) -> "Iterator[tuple[int, list[np.ndarray]]]":
+    """Per-thread (id, six narrow columns) pairs for either form, in
+    thread order; a capturing thread's are views of its buffers."""
     if isinstance(trace, ColumnarTrace):
         for pos, tid in enumerate(trace.thread_ids.tolist()):
-            yield int(tid), trace.thread_matrix(pos)
+            yield int(tid), trace.thread_columns(pos)
         return
     for thread in trace.threads:
-        yield thread.thread_id, thread.rows()
+        yield thread.thread_id, thread._column_views()
 
 
 def trace_digest(trace: AnyTrace) -> str:
     """Stable content hash of a trace (sha256 hex digest).
 
-    Hashes the canonical (N, 6) rows — a captured thread's buffer as it
-    is, a frozen thread's columns widened back — so the digest
-    identifies the trace
-    *content* independently of how it was produced (fresh execution,
-    loaded from disk, or columnar form).  The experiment
+    Hashes the canonical (N, 6) int64 rows, widened from each thread's
+    narrow columns a scratch block at a time, so the digest identifies
+    the trace *content* independently of how it was produced (fresh
+    execution, loaded from disk, or columnar form).  The experiment
     runner keys its on-disk result cache on this, and the strict
     pre-flight uses it to skip re-linting an already-clean trace.
     """
     digest = hashlib.sha256()
     digest.update(str(trace.num_threads).encode())
-    for thread_id, matrix in _thread_matrices(trace):
+    scratch = np.empty((_DIGEST_ROWS, 6), dtype=np.int64)
+    for thread_id, columns in _thread_columns(trace):
         digest.update(str(thread_id).encode())
-        digest.update(matrix)
+        count = len(columns[0])
+        for lo in range(0, count, _DIGEST_ROWS):
+            hi = lo + _DIGEST_ROWS
+            digest.update(
+                stack_rows([values[lo:hi] for values in columns], scratch)
+            )
     return digest.hexdigest()
 
 
 def save_trace(trace: AnyTrace, path: str | os.PathLike) -> None:
-    """Write a trace (or its columnar form) to a ``.npz`` bundle."""
-    payload = {
+    """Write a trace (or its columnar form) to a compressed ``.npz``
+    bundle, widening one thread's rows at a time.
+
+    The bundle is the one ``np.savez_compressed`` writes, member by
+    member, and like it this adds ``.npz`` to a path without it.
+    """
+    file = os.fspath(path)
+    if not file.endswith(".npz"):
+        file += ".npz"
+    members = {
         "version": np.asarray([_FORMAT_VERSION]),
         "name": np.asarray([trace.name]),
+        "thread_ids": np.asarray(
+            [t.thread_id for t in trace.threads]
+            if isinstance(trace, Trace)
+            else trace.thread_ids,
+            dtype=np.int64,
+        ),
     }
-    pairs = list(_thread_matrices(trace))
-    payload["thread_ids"] = np.asarray(
-        [tid for tid, _ in pairs], dtype=np.int64
-    )
-    for thread_id, matrix in pairs:
-        payload[f"thread_{thread_id}"] = matrix
-    np.savez_compressed(path, **payload)
+    with zipfile.ZipFile(
+        file, mode="w", compression=zipfile.ZIP_DEFLATED, allowZip64=True
+    ) as bundle:
+        threads = (
+            (f"thread_{tid}", stack_rows(columns))
+            for tid, columns in _thread_columns(trace)
+        )
+        for key, array in itertools.chain(members.items(), threads):
+            with bundle.open(f"{key}.npy", mode="w", force_zip64=True) as out:
+                np.lib.format.write_array(out, array, allow_pickle=False)
 
 
 def _read_bundle(path: str | os.PathLike) -> "tuple[str, list, list]":

@@ -10,8 +10,10 @@ import numpy as np
 from repro.common.errors import TraceError
 from repro.trace.columnar import (
     ColumnarTrace,
+    ColumnBuffers,
     check_event_kinds,
     decode_thread_matrix,
+    stack_rows,
 )
 from repro.trace.events import (
     EV_ATOMIC,
@@ -28,6 +30,12 @@ from repro.trace.events import (
 _ROW = struct.Struct("=6q")
 _pack_row = _ROW.pack
 
+#: Bytes of packed rows a thread stages before moving them into its
+#: narrow columns in one bulk append: 2,048 rows, 96 KiB.
+_STAGE_BYTES = 2048 * _ROW.size
+
+_INT64_MAX = 2**63 - 1
+
 
 class ThreadTrace:
     """The recorded instruction stream of one virtual thread.
@@ -37,30 +45,38 @@ class ThreadTrace:
     instructions; the pending work count is folded into the next event's
     ``gap`` field.
 
-    Storage, in two states.  During capture each event is packed into
-    its canonical int64 row (:mod:`repro.trace.columnar`) in one
-    growable buffer, the layout the ``.npz`` format and
-    :func:`~repro.trace.io.trace_digest` use, so neither re-encodes it.
-    :meth:`Trace.columnar` then *freezes* the thread, once: its events
-    move into the trace's narrow columns, and the thread becomes a
-    read-only view of its slice of them and drops the capture buffer;
-    a frozen trace pickles as those columns (how a pool worker sends
-    it).  A recorder raises
-    :class:`~repro.common.errors.TraceError`, naming the thread and the
-    event index, on a field no row holds (a non-integer, a value outside
-    int64, an atomic's ``with_return`` that is not a bool), on a work
-    count that is not a non-negative integer and on a frozen thread;
-    the recorded events and the pending work are left as they were.
-    :meth:`event_tuples` decodes the tuple layouts of
-    :mod:`repro.trace.events` from the rows.
+    Storage, in two states.  During capture the events are six narrow
+    columns (:class:`~repro.trace.columnar.ColumnBuffers`), each in the
+    narrowest signed type that holds the thread's values so far; no
+    buffer of 48-byte int64 rows ever holds the whole thread.  The
+    per-event recorders and :meth:`append_block` pack canonical int64
+    rows (:mod:`repro.trace.columnar`) into a small staging buffer,
+    which is moved into the columns in bulk once it holds
+    ``_STAGE_BYTES``, before any :meth:`append_columns` and before any
+    read.  :meth:`Trace.columnar` then *freezes* the thread, once: its
+    columns are copied into the trace's columns and freed, and the
+    thread becomes a read-only view of its slice of them; a frozen
+    trace pickles as those columns (how a pool worker sends it).  A
+    recorder raises :class:`~repro.common.errors.TraceError`, naming the
+    thread and the event index, on a field no row holds (a non-integer,
+    a value outside int64, an atomic's ``with_return`` that is not a
+    bool), on a work count that is not a non-negative integer and on a
+    frozen thread; the recorded events and the pending work are left as
+    they were.  :meth:`rows` widens the events back to int64 rows and
+    :meth:`event_tuples` decodes them into the tuple layouts of
+    :mod:`repro.trace.events`.
     """
 
-    __slots__ = ("thread_id", "_rows", "_pending_work", "_col", "_pos")
+    __slots__ = (
+        "thread_id", "_rows", "_columns", "_pending_work", "_col", "_pos"
+    )
 
     def __init__(self, thread_id: int):
         self.thread_id = thread_id
-        #: Capture buffer, or None once the thread is frozen.
+        #: Staged int64 rows, or None once the thread is frozen.
         self._rows: Optional[bytearray] = bytearray()
+        #: Narrow capture columns, or None once the thread is frozen.
+        self._columns: Optional[ColumnBuffers] = ColumnBuffers()
         self._pending_work = 0
         #: The trace columns a frozen thread's events are in, at thread
         #: position ``_pos``.
@@ -69,10 +85,26 @@ class ThreadTrace:
 
     def _freeze(self, col: ColumnarTrace, pos: int) -> None:
         """Point the thread at its slice of ``col`` and drop its capture
-        buffer."""
+        buffers."""
         self._col = col
         self._pos = pos
         self._rows = None
+        self._columns = None
+
+    def _flush(self) -> None:
+        """Move the staged rows into the columns."""
+        staged = self._rows
+        if staged:
+            self._columns.append_rows(staged)
+            staged.clear()
+
+    def _column_views(self) -> "list[np.ndarray]":
+        """The thread's six columns: views of its capture buffers (which
+        they pin) or, once frozen, of its slice of the trace's."""
+        if self._rows is None:
+            return self._col.thread_columns(self._pos)
+        self._flush()
+        return self._columns.views()
 
     def _refusal(self, problem: object = "") -> TraceError:
         """The error for an event this thread cannot record."""
@@ -106,10 +138,10 @@ class ThreadTrace:
             self._check_work(instructions)
         self._pending_work += instructions
 
-    # The recorders below inline the row packing: they run once per
-    # captured event, and a shared helper call would cost about as much
-    # as the pack itself.  On a frozen thread ``self._rows += ...``
-    # raises TypeError (None has no ``+=``).
+    # The recorders below inline the row packing and the stage check:
+    # they run once per captured event, and a shared helper call would
+    # cost about as much as the pack itself.  On a frozen thread
+    # ``self._rows += ...`` raises TypeError (None has no ``+=``).
 
     def load(self, addr: int, size: int = 8) -> None:
         """Record a regular load."""
@@ -120,6 +152,8 @@ class ThreadTrace:
         except (struct.error, TypeError) as error:
             raise self._refusal(error) from None
         self._pending_work = 0
+        if len(self._rows) >= _STAGE_BYTES:
+            self._flush()
 
     def store(self, addr: int, size: int = 8) -> None:
         """Record a regular store."""
@@ -130,6 +164,8 @@ class ThreadTrace:
         except (struct.error, TypeError) as error:
             raise self._refusal(error) from None
         self._pending_work = 0
+        if len(self._rows) >= _STAGE_BYTES:
+            self._flush()
 
     def atomic(
         self,
@@ -149,6 +185,8 @@ class ThreadTrace:
         except (struct.error, TypeError) as error:
             raise self._refusal(error) from None
         self._pending_work = 0
+        if len(self._rows) >= _STAGE_BYTES:
+            self._flush()
 
     def barrier(self, barrier_id: int) -> None:
         """Record participation in a global barrier.
@@ -163,6 +201,8 @@ class ThreadTrace:
         except (struct.error, TypeError) as error:
             raise self._refusal(error) from None
         self._pending_work = 0
+        if len(self._rows) >= _STAGE_BYTES:
+            self._flush()
 
     def append_block(self, rows: np.ndarray, trailing_work: int = 0) -> None:
         """Record an ``(N, 6)`` int64 block of event rows in one call.
@@ -172,8 +212,9 @@ class ThreadTrace:
         first row's gap, as the next per-event recorder would fold it,
         and ``trailing_work`` (instructions executed after the block's
         last event) stays pending for the next event or barrier.  An
-        empty block only adds ``trailing_work``.  ``rows`` is not
-        modified.
+        empty block only adds ``trailing_work``.  The rows are staged;
+        a block too large for the stage goes into the columns with it.
+        ``rows`` is not modified.
         """
         if type(trailing_work) is not int or trailing_work < 0:
             self._check_work(trailing_work)
@@ -194,9 +235,46 @@ class ThreadTrace:
                 raise self._refusal(error) from None
             self._rows += head
             block = block[1:]
-        # ``extend`` takes the array's buffer; ``+=`` would hand the sum
-        # to numpy.
-        self._rows.extend(block)
+        if len(self._rows) + block.nbytes < _STAGE_BYTES:
+            # ``extend`` takes the array's buffer; ``+=`` would hand the
+            # sum to numpy.
+            self._rows.extend(block)
+        else:
+            self._flush()
+            self._columns.append(block.T)
+        self._pending_work = trailing_work
+
+    def append_columns(
+        self, columns: "Sequence[np.ndarray]", trailing_work: int = 0
+    ) -> None:
+        """Record events given as six equal-length signed integer
+        columns (``kind``, ``addr``, ``size``, ``gap``, ``op``, ``ret``)
+        in one call.
+
+        The columnar form of :meth:`append_block`, with the same folding
+        of pending work into the first event's gap and of
+        ``trailing_work``; the columns go into the thread's narrow
+        columns without passing through int64 rows.  ``columns`` are not
+        modified.
+        """
+        if type(trailing_work) is not int or trailing_work < 0:
+            self._check_work(trailing_work)
+        if not len(columns[0]):
+            self._pending_work += trailing_work
+            return
+        check_event_kinds(columns[0])
+        if self._rows is None:
+            raise self._refusal()
+        pending = self._pending_work
+        if pending:
+            gap = columns[3].astype(np.int64)
+            first = int(gap[0]) + pending
+            if first > _INT64_MAX:
+                raise self._refusal(f"gap {first} is outside int64")
+            gap[0] = first
+            columns = (*columns[:3], gap, *columns[4:])
+        self._flush()
+        self._columns.append(columns)
         self._pending_work = trailing_work
 
     def event_tuples(self) -> list[tuple]:
@@ -205,16 +283,9 @@ class ThreadTrace:
         return decode_thread_matrix(self.rows())
 
     def rows(self) -> np.ndarray:
-        """The events as a read-only ``(N, 6)`` int64 matrix.
-
-        During capture this is a view of the buffer, which it pins, so
-        drop it before recording further events; a frozen thread widens
-        its slice of the trace's columns into a new matrix.
-        """
-        if self._rows is None:
-            matrix = self._col.thread_matrix(self._pos)
-        else:
-            matrix = np.frombuffer(self._rows, dtype=np.int64).reshape(-1, 6)
+        """The events as a new read-only ``(N, 6)`` int64 matrix,
+        widened from the columns."""
+        matrix = stack_rows(self._column_views())
         matrix.flags.writeable = False
         return matrix
 
@@ -224,20 +295,16 @@ class ThreadTrace:
         return self._rows is None
 
     def barrier_ids(self) -> list:
-        """Barrier ids in stream order."""
-        if self._rows is None:
-            col = self._col
-            rows = col.thread_slice(self._pos)
-            barriers = col.kind[rows] == EV_BARRIER
-            return col.size[rows][barriers].tolist()
-        matrix = self.rows()
-        return matrix[matrix[:, 0] == EV_BARRIER, 2].tolist()
+        """Barrier ids in stream order, read from the narrow ``kind``
+        and ``size`` columns."""
+        kind, _addr, size, *_rest = self._column_views()
+        return size[kind == EV_BARRIER].tolist()
 
     @property
     def num_events(self) -> int:
         """Number of recorded events."""
         if self._rows is not None:
-            return len(self._rows) // _ROW.size
+            return self._columns.size + len(self._rows) // _ROW.size
         starts = self._col.starts
         return int(starts[self._pos + 1] - starts[self._pos])
 
@@ -310,19 +377,17 @@ class Trace:
     def columnar(self) -> ColumnarTrace:
         """The trace's narrow columnar (SoA) form, built once.
 
-        The first call stacks the threads' rows into narrow columns
-        (:meth:`~repro.trace.columnar.ColumnarTrace.from_events`) and
-        freezes every thread: each becomes a read-only view of its slice
-        and drops its capture buffer, so the columns are the only copy
-        of the events.  Every consumer shares them: the strict
-        pre-flight's passes and each simulated mode.
+        The first call freezes the trace
+        (:meth:`~repro.trace.columnar.ColumnarTrace.from_events`): each
+        thread's capture columns are stacked into the trace's columns
+        and freed, and the thread becomes a read-only view of its slice,
+        so the columns are the only copy of the events.  Every consumer
+        shares them: the strict pre-flight's passes and each simulated
+        mode.
         """
         col = self._columnar
         if col is None:
-            col = ColumnarTrace.from_events(self)
-            for pos, thread in enumerate(self.threads):
-                thread._freeze(col, pos)
-            self._columnar = col
+            col = self._columnar = ColumnarTrace.from_events(self)
         return col
 
     def __repr__(self) -> str:

@@ -56,8 +56,8 @@ class TriangleCount(Workload):
             if max_degree is None
             else (degrees <= max_degree).tolist()
         )
-        offsets = undirected.row_offsets.tolist()
-        columns = undirected.columns.tolist()
+        offsets = undirected.row_offsets
+        columns = undirected.columns
         columns_alloc = tg.columns_alloc
 
         def count_for(group):
@@ -73,23 +73,26 @@ class TriangleCount(Workload):
                 if not ok[u]:
                     continue
                 first_entry = len(loads)
-                u_start, u_end = offsets[u], offsets[u + 1]
+                u_start, u_end = offsets[u : u + 2].tolist()
+                # Each walk reads the two neighbour lists it merges,
+                # sliced per vertex; ``iu`` and ``iv`` index the CSR.
+                u_list = columns[u_start:u_end].tolist()
                 local_count = 0
-                for j in range(u_start, u_end):
+                for j, v in enumerate(u_list, u_start):
                     loads.append(j)
                     pair.append(-1)
-                    v = columns[j]
                     if v <= u or not ok[v]:
                         continue
                     # Merge-intersect sorted adjacency of u and v,
                     # counting common neighbors w > v (each triangle
                     # counted once, at its minimum vertex).
-                    iu, iv = u_start, offsets[v]
-                    v_end = offsets[v + 1]
+                    v_start, v_end = offsets[v : v + 2].tolist()
+                    v_list = columns[v_start:v_end].tolist()
+                    iu, iv = u_start, v_start
                     while iu < u_end and iv < v_end:
                         loads.append(iu)
                         pair.append(iv)
-                        a, b = columns[iu], columns[iv]
+                        a, b = u_list[iu - u_start], v_list[iv - v_start]
                         if a < b:
                             iu += 1
                         elif b < a:

@@ -285,8 +285,6 @@ class KCoreDecomposition(Workload):
         # the same round (thread-major order), so it decides in order.
         degrees_left = degree.values.tolist()
         alive = active.values.tolist()
-        offsets = graph.row_offsets.tolist()
-        columns = graph.columns.tolist()
         removed_total = 0
         changed = True
         rounds = 0
@@ -308,8 +306,8 @@ class KCoreDecomposition(Workload):
                         removed[i] = True
                         removals_this_round.append(v)
                         changed = True
-                        for j in range(offsets[v], offsets[v + 1]):
-                            degrees_left[columns[j]] -= 1
+                        for u in graph.neighbors(v).tolist():
+                            degrees_left[u] -= 1
                 edges, _ = tg.edge_positions(part[removed])
                 targets = graph.columns[edges]
                 return lay_out(

@@ -4,7 +4,17 @@ import pytest
 
 from repro.graph.csr import CsrGraph
 from repro.graph.generators import ldbc_like_graph, uniform_random_graph
+from repro.runner.engine import clear_trace_memo
 from repro.sim.config import SystemConfig
+
+
+@pytest.fixture(autouse=True)
+def _empty_trace_memo():
+    """Every test starts and ends with an empty trace memo, so none
+    depends on the traces another captured."""
+    clear_trace_memo()
+    yield
+    clear_trace_memo()
 
 
 @pytest.fixture(scope="session")

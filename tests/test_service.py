@@ -276,6 +276,31 @@ class TestBrokerCoalescing:
         assert again is job
         assert len(execute.calls) == 1
 
+    def test_a_second_job_of_one_workload_reuses_its_trace(self):
+        """The real executor keeps the first job's trace; a job of the
+        same workload under other modes reuses it, counted on
+        ``service_trace_reuses_total``."""
+
+        async def main():
+            broker = JobBroker(service_config())
+            await broker.start()
+            done = []
+            for modes in (
+                [SystemConfig.baseline()],
+                [SystemConfig.upei(), SystemConfig.graphpim()],
+            ):
+                job, _ = await broker.submit(make_spec(modes=modes))
+                await job.done_event.wait()
+                done.append(job)
+            await broker.drain()
+            return broker, done
+
+        broker, done = asyncio.run(main())
+        assert [job.status for job in done] == ["done", "done"]
+        hashes = {json.loads(job.result_bytes)["trace_hash"] for job in done}
+        assert len(hashes) == 1
+        assert broker.registry.get("service_trace_reuses_total").value() == 1
+
     def test_failed_job_reexecutes_on_resubmit(self):
         execute = CountingExecute(fail_for={"BFS"})
 

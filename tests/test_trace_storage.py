@@ -1,10 +1,12 @@
-"""Two-state storage of traces: capture rows, then frozen columns.
+"""Two-state storage of traces: narrow capture columns, then frozen
+columns.
 
-A :class:`ThreadTrace` packs each event into its canonical int64 row as
-it is captured, and :meth:`Trace.columnar` freezes it once into a view
-of the trace's narrow columns.  A recorder call that no row can hold,
-or that reaches a frozen thread, raises and leaves the events as they
-were.  Every observable of a trace must be the same in either state.
+A :class:`ThreadTrace` captures its events into six narrow columns
+(rows staged as canonical int64 rows on the way), and
+:meth:`Trace.columnar` freezes it once into a view of the trace's
+narrow columns.  A recorder call that no row can hold, or that reaches
+a frozen thread, raises and leaves the events as they were.  Every
+observable of a trace must be the same in either state.
 """
 
 import json
@@ -21,12 +23,14 @@ from repro.memlayout.regions import REGION_SHIFT, Region
 from repro.runner import RunnerConfig, execute_spec
 from repro.runner.engine import evaluation_grid_specs
 from repro.sim.system import simulate
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import ColumnarTrace, narrowed
 from repro.trace.events import EV_ATOMIC, EV_BARRIER, EV_LOAD, EV_STORE, AtomicOp
 from repro.trace.io import load_trace, save_trace, trace_digest
 from repro.trace.stream import ThreadTrace, Trace
 
 PMR = int(Region.PROPERTY) << REGION_SHIFT
+
+_COLUMNS = ("kind", "addr", "size", "gap", "op", "ret")
 
 _int64 = st.integers(0, 1 << 44)
 _addr = st.one_of(
@@ -312,6 +316,9 @@ def test_finished_job_holds_its_trace_once():
         lambda t: t.append_block(
             np.asarray([[EV_LOAD, 1 << 50, 4, 70000, -1, 0]])
         ),
+        lambda t: t.append_columns(
+            [np.asarray([v]) for v in (EV_STORE, 1 << 50, 4, 7, -1, 0)]
+        ),
     ],
 )
 def test_recording_on_a_frozen_thread_raises(record):
@@ -334,3 +341,161 @@ def test_pickle_keeps_the_frozen_columns():
     back_col = back.columnar()
     assert back_col.nbytes == col.nbytes
     assert trace_digest(back) == trace_digest(trace)
+
+
+def _types(thread):
+    return [values.dtype.name for values in thread._column_views()]
+
+
+def _segment(*rows):
+    """Rows as six narrow columns, the way a layout hands them over."""
+    table = np.asarray(rows, dtype=np.int64).reshape(-1, 6)
+    return [narrowed(table[:, c].copy()) for c in range(6)]
+
+
+def test_capture_columns_widen_in_place():
+    """A capture column takes the narrowest type of the values recorded
+    so far, whichever way they arrive, and keeps them as it widens."""
+    thread = ThreadTrace(0)
+    thread.barrier(100)  # staged, then moved on the next read
+    assert _types(thread)[2] == "int8"
+    thread.append_columns(_segment((EV_LOAD, 64, 300, 1, -1, 0)))
+    assert _types(thread)[:4] == ["int8", "int8", "int16", "int8"]
+    thread.work(70000)
+    thread.barrier(200)
+    assert _types(thread)[2:4] == ["int16", "int32"]
+    thread.append_block(np.asarray([[EV_STORE, 1 << 40, 8, 0, -1, 0]]))
+    assert _types(thread)[1] == "int64"
+    thread.append_columns(_segment((EV_LOAD, 8, 2**40, -1, -1, 0)))
+    assert _types(thread) == [
+        "int8", "int64", "int64", "int32", "int8", "int8"
+    ]
+    expected = [
+        [EV_BARRIER, 0, 100, 0, -1, 0],
+        [EV_LOAD, 64, 300, 1, -1, 0],
+        [EV_BARRIER, 0, 200, 70000, -1, 0],
+        [EV_STORE, 1 << 40, 8, 0, -1, 0],
+        [EV_LOAD, 8, 2**40, -1, -1, 0],
+    ]
+    assert thread.rows().tolist() == expected
+    col = Trace([thread]).columnar()
+    assert [getattr(col, c).dtype.name for c in _COLUMNS] == _types(thread)
+    assert thread.rows().tolist() == expected
+
+
+def _random_script(rng, count):
+    """``count`` events as ``(method, args)`` recorder calls, each load,
+    store or atomic after a random work count, with barriers between."""
+    script = []
+    for index in range(count):
+        script.append(("work", (int(rng.integers(0, 300)),)))
+        kind = int(rng.integers(0, 4))
+        addr = PMR + 8 * int(rng.integers(0, 1 << 20))
+        if kind == EV_LOAD:
+            script.append(("load", (addr, 8)))
+        elif kind == EV_STORE:
+            script.append(("store", (addr, int(rng.integers(1, 64)))))
+        elif kind == EV_ATOMIC:
+            op = AtomicOp(int(rng.integers(0, len(AtomicOp))))
+            script.append(("atomic", (op, addr, 8, bool(index % 2))))
+        else:
+            script.append(("barrier", (index,)))
+    return script
+
+
+def _row_of(method, args, gap):
+    if method == "barrier":
+        return [EV_BARRIER, 0, args[0], gap, -1, 0]
+    if method == "atomic":
+        op, addr, size, ret = args
+        return [EV_ATOMIC, addr, size, gap, int(op), int(ret)]
+    kind = EV_LOAD if method == "load" else EV_STORE
+    return [kind, args[0], args[1], gap, -1, 0]
+
+
+def test_mixed_appends_equal_the_per_event_capture():
+    """Per-event calls, staged and oversized ``append_block`` calls and
+    column appends, with work pending across them, capture the rows,
+    digest and frozen columns of the same events recorded one by one."""
+    rng = np.random.default_rng(5)
+    script = _random_script(rng, 6000)
+    reference = ThreadTrace(0)
+    for method, args in script:
+        getattr(reference, method)(*args)
+
+    mixed = ThreadTrace(0)
+    # Cut the script into runs of calls; each run goes in as one call of
+    # a randomly chosen kind.  A run's work before its first event folds
+    # into that event's gap on top of the work pending on the thread,
+    # and its work after its last event stays pending.
+    at = 0
+    while at < len(script):
+        run = script[at : at + int(rng.choice([1, 2, 7, 80, 3001]))]
+        at += len(run)
+        how = int(rng.integers(0, 3))
+        if how == 0:
+            for method, args in run:
+                getattr(mixed, method)(*args)
+            continue
+        rows, gap = [], 0
+        for method, args in run:
+            if method == "work":
+                gap += args[0]
+            else:
+                rows.append(_row_of(method, args, gap))
+                gap = 0
+        if how == 1:
+            mixed.append_block(np.asarray(rows, dtype=np.int64), gap)
+        else:
+            mixed.append_columns(_segment(*rows), gap)
+
+    assert mixed.num_events == reference.num_events
+    assert mixed.rows().tobytes() == reference.rows().tobytes()
+    assert mixed.barrier_ids() == reference.barrier_ids()
+    mixed_trace, reference_trace = Trace([mixed]), Trace([reference])
+    assert trace_digest(mixed_trace) == trace_digest(reference_trace)
+    assert _columns(mixed_trace) == _columns(reference_trace)
+    assert mixed.frozen
+    assert trace_digest(mixed_trace) == trace_digest(reference_trace)
+
+
+def test_pickling_a_capturing_trace_keeps_capturing():
+    """A trace pickled mid-capture, with rows still staged, unpickles
+    with the same rows and records on as the original does."""
+    trace = _sample_trace()
+    thread = trace.threads[0]
+    thread.append_columns(_segment((EV_STORE, PMR, 8, 2, -1, 0)))
+    thread.work(4)
+    thread.load(PMR + 8, 8)  # staged
+    back = pickle.loads(pickle.dumps(trace))
+    assert not any(t.frozen for t in back.threads)
+    assert [t.rows().tolist() for t in back.threads] == [
+        t.rows().tolist() for t in trace.threads
+    ]
+    for each in (trace, back):
+        each.threads[0].work(1)
+        each.threads[0].barrier(1)
+        for other in each.threads[1:]:
+            other.barrier(1)
+    assert trace_digest(back) == trace_digest(trace)
+    assert _columns(back) == _columns(trace)
+
+
+def test_barrier_ids_read_during_capture():
+    """Barrier ids come from the capture columns and the staged rows,
+    whichever way the barriers were recorded, before any freeze."""
+    threads = [ThreadTrace(tid) for tid in range(2)]
+    threads[0].barrier(0)
+    threads[0].append_block(
+        np.asarray([[EV_LOAD, PMR, 8, 0, -1, 0], [EV_BARRIER, 0, 1, 0, -1, 0]])
+    )
+    threads[0].append_columns(_segment((EV_BARRIER, 0, 2, 3, -1, 0)))
+    for barrier_id in range(3):
+        threads[1].barrier(barrier_id)
+    trace = Trace(threads)
+    assert [t.barrier_ids() for t in threads] == [[0, 1, 2], [0, 1, 2]]
+    trace.validate_barriers()
+    threads[1].barrier(7)
+    with pytest.raises(TraceError, match="barrier sequence mismatch"):
+        trace.validate_barriers()
+    assert not any(t.frozen for t in threads)
