@@ -1,19 +1,32 @@
 """Trace memory: bytes each Figure 7 trace holds per event once frozen,
-and the memory its capture peaks at.
+the memory its capture peaks at, and the memory its strict pre-flight
+adds.
 
 Runs each Figure 7 spec of the scale's evaluation grid as a strict job
 (pre-flight plus the three modes, no result cache) and records, per
 trace, the bytes its narrow columns hold per event
 (:attr:`ColumnarTrace.nbytes` over the event count).  After the job the
 columns are the trace's only copy: no thread keeps a capture buffer.
-It then captures the spec's workload once more under
-:mod:`tracemalloc` and records the capture's peak of traced memory per
-byte of the int64 rows it captured (48 per event): the capture buffers
-with their growth slack plus the largest step's temporaries, so a
-change that grows those temporaries shows here.  Both figures are
-counts, not timings, so they repeat exactly and the guard needs no
-slack: at most :data:`MAX_BYTES_PER_EVENT` for every trace, and no more
-than the committed record at the recorded scale.
+It then records two peaks of :mod:`tracemalloc` traced memory, each
+taken after a ``gc.collect()``:
+
+- ``capture_peak_per_row_byte``: one more capture of the spec's
+  workload, per byte of the int64 rows it captured (48 per event): the
+  capture buffers with their growth slack plus the largest step's
+  temporaries, so a change that grows those temporaries shows here.
+- ``preflight_peak_per_frozen_byte``: the pre-flight's lint and race
+  passes (``analyze_run`` under the spec's GraphPIM config) over the
+  frozen trace, per byte of its columns.  The passes sweep the columns
+  in fixed chunks of events, so this is one chunk's temporaries plus
+  the events the race pass's writer filter keeps; a pass that builds a
+  per-event temporary over the whole trace shows here.
+
+``bytes_per_event`` is a count and repeats exactly: at most
+:data:`MAX_BYTES_PER_EVENT` for every trace, and no more than the
+committed record at the recorded scale.  The two peaks are counts too
+but do not repeat exactly across fresh processes (see
+:data:`PEAK_SLACK`), so each is guarded against its record plus that
+relative slack.
 
 Regenerate the committed record with::
 
@@ -26,9 +39,10 @@ import os
 import tracemalloc
 from pathlib import Path
 
-from repro.analysis import clear_preflight_cache
+from repro.analysis import analyze_run, clear_preflight_cache
 from repro.core.presets import resolve_scale, workload_graph
 from repro.runner import RunnerConfig, evaluation_grid_specs, execute_spec
+from repro.sim.config import Mode, SystemConfig
 from repro.workloads.registry import get_workload
 
 #: Ceiling on the bytes a frozen trace holds per event (the int64 row
@@ -39,8 +53,21 @@ _COLUMNS = ("kind", "addr", "size", "gap", "op", "ret")
 
 _BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_memory.json"
 
-#: Per-trace figures the committed record bounds from above.
-_GUARDED = ("bytes_per_event", "capture_peak_per_row_byte")
+#: Relative slack of the two tracemalloc peaks over their record.  In
+#: fresh processes at ``small`` the peaks spread by up to 0.52%: kCore's
+#: capture peak read 666,942-670,423 B over ten processes (three with a
+#: fixed ``PYTHONHASHSEED`` still spread 668,063-669,479 B), its figure
+#: 0.444 or 0.445 against one record, and its pre-flight peak
+#: 396,891-397,894 B over five (0.25%).
+PEAK_SLACK = 0.01
+
+#: Per-trace figures the committed record bounds from above, with each
+#: one's relative slack.
+_GUARDED = {
+    "bytes_per_event": 0.0,
+    "capture_peak_per_row_byte": PEAK_SLACK,
+    "preflight_peak_per_frozen_byte": PEAK_SLACK,
+}
 
 
 def _capture_peak_per_row_byte(spec) -> float:
@@ -63,6 +90,24 @@ def _capture_peak_per_row_byte(spec) -> float:
     return peak / (48 * run.trace.num_events)
 
 
+def _preflight_peak_per_frozen_byte(spec, run) -> float:
+    """Peak traced memory of the pre-flight's passes over ``run``'s
+    frozen trace, under the spec's GraphPIM config, over the bytes of
+    its columns."""
+    config = next(
+        (c for c in spec.modes if c.mode is Mode.GRAPHPIM),
+        SystemConfig.graphpim(),
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        analyze_run(run, config=config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / run.trace.columnar().nbytes
+
+
 def test_trace_memory_per_event():
     scale = resolve_scale()
     clear_preflight_cache()
@@ -71,7 +116,8 @@ def test_trace_memory_per_event():
     events_total = 0
     bytes_total = 0
     for spec in evaluation_grid_specs(scale):
-        trace = execute_spec(spec, config)["run"].trace
+        run = execute_spec(spec, config)["run"]
+        trace = run.trace
         assert all(thread.frozen for thread in trace.threads), (
             f"{spec.workload}: a thread kept its capture buffer"
         )
@@ -86,6 +132,9 @@ def test_trace_memory_per_event():
             "capture_peak_per_row_byte": round(
                 _capture_peak_per_row_byte(spec), 3
             ),
+            "preflight_peak_per_frozen_byte": round(
+                _preflight_peak_per_frozen_byte(spec, run), 3
+            ),
         }
     record["combined"] = {
         "events": events_total,
@@ -99,7 +148,9 @@ def test_trace_memory_per_event():
             print(
                 f"  {code:8s}: {rec['events']:>9,} events  "
                 f"{rec['bytes_per_event']:6.3f} B/event  capture peak "
-                f"{rec.get('capture_peak_per_row_byte', '-')}x rows"
+                f"{rec.get('capture_peak_per_row_byte', '-')}x rows  "
+                f"pre-flight peak "
+                f"{rec.get('preflight_peak_per_frozen_byte', '-')}x frozen"
             )
     if os.environ.get("REPRO_WRITE_BENCH"):
         _BENCH_FILE.write_text(json.dumps(record, indent=2) + "\n")
@@ -117,9 +168,11 @@ def test_trace_memory_per_event():
             for code, rec in record.items():
                 if not (isinstance(rec, dict) and code in committed):
                     continue
-                for figure in _GUARDED:
+                for figure, slack in _GUARDED.items():
                     if figure in rec and figure in committed[code]:
-                        assert rec[figure] <= committed[code][figure], (
+                        bound = committed[code][figure] * (1 + slack)
+                        assert rec[figure] <= bound, (
                             f"{code}: {figure} {rec[figure]} over the "
-                            f"recorded {committed[code][figure]}"
+                            f"recorded {committed[code][figure]} "
+                            f"(slack {slack:.0%})"
                         )

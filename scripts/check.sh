@@ -151,12 +151,13 @@ step "trace capture benchmark (tiny-scale equivalence smoke)"
 run_or_fail env REPRO_SCALE=tiny python -m pytest -q \
     benchmarks/test_capture_bench.py
 
-step "trace memory benchmark (tiny-scale bytes-per-event guard)"
-# The record lives in BENCH_memory.json (small scale, with each
-# capture's tracemalloc peak per captured row byte); here every Fig. 7
-# trace of a tiny strict grid must hold at most 16 B per event once its
-# job is done.  The figure is a byte count, so it needs no RSS reading.
-run_or_fail env REPRO_SCALE=tiny python -m pytest -q \
+step "trace memory benchmark (small-scale record guards)"
+# The record lives in BENCH_memory.json (small scale): per Fig. 7 trace
+# of a strict grid, the bytes each frozen event holds (at most 16 B at
+# any scale, and no more than the record), and the tracemalloc peaks of
+# its capture and of its strict pre-flight, each within 1% of the
+# record.  The figures are byte counts, so they need no RSS reading.
+run_or_fail env REPRO_SCALE=small python -m pytest -q \
     benchmarks/test_trace_memory_bench.py
 
 step "service client benchmark (hit round trip against http.client)"

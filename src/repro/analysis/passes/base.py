@@ -25,18 +25,71 @@ Tests call the oracles directly: :func:`~repro.analysis.lint_trace`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.sim.config import SystemConfig
 from repro.trace.columnar import ColumnarTrace
+from repro.trace.events import EV_BARRIER
 from repro.trace.stream import Trace
 from repro.analysis.findings import AnalysisReport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.memlayout.allocator import AddressSpace
+
+#: Events per chunk of the lint and race sweeps.  A sweep builds its
+#: per-event temporaries (a few int64 and bool arrays) for one chunk at
+#: a time, so their memory stays that of one chunk whatever the trace
+#: length.
+CHUNK_EVENTS = 65_536
+
+
+def event_chunks(col: ColumnarTrace) -> Iterator[tuple[int, int, int]]:
+    """``(thread position, first row, end row)`` of each chunk of
+    :data:`CHUNK_EVENTS` events, thread-major; no chunk spans two
+    threads, and an empty thread has none."""
+    step = CHUNK_EVENTS
+    bounds = col.starts.tolist()
+    for pos, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        for start in range(lo, hi, step):
+            yield pos, start, min(start + step, hi)
+
+
+def epoch_chunks(
+    col: ColumnarTrace,
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """``(first row, end row, is_barrier, epochs)`` of each chunk of
+    :func:`event_chunks`: its barrier mask and each event's barrier
+    epoch within its thread.
+
+    Epoch ``k`` spans the events after the thread's ``k``-th barrier and
+    before its ``k+1``-th; a barrier carries the epoch it closes, as the
+    legacy race detector's ``_split_epochs`` segments a thread.  The
+    thread's barrier count is carried across its chunks, so a chunk's
+    epochs are its slice of a whole-thread walk.
+    """
+    closed = 0
+    thread = -1
+    for pos, lo, hi in event_chunks(col):
+        if pos != thread:
+            thread, closed = pos, 0
+        is_barrier = col.kind[lo:hi] == EV_BARRIER
+        epochs = np.cumsum(is_barrier, dtype=np.int64)
+        epochs -= is_barrier
+        epochs += closed
+        closed = int(epochs[-1]) + int(is_barrier[-1])
+        yield lo, hi, is_barrier, epochs
+
+
+def locate_rows(
+    col: ColumnarTrace, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Thread position and index within that thread of each global
+    row (int64 arrays of ``rows``' length)."""
+    pos = np.searchsorted(col.starts, rows, side="right") - 1
+    return pos, rows - col.starts[pos]
 
 
 def run_starts(values: np.ndarray) -> np.ndarray:

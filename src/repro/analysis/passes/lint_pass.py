@@ -15,9 +15,23 @@ walk, and a per-row *variant* index (the constants below) reproduces the
 intra-event code order.  Findings are materialized from mask candidates
 sorted by ``(row, variant)`` and pushed through the same per-rule
 cap/suppression bookkeeping as the legacy ``_Reporter``.
+
+Memory: the masks are built over fixed chunks of events
+(:func:`~repro.analysis.passes.base.event_chunks`), never over the
+whole trace.  When PIM002 is checked, a first sweep gathers the sorted
+set of PMR lines with offloaded atomics, merging per-chunk sets.  A
+second sweep builds each chunk's six variant masks, adds every rule's
+exact count (for the suppression notes), keeps each variant's first
+``cap`` rows as global row numbers, and collects each thread's barrier
+ids (TRC002).  A finding's thread and in-thread index come from one
+``searchsorted`` of its row into ``starts``.  The pass's extra memory
+is therefore one chunk's temporaries plus at most ``cap`` rows per
+variant and the offloaded-line set, whatever the trace length.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +51,9 @@ from repro.analysis.passes.base import (
     AnalysisPass,
     PassContext,
     PassResult,
+    event_chunks,
     in_sorted_set,
+    locate_rows,
     register_pass,
     unique_sorted,
 )
@@ -68,16 +84,85 @@ _RULE_OF_VARIANT = {
 
 
 def _vector_in_allocation(
-    addrs: np.ndarray, bases: list[int], ends: list[int]
+    addrs: np.ndarray, bases: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
     """Vectorized twin of the legacy bisect containment check."""
-    if not bases:
+    if not bases.size:
         return np.zeros(addrs.shape, dtype=bool)
-    bases_arr = np.asarray(bases, dtype=np.int64)
-    ends_arr = np.asarray(ends, dtype=np.int64)
-    idx = np.searchsorted(bases_arr, addrs, side="right") - 1
+    idx = np.searchsorted(bases, addrs, side="right") - 1
     clamped = np.maximum(idx, 0)
-    return (idx >= 0) & (addrs < ends_arr[clamped])
+    return (idx >= 0) & (addrs < ends[clamped])
+
+
+def _offloaded_lines(col: ColumnarTrace) -> np.ndarray:
+    """Sorted line addresses (``addr >> 6``) of every PMR atomic.
+
+    One chunked sweep: each chunk's lines are reduced to a sorted set,
+    and the pending sets are folded into the result once they hold more
+    entries than it, so the sets held stay within about twice the
+    result plus one chunk's.
+    """
+    merged = np.empty(0, dtype=np.int64)
+    pending: list[np.ndarray] = []
+    held = 0
+    for _pos, lo, hi in event_chunks(col):
+        addr = col.addr[lo:hi]
+        offloaded = (col.kind[lo:hi] == EV_ATOMIC) & (
+            (addr >> REGION_SHIFT) == _PROPERTY_REGION
+        )
+        lines = unique_sorted(addr[offloaded] >> 6)
+        pending.append(lines)
+        held += lines.size
+        if held > merged.size:
+            merged = unique_sorted(np.concatenate([merged, *pending]))
+            pending, held = [], 0
+    return unique_sorted(np.concatenate([merged, *pending]))
+
+
+def _chunk_masks(
+    col: ColumnarTrace,
+    lo: int,
+    hi: int,
+    supported_values: np.ndarray,
+    spans: Optional[tuple[np.ndarray, np.ndarray]],
+    offloaded_lines: Optional[np.ndarray],
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Barrier mask and per-variant finding masks of rows ``[lo, hi)``.
+
+    ``spans`` holds the allocation bounds when TRC001 checks
+    allocations, and ``offloaded_lines`` the PMR lines with offloaded
+    atomics when PIM002 is checked (its mask is absent otherwise).
+    """
+    kind, addr = col.kind[lo:hi], col.addr[lo:hi]
+    size, gap = col.size[lo:hi], col.gap[lo:hi]
+    is_barrier = kind == EV_BARRIER
+    access = ~is_barrier
+    is_atomic = kind == EV_ATOMIC
+    region_ok = (addr >= 0) & (addr < _REGION_END)
+    in_pmr = access & ((addr >> REGION_SHIFT) == _PROPERTY_REGION)
+
+    masks: dict[int, np.ndarray] = {}
+    masks[_V_BARRIER_NEG] = is_barrier & ((size < 0) | (gap < 0))
+    masks[_V_SIZEGAP] = access & ((size <= 0) | (gap < 0))
+    outside = access & ~region_ok
+    if spans is not None:
+        alloc_ok = _vector_in_allocation(addr, *spans)
+        outside |= access & region_ok & ~alloc_ok
+    masks[_V_REGION] = outside
+    # The op column means nothing off atomic rows: test those alone.
+    atomic_rows = np.flatnonzero(is_atomic)
+    atomic_op = col.op[lo:hi][atomic_rows]
+    masks[_V_OP] = np.zeros(hi - lo, dtype=bool)
+    masks[_V_OP][atomic_rows] = ~in_sorted_set(atomic_op, _VALID_OP_VALUES)
+    masks[_V_PIM001] = np.zeros(hi - lo, dtype=bool)
+    masks[_V_PIM001][atomic_rows] = in_pmr[atomic_rows] & ~in_sorted_set(
+        atomic_op, supported_values
+    )
+    if offloaded_lines is not None:
+        masks[_V_PIM002] = (
+            ~is_atomic & in_pmr & in_sorted_set(addr >> 6, offloaded_lines)
+        )
+    return is_barrier, masks
 
 
 def lint_columnar(
@@ -95,80 +180,59 @@ def lint_columnar(
     supported_values = np.asarray(
         sorted(int(op) for op in supported), dtype=np.int64
     )
-
-    kind, addr, size, gap, op = col.kind, col.addr, col.size, col.gap, col.op
-    is_barrier = kind == EV_BARRIER
-    access = ~is_barrier
-    is_atomic = kind == EV_ATOMIC
-    region = addr >> REGION_SHIFT
-    region_ok = (addr >= 0) & (addr < _REGION_END)
-    in_pmr = access & (region == _PROPERTY_REGION)
-
-    masks: dict[int, np.ndarray] = {}
-    masks[_V_BARRIER_NEG] = is_barrier & ((size < 0) | (gap < 0))
-    masks[_V_SIZEGAP] = access & ((size <= 0) | (gap < 0))
-    outside = access & ~region_ok
-    unalloc = np.zeros(col.num_events, dtype=bool)
+    spans = None
     if address_space is not None:
         bases, ends = _allocation_spans(address_space)
-        alloc_ok = _vector_in_allocation(addr, bases, ends)
-        unalloc = access & region_ok & ~alloc_ok
-    masks[_V_REGION] = outside | unalloc
-    # The op column means nothing off atomic rows: test those alone.
-    atomic_rows = np.flatnonzero(is_atomic)
-    atomic_op = op[atomic_rows]
-    masks[_V_OP] = np.zeros(col.num_events, dtype=bool)
-    masks[_V_OP][atomic_rows] = ~in_sorted_set(atomic_op, _VALID_OP_VALUES)
-    masks[_V_PIM001] = np.zeros(col.num_events, dtype=bool)
-    masks[_V_PIM001][atomic_rows] = in_pmr[atomic_rows] & ~in_sorted_set(
-        atomic_op, supported_values
-    )
-
-    check_uc = config.mode is Mode.GRAPHPIM and not config.pmr_bypass
-    if check_uc:
-        offloaded_lines = unique_sorted(
-            (addr >> 6)[is_atomic & (region == _PROPERTY_REGION)]
+        spans = (
+            np.asarray(bases, dtype=np.int64),
+            np.asarray(ends, dtype=np.int64),
         )
-        masks[_V_PIM002] = (
-            ~is_atomic
-            & access
-            & in_pmr
-            & in_sorted_set(addr >> 6, offloaded_lines)
-        )
-    else:
-        masks[_V_PIM002] = np.zeros(col.num_events, dtype=bool)
+    offloaded_lines = None
+    if config.mode is Mode.GRAPHPIM and not config.pmr_bypass:
+        offloaded_lines = _offloaded_lines(col)
 
-    # Total candidate counts per rule (exact, for suppression notes).
+    # One sweep: exact candidate counts per rule (for suppression
+    # notes), the first `cap` rows of each variant, and each thread's
+    # barrier ids.  Taking the first `cap` rows of each *variant* is
+    # sufficient: the per-rule first-cap in (row, variant) order is a
+    # subset of the union of per-variant first-caps.
     counts: dict[str, int] = {}
-    for variant, mask in masks.items():
-        rule_id = _RULE_OF_VARIANT[variant]
-        counts[rule_id] = counts.get(rule_id, 0) + int(mask.sum())
+    kept: dict[int, list[np.ndarray]] = {v: [] for v in _RULE_OF_VARIANT}
+    taken = dict.fromkeys(_RULE_OF_VARIANT, 0)
+    barrier_ids: list[list[np.ndarray]] = [[] for _ in range(col.num_threads)]
+    for pos, lo, hi in event_chunks(col):
+        is_barrier, masks = _chunk_masks(
+            col, lo, hi, supported_values, spans, offloaded_lines
+        )
+        barrier_ids[pos].append(col.size[lo:hi][is_barrier])
+        for variant, mask in masks.items():
+            rule_id = _RULE_OF_VARIANT[variant]
+            counts[rule_id] = counts.get(rule_id, 0) + int(
+                np.count_nonzero(mask)
+            )
+            wanted = max_per_rule - taken[variant]
+            if wanted > 0:
+                rows = np.flatnonzero(mask)[:wanted]
+                if rows.size:
+                    kept[variant].append(rows + lo)
+                    taken[variant] += rows.size
 
     # Materialize at most `cap` candidates per rule, in emission order.
-    # Taking the first `cap` rows of each *variant* is sufficient: the
-    # per-rule first-cap in (row, variant) order is a subset of the
-    # union of per-variant first-caps.
-    order_keys: list[np.ndarray] = []
-    for variant, mask in masks.items():
-        rows = np.flatnonzero(mask)
-        if rows.size > max_per_rule:
-            rows = rows[:max_per_rule]
-        if rows.size:
-            order_keys.append(rows * _V_STRIDE + variant)
+    order_keys = [
+        np.concatenate(parts) * _V_STRIDE + variant
+        for variant, parts in kept.items()
+        if parts
+    ]
     if order_keys:
         merged = np.sort(np.concatenate(order_keys))
     else:
         merged = np.empty(0, dtype=np.int64)
-
-    thread_ids = col.thread_ids
-    if merged.size:
-        tpos = col.event_thread_pos()
-        idx_in_thread = col.event_index_in_thread()
-    else:
-        tpos = idx_in_thread = merged  # unused: no findings to build
+    tpos, idx_in_thread = locate_rows(col, merged // _V_STRIDE)
 
     emitted: dict[str, int] = {}
-    for key in merged.tolist():
+    for key, pos, index in zip(
+        merged.tolist(), tpos.tolist(), idx_in_thread.tolist()
+    ):
         row, variant = divmod(key, _V_STRIDE)
         rule_id = _RULE_OF_VARIANT[variant]
         seen = emitted.get(rule_id, 0)
@@ -177,11 +241,15 @@ def lint_columnar(
         emitted[rule_id] = seen + 1
         report.add(
             _build_finding(
-                col, config, variant, row, tpos, idx_in_thread, thread_ids
+                col, config, variant, row, int(col.thread_ids[pos]), index
             )
         )
 
-    _emit_barrier_balance(col, report, counts, max_per_rule)
+    sequences = [
+        np.concatenate(parts) if parts else col.size[:0]
+        for parts in barrier_ids
+    ]
+    _emit_barrier_balance(col, sequences, report, counts, max_per_rule)
 
     # Suppression notes, sorted by rule id (legacy _Reporter.finalize).
     for rule_id in sorted(counts):
@@ -198,11 +266,7 @@ def lint_columnar(
     return report
 
 
-def _build_finding(
-    col, config, variant, row, tpos, idx_in_thread, thread_ids
-) -> Finding:
-    tid = int(thread_ids[tpos[row]])
-    index = int(idx_in_thread[row])
+def _build_finding(col, config, variant, row, tid, index) -> Finding:
     addr = int(col.addr[row])
     size = int(col.size[row])
     gap = int(col.gap[row])
@@ -280,12 +344,13 @@ def _build_finding(
 
 def _emit_barrier_balance(
     col: ColumnarTrace,
+    sequences: list[np.ndarray],
     report: AnalysisReport,
     counts: dict[str, int],
     max_per_rule: int,
 ) -> None:
-    """TRC002: barrier-sequence balance, mirroring the legacy order."""
-    sequences = col.barrier_sequences()
+    """TRC002: barrier-sequence balance of the per-thread barrier id
+    arrays ``sequences``, mirroring the legacy order."""
     reference = sequences[0]
     first_tid = int(col.thread_ids[0])
     pending: list[Finding] = []

@@ -5,9 +5,27 @@ operations, producing **finding-for-finding identical** reports (same
 conflicts, same representative picks, same ordering, same cap and
 suppression accounting) — enforced by the equivalence tests.
 
+Every stage that reads every event walks the columns in fixed chunks
+(:func:`~repro.analysis.passes.base.epoch_chunks`).  A chunk never
+spans two threads and carries its thread's barrier count in, so its
+epochs are those of a whole-thread walk.  Only the events that can
+matter are gathered whole, so the pass's extra memory is one chunk's
+temporaries plus the stores and the events the writer filter keeps,
+whatever the trace length:
+
+- A scan that stops at the first chunk holding a well-formed plain
+  store; a trace with none (TC) is clean at once, before any epoch
+  work.
+- *Sweep 1* takes the maxima the key layout needs (the last bucket and
+  the epoch of any well-formed event) and each well-formed store's
+  epoch and bucket range.  Whether an access may end past 2^63 - 1
+  (ill-formed) is read from the ``addr`` and ``size`` column maxima.
+- *Sweep 2* applies the writer filter (step 0) chunk by chunk and keeps
+  the surviving rows with their epochs and buckets.
+
 0. *Writer filter* — only a (bucket, epoch) cell with a plain-store
-   writer can be reported, so the detector first builds the sorted set
-   of packed ``epoch << bbits | bucket`` keys the well-formed stores
+   writer can be reported, so the detector builds the sorted set of
+   packed ``epoch << bbits | bucket`` keys the well-formed stores
    touch (each store expanded over its bucket range) and keeps only
    the events whose own bucket range meets that set in their epoch
    (one ``searchsorted`` of every event into the set).  The filter is
@@ -17,8 +35,7 @@ suppression accounting) — enforced by the equivalence tests.
    be reported nor acquire, release or spin on a lock.  Kept events
    stay in replay order, so every ordering below is unchanged.  The
    Figure 7 workloads update properties with atomics, so plain stores
-   are a few percent of their accesses and a trace with none (TC) is
-   clean at once.
+   are a few percent of their accesses.
 
 Everything after the filter runs on the kept events alone.  The core
 trick is a *packed sort key*: every kept access is expanded to the
@@ -41,10 +58,10 @@ the sorted array:
    their atomic/store rows on the lock words become the acquire/release
    action timeline.
 3. *Candidate selection* — a (bucket, epoch) can only race when it has
-   a plain-store writer and ≥ 2 distinct threads; both are run-length
-   statistics (cumulative sums over boundary masks) on the sorted keys.
-   Clean traces short-circuit here without materializing any per-group
-   structure.
+   a plain-store writer and ≥ 2 distinct threads; both are reductions
+   (``logical_or.reduceat`` and ``add.reduceat``) over the runs of the
+   sorted keys.  Clean traces short-circuit here without materializing
+   any per-group structure.
 4. *Lockset refinement* — for candidate groups only, the Eraser
    candidate-set intersection is computed by counting, per lock word,
    how many of the group's event positions fall inside that word's
@@ -58,10 +75,10 @@ the sorted array:
 
 Guards: traces whose packed key would overflow 62 bits (addresses
 ≳ 2^40 past the region tag, or pathological epoch/thread counts;
-checked over every event, ahead of the filter) or whose kept events
-expand to more than ``MAX_EXPANDED_ROWS`` bucket rows return ``None``
-and the PassManager falls back to the legacy detector — correctness
-never depends on the fast path applying.
+sized over every well-formed event, ahead of the filter) or whose
+stores or kept events expand to more than ``MAX_EXPANDED_ROWS`` bucket
+rows return ``None`` and the PassManager falls back to the legacy
+detector — correctness never depends on the fast path applying.
 """
 
 from __future__ import annotations
@@ -79,7 +96,10 @@ from repro.analysis.passes.base import (
     AnalysisPass,
     PassContext,
     PassResult,
+    epoch_chunks,
+    event_chunks,
     in_sorted_set,
+    locate_rows,
     register_pass,
     run_starts,
     unique_sorted,
@@ -185,6 +205,103 @@ class _LocksetTables:
         return frozenset(int(b) for b in buckets[starts][full])
 
 
+def _well_formed(
+    is_barrier: np.ndarray, addr: np.ndarray, size: np.ndarray, may_wrap: bool
+) -> np.ndarray:
+    """Accesses whose bytes all lie in ``[0, 2**63)``, as the oracle's
+    ``_well_formed`` (``addr`` in int64).
+
+    With ``may_wrap`` false no access can end past 2^63 - 1, where
+    ``addr + size - 1`` wraps, so that test, which allocates an int64
+    per event, is skipped.
+    """
+    well = ~is_barrier & (addr >= 0) & (size > 0)
+    if may_wrap:
+        well &= size - 1 <= _I64_MAX - addr
+    return well
+
+
+def _chunk_accesses(
+    col: ColumnarTrace, lo: int, hi: int, is_barrier: np.ndarray, may_wrap: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``[lo, hi)``: kind, int64 address, first and last bucket,
+    and the well-formed mask, from the chunk's barrier mask."""
+    kind, size = col.kind[lo:hi], col.size[lo:hi]
+    # Bucket and key arithmetic needs int64 whatever the column widths.
+    addr = col.addr[lo:hi].astype(np.int64, copy=False)
+    well = _well_formed(is_barrier, addr, size, may_wrap)
+    first_bucket = addr >> _BUCKET_SHIFT
+    last_bucket = (addr + size - 1) >> _BUCKET_SHIFT
+    return kind, first_bucket, last_bucket, well
+
+
+def _any_store(col: ColumnarTrace, may_wrap: bool) -> bool:
+    """Whether some well-formed plain store exists (a chunked scan that
+    stops at the first chunk holding one)."""
+    for _pos, lo, hi in event_chunks(col):
+        kind = col.kind[lo:hi]
+        well = _well_formed(
+            kind == EV_BARRIER,
+            col.addr[lo:hi].astype(np.int64, copy=False),
+            col.size[lo:hi],
+            may_wrap,
+        )
+        if np.any(well & (kind == EV_STORE)):
+            return True
+    return False
+
+
+def _lock_words(
+    key: np.ndarray,
+    x_idx: np.ndarray,
+    x_cas: np.ndarray,
+    buckets_per: np.ndarray,
+    bshift: int,
+    eshift: int,
+    tbits: int,
+    num_epochs: int,
+) -> tuple[Optional[np.ndarray], Optional["_LocksetTables"], frozenset]:
+    """Lock-word detection over the expanded keys (module docstring,
+    step 1); its temporaries are freed on return.
+
+    Returns the expansion rows that stay registered (None when no
+    bucket is a lock word), the acquire/release timelines and the
+    epochs that hold a lock word.
+    """
+    emask = (1 << (bshift - eshift)) - 1
+    tmask = (1 << tbits) - 1
+    kbt = key >> 2
+    cas_bt = unique_sorted(kbt[x_cas])
+    min_cas = np.full(cas_bt.size, _I64_MAX, dtype=np.int64)
+    np.minimum.at(min_cas, np.searchsorted(cas_bt, kbt[x_cas]), x_idx[x_cas])
+    store_row = (key & 3) == _CLS_WRITER
+    st_slot = np.searchsorted(cas_bt, kbt[store_row])
+    np.minimum(st_slot, cas_bt.size - 1, out=st_slot)
+    st_hit = cas_bt[st_slot] == kbt[store_row]
+    max_store = np.full(cas_bt.size, -1, dtype=np.int64)
+    np.maximum.at(max_store, st_slot[st_hit], x_idx[store_row][st_hit])
+    lock_be = unique_sorted(cas_bt[min_cas < max_store] >> tbits)
+    if not lock_be.size:
+        return None, None, frozenset()
+    del kbt, st_slot, st_hit, store_row
+    row_lock = in_sorted_set(key >> eshift, lock_be)
+    seg_starts = np.cumsum(buckets_per) - buckets_per
+    skip_event = np.logical_or.reduceat(row_lock, seg_starts)
+    keep_row = np.repeat(~skip_event, buckets_per)
+    action = row_lock & ((key & 3) != _CLS_READER)
+    a_key = key[action]
+    locksets = _LocksetTables(
+        t_of=(a_key >> 2) & tmask,
+        e_of=(a_key >> eshift) & emask,
+        bucket_of=a_key >> bshift,
+        idx_of=x_idx[action],
+        acquire=(a_key & 3) == _CLS_ATOMIC,
+        num_epochs=num_epochs,
+    )
+    lock_epochs = frozenset(int(e) for e in unique_sorted(lock_be & emask))
+    return keep_row, locksets, lock_epochs
+
+
 def detect_races_columnar(
     col: ColumnarTrace, max_findings: int = MAX_RACE_FINDINGS
 ) -> Optional[AnalysisReport]:
@@ -193,27 +310,35 @@ def detect_races_columnar(
     num_threads = col.num_threads
     if num_threads < 2:
         return report
-
-    kind, size = col.kind, col.size
-    # Bucket and key arithmetic needs int64 whatever the column widths.
-    addr = col.addr.astype(np.int64, copy=False)
-    well = (kind != EV_BARRIER) & (addr >= 0) & (size > 0)
-    if int(addr.max(initial=0)) + int(size.max(initial=0)) - 1 > _I64_MAX:
-        # Some access may end past 2^63 - 1, where ``addr + size - 1``
-        # wraps: ill-formed, as in the oracle's ``_well_formed``.  The
-        # test is skipped otherwise, since it allocates an int64 per event.
-        well &= size - 1 <= _I64_MAX - addr
-    stores = np.flatnonzero(well & (kind == EV_STORE))
-    if stores.size == 0:
+    # Whether some access may end past 2^63 - 1: ill-formed, as in the
+    # oracle's ``_well_formed``.
+    may_wrap = (
+        int(col.addr.max(initial=0)) + int(col.size.max(initial=0)) - 1
+        > _I64_MAX
+    )
+    if not _any_store(col, may_wrap):
         return report  # no plain-store writer, so no reportable cell
 
-    epoch = col.epoch_ids()
-    first_bucket = addr >> _BUCKET_SHIFT
-    last_bucket = (addr + size - 1) >> _BUCKET_SHIFT
-    num_epochs = int(epoch.max(where=well, initial=0)) + 1
+    # --- sweep 1: key layout maxima and the stores' cells -----------------
+    max_epoch = max_bucket = 0
+    store_parts: list[tuple[np.ndarray, ...]] = []
+    for lo, hi, is_barrier, epochs in epoch_chunks(col):
+        kind, first_bucket, last_bucket, well = _chunk_accesses(
+            col, lo, hi, is_barrier, may_wrap
+        )
+        max_epoch = max(max_epoch, int(epochs.max(where=well, initial=0)))
+        max_bucket = max(
+            max_bucket, int(last_bucket.max(where=well, initial=0))
+        )
+        stores = np.flatnonzero(well & (kind == EV_STORE))
+        if stores.size:
+            store_parts.append(
+                (epochs[stores], first_bucket[stores], last_bucket[stores])
+            )
+    num_epochs = max_epoch + 1
 
     # --- packed key layout (over every event, ahead of the filter) -------
-    bbits = max(int(last_bucket.max(where=well, initial=0)).bit_length(), 1)
+    bbits = max(max_bucket.bit_length(), 1)
     ebits = (num_epochs - 1).bit_length()
     tbits = (num_threads - 1).bit_length()
     if bbits + ebits + tbits + 2 > 62:
@@ -229,24 +354,44 @@ def detect_races_columnar(
     # above every real cell so the lookup needs no clamp; an event is
     # kept when the first written cell at or above its low cell is no
     # higher than its high cell.
-    low = (epoch << bbits) | first_bucket
-    high = low + (last_bucket - first_bucket)
-    store_rows = high[stores] - low[stores] + 1
+    s_epoch, s_first, s_last = (np.concatenate(c) for c in zip(*store_parts))
+    del store_parts
+    store_rows = s_last - s_first + 1
     if int(store_rows.sum()) > MAX_EXPANDED_ROWS:
         return None  # every store is kept, so the guard below would trip
     written = np.append(
-        unique_sorted(_expand(low[stores], store_rows, 0)), _I64_MAX
+        unique_sorted(
+            _expand((s_epoch << bbits) | s_first, store_rows, 0)
+        ),
+        _I64_MAX,
     )
-    keep = written[np.searchsorted(written, low)] <= high
-    rows = np.flatnonzero(keep & well)
-    w_kind = kind[rows]
-    epoch = epoch[rows]
-    first_bucket = first_bucket[rows]
-    buckets_per = last_bucket[rows] - first_bucket + 1
+    del s_epoch, s_first, s_last, store_rows
+
+    # --- sweep 2: the events the filter keeps -----------------------------
+    kept_parts: list[tuple[np.ndarray, ...]] = []
+    for lo, hi, is_barrier, epochs in epoch_chunks(col):
+        _kind, first_bucket, last_bucket, well = _chunk_accesses(
+            col, lo, hi, is_barrier, may_wrap
+        )
+        low = (epochs << bbits) | first_bucket
+        high = low + (last_bucket - first_bucket)
+        keep = written[np.searchsorted(written, low)] <= high
+        rows = np.flatnonzero(keep & well)
+        if rows.size:
+            first = first_bucket[rows]
+            kept_parts.append(
+                (rows + lo, epochs[rows], first, last_bucket[rows] - first + 1)
+            )
+    del written
+    # Every store meets its own cells, so some event is kept.
+    rows, epoch, first_bucket, buckets_per = (
+        np.concatenate(c) for c in zip(*kept_parts)
+    )
+    del kept_parts
     if int(buckets_per.sum()) > MAX_EXPANDED_ROWS:
         return None
-    tpos = np.searchsorted(col.starts, rows, side="right") - 1
-    idx = rows - col.starts[tpos]
+    w_kind = col.kind[rows]
+    tpos, idx = locate_rows(col, rows)
 
     w_cls = np.full(rows.size, _CLS_ATOMIC, dtype=np.int64)
     w_cls[w_kind == EV_STORE] = _CLS_WRITER
@@ -273,40 +418,16 @@ def detect_races_columnar(
     w_cas = (w_kind == EV_ATOMIC) & (col.op[rows] == _CAS)
     if np.any(w_cas):
         x_idx = np.repeat(idx, buckets_per)
-        x_cas = np.repeat(w_cas, buckets_per)
-        kbt = key >> 2
-        cas_bt = unique_sorted(kbt[x_cas])
-        min_cas = np.full(cas_bt.size, _I64_MAX, dtype=np.int64)
-        np.minimum.at(
-            min_cas, np.searchsorted(cas_bt, kbt[x_cas]), x_idx[x_cas]
+        keep_row, locksets, lock_epochs = _lock_words(
+            key,
+            x_idx,
+            np.repeat(w_cas, buckets_per),
+            buckets_per,
+            bshift,
+            eshift,
+            tbits,
+            num_epochs,
         )
-        store_row = (key & 3) == _CLS_WRITER
-        st_slot = np.searchsorted(cas_bt, kbt[store_row])
-        np.minimum(st_slot, cas_bt.size - 1, out=st_slot)
-        st_hit = cas_bt[st_slot] == kbt[store_row]
-        max_store = np.full(cas_bt.size, -1, dtype=np.int64)
-        np.maximum.at(
-            max_store, st_slot[st_hit], x_idx[store_row][st_hit]
-        )
-        lock_be = unique_sorted(cas_bt[min_cas < max_store] >> tbits)
-        if lock_be.size:
-            row_lock = in_sorted_set(key >> eshift, lock_be)
-            seg_starts = np.cumsum(buckets_per) - buckets_per
-            skip_event = np.logical_or.reduceat(row_lock, seg_starts)
-            keep_row = np.repeat(~skip_event, buckets_per)
-            action = row_lock & ((key & 3) != _CLS_READER)
-            a_key = key[action]
-            locksets = _LocksetTables(
-                t_of=(a_key >> 2) & tmask,
-                e_of=(a_key >> eshift) & emask,
-                bucket_of=a_key >> bshift,
-                idx_of=x_idx[action],
-                acquire=(a_key & 3) == _CLS_ATOMIC,
-                num_epochs=num_epochs,
-            )
-            lock_epochs = frozenset(
-                int(e) for e in unique_sorted(lock_be & emask)
-            )
 
     sorted_key = np.sort(key if keep_row is None else key[keep_row])
     if sorted_key.size == 0:
@@ -315,26 +436,23 @@ def detect_races_columnar(
     # --- candidate (bucket, epoch) selection ------------------------------
     kbe_sorted = sorted_key >> eshift
     be_starts = run_starts(kbe_sorted)
-    be_ends = np.concatenate((be_starts[1:], [sorted_key.size]))
-    is_writer = (sorted_key & 3) == _CLS_WRITER
-    writer_cum = np.cumsum(is_writer)
-    any_writer = (
-        writer_cum[be_ends - 1]
-        - writer_cum[be_starts]
-        + is_writer[be_starts]
-    ) > 0
+    any_writer = np.logical_or.reduceat(
+        (sorted_key & 3) == _CLS_WRITER, be_starts
+    )
     kbt_sorted = sorted_key >> 2
     new_bt = np.empty(sorted_key.size, dtype=bool)
     new_bt[0] = True
     np.not_equal(kbt_sorted[1:], kbt_sorted[:-1], out=new_bt[1:])
-    bt_cum = np.cumsum(new_bt)
+    del kbt_sorted
     # The first row of a (bucket, epoch) run always starts a new
-    # (bucket, thread) run, hence the +1.
-    thread_count = bt_cum[be_ends - 1] - bt_cum[be_starts] + 1
+    # (bucket, thread) run, so each run's count of starts is its count
+    # of threads.
+    thread_count = np.add.reduceat(new_bt, be_starts)
     candidate = any_writer & (thread_count >= 2)
     if not candidate.any():
         return report
     cand_be = kbe_sorted[be_starts[candidate]]  # ascending
+    del sorted_key, kbe_sorted, be_starts, new_bt
 
     # --- candidate detail extraction --------------------------------------
     in_cand = in_sorted_set(key >> eshift, cand_be)

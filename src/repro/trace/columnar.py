@@ -45,7 +45,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -329,52 +329,6 @@ class ColumnarTrace:
         """The six columns' slices (views) of the thread at ``pos``."""
         rows = self.thread_slice(pos)
         return [getattr(self, column)[rows] for column in _COLUMNS]
-
-    def iter_threads(self) -> Iterator[tuple[int, slice]]:
-        """Yield ``(thread_id, row_slice)`` in thread order."""
-        for pos in range(self.num_threads):
-            yield int(self.thread_ids[pos]), self.thread_slice(pos)
-
-    # ------------------------------------------------------------------
-    # Derived per-event arrays (used by the vectorized passes)
-    # ------------------------------------------------------------------
-
-    def event_thread_pos(self) -> np.ndarray:
-        """Thread *position* (0..T-1) of every event, thread-major."""
-        counts = np.diff(self.starts)
-        return np.repeat(
-            np.arange(self.num_threads, dtype=np.int64), counts
-        )
-
-    def event_index_in_thread(self) -> np.ndarray:
-        """Index of every event within its own thread's stream."""
-        pos = self.event_thread_pos()
-        return (
-            np.arange(self.num_events, dtype=np.int64) - self.starts[pos]
-        )
-
-    def epoch_ids(self) -> np.ndarray:
-        """Barrier-epoch index of every event within its thread.
-
-        Epoch ``k`` spans the events after a thread's ``k``-th barrier
-        (and before its ``k+1``-th); barrier events themselves carry the
-        index of the epoch they close, mirroring the legacy race
-        detector's ``_split_epochs`` segmentation.
-        """
-        out = np.empty(self.num_events, dtype=np.int64)
-        for _tid, rows in self.iter_threads():
-            is_barrier = self.kind[rows] == EV_BARRIER
-            closed = np.cumsum(is_barrier)
-            out[rows] = closed - is_barrier
-        return out
-
-    def barrier_sequences(self) -> list[np.ndarray]:
-        """Per-thread barrier id arrays, in thread order."""
-        sequences = []
-        for _tid, rows in self.iter_threads():
-            mask = self.kind[rows] == EV_BARRIER
-            sequences.append(self.size[rows][mask])
-        return sequences
 
     # ------------------------------------------------------------------
     # Conversions

@@ -13,6 +13,7 @@ from repro.analysis.passes import (
     offload_summary_columnar,
     profile_columnar,
 )
+from repro.analysis.passes import base as passes_base
 from repro.analysis.passes.profile_pass import screen_configs
 from repro.common.errors import TraceError
 from repro.memlayout.regions import REGION_SHIFT, Region
@@ -146,10 +147,10 @@ def test_structural_validation():
 
 
 # ---------------------------------------------------------------------------
-# Derived arrays
+# Per-event arrays the analysis sweeps derive chunk by chunk
 # ---------------------------------------------------------------------------
 
-def test_epoch_ids_match_barrier_structure():
+def test_epoch_ids_match_barrier_structure(monkeypatch):
     t0 = ThreadTrace(0)
     t0.load(META, 8)
     t0.barrier(0)
@@ -159,11 +160,34 @@ def test_epoch_ids_match_barrier_structure():
     t1.barrier(0)
     t1.barrier(1)
     col = ColumnarTrace.from_events(Trace([t0, t1], name="e"))
-    # Barrier rows carry the epoch they close.
-    assert col.epoch_ids().tolist() == [0, 0, 1, 1, 0, 1]
-    assert col.event_thread_pos().tolist() == [0, 0, 0, 0, 1, 1]
-    assert col.event_index_in_thread().tolist() == [0, 1, 2, 3, 0, 1]
+    for chunk in (1, 3, 4, passes_base.CHUNK_EVENTS):
+        monkeypatch.setattr(passes_base, "CHUNK_EVENTS", chunk)
+        chunks = list(passes_base.epoch_chunks(col))
+        # Chunks tile the rows without crossing a thread, and carry
+        # each thread's barrier count across their boundaries.
+        assert [(lo, hi) for lo, hi, _, _ in chunks] == [
+            (lo, hi) for _, lo, hi in passes_base.event_chunks(col)
+        ]
+        assert all(hi - lo <= chunk for lo, hi, _, _ in chunks)
+        epochs = np.concatenate([epochs for *_, epochs in chunks])
+        # Barrier rows carry the epoch they close.
+        assert epochs.tolist() == [0, 0, 1, 1, 0, 1]
+    tpos, index = passes_base.locate_rows(col, np.arange(col.num_events))
+    assert tpos.tolist() == [0, 0, 0, 0, 1, 1]
+    assert index.tolist() == [0, 1, 2, 3, 0, 1]
     Trace.from_columnar(col).validate_barriers()
+
+
+def test_row_lookup_skips_empty_threads():
+    threads = [ThreadTrace(tid) for tid in range(4)]
+    threads[1].load(META, 8)
+    threads[1].load(META + 8, 8)
+    threads[3].store(META, 8)
+    col = ColumnarTrace.from_events(Trace(threads, name="gaps"))
+    assert [pos for pos, _, _ in passes_base.event_chunks(col)] == [1, 3]
+    tpos, index = passes_base.locate_rows(col, np.arange(col.num_events))
+    assert tpos.tolist() == [1, 1, 3]
+    assert index.tolist() == [0, 1, 0]
 
 
 def test_validate_barriers_mismatch():

@@ -24,7 +24,7 @@ from repro.trace.events import AtomicOp
 from repro.trace.io import save_trace
 from repro.trace.stream import ThreadTrace, Trace
 from repro.workloads.registry import all_workloads, get_workload
-from repro.analysis import analyze_run
+from repro.analysis import Severity, analyze_run
 from repro.analysis.race import MAX_RACE_FINDINGS, detect_races
 from repro.analysis.trace_lint import MAX_FINDINGS_PER_RULE, lint_trace
 from repro.analysis.passes import (
@@ -40,6 +40,7 @@ from repro.analysis.passes import (
     register_pass,
     screen_configs,
 )
+from repro.analysis.passes import base as passes_base
 from repro.analysis.passes import race_pass
 
 PMR = int(Region.PROPERTY) << REGION_SHIFT
@@ -60,6 +61,44 @@ def _as_tuples(report):
 def assert_reports_equal(legacy, vectorized):
     assert _as_tuples(legacy) == _as_tuples(vectorized)
     assert legacy.subject == vectorized.subject
+
+
+#: Chunk sizes the hand-built and property cases run at: a few events,
+#: so chunk boundaries fall inside threads, epochs and lock sections,
+#: and the default.
+_CHUNKS = (3, 7, passes_base.CHUNK_EVENTS)
+
+
+def _at_chunk_sizes(sizes=_CHUNKS):
+    """Yield each size of ``sizes`` with the passes' chunk constant set
+    to it for the loop body."""
+    for size in sizes:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(passes_base, "CHUNK_EVENTS", size)
+            yield size
+
+
+def _races(trace, sizes=_CHUNKS):
+    """The vectorized race report of ``trace``, checked equal to the
+    legacy detector's at every chunk size of ``sizes``."""
+    legacy = detect_races(trace)
+    col = ColumnarTrace.from_events(trace)
+    for _ in _at_chunk_sizes(sizes):
+        report = detect_races_columnar(col)
+        assert report is not None
+        assert_reports_equal(legacy, report)
+    return report
+
+
+def _lint(trace, config, sizes=_CHUNKS):
+    """The vectorized lint report of ``trace`` under ``config``, checked
+    equal to the legacy linter's at every chunk size of ``sizes``."""
+    legacy = lint_trace(trace, config)
+    col = ColumnarTrace.from_events(trace)
+    for _ in _at_chunk_sizes(sizes):
+        report = lint_columnar(col, config, None)
+        assert_reports_equal(legacy, report)
+    return report
 
 
 def _synth(builders, name="synth"):
@@ -86,7 +125,9 @@ _CONFIGS = [
 @pytest.mark.parametrize(
     "code", [w.code for w in all_workloads()]
 )
-def test_grid_equivalence(code, small_graph, small_weighted_graph):
+def test_grid_equivalence(code, small_graph, small_weighted_graph, monkeypatch):
+    # Chunks smaller than a thread, so boundaries fall inside threads.
+    monkeypatch.setattr(passes_base, "CHUNK_EVENTS", 1024)
     graph = small_weighted_graph if code == "SSSP" else small_graph
     for plain_atomics in (False, True):
         run = get_workload(code).run(
@@ -159,17 +200,12 @@ def test_hypothesis_equivalence(per_thread):
                 getattr(thread, method)(*args)
         threads.append(thread)
     trace = Trace(threads, name="hyp")
-    col = ColumnarTrace.from_events(trace)
     for config in (
         SystemConfig.graphpim(),
         SystemConfig.graphpim(pmr_bypass=False),
     ):
-        assert_reports_equal(
-            lint_trace(trace, config), lint_columnar(col, config, None)
-        )
-    vectorized = detect_races_columnar(col)
-    assert vectorized is not None
-    assert_reports_equal(detect_races(trace), vectorized)
+        _lint(trace, config)
+    _races(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -187,25 +223,19 @@ def _unlocked(thread):
 
 
 def test_lock_word_suppresses_race():
-    trace = _synth([_locked, _locked])
-    report = detect_races_columnar(ColumnarTrace.from_events(trace))
-    assert_reports_equal(detect_races(trace), report)
+    report = _races(_synth([_locked, _locked]))
     assert len(report) == 0
 
 
 def test_unlocked_writer_still_races():
-    trace = _synth([_locked, _unlocked])
-    report = detect_races_columnar(ColumnarTrace.from_events(trace))
-    assert_reports_equal(detect_races(trace), report)
+    report = _races(_synth([_locked, _unlocked]))
     assert report.count("RACE001") == 1
 
 
 def test_single_writer_chaotic_read_is_warning():
-    trace = _synth(
-        [lambda t: t.store(DATA, 8), lambda t: t.load(DATA, 8)]
+    report = _races(
+        _synth([lambda t: t.store(DATA, 8), lambda t: t.load(DATA, 8)])
     )
-    report = detect_races_columnar(ColumnarTrace.from_events(trace))
-    assert_reports_equal(detect_races(trace), report)
     (finding,) = report.findings
     assert "single-writer/chaotic-read" in finding.message
     assert not report.has_errors
@@ -220,9 +250,7 @@ def test_race_cap_and_suppression_note():
         for i in range(MAX_RACE_FINDINGS + 30):
             thread.store(DATA + 0x100 + i * 64, 8)
 
-    trace = _synth([writer, reader])
-    report = detect_races_columnar(ColumnarTrace.from_events(trace))
-    assert_reports_equal(detect_races(trace), report)
+    report = _races(_synth([writer, reader]))
     assert report.count("RACE001") == MAX_RACE_FINDINGS + 1  # + INFO note
     assert "further race findings suppressed" in report.findings[-1].message
 
@@ -242,9 +270,7 @@ def test_straddling_store_reaches_its_second_bucket(other):
         else:
             getattr(thread, other)(DATA + 8, 8)  # bucket b + 1 only
 
-    trace = _synth([writer, toucher])
-    report = detect_races_columnar(ColumnarTrace.from_events(trace))
-    assert_reports_equal(detect_races(trace), report)
+    report = _races(_synth([writer, toucher]))
     assert report.count("RACE001") == 1
 
 
@@ -261,8 +287,7 @@ def test_access_past_int64_is_ill_formed(tmp_path, capsys):
         thread.load(127, 2**63 - 1)
 
     trace = _synth([huge, neighbour])
-    report = detect_races_columnar(ColumnarTrace.from_events(trace))
-    assert_reports_equal(detect_races(trace), report)
+    report = _races(trace)
     assert not report.findings
     path = tmp_path / "huge.npz"
     save_trace(trace, path)
@@ -278,9 +303,7 @@ def test_lock_cas_spanning_unwritten_bucket(cas_addr):
         thread.store(DATA, 8)
         thread.store(LOCK, 8)  # release
 
-    trace = _synth([locked, locked])
-    report = detect_races_columnar(ColumnarTrace.from_events(trace))
-    assert_reports_equal(detect_races(trace), report)
+    report = _races(_synth([locked, locked]))
     assert len(report) == 0
 
 
@@ -294,17 +317,16 @@ def test_expansion_guard_counts_filtered_rows(monkeypatch):
     def reader(thread):
         thread.load(DATA, 8)
 
-    trace = _synth([scanner, reader])
-    report = detect_races_columnar(ColumnarTrace.from_events(trace))
-    assert report is not None  # only the store and its reader are kept
-    assert_reports_equal(detect_races(trace), report)
+    # Only the store and its reader are kept.
+    report = _races(_synth([scanner, reader]))
     assert report.count("RACE001") == 1
 
     def wide_writer(thread):
         thread.store(META + 0x10000, 8 * 150)
 
-    trace = _synth([wide_writer, reader])
-    assert detect_races_columnar(ColumnarTrace.from_events(trace)) is None
+    col = ColumnarTrace.from_events(_synth([wide_writer, reader]))
+    for _ in _at_chunk_sizes():
+        assert detect_races_columnar(col) is None
 
 
 def test_lint_region_bounds_and_bad_op_match_legacy():
@@ -318,13 +340,11 @@ def test_lint_region_bounds_and_bad_op_match_legacy():
         thread.atomic(99, PMR + 8, 8, False)  # not an op
 
     trace = _synth([thread_body])
-    col = ColumnarTrace.from_events(trace)
     for config in (
         SystemConfig.graphpim(),
         SystemConfig.graphpim(fp_extension=False),
     ):
-        vectorized = lint_columnar(col, config, None)
-        assert_reports_equal(lint_trace(trace, config), vectorized)
+        vectorized = _lint(trace, config)
     assert vectorized.count("TRC001") == 2
     assert "atomic op 99 is not an AtomicOp" in [
         f.message for f in vectorized.findings
@@ -338,13 +358,86 @@ def test_lint_cap_and_suppression_note():
             thread.load(PMR + 8, 4)
 
     trace = _synth([thread_body])
-    config = SystemConfig.graphpim(pmr_bypass=False)
-    vectorized = lint_columnar(
-        ColumnarTrace.from_events(trace), config, None
-    )
-    assert_reports_equal(lint_trace(trace, config), vectorized)
+    vectorized = _lint(trace, SystemConfig.graphpim(pmr_bypass=False))
     assert vectorized.count("PIM002") == MAX_FINDINGS_PER_RULE + 1
     assert "findings suppressed" in vectorized.findings[-1].message
+
+
+# ---------------------------------------------------------------------------
+# Chunk boundaries at the places a sweep carries state across
+# ---------------------------------------------------------------------------
+
+def _chunk_bounds(trace):
+    """Global rows at which a chunk of the current size starts."""
+    col = ColumnarTrace.from_events(trace)
+    return {lo for _, lo, _ in passes_base.event_chunks(col)}
+
+
+def test_chunk_boundary_on_a_barrier_row():
+    def first(thread):
+        thread.load(META + 0x100, 8)
+        thread.load(META + 0x108, 8)
+        thread.barrier(0)           # row 2
+        thread.store(DATA, 8)       # epoch 1
+        thread.barrier(1)           # row 4
+        thread.store(DATA + 8, 8)   # epoch 2
+
+    def second(thread):
+        thread.store(DATA, 8)       # epoch 0: no conflict
+        thread.barrier(0)
+        thread.load(DATA, 8)        # epoch 1: chaotic read
+        thread.barrier(1)
+        thread.store(DATA + 8, 8)   # epoch 2: store/store
+
+    trace = _synth([first, second])
+    # At 3 a chunk ends on the first barrier; at 4 one starts on the
+    # second.  An epoch count reset at the boundary would put the first
+    # thread's store to DATA in epoch 0, against the other's.
+    for size in _at_chunk_sizes((3, 4)):
+        assert (3 if size == 3 else 4) in _chunk_bounds(trace)
+    report = _races(trace, (3, 4))
+    assert [f.severity for f in report.findings] == [
+        Severity.WARNING,
+        Severity.ERROR,
+    ]
+    assert "epoch 1:" in report.findings[0].message
+    _lint(trace, SystemConfig.graphpim(), (3, 4))
+
+
+def test_chunk_boundary_between_lock_cas_and_release():
+    def locked(thread):
+        thread.load(META + 0x100, 8)
+        thread.atomic(AtomicOp.CAS, LOCK, 8)   # row 1: last of a chunk
+        thread.store(DATA, 8)                  # row 2: next chunk
+        thread.store(LOCK, 8)                  # release
+
+    for _ in _at_chunk_sizes((2,)):
+        assert 2 in _chunk_bounds(_synth([locked]))
+    assert len(_races(_synth([locked, locked]), (1, 2))) == 0
+    report = _races(_synth([locked, _unlocked]), (1, 2))
+    assert report.count("RACE001") == 1
+
+
+def test_chunk_boundary_after_the_capth_lint_finding():
+    def thread_body(thread):
+        # Alternating TRC003 variants, one finding per row.
+        for i in range(MAX_FINDINGS_PER_RULE + 2):
+            if i % 2:
+                thread.atomic(99, META + 8 * i, 8, False)
+            else:
+                thread.load(META + 8 * i, -4)
+
+    trace = _synth([thread_body])
+    sizes = (MAX_FINDINGS_PER_RULE, MAX_FINDINGS_PER_RULE - 1, 7)
+    for _ in _at_chunk_sizes(sizes[:1]):
+        # The cap-th finding is the last row of the first chunk.
+        assert MAX_FINDINGS_PER_RULE in _chunk_bounds(trace)
+    report = _lint(trace, SystemConfig.graphpim(), sizes)
+    assert report.count("TRC003") == MAX_FINDINGS_PER_RULE + 1
+    assert report.findings[-1].message.startswith("2 further TRC003")
+    assert report.findings[MAX_FINDINGS_PER_RULE - 1].event_index == (
+        MAX_FINDINGS_PER_RULE - 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +451,8 @@ def test_key_width_guard_falls_back_to_legacy():
 
     trace = _synth([huge, huge])
     col = ColumnarTrace.from_events(trace)
-    assert detect_races_columnar(col) is None  # guard trips
+    for _ in _at_chunk_sizes():
+        assert detect_races_columnar(col) is None  # guard trips
     # The PassManager transparently falls back to the legacy detector.
     results = PassManager(["race"]).run(trace, SystemConfig.graphpim())
     assert results["race"].engine == "legacy"
