@@ -1,6 +1,6 @@
 """Trace memory: bytes each Figure 7 trace holds per event once frozen,
-the memory its capture peaks at, and the memory its strict pre-flight
-adds.
+the memory its capture peaks at, the memory its strict pre-flight
+adds, and the resident memory the freeze adds.
 
 Runs each Figure 7 spec of the scale's evaluation grid as a strict job
 (pre-flight plus the three modes, no result cache) and records, per
@@ -28,6 +28,18 @@ but do not repeat exactly across fresh processes (see
 :data:`PEAK_SLACK`), so each is guarded against its record plus that
 relative slack.
 
+The ``tracemalloc`` figures cannot see pages the C allocator keeps
+after a free, so the freeze is guarded on resident memory as well
+(:func:`test_freeze_resident_rise`): one fresh child process captures
+BC on :data:`FREEZE_VERTICES` vertices with 16 threads and reads its
+``VmHWM`` after the capture and after ``Trace.columnar()``.  The
+freeze hands each thread's freed pages back as it copies the thread,
+so it may raise the high-water mark by at most
+:data:`FREEZE_RISE_THREADS` threads' shares of the frozen bytes; with
+the pages kept, it rose by all of them.  That case does not depend on
+``REPRO_SCALE``, and is skipped where ``/proc/self/status`` has no
+``VmHWM``.
+
 Regenerate the committed record with::
 
     REPRO_WRITE_BENCH=1 python -m pytest benchmarks/test_trace_memory_bench.py
@@ -36,8 +48,12 @@ Regenerate the committed record with::
 import gc
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
+
+import pytest
 
 from repro.analysis import analyze_run, clear_preflight_cache
 from repro.core.presets import resolve_scale, workload_graph
@@ -51,7 +67,45 @@ MAX_BYTES_PER_EVENT = 16.0
 
 _COLUMNS = ("kind", "addr", "size", "gap", "op", "ret")
 
-_BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_memory.json"
+_ROOT = Path(__file__).resolve().parent.parent
+_BENCH_FILE = _ROOT / "BENCH_memory.json"
+
+#: Vertices of the LDBC-like graph the freeze's resident-memory case
+#: captures BC on: about 3M events and 39 MB of frozen columns.
+FREEZE_VERTICES = 8000
+
+#: Threads' shares of the frozen bytes the freeze may add to the
+#: process's high-water mark: the thread being copied, plus slack for
+#: the allocator.
+FREEZE_RISE_THREADS = 2
+
+#: The child of the freeze case, given the vertex count: prints its
+#: VmHWM after capture and after the freeze, and the frozen bytes, as
+#: one JSON object.
+_FREEZE_CHILD = """
+import json, sys
+from repro.core.presets import workload_params
+from repro.graph.generators import ldbc_like_graph
+from repro.workloads.registry import get_workload
+
+def vmhwm():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+run = get_workload("BC").run(
+    ldbc_like_graph(int(sys.argv[1])), num_threads=16,
+    **workload_params("BC"),
+)
+captured = vmhwm()
+col = run.trace.columnar()
+print(json.dumps({
+    "vmhwm_after_capture": captured,
+    "vmhwm_after_freeze": vmhwm(),
+    "frozen_bytes": col.nbytes,
+}))
+"""
 
 #: Relative slack of the two tracemalloc peaks over their record.  In
 #: fresh processes at ``small`` the peaks spread by up to 0.52%: kCore's
@@ -108,6 +162,26 @@ def _preflight_peak_per_frozen_byte(spec, run) -> float:
     return peak / run.trace.columnar().nbytes
 
 
+def _has_vmhwm() -> bool:
+    try:
+        with open("/proc/self/status") as status:
+            return any(line.startswith("VmHWM:") for line in status)
+    except OSError:
+        return False
+
+
+def _write_record(update: dict) -> None:
+    """Merge ``update`` into the committed record, when asked to."""
+    if not os.environ.get("REPRO_WRITE_BENCH"):
+        return
+    record = (
+        json.loads(_BENCH_FILE.read_text()) if _BENCH_FILE.exists() else {}
+    )
+    record.update(update)
+    _BENCH_FILE.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"  wrote {_BENCH_FILE.name}")
+
+
 def test_trace_memory_per_event():
     scale = resolve_scale()
     clear_preflight_cache()
@@ -152,9 +226,7 @@ def test_trace_memory_per_event():
                 f"pre-flight peak "
                 f"{rec.get('preflight_peak_per_frozen_byte', '-')}x frozen"
             )
-    if os.environ.get("REPRO_WRITE_BENCH"):
-        _BENCH_FILE.write_text(json.dumps(record, indent=2) + "\n")
-        print(f"  wrote {_BENCH_FILE.name}")
+    _write_record(record)
 
     for code, rec in record.items():
         if isinstance(rec, dict) and "bytes_per_event" in rec:
@@ -176,3 +248,44 @@ def test_trace_memory_per_event():
                             f"recorded {committed[code][figure]} "
                             f"(slack {slack:.0%})"
                         )
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")
+def test_freeze_resident_rise():
+    env = dict(os.environ)
+    src = str(_ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    child = subprocess.run(
+        [sys.executable, "-c", _FREEZE_CHILD, str(FREEZE_VERTICES)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    rec = json.loads(child.stdout.splitlines()[-1])
+    frozen = rec["frozen_bytes"]
+    rise = rec["vmhwm_after_freeze"] - rec["vmhwm_after_capture"]
+    bound = FREEZE_RISE_THREADS * frozen / 16
+    rec["rise_per_frozen_byte"] = round(rise / frozen, 3)
+
+    print()
+    print(
+        f"  BC on {FREEZE_VERTICES:,} vertices: {frozen / 1e6:.1f} MB frozen, "
+        f"VmHWM {rec['vmhwm_after_capture'] / 1e6:.1f} -> "
+        f"{rec['vmhwm_after_freeze'] / 1e6:.1f} MB across the freeze"
+    )
+    _write_record(
+        {
+            "freeze_vmhwm": {
+                "workload": "BC",
+                "vertices": FREEZE_VERTICES,
+                "num_threads": 16,
+                **rec,
+            }
+        }
+    )
+    assert rise <= bound, (
+        f"the freeze raised VmHWM by {rise / 1e6:.1f} MB, over "
+        f"{FREEZE_RISE_THREADS} threads' shares of the "
+        f"{frozen / 1e6:.1f} MB frozen ({bound / 1e6:.1f} MB)"
+    )

@@ -156,7 +156,9 @@ step "trace memory benchmark (small-scale record guards)"
 # of a strict grid, the bytes each frozen event holds (at most 16 B at
 # any scale, and no more than the record), and the tracemalloc peaks of
 # its capture and of its strict pre-flight, each within 1% of the
-# record.  The figures are byte counts, so they need no RSS reading.
+# record.  Those are byte counts; tracemalloc cannot see pages the C
+# allocator keeps, so one more case reads a child process's VmHWM
+# across the freeze of BC on 8,000 vertices (skipped without VmHWM).
 run_or_fail env REPRO_SCALE=small python -m pytest -q \
     benchmarks/test_trace_memory_bench.py
 

@@ -42,10 +42,11 @@ are checked for unknown event kinds.
 
 from __future__ import annotations
 
+import ctypes
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -87,6 +88,32 @@ _UNSIGNED = {
 #: Most packed rows :meth:`ColumnBuffers.append_rows` moves in Python;
 #: numpy's per-call cost pays off only on more.
 _FEW_ROWS = 8
+
+#: Fewest bytes a thread's columns must free before the freeze hands
+#: the heap's free pages back to the OS: glibc's default trim threshold.
+#: Of the ``tiny`` Figure 7 traces only three of BC's threads hold more,
+#: so small jobs seldom pay for the call or the page faults after it.
+TRIM_FLOOR = 128 * 1024
+
+
+def _find_malloc_trim() -> "Callable[[int], int]":
+    """glibc's ``malloc_trim``, or a no-op where the C library has none.
+
+    glibc keeps freed heap memory for reuse, so without a trim the
+    freed capture buffers of a thread stay resident while the frozen
+    columns fill.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return lambda pad: 0
+    trim.argtypes = (ctypes.c_size_t,)
+    trim.restype = ctypes.c_int
+    return trim
+
+
+#: ``_malloc_trim(0)`` returns every free page of the heap to the OS.
+_malloc_trim = _find_malloc_trim()
 
 
 def narrowest_type(low: int, high: int) -> np.dtype:
@@ -249,6 +276,16 @@ class ColumnBuffers:
         ]
 
 
+def _narrowed_thread(matrix: np.ndarray) -> "list[np.ndarray]":
+    """One thread's (N, 6) int64 rows, checked for unknown kinds, as six
+    narrow columns over their own buffers."""
+    rows = np.asarray(matrix, dtype=np.int64).reshape(-1, 6)
+    check_event_kinds(rows[:, 0])
+    buffers = ColumnBuffers()
+    buffers.append(rows.T)
+    return buffers.views()
+
+
 @dataclass
 class ColumnarTrace:
     """Structure-of-arrays form of a multi-thread trace.
@@ -339,10 +376,11 @@ class ColumnarTrace:
         """The narrow columns of a :class:`Trace`, which this freezes.
 
         Each capturing thread's buffers are stacked into the columns and
-        freed, one thread at a time, and the thread becomes a read-only
-        view of its slice; a thread already frozen is copied from its
-        view and left as it is.  :meth:`Trace.columnar` calls this once
-        per trace and keeps the result.
+        freed, one thread at a time, with their pages handed back to the
+        OS (:meth:`_stack`), and the thread becomes a read-only view of
+        its slice; a thread already frozen is copied from its view and
+        left as it is.  :meth:`Trace.columnar` calls this once per trace
+        and keeps the result.
         """
         threads = trace.threads
 
@@ -362,18 +400,17 @@ class ColumnarTrace:
         cls,
         name: str,
         thread_ids: Sequence[int],
-        matrices: Sequence[np.ndarray],
+        matrices: Iterable[np.ndarray],
     ) -> "ColumnarTrace":
         """Assemble from per-thread (N, 6) matrices (the npz layout),
-        each narrowed on its own as capture narrows it."""
-        parts = []
-        for matrix in matrices:
-            rows = np.asarray(matrix, dtype=np.int64).reshape(-1, 6)
-            check_event_kinds(rows[:, 0])
-            buffers = ColumnBuffers()
-            buffers.append(rows.T)
-            parts.append(buffers.views())
-        return cls._stack(name, thread_ids, parts)
+        each narrowed on its own as capture narrows it.
+
+        A matrix is dropped once narrowed, so matrices read lazily (as
+        :func:`~repro.trace.io.load_trace` reads a bundle's members) are
+        held one at a time."""
+        return cls._stack(
+            name, thread_ids, list(map(_narrowed_thread, matrices))
+        )
 
     @classmethod
     def _stack(
@@ -391,7 +428,10 @@ class ColumnarTrace:
         thread's column is narrowest for its own.  ``parts[pos]`` is
         dropped once copied, and ``copied(pos, trace)`` called, so a
         caller that drops its own references frees each thread as it
-        goes.
+        goes.  When the thread's columns held at least
+        :data:`TRIM_FLOOR` bytes, the heap's free pages then go back to
+        the OS: glibc would keep them, and the process would peak at
+        every thread's buffers plus the trace's columns.
         """
         starts = np.zeros(len(parts) + 1, dtype=np.int64)
         np.cumsum([len(part[0]) for part in parts], out=starts[1:])
@@ -415,11 +455,17 @@ class ColumnarTrace:
         targets = [getattr(col, column) for column in _COLUMNS]
         bounds = starts.tolist()
         for pos, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            freed = 0
             for target, values in zip(targets, parts[pos]):
                 target[lo:hi] = values
+                freed += values.nbytes
+            # The loop's last view pins its buffer as well.
             parts[pos] = None
+            del values
             if copied is not None:
                 copied(pos, col)
+            if freed >= TRIM_FLOOR:
+                _malloc_trim(0)
         return col
 
     def thread_matrix(self, pos: int) -> np.ndarray:

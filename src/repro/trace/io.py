@@ -116,13 +116,16 @@ def save_trace(trace: AnyTrace, path: str | os.PathLike) -> None:
                 np.lib.format.write_array(out, array, allow_pickle=False)
 
 
-def _read_bundle(path: str | os.PathLike) -> "tuple[str, list, list]":
-    """Load and version-check an ``.npz`` bundle's raw arrays.
+def _read_columns(path: str | os.PathLike) -> ColumnarTrace:
+    """Load and version-check an ``.npz`` bundle into narrow columns.
 
-    Returns ``(name, thread_ids, matrices)``; normalizes the grab-bag
-    of load-time failures (truncated zip, missing member, corrupt
-    deflate stream, non-npz bytes) to :class:`TraceError` so callers
-    have one failure mode — and the CLI one exit code (2).
+    Each thread's member is read and narrowed in turn, so the int64
+    rows of one thread at a time are in memory beside the narrowed
+    ones.  Normalizes the grab-bag of load-time failures (truncated
+    zip, missing member, corrupt deflate stream, non-npz bytes) to
+    :class:`TraceError`, and prefixes the path to any other
+    :class:`TraceError` (an unknown event kind), so callers have one
+    failure mode — and the CLI one exit code (2).
     """
     try:
         with np.load(path, allow_pickle=False) as bundle:
@@ -132,9 +135,12 @@ def _read_bundle(path: str | os.PathLike) -> "tuple[str, list, list]":
                     f"unsupported trace format version {version} "
                     f"(expected {_FORMAT_VERSION})"
                 )
-            name = str(bundle["name"][0])
             thread_ids = bundle["thread_ids"].tolist()
-            matrices = [bundle[f"thread_{tid}"] for tid in thread_ids]
+            return ColumnarTrace.from_thread_matrices(
+                str(bundle["name"][0]),
+                thread_ids,
+                (bundle[f"thread_{tid}"] for tid in thread_ids),
+            )
     except FileNotFoundError:
         raise
     except TraceError as error:
@@ -155,26 +161,21 @@ def _read_bundle(path: str | os.PathLike) -> "tuple[str, list, list]":
         raise TraceError(
             f"{os.fspath(path)}: not a readable trace bundle ({error})"
         ) from error
-    return name, thread_ids, matrices
 
 
 def load_trace(path: str | os.PathLike, validate: bool = True) -> Trace:
     """Read a trace previously written by :func:`save_trace`.
 
-    The rows are stacked into narrow columns as loaded and every thread
-    is a frozen view of them (:meth:`Trace.from_columnar`); nothing is
-    decoded until a caller asks for event tuples.  Unknown event kinds
-    raise :class:`TraceError`.  ``validate=False`` skips the fail-fast
+    Each thread's rows are narrowed as its member is read, the narrow
+    columns are stacked, and every thread is a frozen view of them
+    (:meth:`Trace.from_columnar`); nothing is decoded until a caller
+    asks for event tuples.  Unknown event kinds raise
+    :class:`TraceError`.  ``validate=False`` skips the fail-fast
     barrier check so analysis tools (``repro lint``) can load a
     malformed trace and report *what* is wrong instead of dying on the
     first inconsistency.
     """
-    name, thread_ids, matrices = _read_bundle(path)
-    try:
-        col = ColumnarTrace.from_thread_matrices(name, thread_ids, matrices)
-    except TraceError as error:
-        raise TraceError(f"{os.fspath(path)}: {error}") from None
-    trace = Trace.from_columnar(col)
+    trace = Trace.from_columnar(_read_columns(path))
     if validate:
         trace.validate_barriers()
     return trace

@@ -16,13 +16,16 @@ from repro.analysis.passes import (
 from repro.analysis.passes import base as passes_base
 from repro.analysis.passes.profile_pass import screen_configs
 from repro.common.errors import TraceError
+from repro.core.presets import workload_graph
 from repro.memlayout.regions import REGION_SHIFT, Region
 from repro.runner.fingerprint import config_fingerprint, result_key
 from repro.sim.config import SystemConfig
+from repro.trace import columnar
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import EV_ATOMIC, EV_BARRIER, EV_LOAD, EV_STORE, AtomicOp
 from repro.trace.io import load_trace, save_trace, trace_digest
 from repro.trace.stream import ThreadTrace, Trace
+from repro.workloads.registry import get_workload
 
 PMR = int(Region.PROPERTY) << REGION_SHIFT
 META = int(Region.META) << REGION_SHIFT
@@ -125,6 +128,54 @@ def test_roundtrip_barrier_only():
     back = Trace.from_columnar(ColumnarTrace.from_events(trace))
     for original, restored in zip(trace.threads, back.threads):
         assert restored.event_tuples() == original.event_tuples()
+
+
+# ---------------------------------------------------------------------------
+# The freeze hands each thread's freed pages back as it goes
+# ---------------------------------------------------------------------------
+
+def _loads(tid, count):
+    """A thread of ``count`` loads, 13 B each in narrow columns."""
+    rows = np.zeros((count, 6), dtype=np.int64)
+    rows[:, 0] = EV_LOAD
+    rows[:, 1] = PMR + 8 * np.arange(count)
+    rows[:, 2] = 8
+    rows[:, 4] = -1
+    thread = ThreadTrace(tid)
+    thread.append_block(rows)
+    return thread
+
+
+def test_freeze_releases_pages_after_each_large_thread(monkeypatch, tmp_path):
+    big = columnar.TRIM_FLOOR // 13 + 1
+    trace = Trace(
+        [_loads(0, big), _loads(1, big), _loads(2, 100), _loads(3, big)],
+        name="trim",
+    )
+    calls = []
+    monkeypatch.setattr(
+        columnar,
+        "_malloc_trim",
+        lambda pad: calls.append([t.frozen for t in trace.threads]),
+    )
+    trace.columnar()
+    # One call per thread above the floor, in thread order, each after
+    # that thread froze and before the next one was copied.
+    assert calls == [
+        [True, False, False, False],
+        [True, True, False, False],
+        [True, True, True, True],
+    ]
+    # An .npz load stacks through the same loop.
+    save_trace(trace, tmp_path / "trim.npz")
+    calls.clear()
+    load_trace(tmp_path / "trim.npz")
+    assert len(calls) == 3
+    # No thread of a tiny BFS trace reaches the floor.
+    calls.clear()
+    run = get_workload("BFS").run(workload_graph("BFS", "tiny"), num_threads=16)
+    run.trace.columnar()
+    assert calls == []
 
 
 def test_structural_validation():

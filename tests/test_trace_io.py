@@ -1,9 +1,13 @@
 """Tests for trace serialization."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.common.errors import TraceError
+from repro.core.presets import workload_graph, workload_params
 from repro.sim.config import SystemConfig
 from repro.sim.system import simulate
 from repro.trace.events import AtomicOp
@@ -87,3 +91,32 @@ class TestTraceIO:
         )
         with pytest.raises(TraceError):
             load_trace(path)
+
+
+#: Most traced memory a load may peak at, per byte of its frozen
+#: columns.  Narrowing one thread's int64 rows at a time, a load holds
+#: the narrowed threads, the columns they stack into and one thread's
+#: rows (about 2x); reading every thread's rows first peaked at 5.7x.
+MAX_LOAD_PEAK_PER_FROZEN_BYTE = 3.0
+
+
+@pytest.mark.parametrize("code", ["BC", "PRank"])
+def test_load_reads_one_thread_at_a_time(tmp_path, code):
+    run = get_workload(code).run(
+        workload_graph(code, "small"), num_threads=16, **workload_params(code)
+    )
+    frozen = run.trace.columnar().nbytes
+    path = tmp_path / f"{code}.npz"
+    save_trace(run.trace, path)
+    del run
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = load_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.columnar().nbytes == frozen
+    assert peak <= MAX_LOAD_PEAK_PER_FROZEN_BYTE * frozen, (
+        f"{code}: a load peaked at {peak / frozen:.2f}x its frozen bytes"
+    )
