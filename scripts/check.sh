@@ -4,8 +4,8 @@
 # analysis-engine, simulation-kernel, trace-capture, trace-memory and
 # service-client benchmark smokes, the paper's result shapes at small
 # scale (the figure, table, ablation and extension benchmarks),
-# simulation-kernel equivalence (kernel grid against the reference,
-# diffed JSON),
+# simulation-kernel equivalence (kernel grid and FU ladders against the
+# reference, diffed JSON),
 # fault-injection smoke runs, chaos smokes (kill a worker on its first
 # job, kill one after it sent a traced run, freeze one into a hang;
 # assert bit-identical recovery and no shared memory segments),
@@ -230,6 +230,69 @@ print(f"engine diff ({sys.argv[3]}): {len(specs)} workload(s) "
     fi
 done
 rm -rf "$engine_dir"
+
+step "simulation engines (FU ladders against the reference)"
+# A U-PEI or GraphPIM config that only adds integer FUs to a run in
+# which no atomic waited for one is answered without the loop
+# (DESIGN section 14).  Each ladder climbs 1, 2, 4, 8 and 16 FUs per
+# vault through simulate in one process, fault-free and on the lossy
+# link above; every rung must equal the reference byte for byte, and at
+# least one rung must have been answered.
+if python -c '
+import json
+from dataclasses import replace
+from repro.core.presets import workload_params
+from repro.faults import FaultPlan
+from repro.runner import ExperimentSpec, RunnerConfig
+from repro.runner.engine import trace_spec
+from repro.sim import vectorized
+from repro.sim.config import SystemConfig
+from repro.sim.system import simulate, simulate_reference
+
+loop = vectorized._simulate_columnar
+runs = []
+def counting(col, config):
+    runs.append(config)
+    return loop(col, config)
+vectorized._simulate_columnar = counting
+
+plans = (None, FaultPlan.from_spec("ber=1e-5,drop=1e-3,stall=2000:200,seed=7"))
+rungs = answered = 0
+for code in ("BFS", "DC", "kCore", "PRank"):
+    spec = ExperimentSpec.for_workload(
+        code, "tiny", modes=[SystemConfig.graphpim()],
+        params=workload_params(code),
+    )
+    run, _ = trace_spec(spec, RunnerConfig(scale="tiny", cache_dir=None))
+    for plan, link in zip(plans, ("clean", "lossy")):
+        for ctor in (SystemConfig.upei, SystemConfig.graphpim):
+            runs.clear()
+            for fus in (1, 2, 4, 8, 16):
+                config = replace(
+                    ctor(faults=plan), hmc=SystemConfig().hmc.with_fus(fus)
+                )
+                ran = len(runs)
+                blob = json.dumps(simulate(run.trace, config).to_dict())
+                reference = simulate_reference(run.trace, config)
+                if blob != json.dumps(reference.to_dict()):
+                    raise SystemExit(
+                        f"{code} {config.label} {link} {fus} FUs: "
+                        "results differ"
+                    )
+                rungs += 1
+                answered += len(runs) == ran
+            print(f"{code} {config.label} {link}: "
+                  f"loop ran for {len(runs)} of 5 FU counts")
+if not answered:
+    raise SystemExit("no FU count was answered without the loop")
+print(f"FU ladders: {rungs} rungs byte-identical, {answered} answered "
+      "without the loop")
+'; then
+    echo "FU-ladder engine diff passed"
+else
+    echo "FU-ladder engine diff FAILED"
+    failures=$((failures + 1))
+fi
 
 step "repro run (parallel grid + result cache smoke)"
 cache_dir="$(mktemp -d)/repro_cache"

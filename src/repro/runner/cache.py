@@ -102,9 +102,10 @@ class ResultCache:
         version_marker = self.root / "VERSION"
         if not version_marker.exists():
             version_marker.write_text(f"{CACHE_LAYOUT_VERSION}\n")
-        _write_atomically(
-            self._path(key), lambda handle: json.dump(payload, handle)
-        )
+        # One json.dumps call runs the C encoder; json.dump streams
+        # through the pure-Python one, about 4x slower on a result.
+        text = json.dumps(payload)
+        _write_atomically(self._path(key), lambda handle: handle.write(text))
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()

@@ -355,6 +355,8 @@ typedef struct {
     lane req, resp;
     double bank_wait;
     int64_t activates, dreads, dwrites, fu_int, fu_fp;
+    /* atomics whose first-minimum integer FU was still busy */
+    int64_t fu_waits;
     int64_t req_counts[6], reqf_counts[6], respf_counts[6];
     int64_t tk_order[6], tk_len;
     /* fault plan (faults == 0: fault-free, nothing below is read) */
@@ -559,6 +561,11 @@ static double pim_once(simstate *S, int64_t k, int64_t rf, int64_t isfp,
         if (pool[i] < pool[mi]) mi = i;
     }
     double m = pool[mi];
+    /* An integer atomic whose FU is still busy waits.  Written
+     * !(m <= data_at_fu) so that a NaN counts too: in a run with no
+     * wait, any larger pool starts every atomic at the same cycle
+     * (the FU-ladder memo, DESIGN §14). */
+    if (!isfp && !(m <= data_at_fu)) S->fu_waits += 1;
     double fu_start = data_at_fu > m ? data_at_fu : m;
     pool[mi] = fu_start + fut;
     double result_ready = fu_start + fut;
@@ -784,7 +791,8 @@ static int route_of(const simstate *S, int64_t kind, int64_t addr,
  *                      count, then per-vault stall phase * period;
  *   block, refill      the injector's draw stream (faults only).
  * Outputs: core_d / core_i per-core accumulators (field-major), out_i /
- * out_d global counters, tkbuf the transaction-kind counts and order.
+ * out_d global counters (out_i[20]: integer-FU waits), tkbuf the
+ * transaction-kind counts and order.
  * On SIM_ERR_RETRY_EXHAUSTED out_i[14..16] hold the event index, the
  * attempt count and 1 when the lost transaction was a PIM atomic. */
 int graphpim_simulate(
@@ -1182,6 +1190,7 @@ int graphpim_simulate(
     out_i[13] = S.fu_fp;
     out_i[18] = S.retx_flits;
     out_i[19] = S.reissued;
+    out_i[20] = S.fu_waits;
     out_d[0] = S.bank_wait;
     out_d[1] = S.req.wait;
     out_d[2] = S.resp.wait;

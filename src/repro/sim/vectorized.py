@@ -40,6 +40,16 @@ because only the pool *minimum* is observable (the reference picks the
 first minimal index; the pool multiset and its minimum evolve
 identically either way).
 
+**FU ladders.**  The kernel also counts the PIM atomics whose integer
+functional unit was still busy.  A U-PEI or GraphPIM run that counted
+none is kept on the trace's columnar form, keyed by its config with the
+label and the integer FU count blanked; a later call with the same key
+and more integer FUs per vault gets the kept outputs, built into a
+fresh result that carries its own config, without running the loop.
+Each vault's pool then always holds the smaller pool's next-free times
+plus some more, so every atomic starts at the same cycle and every
+event repeats (DESIGN §14).
+
 **Fallback.**  :func:`try_simulate_vectorized` returns
 ``(None, reason)`` instead of a result when the input uses a feature
 the kernel does not model — hybrid DDR memory, timeline recording,
@@ -53,6 +63,10 @@ the oracle.
 from __future__ import annotations
 
 import ctypes
+import hashlib
+import json
+import threading
+import time
 from typing import Optional
 
 import numpy as np
@@ -97,6 +111,15 @@ _MAX_FLITS = 5
 
 #: Doubles of the fault draw stream per block handed to the kernel.
 _DRAW_BLOCK = 4096
+
+#: Configs per trace whose wait-free kernel outputs are kept for larger
+#: integer FU counts; an FU sweep needs one per combination of the other
+#: swept parameters and offloading mode.
+FU_LADDER_KEYS = 16
+
+#: Guards the read-compare-write of the kept outputs (the service
+#: simulates on executor threads).
+_LADDER_LOCK = threading.Lock()
 
 
 def _atomic_luts() -> np.ndarray:
@@ -208,6 +231,10 @@ def try_simulate_vectorized(
     one ``precompute`` frame before the kernel and one ``kernel`` frame
     after it rather than the interpreter's every-N-events cadence.
     Publishing never affects kernel inputs, so bit-identity holds.
+
+    A config that differs from a wait-free run on the same trace only
+    in its label and in more integer FUs is answered from that run's
+    outputs (module docstring), with the same two frames.
     """
     reason = decline_reason(trace, config, recorder)
     if reason is not None:
@@ -221,10 +248,57 @@ def try_simulate_vectorized(
     if reason is not None:
         return None, reason
     pub = publisher if publisher is not None and publisher.enabled else None
-    try:
-        return _simulate_columnar(col, config, pub), None
-    except _KernelDeclined as exc:
-        return None, str(exc)
+    start = time.monotonic() if pub is not None else 0.0
+    if pub is not None:
+        # Chunk boundary 1: inputs checked, kernel about to run.
+        _publish_chunk(pub, "precompute", 0, col.num_events, start)
+    # Kept the same way: wait-free outputs are facts about the trace.
+    ladder = col.__dict__.setdefault("_fu_ladder", {})
+    key = _ladder_key(config)
+    fus = config.hmc.fus_per_vault
+    kept = ladder.get(key) if key is not None else None
+    if kept is not None and kept[0] < fus:
+        outputs = kept[1]
+    else:
+        try:
+            outputs = _simulate_columnar(col, config)
+        except _KernelDeclined as exc:
+            return None, str(exc)
+        if key is not None and outputs[2][20] == 0:  # no FU waits
+            _keep(ladder, key, fus, outputs)
+    result = _result(config, col.num_threads, outputs)
+    if pub is not None:
+        # Chunk boundary 2: kernel returned; report final totals.
+        _publish_chunk(
+            pub, "kernel", col.num_events, col.num_events, start,
+            result=result,
+        )
+    return result, None
+
+
+def _ladder_key(config: SystemConfig) -> Optional[bytes]:
+    """The FU-ladder key of ``config``: a digest of its JSON with the
+    label and the integer FU count blanked, or None in Baseline, which
+    offloads no atomic."""
+    if config.mode is Mode.BASELINE:
+        return None
+    data = config.to_dict()
+    data["label"] = None
+    data["hmc"]["fus_per_vault"] = None
+    return hashlib.sha256(json.dumps(data).encode()).digest()
+
+
+def _keep(ladder: dict, key: bytes, fus: int, outputs: tuple) -> None:
+    """Keep the outputs of a wait-free run with ``fus`` integer FUs,
+    unless the key's kept run has no more FUs; past
+    :data:`FU_LADDER_KEYS` keys the oldest goes."""
+    with _LADDER_LOCK:
+        kept = ladder.get(key)
+        if kept is not None and kept[0] <= fus:
+            return
+        ladder[key] = (fus, outputs)
+        if len(ladder) > FU_LADDER_KEYS:
+            del ladder[next(iter(ladder))]
 
 
 def _publish_chunk(pub, phase, events_done, events_total, start,
@@ -234,8 +308,6 @@ def _publish_chunk(pub, phase, events_done, events_total, start,
     Reads finished state only — the kernel has either not started or
     already returned — so publishing cannot perturb the simulation.
     """
-    import time
-
     from repro.obs.progress import ProgressSnapshot
 
     elapsed = time.monotonic() - start
@@ -309,13 +381,13 @@ def _fault_inputs(config: SystemConfig):
     return cfg_i, cfg_d, fault_d, block, REFILL_FN(refill)
 
 
-def _simulate_columnar(col, config: SystemConfig, pub=None):
-    """The fused kernel proper.  See the module docstring for rules."""
-    import time
+def _simulate_columnar(col, config: SystemConfig):
+    """The fused kernel proper.  See the module docstring for rules.
 
-    from repro.sim.system import SimResult
-
-    start_wall = time.monotonic() if pub is not None else 0.0
+    Returns its output buffers ``(core_d, core_i, out_i, out_d,
+    tkbuf)``, which :func:`_result` turns into a :class:`SimResult`;
+    ``out_i[20]`` counts the atomics that waited for an integer FU.
+    """
     cfg = config.hmc
     T = col.num_threads
     mode = config.mode
@@ -385,15 +457,9 @@ def _simulate_columnar(col, config: SystemConfig, pub=None):
     # counters, and the transaction-kind count/order block.
     core_d = np.zeros(5 * T, dtype=np.float64)
     core_i = np.zeros(9 * T, dtype=np.int64)
-    out_i = np.zeros(20, dtype=np.int64)
+    out_i = np.zeros(21, dtype=np.int64)
     out_d = np.zeros(4, dtype=np.float64)
     tkbuf = np.zeros(25, dtype=np.int64)
-
-    if pub is not None:
-        # Chunk boundary 1: inputs checked, kernel about to run.
-        _publish_chunk(
-            pub, "precompute", 0, col.num_events, start_wall
-        )
 
     lib, _unavailable = load_kernel()  # non-None; decline_reason checked
     i64p = ctypes.POINTER(ctypes.c_int64)
@@ -453,12 +519,19 @@ def _simulate_columnar(col, config: SystemConfig, pub=None):
         raise _KernelDeclined(
             f"C kernel could not allocate working state (rc={rc})"
         )
+    return core_d, core_i, out_i, out_d, tkbuf
 
-    # ------------------------------------------------------------------
-    # Results: rebuild the reference's stats objects field for field.
-    # tolist() yields native Python ints/floats (bit-preserving), which
-    # keeps SimResult.to_dict() JSON byte-identical.
-    # ------------------------------------------------------------------
+
+def _result(config: SystemConfig, T: int, outputs: tuple):
+    """A fresh :class:`SimResult` from the kernel's output buffers.
+
+    Rebuilds the reference's stats objects field for field.  tolist()
+    yields native Python ints/floats (bit-preserving), which keeps
+    SimResult.to_dict() JSON byte-identical.
+    """
+    from repro.sim.system import SimResult
+
+    core_d, core_i, out_i, out_d, tkbuf = outputs
     cd = core_d.tolist()
     ci = core_i.tolist()
     total = CoreStats()
@@ -502,7 +575,7 @@ def _simulate_columnar(col, config: SystemConfig, pub=None):
     hmc_stats.reissued_requests = oi[19]
     hmc_stats.fault_stall_cycles = od[3]
 
-    result = SimResult(
+    return SimResult(
         config=config,
         cycles=max(cd[:T]),
         core_stats=total,
@@ -517,10 +590,3 @@ def _simulate_columnar(col, config: SystemConfig, pub=None):
         dram_stats=None,
         cache_prefetches=oi[8],
     )
-    if pub is not None:
-        # Chunk boundary 2: kernel returned; report final totals.
-        _publish_chunk(
-            pub, "kernel", col.num_events, col.num_events, start_wall,
-            result=result,
-        )
-    return result

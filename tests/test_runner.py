@@ -66,6 +66,20 @@ class TestResultCache:
         assert cache.get("k" * 64) == {"a": 1}
         assert cache.hits == 1 and cache.misses == 1
 
+    def test_stored_bytes_are_the_payload_json(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        payload = {
+            "cycles": 0.1 + 0.2,
+            "counts": [1, -2, 2**62],
+            "nested": {"none": None, "flag": True, "text": "Ünïcode"},
+            "inf": float("inf"),
+        }
+        cache.put("j" * 64, payload)
+        assert cache._path("j" * 64).read_bytes() == json.dumps(
+            payload
+        ).encode()
+        assert cache.get("j" * 64) == payload
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         cache.put("x" * 64, {"a": 1})

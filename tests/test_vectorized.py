@@ -9,6 +9,7 @@ service payloads) must count those fallbacks without letting them leak
 into cache identity.
 """
 
+import contextlib
 import json
 import math
 from dataclasses import replace
@@ -34,12 +35,20 @@ from repro.runner import (
 )
 from repro.sim.cache import CacheConfig
 from repro.sim.config import SystemConfig
+from repro.obs.progress import CallbackPublisher
+from repro.obs.timeline import TimelineRecorder
+from repro.sim import vectorized
 from repro.sim.system import (
     EngineInfo,
+    simulate,
     simulate_reference,
     simulate_with_engine,
 )
-from repro.sim.vectorized import decline_reason, try_simulate_vectorized
+from repro.sim.vectorized import (
+    FU_LADDER_KEYS,
+    decline_reason,
+    try_simulate_vectorized,
+)
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import AtomicOp
 from repro.trace.stream import ThreadTrace, Trace
@@ -135,9 +144,8 @@ def _outcome(run) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
-def assert_engines_agree(trace: Trace, config: SystemConfig) -> None:
-    """The kernel runs the input without falling back, and it and the
-    reference end the same way: equal bytes or the same error text."""
+def _kernel_outcome(trace: Trace, config: SystemConfig) -> str:
+    """:func:`_outcome` of a kernel run that must not decline."""
 
     def kernel():
         # simulate_with_engine reports no fallback exactly when this
@@ -146,10 +154,14 @@ def assert_engines_agree(trace: Trace, config: SystemConfig) -> None:
         assert reason is None, f"kernel declined: {reason}"
         return result
 
-    def reference():
-        return simulate_reference(trace, config)
+    return _outcome(kernel)
 
-    assert _outcome(kernel) == _outcome(reference), (
+
+def assert_engines_agree(trace: Trace, config: SystemConfig) -> None:
+    """The kernel runs the input without falling back, and it and the
+    reference end the same way: equal bytes or the same error text."""
+    kernel = _kernel_outcome(trace, config)
+    assert kernel == _outcome(lambda: simulate_reference(trace, config)), (
         f"engine mismatch under {config.display_name} "
         f"with {config.faults}"
     )
@@ -467,6 +479,242 @@ def test_facade_exports():
     ):
         assert name in repro.__all__
         assert getattr(repro, name) is not None
+
+
+# ----------------------------------------------------------------------
+# FU ladders: larger integer FU counts answered from a wait-free run
+# ----------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def loop_runs():
+    """Count the kernel's loop runs: yields a list that gets one entry
+    per run, its integer-FU wait count (None while it runs or when it
+    raises)."""
+    loop = vectorized._simulate_columnar
+    runs = []
+
+    def counting(col, config):
+        runs.append(None)
+        outputs = loop(col, config)
+        runs[-1] = int(outputs[2][20])
+        return outputs
+
+    vectorized._simulate_columnar = counting
+    try:
+        yield runs
+    finally:
+        vectorized._simulate_columnar = loop
+
+
+def _with_fus(config: SystemConfig, fus: int, **changes) -> SystemConfig:
+    return replace(config, hmc=config.hmc.with_fus(fus), **changes)
+
+
+# Property-region traces of at least two threads whose rows land on two
+# vaults, three banks each (lines 0, 32 and 64 are vault 0), with gaps
+# of at most two cycles: atomics of different threads often meet at a
+# vault's FUs.
+crowded_trace_strategy = st.lists(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["atomic", "atomic", "load", "work"]),
+                st.just(Region.PROPERTY),
+                st.sampled_from([0, 1, 32, 33, 64, 65]),
+                st.integers(0, 2),
+                st.sampled_from(list(AtomicOp)),
+                st.booleans(),
+            ),
+            max_size=25,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    min_size=2,
+    max_size=4,
+)
+
+
+@given(
+    st.one_of(phased_trace_strategy, crowded_trace_strategy),
+    st.sampled_from([SystemConfig.upei, SystemConfig.graphpim]),
+    st.one_of(st.none(), fault_plan_strategy()),
+    st.integers(1, 3),
+    st.sampled_from([1, 2, 5, 13]),
+)
+@settings(max_examples=50, deadline=None)
+def test_fu_ladder_answers_equal_fresh_runs(specs, ctor, plan, small, more):
+    """After a run under k FUs, a run under k' > k skips the loop
+    exactly when no atomic waited under k, and either way equals, config
+    included, a fresh kernel run and the reference."""
+    large = small + more
+    trace = build_trace(specs)
+    config = ctor(faults=plan)
+    wider = _with_fus(config, large, label=f"{config.label}/fu{large}")
+    with loop_runs() as runs:
+        _kernel_outcome(trace, _with_fus(config, small))
+        answer = _kernel_outcome(trace, wider)
+    assert len(runs) == (1 if runs[0] == 0 else 2)
+    assert answer == _kernel_outcome(build_trace(specs), wider)
+    assert answer == _outcome(lambda: simulate_reference(trace, wider))
+
+
+def _one_vault_trace(num_atomics: int) -> Trace:
+    """``num_atomics`` threads, each sending one integer atomic at cycle
+    0 to its own bank of vault 0: they reach the vault's FUs a fraction
+    of an FU operation apart."""
+    threads = []
+    for tid in range(num_atomics):
+        thread = ThreadTrace(tid)
+        thread.atomic(
+            AtomicOp.ADD, REGION_BASE[Region.PROPERTY] + tid * 2048, 8, False
+        )
+        thread.barrier(0)
+        threads.append(thread)
+    return Trace(threads)
+
+
+def test_same_cycle_atomics_wait_under_fewer_fus():
+    trace = _one_vault_trace(4)
+    with loop_runs() as runs:
+        for fus in (1, 2, 3, 4):
+            # Each count runs: none is larger than a wait-free one yet.
+            simulate(trace, _with_fus(SystemConfig.graphpim(), fus))
+    assert [waits > 0 for waits in runs] == [True, True, True, False]
+
+
+def test_fu_ladder_misses():
+    trace = _one_vault_trace(4)
+    config = _with_fus(SystemConfig.graphpim(), 4)
+    with loop_runs() as runs:
+        simulate(trace, config)
+    assert runs == [0]
+    more = _with_fus(config, 8)
+    hmc = more.hmc
+    runs_the_loop = [
+        replace(config, label="again"),
+        replace(more, hmc=hmc.scaled_link_bandwidth(0.5)),
+        replace(more, hmc=replace(hmc, fp_fus_per_vault=2)),
+        replace(more, mlp=2),
+        more.with_faults(FaultPlan(seed=7, request_ber=1e-6)),
+        _with_fus(SystemConfig.upei(), 8),
+    ]
+    for other in runs_the_loop:
+        with loop_runs() as runs:
+            simulate(trace, other)
+        assert len(runs) == 1, other
+    with loop_runs() as runs:
+        recorded = TimelineRecorder()
+        assert try_simulate_vectorized(trace, more, recorded)[0] is None
+        assert try_simulate_vectorized(
+            trace, replace(more, **_HYBRID)
+        )[0] is None
+        answer = simulate(trace, replace(more, label="answer"))
+    assert runs == []
+    assert answer.config.label == "answer"
+    assert json.dumps(answer.to_dict()) == json.dumps(
+        simulate_reference(trace, replace(more, label="answer")).to_dict()
+    )
+
+
+def test_fu_ladder_keeps_the_fewest_fus():
+    trace = _one_vault_trace(4)
+    config = SystemConfig.graphpim()
+    with loop_runs() as runs:
+        for fus in (8, 4, 6, 5, 4, 16):
+            simulate(trace, _with_fus(config, fus))
+    # 8 and 4 run wait-free; 4 replaces 8, so 6 and 5 are answered, a
+    # second 4 runs again and 16 is answered.
+    assert runs == [0, 0, 0]
+
+
+def test_fu_ladder_holds_at_most_its_bound():
+    trace = _one_vault_trace(4)
+    configs = [
+        _with_fus(SystemConfig.graphpim(), 4, mlp=mlp)
+        for mlp in range(1, FU_LADDER_KEYS + 5)
+    ]
+    with loop_runs() as runs:
+        for config in configs:
+            simulate(trace, config)
+    assert runs == [0] * len(configs)
+    ladder = trace.columnar().__dict__["_fu_ladder"]
+    assert len(ladder) == FU_LADDER_KEYS
+    # The oldest keys went; the newest still answer.
+    with loop_runs() as runs:
+        simulate(trace, _with_fus(configs[-1], 8))
+        simulate(trace, _with_fus(configs[0], 8))
+    assert runs == [0]
+    assert len(ladder) == FU_LADDER_KEYS
+
+
+def test_fu_ladder_under_racing_threads():
+    """Threads climbing shared ladders in different orders get exact
+    answers, and each key keeps its fewest-FU wait-free run: a lost
+    update would leave a larger count kept."""
+    import random
+    import sys
+    import threading
+
+    trace = _one_vault_trace(4)
+    keys = [
+        _with_fus(SystemConfig.graphpim(), 4, mlp=mlp) for mlp in range(1, 13)
+    ]
+    work = [_with_fus(key, fus) for key in keys for fus in (4, 5, 6, 8, 16)]
+    expected = {
+        id(config): json.dumps(simulate_reference(trace, config).to_dict())
+        for config in work
+    }
+    wrong = []
+
+    def climb(seed):
+        order = list(work)
+        random.Random(seed).shuffle(order)
+        for config in order:
+            result = json.dumps(simulate(trace, config).to_dict())
+            if result != expected[id(config)]:
+                wrong.append(config)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=climb, args=(seed,)) for seed in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    ladder = trace.columnar().__dict__["_fu_ladder"]
+    assert sorted(fus for fus, _outputs in ladder.values()) == [4] * len(keys)
+
+
+def test_fu_ladder_answer_publishes_the_kernel_frames():
+    trace = _one_vault_trace(4)
+    fresh, answered = [], []
+    config = SystemConfig.graphpim()
+    simulate(
+        _one_vault_trace(4), _with_fus(config, 8),
+        publisher=CallbackPublisher(fresh.append),
+    )
+    simulate(trace, _with_fus(config, 4))
+    with loop_runs() as runs:
+        simulate(
+            trace, _with_fus(config, 8),
+            publisher=CallbackPublisher(answered.append),
+        )
+    assert runs == []
+
+    def stable(frames):
+        return [replace(frame, elapsed_s=0.0) for frame in frames]
+
+    assert [frame.phase for frame in answered] == ["precompute", "kernel"]
+    assert stable(answered) == stable(fresh)
 
 
 # ----------------------------------------------------------------------
