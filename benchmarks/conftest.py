@@ -1,19 +1,17 @@
 """Benchmark configuration.
 
 Each benchmark regenerates one table or figure of the paper and prints
-it.  Simulations are shared through the memoized suites in
-``repro.harness.suite``, so the first benchmark in a session pays for
-the grid and later ones reuse it; ``rounds=1`` keeps pytest-benchmark
-from re-simulating.
+it.  Simulations are shared through the results memo of
+``repro.harness.suite.run_specs``, so the first benchmark in a session
+pays for the grid and later ones reuse it; ``rounds=1`` keeps
+pytest-benchmark from re-simulating.
 
 Scale is controlled by ``REPRO_SCALE`` (tiny | small | paper); the
-default is ``small``.  Set ``REPRO_JOBS=N`` to warm the whole grid up
-front through the parallel experiment runner (with the persistent
-result cache when ``REPRO_CACHE_DIR`` is also set) instead of paying
-for it serially inside the first benchmark.
+default is ``small``.  Set ``REPRO_JOBS=N`` to fan each suite call's
+unseen specs out over N worker processes (with the persistent result
+cache when ``REPRO_CACHE_DIR`` is also set) instead of running them
+in-process.
 """
-
-import os
 
 import pytest
 
@@ -23,27 +21,6 @@ from repro.core.presets import resolve_scale
 @pytest.fixture(scope="session")
 def scale() -> str:
     return resolve_scale()
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_grid(scale):
-    """Pre-run the simulation grid via the runner when REPRO_JOBS is set."""
-    jobs_env = os.environ.get("REPRO_JOBS")
-    if not jobs_env:
-        return
-    from repro.harness import adopt_grid_results
-    from repro.runner import RunnerConfig, run_full_grid
-
-    config = RunnerConfig(
-        scale=scale,
-        jobs=int(jobs_env),
-        parallel=int(jobs_env) > 1,
-        cache_dir=os.environ.get("REPRO_CACHE_DIR"),
-    )
-    grid, report = run_full_grid(config)
-    adopt_grid_results(scale, grid)
-    print()
-    print(report.summary())
 
 
 def run_and_render(benchmark, experiment_fn, **kwargs):

@@ -8,9 +8,8 @@ headline result degrades gracefully rather than hinging on one value.
 
 from dataclasses import replace
 
-from repro.harness.suite import evaluation_suite
+from repro.harness.suite import evaluation_suite, sweep
 from repro.sim.config import SystemConfig
-from repro.sim.system import simulate
 
 
 def test_abl_atomic_cost(benchmark, scale):
@@ -18,16 +17,17 @@ def test_abl_atomic_cost(benchmark, scale):
     freeze_values = (0.0, 20.0, 40.0, 80.0)
 
     def run():
-        report = suite["DC"]
-        graphpim_cycles = report.results["GraphPIM"].cycles
-        speedups = []
-        for freeze in freeze_values:
-            config = replace(
-                SystemConfig.baseline(), atomic_freeze_cycles=freeze
+        graphpim_cycles = suite["DC"].results["GraphPIM"].cycles
+        modes = [
+            replace(
+                SystemConfig.baseline(),
+                atomic_freeze_cycles=freeze,
+                label=f"Baseline/freeze{freeze:g}",
             )
-            baseline = simulate(report.run.trace, config)
-            speedups.append(baseline.cycles / graphpim_cycles)
-        return speedups
+            for freeze in freeze_values
+        ]
+        baselines = sweep(["DC"], modes, scale)["DC"]
+        return [baseline.cycles / graphpim_cycles for baseline in baselines]
 
     speedups = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

@@ -8,25 +8,29 @@ lock should barely matter — this bench verifies our model agrees.
 
 from dataclasses import replace
 
-from repro.harness.suite import evaluation_suite
+from repro.harness.suite import evaluation_suite, sweep
 from repro.sim.config import SystemConfig
-from repro.sim.system import simulate
 
 
 def test_abl_bank_lock(benchmark, scale):
     suite = evaluation_suite(scale)
 
     def run():
-        rows = []
-        for code in ("BFS", "DC"):
-            report = suite[code]
-            locked = report.results["GraphPIM"]
-            unlocked_cfg = SystemConfig.graphpim().with_hmc(
-                replace(SystemConfig().hmc, atomic_locks_bank=False)
+        codes = ("BFS", "DC")
+        unlocked_cfg = replace(
+            SystemConfig.graphpim(),
+            hmc=replace(SystemConfig().hmc, atomic_locks_bank=False),
+            label="GraphPIM/unlocked",
+        )
+        unlocked = sweep(codes, [unlocked_cfg], scale)
+        return [
+            (
+                code,
+                suite[code].results["GraphPIM"].cycles,
+                unlocked[code][0].cycles,
             )
-            unlocked = simulate(report.run.trace, unlocked_cfg)
-            rows.append((code, locked.cycles, unlocked.cycles))
-        return rows
+            for code in codes
+        ]
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

@@ -9,26 +9,26 @@ flatters the ablation).
 
 from dataclasses import replace
 
-from repro.harness.suite import evaluation_suite
+from repro.harness.suite import evaluation_suite, sweep
 from repro.sim.config import SystemConfig
-from repro.sim.system import simulate
 
 
 def test_abl_cache_bypass(benchmark, scale):
     suite = evaluation_suite(scale)
 
     def run():
+        codes = ("BFS", "DC", "BC")
+        cached_cfg = replace(
+            SystemConfig.graphpim(), pmr_bypass=False, label="NoBypass"
+        )
+        cached = sweep(codes, [cached_cfg], scale)
         rows = []
-        for code in ("BFS", "DC", "BC"):
-            report = suite[code]
-            bypass = report.results["GraphPIM"]
-            cached_cfg = replace(
-                SystemConfig.graphpim(), pmr_bypass=False, label="NoBypass"
-            )
-            cached = simulate(report.run.trace, cached_cfg)
+        for code in codes:
+            bypass_cycles = suite[code].results["GraphPIM"].cycles
+            cached_cycles = cached[code][0].cycles
             rows.append(
-                (code, bypass.cycles, cached.cycles,
-                 cached.cycles / bypass.cycles)
+                (code, bypass_cycles, cached_cycles,
+                 cached_cycles / bypass_cycles)
             )
         return rows
 

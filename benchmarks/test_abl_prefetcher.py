@@ -7,30 +7,33 @@ and check that the offload candidates' miss rate barely moves, so the
 GraphPIM speedup survives.
 """
 
-from repro.harness.suite import evaluation_suite
+from dataclasses import replace
+
+from repro.harness.suite import evaluation_suite, sweep
 from repro.sim.config import SystemConfig
-from repro.sim.system import simulate
 
 
 def test_abl_prefetcher(benchmark, scale):
     suite = evaluation_suite(scale)
 
     def run():
+        codes = ("BFS", "DC")
+        prefetch_cfg = replace(
+            SystemConfig.baseline(),
+            prefetch_next_line=True,
+            label="Baseline/prefetch",
+        )
+        prefetching = sweep(codes, [prefetch_cfg], scale)
         rows = []
-        for code in ("BFS", "DC"):
+        for code in codes:
             report = suite[code]
-            plain = report.baseline
-            prefetch = simulate(
-                report.run.trace,
-                SystemConfig.baseline(prefetch_next_line=True),
-            )
-            graphpim = report.results["GraphPIM"]
+            prefetch = prefetching[code][0]
             rows.append(
                 (
                     code,
-                    plain.candidate_miss_rate(),
+                    report.baseline.candidate_miss_rate(),
                     prefetch.candidate_miss_rate(),
-                    prefetch.cycles / graphpim.cycles,
+                    prefetch.cycles / report.results["GraphPIM"].cycles,
                 )
             )
         return rows

@@ -9,34 +9,36 @@ This bench sweeps the HMC-resident fraction of the property region and
 checks the benefit interpolates smoothly between the two endpoints.
 """
 
+from dataclasses import replace
+
 from repro.dram.device import DdrConfig
-from repro.harness.suite import evaluation_suite
+from repro.harness.suite import sweep
 from repro.sim.config import SystemConfig
-from repro.sim.system import simulate
 
 FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def test_ext_hybrid_memory(benchmark, scale):
-    suite = evaluation_suite(scale)
-
     def run():
-        report = suite["DC"]
-        rows = []
-        for fraction in FRACTIONS:
-            config = SystemConfig.graphpim(
-                dram=DdrConfig(), property_hmc_fraction=fraction
+        modes = [
+            replace(
+                SystemConfig.graphpim(
+                    dram=DdrConfig(), property_hmc_fraction=fraction
+                ),
+                label=f"GraphPIM/hmc{fraction:g}",
             )
-            result = simulate(report.run.trace, config)
-            rows.append(
-                (
-                    fraction,
-                    result.cycles,
-                    result.core_stats.offloaded_atomics,
-                    result.core_stats.host_atomics,
-                )
+            for fraction in FRACTIONS
+        ]
+        results = sweep(["DC"], modes, scale)["DC"]
+        return [
+            (
+                fraction,
+                result.cycles,
+                result.core_stats.offloaded_atomics,
+                result.core_stats.host_atomics,
             )
-        return rows
+            for fraction, result in zip(FRACTIONS, results)
+        ]
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

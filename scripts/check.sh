@@ -4,6 +4,7 @@
 # analysis-engine, simulation-kernel, trace-capture, trace-memory and
 # service-client benchmark smokes, the paper's result shapes at small
 # scale (the figure, table, ablation and extension benchmarks),
+# examples/reproduce_all.py at tiny (pool against in-process),
 # simulation-kernel equivalence (kernel grid and FU ladders against the
 # reference, diffed JSON),
 # fault-injection smoke runs, chaos smokes (kill a worker on its first
@@ -176,6 +177,30 @@ step "paper result shapes (figure, table, ablation, extension at small)"
 # effect, so Fig. 7 fails at tiny by design.
 run_or_fail env REPRO_SCALE=small python -m pytest -q --benchmark-disable \
     benchmarks/test_{fig,tab,abl,ext}*.py
+
+step "examples/reproduce_all.py (tiny, pool against in-process)"
+# Every artifact end to end, through one strict run_specs call and the
+# harness memo: on the worker pool and in-process, without a result
+# cache.  Both must exit 0 and render identical artifacts once the
+# per-job status table and the timings are dropped.
+repro_dir="$(mktemp -d)"
+for jobs in 2 1; do
+    run_or_fail python examples/reproduce_all.py tiny --no-cache \
+        --jobs "$jobs" > "$repro_dir/jobs$jobs.txt"
+done
+artifacts() {
+    grep -Ev '^runner: |sim=[0-9]+ hit=[0-9]+|^  \([0-9]+\.[0-9]s\)$|^Done in ' "$1"
+}
+if cmp -s <(artifacts "$repro_dir/jobs2.txt") \
+    <(artifacts "$repro_dir/jobs1.txt"); then
+    echo "reproduce_all smoke passed (pool and in-process artifacts identical)"
+else
+    echo "reproduce_all smoke FAILED: pool and in-process artifacts differ"
+    diff <(artifacts "$repro_dir/jobs2.txt") \
+        <(artifacts "$repro_dir/jobs1.txt") | head -20
+    failures=$((failures + 1))
+fi
+rm -rf "$repro_dir"
 
 step "simulation engines (kernel grid against the reference, diff the JSON)"
 # The batch kernel must produce byte-identical reports to the per-event

@@ -1257,11 +1257,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args) -> int:
     from repro.harness import run_experiment
 
-    static = {"tab02", "tab03", "tab05", "tab06"}
-    if args.experiment_id in static:
-        result = run_experiment(args.experiment_id)
-    else:
-        result = run_experiment(args.experiment_id, scale=args.scale)
+    result = run_experiment(args.experiment_id, scale=args.scale)
     print(result.render())
     return 0
 

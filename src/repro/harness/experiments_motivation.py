@@ -18,7 +18,7 @@ def fig01_ipc(scale: str | None = None) -> ExperimentResult:
     rows = []
     ipc_by_category: dict[str, list[float]] = {}
     for workload in all_workloads():
-        run, baseline = results[workload.code]
+        baseline = results[workload.code]
         per_core_ipc = baseline.ipc / baseline.config.num_cores
         category = workload.category.value
         rows.append([workload.code, category, per_core_ipc])
@@ -44,7 +44,7 @@ def fig02_breakdown_mpki(scale: str | None = None) -> ExperimentResult:
     rows = []
     backend_shares = []
     for workload in all_workloads():
-        _run, baseline = results[workload.code]
+        baseline = results[workload.code]
         breakdown = baseline.pipeline_breakdown()
         mpki = baseline.mpki()
         rows.append(

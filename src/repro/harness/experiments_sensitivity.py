@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.presets import resolve_scale, workload_params
 from repro.graph.generators import ldbc_like_graph
 from repro.harness.registry import ExperimentResult, experiment
-from repro.harness.suite import evaluation_suite, trace_workload
+from repro.harness.suite import evaluation_suite, sweep
 from repro.sim.config import SystemConfig
 from repro.sim.system import simulate
 from repro.workloads.registry import get_workload
@@ -31,18 +33,24 @@ def fig11_fu_sensitivity(
 ) -> ExperimentResult:
     """Figure 11: GraphPIM speedup vs functional units per vault."""
     suite = evaluation_suite(scale)
+    hmc = SystemConfig().hmc
+    swept = sweep(
+        workloads,
+        [
+            replace(
+                SystemConfig.graphpim(),
+                hmc=hmc.with_fus(fus),
+                label=f"GraphPIM/fu{fus}",
+            )
+            for fus in fu_counts
+        ],
+        scale,
+    )
     rows = []
     spreads = []
     for code in workloads:
-        report = suite[code]
-        baseline_cycles = report.baseline.cycles
-        speedups = []
-        for fus in fu_counts:
-            config = SystemConfig.graphpim().with_hmc(
-                SystemConfig().hmc.with_fus(fus)
-            )
-            result = simulate(report.run.trace, config)
-            speedups.append(baseline_cycles / result.cycles)
+        baseline_cycles = suite[code].baseline.cycles
+        speedups = [baseline_cycles / result.cycles for result in swept[code]]
         rows.append([code, *speedups])
         spreads.append(max(speedups) - min(speedups))
     return ExperimentResult(
@@ -63,22 +71,28 @@ def fig13_link_bandwidth(
 ) -> ExperimentResult:
     """Figure 13: sensitivity to HMC link bandwidth."""
     suite = evaluation_suite(scale)
+    hmc = SystemConfig().hmc
+    swept = sweep(
+        workloads,
+        [
+            replace(
+                base,
+                hmc=hmc.scaled_link_bandwidth(factor),
+                label=f"{base.label}/bw{factor:g}",
+            )
+            for base in (SystemConfig.baseline(), SystemConfig.graphpim())
+            for factor in factors
+        ],
+        scale,
+    )
     rows = []
     spreads = []
     for code in workloads:
-        report = suite[code]
-        reference = report.baseline.cycles
-        speedups_row = [code]
-        per_workload = []
-        for mode_ctor in (SystemConfig.baseline, SystemConfig.graphpim):
-            for factor in factors:
-                config = mode_ctor().with_hmc(
-                    SystemConfig().hmc.scaled_link_bandwidth(factor)
-                )
-                result = simulate(report.run.trace, config)
-                speedup = reference / result.cycles
-                speedups_row.append(speedup)
-                per_workload.append((mode_ctor.__name__, factor, speedup))
+        reference = suite[code].baseline.cycles
+        speedups_row = [
+            code,
+            *(reference / result.cycles for result in swept[code]),
+        ]
         rows.append(speedups_row)
         base_vals = speedups_row[1 : 1 + len(factors)]
         gpim_vals = speedups_row[1 + len(factors) :]

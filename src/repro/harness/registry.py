@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -71,8 +72,15 @@ def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
 
 
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
-    """Run one experiment by id."""
-    return get_experiment(experiment_id)(**kwargs)
+    """Run one experiment by id.
+
+    ``scale`` reaches only experiments that take one; the static tables
+    take none.
+    """
+    fn = get_experiment(experiment_id)
+    if "scale" not in inspect.signature(fn).parameters:
+        kwargs.pop("scale", None)
+    return fn(**kwargs)
 
 
 def _ensure_loaded() -> None:

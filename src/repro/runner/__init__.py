@@ -12,8 +12,10 @@ Strictness, scale, parallelism, and cache placement travel on
 
 Entry points:
 
-- :func:`run_evaluation_grid` / :func:`run_full_grid` — the paper's
-  standard grids (CLI ``repro run``, ``examples/reproduce_all.py``).
+- :func:`run_evaluation_grid` — the Figure 7 grid (CLI ``repro run``);
+  :func:`evaluation_grid_specs`, :func:`motivation_extra_specs` and
+  :func:`plain_atomics_specs` — the paper's standard grids as spec
+  lists (``examples/reproduce_all.py``).
 - :class:`ExperimentRunner` — execute an arbitrary spec list.
 - :class:`ResultCache` — cache inspection/maintenance (``repro cache``).
 - :class:`JsonlJournal` — the torn-write tolerant JSON-lines journal
@@ -33,7 +35,6 @@ from repro.runner.cache import (
 )
 from repro.runner.engine import (
     ExperimentRunner,
-    GridResults,
     SpecOutcome,
     clear_trace_memo,
     evaluation_grid_specs,
@@ -41,7 +42,6 @@ from repro.runner.engine import (
     motivation_extra_specs,
     plain_atomics_specs,
     run_evaluation_grid,
-    run_full_grid,
 )
 from repro.runner.pool import PoolOutcome, SupervisedWorkerPool
 from repro.runner.fingerprint import (
@@ -69,7 +69,6 @@ __all__ = [
     "ExperimentRunner",
     "ExperimentSpec",
     "FaultPlan",
-    "GridResults",
     "JobFailure",
     "JobRecord",
     "JsonlJournal",
@@ -88,6 +87,5 @@ __all__ = [
     "result_key",
     "spec_key",
     "run_evaluation_grid",
-    "run_full_grid",
     "trace_digest",
 ]

@@ -6,6 +6,7 @@ paper's qualitative shape (sanity thresholds, not exact numbers).
 
 import pytest
 
+import repro.runner.engine as engine_module
 from repro.common.errors import ConfigError
 from repro.harness import get_experiment, run_experiment
 from repro.harness.registry import EXPERIMENTS, ExperimentResult
@@ -77,10 +78,19 @@ class TestStaticTables:
 
 
 class TestSuiteSharing:
-    def test_suite_memoized(self):
+    def test_suite_memoized(self, monkeypatch):
         a = evaluation_suite(SCALE)
+        jobs = []
+        real_execute = engine_module.execute_spec
+
+        def counting_execute(spec, config, **kwargs):
+            jobs.append(spec)
+            return real_execute(spec, config, **kwargs)
+
+        monkeypatch.setattr(engine_module, "execute_spec", counting_execute)
         b = evaluation_suite(SCALE)
-        assert a is b
+        assert jobs == []
+        assert b == a
 
     def test_suite_covers_figure7_codes(self):
         suite = evaluation_suite(SCALE)

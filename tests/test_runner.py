@@ -20,6 +20,7 @@ import repro.runner.engine as engine_module
 from repro.chaos import ChaosPlan
 from repro.common.errors import ConfigError, RunnerError, SimulationError
 from repro.core.api import EvaluationReport, GraphPimSystem
+from repro.core.presets import workload_params
 from repro.faults import FaultPlan
 from repro.runner import (
     CheckpointJournal,
@@ -637,11 +638,18 @@ class TestSerialization:
 # ----------------------------------------------------------------------
 
 
+def _strict_bfs_trace():
+    """BFS traced at tiny through the runner's strict pre-flight."""
+    spec = _spec("BFS", params=workload_params("BFS"))
+    run, _trace_hash = engine_module.trace_spec(
+        spec, RunnerConfig(strict=True, cache_dir=None)
+    )
+    return run
+
+
 class TestSuiteMigration:
     def test_trace_workload_explicit_strict(self):
-        from repro.harness.suite import trace_workload
-
-        run = trace_workload("BFS", "tiny", strict=True)
+        run = _strict_bfs_trace()
         assert run.trace.num_events > 0
 
     def test_preflight_dedup_skips_second_lint(self, monkeypatch):
@@ -656,9 +664,7 @@ class TestSuiteMigration:
             return real_analyze(run, config=config)
 
         monkeypatch.setattr(analysis, "analyze_run", counting_analyze)
-        from repro.harness.suite import trace_workload
-
-        run = trace_workload("BFS", "tiny", strict=True)
+        run = _strict_bfs_trace()
         assert len(calls) == 1
         # Same content evaluated strictly again: no second trace walk.
         GraphPimSystem(num_threads=16, strict=True).evaluate_trace(run)
