@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.chaos.plan import ChaosPlan
 from repro.common.errors import ConfigError
@@ -195,7 +195,7 @@ class ExperimentSpec:
         cls,
         workload: str,
         scale: str,
-        modes: "list[SystemConfig] | tuple[SystemConfig, ...]",
+        modes: Sequence[SystemConfig],
         num_threads: int = 16,
         plain_atomics: bool = False,
         params: Optional[dict] = None,
