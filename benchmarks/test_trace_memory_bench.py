@@ -17,9 +17,9 @@ taken after a ``gc.collect()``:
 - ``preflight_peak_per_frozen_byte``: the pre-flight's lint and race
   passes (``analyze_run`` under the spec's GraphPIM config) over the
   frozen trace, per byte of its columns.  The passes sweep the columns
-  in fixed chunks of events, so this is one chunk's temporaries plus
-  the events the race pass's writer filter keeps; a pass that builds a
-  per-event temporary over the whole trace shows here.
+  in place in C, so this is one bit per event plus the events the race
+  pass's writer filter keeps; a pass that builds a per-event temporary
+  over the whole trace shows here.
 
 ``bytes_per_event`` is a count and repeats exactly: at most
 :data:`MAX_BYTES_PER_EVENT` for every trace, and no more than the

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: style lint, type check, a warnings-as-errors build of the C
-# kernel, tier-1 tests, trace-lint (text + SARIF + baseline gating),
+# library, tier-1 tests, capture and pre-flight without the C library,
+# trace-lint (text + SARIF + baseline gating),
 # analysis-engine, simulation-kernel, trace-capture, trace-memory and
 # service-client benchmark smokes, the paper's result shapes at small
 # scale (the figure, table, ablation and extension benchmarks),
@@ -60,13 +61,14 @@ else
     echo "mypy not installed; skipping (pip install mypy)"
 fi
 
-step "C kernel (compile with warnings as errors)"
+step "C library (compile with warnings as errors)"
 # The runtime build (repro.sim._cbuild) uses the same flags minus the
-# warnings; a helper the time loop stops calling fails here.
+# warnings; a helper the time loop or a row pass stops calling fails
+# here.
 kernel_dir="$(mktemp -d)"
 run_or_fail "${CC:-cc}" -O2 -ffp-contract=off -fPIC -shared \
     -Wall -Wextra -Werror -o "$kernel_dir/kernel.so" \
-    src/repro/sim/_kernel.c -lm
+    src/repro/sim/_kernel.c src/repro/sim/_rows.c -lm
 rm -rf "$kernel_dir"
 
 step "pytest (tier-1 tests)"
@@ -76,6 +78,47 @@ if command -v timeout >/dev/null 2>&1; then
     run_or_fail timeout --signal=TERM 1800 python -m pytest -q tests
 else
     run_or_fail python -m pytest -q tests
+fi
+
+step "capture and pre-flight without the C library"
+# Without a C compiler, capture lays its rows out in numpy and the
+# strict pre-flight runs the per-event lint and race oracles.  Each
+# Figure 7 trace at tiny must keep its pinned digest, and the oracles
+# must pass it clean.
+if python -c '
+import json
+from repro.analysis import preflight_run
+from repro.analysis.passes import PassManager
+from repro.core.presets import workload_graph, workload_params
+from repro.sim import _cbuild
+from repro.trace.io import trace_digest
+from repro.workloads.registry import FIGURE7_CODES, get_workload
+
+_cbuild._cached = (None, "C library masked")
+pinned = json.load(open("tests/data/workload_digests.json"))
+for code in FIGURE7_CODES:
+    run = get_workload(code).run(
+        workload_graph(code, "tiny"), num_threads=16, **workload_params(code)
+    )
+    digest = trace_digest(run.trace)
+    if digest != pinned[f"{code}/tiny/t16/atomic"]["trace_digest"]:
+        raise SystemExit(f"{code}: trace digest differs without the library")
+    results = PassManager(["lint", "race"]).run(
+        run.trace, address_space=run.address_space
+    )
+    engines = {result.engine for result in results.values()}
+    if engines != {"legacy"}:
+        raise SystemExit(f"{code}: pre-flight engines {sorted(engines)}")
+    findings = sum(len(result.report) for result in results.values())
+    if findings:
+        raise SystemExit(f"{code}: {findings} pre-flight finding(s)")
+    preflight_run(run, trace_hash=digest)
+print(f"{len(FIGURE7_CODES)} traces: pinned digests, clean oracle pre-flight")
+'; then
+    echo "no-library smoke passed"
+else
+    echo "no-library smoke FAILED"
+    failures=$((failures + 1))
 fi
 
 step "repro lint (config presets)"

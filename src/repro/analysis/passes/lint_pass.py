@@ -1,10 +1,10 @@
 """Vectorized trace lint over the columnar IR.
 
-Reimplements :func:`repro.analysis.trace_lint.lint_trace` as numpy mask
-algebra over :class:`~repro.trace.columnar.ColumnarTrace` columns.  The
-output is **finding-for-finding identical** to the per-event linter on
-every trace — same rules, same messages, same emission order, same
-per-rule caps and suppression notes — which the equivalence tests in
+Reimplements :func:`repro.analysis.trace_lint.lint_trace` over the
+:class:`~repro.trace.columnar.ColumnarTrace` columns.  The output is
+**finding-for-finding identical** to the per-event linter on every
+trace — same rules, same messages, same emission order, same per-rule
+caps and suppression notes — which the equivalence tests in
 ``tests/test_passes.py`` enforce across the full workload grid and
 under property-based fuzzing.
 
@@ -12,21 +12,22 @@ Emission order: the legacy linter walks threads in order and events in
 order, emitting intra-event checks in a fixed code order.  The columnar
 layout is thread-major, so the global row index reproduces the event
 walk, and a per-row *variant* index (the constants below) reproduces the
-intra-event code order.  Findings are materialized from mask candidates
+intra-event code order.  Findings are materialized from candidate rows
 sorted by ``(row, variant)`` and pushed through the same per-rule
 cap/suppression bookkeeping as the legacy ``_Reporter``.
 
-Memory: the masks are built over fixed chunks of events
-(:func:`~repro.analysis.passes.base.event_chunks`), never over the
-whole trace.  When PIM002 is checked, a first sweep gathers the sorted
-set of PMR lines with offloaded atomics, merging per-chunk sets.  A
-second sweep builds each chunk's six variant masks, adds every rule's
-exact count (for the suppression notes), keeps each variant's first
-``cap`` rows as global row numbers, and collects each thread's barrier
-ids (TRC002).  A finding's thread and in-thread index come from one
-``searchsorted`` of its row into ``starts``.  The pass's extra memory
-is therefore one chunk's temporaries plus at most ``cap`` rows per
-variant and the offloaded-line set, whatever the trace length.
+The row sweep runs in C (``graphpim_lint`` in ``repro/sim/_rows.c``,
+built by :mod:`repro.sim._cbuild`): one walk of the frozen columns in
+place, thread by thread, that evaluates the six variant checks per row,
+counts every variant exactly (for the suppression notes), keeps each
+variant's first ``cap`` rows as global row numbers, and compares each
+thread's barrier ids with thread 0's (TRC002).  When PIM002 is checked,
+a first walk gathers the lines of PMR atomics into a hash set.  A
+finding's thread and in-thread index come from one ``searchsorted`` of
+its row into ``starts``.  The pass's extra memory is at most ``cap``
+rows per variant and the offloaded-line set, whatever the trace length.
+Without the C library :func:`lint_columnar` returns None, and the
+PassManager runs the per-event linter.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.hmc.commands import offloadable_ops
 from repro.memlayout.regions import REGION_SHIFT, Region
 from repro.sim.config import Mode
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.events import EV_ATOMIC, EV_BARRIER, EV_LOAD, AtomicOp
+from repro.trace.events import EV_LOAD, AtomicOp
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.analysis.rules import make_finding
 from repro.analysis.trace_lint import (
@@ -51,11 +52,8 @@ from repro.analysis.passes.base import (
     AnalysisPass,
     PassContext,
     PassResult,
-    event_chunks,
-    in_sorted_set,
     locate_rows,
     register_pass,
-    unique_sorted,
 )
 
 _PROPERTY_REGION = int(Region.PROPERTY)
@@ -83,150 +81,86 @@ _RULE_OF_VARIANT = {
 }
 
 
-def _vector_in_allocation(
-    addrs: np.ndarray, bases: np.ndarray, ends: np.ndarray
-) -> np.ndarray:
-    """Vectorized twin of the legacy bisect containment check."""
-    if not bases.size:
-        return np.zeros(addrs.shape, dtype=bool)
-    idx = np.searchsorted(bases, addrs, side="right") - 1
-    clamped = np.maximum(idx, 0)
-    return (idx >= 0) & (addrs < ends[clamped])
-
-
-def _offloaded_lines(col: ColumnarTrace) -> np.ndarray:
-    """Sorted line addresses (``addr >> 6``) of every PMR atomic.
-
-    One chunked sweep: each chunk's lines are reduced to a sorted set,
-    and the pending sets are folded into the result once they hold more
-    entries than it, so the sets held stay within about twice the
-    result plus one chunk's.
-    """
-    merged = np.empty(0, dtype=np.int64)
-    pending: list[np.ndarray] = []
-    held = 0
-    for _pos, lo, hi in event_chunks(col):
-        addr = col.addr[lo:hi]
-        offloaded = (col.kind[lo:hi] == EV_ATOMIC) & (
-            (addr >> REGION_SHIFT) == _PROPERTY_REGION
-        )
-        lines = unique_sorted(addr[offloaded] >> 6)
-        pending.append(lines)
-        held += lines.size
-        if held > merged.size:
-            merged = unique_sorted(np.concatenate([merged, *pending]))
-            pending, held = [], 0
-    return unique_sorted(np.concatenate([merged, *pending]))
-
-
-def _chunk_masks(
-    col: ColumnarTrace,
-    lo: int,
-    hi: int,
-    supported_values: np.ndarray,
-    spans: Optional[tuple[np.ndarray, np.ndarray]],
-    offloaded_lines: Optional[np.ndarray],
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Barrier mask and per-variant finding masks of rows ``[lo, hi)``.
-
-    ``spans`` holds the allocation bounds when TRC001 checks
-    allocations, and ``offloaded_lines`` the PMR lines with offloaded
-    atomics when PIM002 is checked (its mask is absent otherwise).
-    """
-    kind, addr = col.kind[lo:hi], col.addr[lo:hi]
-    size, gap = col.size[lo:hi], col.gap[lo:hi]
-    is_barrier = kind == EV_BARRIER
-    access = ~is_barrier
-    is_atomic = kind == EV_ATOMIC
-    region_ok = (addr >= 0) & (addr < _REGION_END)
-    in_pmr = access & ((addr >> REGION_SHIFT) == _PROPERTY_REGION)
-
-    masks: dict[int, np.ndarray] = {}
-    masks[_V_BARRIER_NEG] = is_barrier & ((size < 0) | (gap < 0))
-    masks[_V_SIZEGAP] = access & ((size <= 0) | (gap < 0))
-    outside = access & ~region_ok
-    if spans is not None:
-        alloc_ok = _vector_in_allocation(addr, *spans)
-        outside |= access & region_ok & ~alloc_ok
-    masks[_V_REGION] = outside
-    # The op column means nothing off atomic rows: test those alone.
-    atomic_rows = np.flatnonzero(is_atomic)
-    atomic_op = col.op[lo:hi][atomic_rows]
-    masks[_V_OP] = np.zeros(hi - lo, dtype=bool)
-    masks[_V_OP][atomic_rows] = ~in_sorted_set(atomic_op, _VALID_OP_VALUES)
-    masks[_V_PIM001] = np.zeros(hi - lo, dtype=bool)
-    masks[_V_PIM001][atomic_rows] = in_pmr[atomic_rows] & ~in_sorted_set(
-        atomic_op, supported_values
-    )
-    if offloaded_lines is not None:
-        masks[_V_PIM002] = (
-            ~is_atomic & in_pmr & in_sorted_set(addr >> 6, offloaded_lines)
-        )
-    return is_barrier, masks
-
-
 def lint_columnar(
     col: ColumnarTrace,
     config=None,
     address_space=None,
     max_per_rule: int = MAX_FINDINGS_PER_RULE,
-) -> AnalysisReport:
-    """Vectorized lint of a columnar trace (see module docstring)."""
+) -> Optional[AnalysisReport]:
+    """Vectorized lint of a columnar trace (see module docstring), or
+    None without the C library."""
+    from repro.sim._cbuild import load_kernel
     from repro.sim.config import SystemConfig
 
+    lib = load_kernel()[0]
+    if lib is None:
+        return None
     config = config or SystemConfig.graphpim()
     report = AnalysisReport(subject=col.name or "trace")
-    supported = offloadable_ops(config.fp_extension)
-    supported_values = np.asarray(
-        sorted(int(op) for op in supported), dtype=np.int64
+    supported = np.asarray(
+        sorted(int(op) for op in offloadable_ops(config.fp_extension)),
+        dtype=np.int64,
     )
-    spans = None
+    spans, span_bases, span_ends = -1, [], []  # -1: no allocation check
     if address_space is not None:
-        bases, ends = _allocation_spans(address_space)
-        spans = (
-            np.asarray(bases, dtype=np.int64),
-            np.asarray(ends, dtype=np.int64),
-        )
-    offloaded_lines = None
-    if config.mode is Mode.GRAPHPIM and not config.pmr_bypass:
-        offloaded_lines = _offloaded_lines(col)
+        span_bases, span_ends = _allocation_spans(address_space)
+        spans = len(span_bases)
+    bases = np.asarray(span_bases, dtype=np.int64)
+    ends = np.asarray(span_ends, dtype=np.int64)
+    check_pim002 = config.mode is Mode.GRAPHPIM and not config.pmr_bypass
 
-    # One sweep: exact candidate counts per rule (for suppression
+    # One sweep: exact candidate counts per variant (for suppression
     # notes), the first `cap` rows of each variant, and each thread's
-    # barrier ids.  Taking the first `cap` rows of each *variant* is
-    # sufficient: the per-rule first-cap in (row, variant) order is a
-    # subset of the union of per-variant first-caps.
-    counts: dict[str, int] = {}
-    kept: dict[int, list[np.ndarray]] = {v: [] for v in _RULE_OF_VARIANT}
-    taken = dict.fromkeys(_RULE_OF_VARIANT, 0)
-    barrier_ids: list[list[np.ndarray]] = [[] for _ in range(col.num_threads)]
-    for pos, lo, hi in event_chunks(col):
-        is_barrier, masks = _chunk_masks(
-            col, lo, hi, supported_values, spans, offloaded_lines
-        )
-        barrier_ids[pos].append(col.size[lo:hi][is_barrier])
-        for variant, mask in masks.items():
-            rule_id = _RULE_OF_VARIANT[variant]
-            counts[rule_id] = counts.get(rule_id, 0) + int(
-                np.count_nonzero(mask)
-            )
-            wanted = max_per_rule - taken[variant]
-            if wanted > 0:
-                rows = np.flatnonzero(mask)[:wanted]
-                if rows.size:
-                    kept[variant].append(rows + lo)
-                    taken[variant] += rows.size
+    # barrier count and TRC002 flags.  Taking the first `cap` rows of
+    # each *variant* is sufficient: the per-rule first-cap in (row,
+    # variant) order is a subset of the union of per-variant first-caps.
+    threads = col.num_threads
+    cap = max(0, min(max_per_rule, col.num_events))
+    params = np.array(
+        [
+            REGION_SHIFT,
+            _PROPERTY_REGION,
+            _REGION_END,
+            _VALID_OP_VALUES.size,
+            supported.size,
+            spans,
+            check_pim002,
+            cap,
+        ],
+        dtype=np.int64,
+    )
+    counts = np.zeros(len(_RULE_OF_VARIANT), dtype=np.int64)
+    kept = np.empty(len(_RULE_OF_VARIANT) * cap, dtype=np.int64)
+    barriers = np.empty(threads, dtype=np.int64)
+    flags = np.empty(threads, dtype=np.int64)
+    columns = (col.kind, col.addr, col.size, col.gap, col.op)
+    widths = np.array([c.itemsize for c in columns], dtype=np.int64)
+    if lib.graphpim_lint(
+        threads,
+        *(c.ctypes.data for c in columns),
+        widths.ctypes.data,
+        col.starts.ctypes.data,
+        params.ctypes.data,
+        _VALID_OP_VALUES.ctypes.data,
+        supported.ctypes.data,
+        bases.ctypes.data,
+        ends.ctypes.data,
+        counts.ctypes.data,
+        kept.ctypes.data,
+        barriers.ctypes.data,
+        flags.ctypes.data,
+    ):
+        raise MemoryError("lint sweep: out of memory")
 
     # Materialize at most `cap` candidates per rule, in emission order.
-    order_keys = [
-        np.concatenate(parts) * _V_STRIDE + variant
-        for variant, parts in kept.items()
-        if parts
-    ]
-    if order_keys:
-        merged = np.sort(np.concatenate(order_keys))
-    else:
-        merged = np.empty(0, dtype=np.int64)
+    rule_counts: dict[str, int] = {}
+    order_keys = []
+    for variant, count in enumerate(counts.tolist()):
+        rule_id = _RULE_OF_VARIANT[variant]
+        rule_counts[rule_id] = rule_counts.get(rule_id, 0) + count
+        rows = kept[variant * cap : variant * cap + min(count, cap)]
+        order_keys.append(rows * _V_STRIDE + variant)
+    merged = np.sort(np.concatenate(order_keys))
     tpos, idx_in_thread = locate_rows(col, merged // _V_STRIDE)
 
     emitted: dict[str, int] = {}
@@ -245,15 +179,13 @@ def lint_columnar(
             )
         )
 
-    sequences = [
-        np.concatenate(parts) if parts else col.size[:0]
-        for parts in barrier_ids
-    ]
-    _emit_barrier_balance(col, sequences, report, counts, max_per_rule)
+    _emit_barrier_balance(
+        col, barriers.tolist(), flags.tolist(), report, rule_counts, max_per_rule
+    )
 
     # Suppression notes, sorted by rule id (legacy _Reporter.finalize).
-    for rule_id in sorted(counts):
-        total = counts[rule_id]
+    for rule_id in sorted(rule_counts):
+        total = rule_counts[rule_id]
         if total > max_per_rule:
             report.add(
                 make_finding(
@@ -342,35 +274,37 @@ def _build_finding(col, config, variant, row, tid, index) -> Finding:
     )
 
 
+#: Bits of the sweep's per-thread TRC002 flags.
+_DIFFERS_FROM_FIRST, _DECREASES = 1, 2
+
+
 def _emit_barrier_balance(
     col: ColumnarTrace,
-    sequences: list[np.ndarray],
+    barriers: "list[int]",
+    flags: "list[int]",
     report: AnalysisReport,
     counts: dict[str, int],
     max_per_rule: int,
 ) -> None:
-    """TRC002: barrier-sequence balance of the per-thread barrier id
-    arrays ``sequences``, mirroring the legacy order."""
-    reference = sequences[0]
+    """TRC002: barrier-sequence balance from each thread's barrier count
+    and flags, in the legacy order."""
     first_tid = int(col.thread_ids[0])
     pending: list[Finding] = []
     for pos in range(1, col.num_threads):
-        seq = sequences[pos]
-        if seq.size != reference.size or not np.array_equal(seq, reference):
+        if flags[pos] & _DIFFERS_FROM_FIRST:
             pending.append(
                 make_finding(
                     "TRC002",
                     f"thread {int(col.thread_ids[pos])} barrier sequence "
-                    f"({seq.size} barriers) differs from thread "
-                    f"{first_tid} ({reference.size})",
+                    f"({barriers[pos]} barriers) differs from thread "
+                    f"{first_tid} ({barriers[0]})",
                     thread_id=int(col.thread_ids[pos]),
                     fix_hint="bulk-synchronous workloads must run every "
                     "thread through every FrameworkContext.barrier()",
                 )
             )
     for pos in range(col.num_threads):
-        seq = sequences[pos]
-        if seq.size > 1 and bool(np.any(seq[1:] < seq[:-1])):
+        if flags[pos] & _DECREASES:
             pending.append(
                 make_finding(
                     "TRC002",
@@ -389,12 +323,14 @@ class LintPass(AnalysisPass):
 
     name = "lint"
 
-    def run_columnar(self, ctx: PassContext) -> PassResult:
+    def run_columnar(self, ctx: PassContext) -> Optional[PassResult]:
         report = lint_columnar(
             ctx.columnar,
             config=ctx.config,
             address_space=ctx.address_space,
         )
+        if report is None:
+            return None
         return PassResult(name=self.name, report=report, engine="vectorized")
 
     def run_legacy(self, ctx: PassContext) -> PassResult:

@@ -1,38 +1,40 @@
 """Vectorized barrier-epoch race detection over the columnar IR.
 
-Reimplements :func:`repro.analysis.race.detect_races` with array
-operations, producing **finding-for-finding identical** reports (same
-conflicts, same representative picks, same ordering, same cap and
-suppression accounting) — enforced by the equivalence tests.
+Reimplements :func:`repro.analysis.race.detect_races` with C row sweeps
+and array operations, producing **finding-for-finding identical**
+reports (same conflicts, same representative picks, same ordering, same
+cap and suppression accounting) — enforced by the equivalence tests.
 
-Every stage that reads every event walks the columns in fixed chunks
-(:func:`~repro.analysis.passes.base.epoch_chunks`).  A chunk never
-spans two threads and carries its thread's barrier count in, so its
-epochs are those of a whole-thread walk.  Only the events that can
-matter are gathered whole, so the pass's extra memory is one chunk's
-temporaries plus the stores and the events the writer filter keeps,
+Every stage that reads every event runs in C (``repro/sim/_rows.c``,
+built by :mod:`repro.sim._cbuild`), walking the frozen columns in place
+thread by thread, each event with its barrier epoch within its thread.
+Only the events that can matter are gathered, so the pass's extra
+memory is the stores' cells and the events the writer filter keeps,
 whatever the trace length:
 
-- A scan that stops at the first chunk holding a well-formed plain
-  store; a trace with none (TC) is clean at once, before any epoch
-  work.
-- *Sweep 1* takes the maxima the key layout needs (the last bucket and
-  the epoch of any well-formed event) and each well-formed store's
-  epoch and bucket range.  Whether an access may end past 2^63 - 1
-  (ill-formed) is read from the ``addr`` and ``size`` column maxima.
-- *Sweep 2* applies the writer filter (step 0) chunk by chunk and keeps
-  the surviving rows with their epochs and buckets.
+- *The scan* (``graphpim_race_scan``) counts the well-formed plain
+  stores, and takes the maxima the key layout needs (the last bucket
+  and the epoch of any well-formed event) and the number of cells the
+  stores cover.  A trace with no store (TC) is clean at once.
+- ``graphpim_race_cells`` writes each store's packed cells, which
+  numpy reduces to the sorted written set.
+- *The sweep* (``graphpim_race_keep``) applies the writer filter
+  (step 0) through a hash set of the written cells and keeps the
+  surviving rows with their epochs and buckets.
+
+Without the C library :func:`detect_races_columnar` returns None, and
+the PassManager runs the per-event detector.
 
 0. *Writer filter* — only a (bucket, epoch) cell with a plain-store
    writer can be reported, so the detector builds the sorted set of
    packed ``epoch << bbits | bucket`` keys the well-formed stores
    touch (each store expanded over its bucket range) and keeps only
    the events whose own bucket range meets that set in their epoch
-   (one ``searchsorted`` of every event into the set).  The filter is
-   exact: every event that registers in a reportable cell touches a
-   writer cell, and every lock word is a writer cell too (its release
-   is a plain store in the same epoch), so a dropped event can neither
-   be reported nor acquire, release or spin on a lock.  Kept events
+   (a probe of each event's cells).  The filter is exact: every event
+   that registers in a reportable cell touches a writer cell, and
+   every lock word is a writer cell too (its release is a plain store
+   in the same epoch), so a dropped event can neither be reported nor
+   acquire, release or spin on a lock.  Kept events
    stay in replay order, so every ordering below is unchanged.  The
    Figure 7 workloads update properties with atomics, so plain stores
    are a few percent of their accesses.
@@ -88,7 +90,7 @@ from typing import Optional
 import numpy as np
 
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.events import EV_ATOMIC, EV_BARRIER, EV_LOAD, EV_STORE, AtomicOp
+from repro.trace.events import EV_ATOMIC, EV_LOAD, EV_STORE, AtomicOp
 from repro.analysis.findings import AnalysisReport, Severity
 from repro.analysis.race import _BUCKET_SHIFT, MAX_RACE_FINDINGS, detect_races
 from repro.analysis.rules import make_finding
@@ -96,8 +98,6 @@ from repro.analysis.passes.base import (
     AnalysisPass,
     PassContext,
     PassResult,
-    epoch_chunks,
-    event_chunks,
     in_sorted_set,
     locate_rows,
     register_pass,
@@ -205,52 +205,6 @@ class _LocksetTables:
         return frozenset(int(b) for b in buckets[starts][full])
 
 
-def _well_formed(
-    is_barrier: np.ndarray, addr: np.ndarray, size: np.ndarray, may_wrap: bool
-) -> np.ndarray:
-    """Accesses whose bytes all lie in ``[0, 2**63)``, as the oracle's
-    ``_well_formed`` (``addr`` in int64).
-
-    With ``may_wrap`` false no access can end past 2^63 - 1, where
-    ``addr + size - 1`` wraps, so that test, which allocates an int64
-    per event, is skipped.
-    """
-    well = ~is_barrier & (addr >= 0) & (size > 0)
-    if may_wrap:
-        well &= size - 1 <= _I64_MAX - addr
-    return well
-
-
-def _chunk_accesses(
-    col: ColumnarTrace, lo: int, hi: int, is_barrier: np.ndarray, may_wrap: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rows ``[lo, hi)``: kind, int64 address, first and last bucket,
-    and the well-formed mask, from the chunk's barrier mask."""
-    kind, size = col.kind[lo:hi], col.size[lo:hi]
-    # Bucket and key arithmetic needs int64 whatever the column widths.
-    addr = col.addr[lo:hi].astype(np.int64, copy=False)
-    well = _well_formed(is_barrier, addr, size, may_wrap)
-    first_bucket = addr >> _BUCKET_SHIFT
-    last_bucket = (addr + size - 1) >> _BUCKET_SHIFT
-    return kind, first_bucket, last_bucket, well
-
-
-def _any_store(col: ColumnarTrace, may_wrap: bool) -> bool:
-    """Whether some well-formed plain store exists (a chunked scan that
-    stops at the first chunk holding one)."""
-    for _pos, lo, hi in event_chunks(col):
-        kind = col.kind[lo:hi]
-        well = _well_formed(
-            kind == EV_BARRIER,
-            col.addr[lo:hi].astype(np.int64, copy=False),
-            col.size[lo:hi],
-            may_wrap,
-        )
-        if np.any(well & (kind == EV_STORE)):
-            return True
-    return False
-
-
 def _lock_words(
     key: np.ndarray,
     x_idx: np.ndarray,
@@ -305,36 +259,33 @@ def _lock_words(
 def detect_races_columnar(
     col: ColumnarTrace, max_findings: int = MAX_RACE_FINDINGS
 ) -> Optional[AnalysisReport]:
-    """Vectorized race detection; None when a guard trips (fallback)."""
+    """Vectorized race detection; None without the C library or when a
+    guard trips (fallback)."""
+    from repro.sim._cbuild import load_kernel
+
+    lib = load_kernel()[0]
+    if lib is None:
+        return None
     report = AnalysisReport(subject=col.name or "trace")
     num_threads = col.num_threads
     if num_threads < 2:
         return report
-    # Whether some access may end past 2^63 - 1: ill-formed, as in the
-    # oracle's ``_well_formed``.
-    may_wrap = (
-        int(col.addr.max(initial=0)) + int(col.size.max(initial=0)) - 1
-        > _I64_MAX
+    columns = (col.kind, col.addr, col.size)
+    widths = np.array([c.itemsize for c in columns], dtype=np.int64)
+    walk = (
+        num_threads,
+        *(c.ctypes.data for c in columns),
+        widths.ctypes.data,
+        col.starts.ctypes.data,
+        _BUCKET_SHIFT,
     )
-    if not _any_store(col, may_wrap):
-        return report  # no plain-store writer, so no reportable cell
 
-    # --- sweep 1: key layout maxima and the stores' cells -----------------
-    max_epoch = max_bucket = 0
-    store_parts: list[tuple[np.ndarray, ...]] = []
-    for lo, hi, is_barrier, epochs in epoch_chunks(col):
-        kind, first_bucket, last_bucket, well = _chunk_accesses(
-            col, lo, hi, is_barrier, may_wrap
-        )
-        max_epoch = max(max_epoch, int(epochs.max(where=well, initial=0)))
-        max_bucket = max(
-            max_bucket, int(last_bucket.max(where=well, initial=0))
-        )
-        stores = np.flatnonzero(well & (kind == EV_STORE))
-        if stores.size:
-            store_parts.append(
-                (epochs[stores], first_bucket[stores], last_bucket[stores])
-            )
+    # --- the scan: stores, key layout maxima and the stores' cells -------
+    scan = np.zeros(4, dtype=np.int64)
+    lib.graphpim_race_scan(*walk, scan.ctypes.data)
+    stores, max_epoch, max_bucket, store_cells = scan.tolist()
+    if not stores:
+        return report  # no plain-store writer, so no reportable cell
     num_epochs = max_epoch + 1
 
     # --- packed key layout (over every event, ahead of the filter) -------
@@ -351,43 +302,30 @@ def detect_races_columnar(
     # --- writer filter ----------------------------------------------------
     # Each event covers the packed (epoch, bucket) cells low..high.  The
     # cells the stores write form one sorted set, closed by a sentinel
-    # above every real cell so the lookup needs no clamp; an event is
-    # kept when the first written cell at or above its low cell is no
-    # higher than its high cell.
-    s_epoch, s_first, s_last = (np.concatenate(c) for c in zip(*store_parts))
-    del store_parts
-    store_rows = s_last - s_first + 1
-    if int(store_rows.sum()) > MAX_EXPANDED_ROWS:
+    # above every real cell; an event is kept when one of its cells is
+    # in the set.
+    if store_cells > MAX_EXPANDED_ROWS:
         return None  # every store is kept, so the guard below would trip
-    written = np.append(
-        unique_sorted(
-            _expand((s_epoch << bbits) | s_first, store_rows, 0)
-        ),
-        _I64_MAX,
-    )
-    del s_epoch, s_first, s_last, store_rows
+    cells = np.empty(store_cells, dtype=np.int64)
+    lib.graphpim_race_cells(*walk, bbits, cells.ctypes.data)
+    written = np.append(unique_sorted(cells), _I64_MAX)
+    del cells
 
-    # --- sweep 2: the events the filter keeps -----------------------------
-    kept_parts: list[tuple[np.ndarray, ...]] = []
-    for lo, hi, is_barrier, epochs in epoch_chunks(col):
-        _kind, first_bucket, last_bucket, well = _chunk_accesses(
-            col, lo, hi, is_barrier, may_wrap
-        )
-        low = (epochs << bbits) | first_bucket
-        high = low + (last_bucket - first_bucket)
-        keep = written[np.searchsorted(written, low)] <= high
-        rows = np.flatnonzero(keep & well)
-        if rows.size:
-            first = first_bucket[rows]
-            kept_parts.append(
-                (rows + lo, epochs[rows], first, last_bucket[rows] - first + 1)
-            )
-    del written
+    # --- the sweep: the events the filter keeps ---------------------------
+    # One call marks them in a bitmask of the rows, the next gathers
+    # them, so no per-event array is allocated.
+    mask = np.zeros((col.num_events + 7) // 8, dtype=np.uint8)
+    filtered = (*walk, bbits, written.ctypes.data, written.size - 1)
+    count = lib.graphpim_race_keep(*filtered, mask.ctypes.data, *[None] * 4)
+    if count < 0:
+        raise MemoryError("race sweep: out of memory")
     # Every store meets its own cells, so some event is kept.
-    rows, epoch, first_bucket, buckets_per = (
-        np.concatenate(c) for c in zip(*kept_parts)
+    kept = np.empty((4, count), dtype=np.int64)
+    lib.graphpim_race_keep(
+        *filtered, mask.ctypes.data, *(part.ctypes.data for part in kept)
     )
-    del kept_parts
+    del written, mask
+    rows, epoch, first_bucket, buckets_per = kept
     if int(buckets_per.sum()) > MAX_EXPANDED_ROWS:
         return None
     w_kind = col.kind[rows]

@@ -44,12 +44,32 @@ def resolve_scale(scale: str | None = None) -> str:
     return value
 
 
+#: The most recent evaluation graph for each ``weighted`` flag, with the
+#: ``(vertices, seed)`` it was built for.  The eight Figure 7 workloads
+#: of one scale read two graphs: SSSP's weighted one and one shared by
+#: the other seven.
+_GRAPHS: "dict[bool, tuple[tuple[int, int], CsrGraph]]" = {}
+
+
 def bench_graph(
     scale: str | None = None, seed: int = 7, weighted: bool = False
 ) -> CsrGraph:
-    """The default LDBC-like evaluation graph at the given scale."""
-    vertices = SCALE_VERTICES[resolve_scale(scale)]
-    return ldbc_like_graph(vertices, seed=seed, weighted=weighted)
+    """The default LDBC-like evaluation graph at the given scale.
+
+    Built once per process for each ``weighted`` flag and kept until a
+    call asks for another size or seed.  Callers share the graph, so
+    its arrays are read-only: a caller that writes to one fails loudly.
+    """
+    key = (SCALE_VERTICES[resolve_scale(scale)], seed)
+    held = _GRAPHS.get(weighted)
+    if held is not None and held[0] == key:
+        return held[1]
+    graph = ldbc_like_graph(key[0], seed=seed, weighted=weighted)
+    for array in (graph.row_offsets, graph.columns, graph.weights):
+        if array is not None:
+            array.flags.writeable = False
+    _GRAPHS[weighted] = (key, graph)
+    return graph
 
 
 def workload_graph(

@@ -13,6 +13,11 @@ columns :meth:`ThreadTrace.append_columns` records, with the gaps the
 per-event recorders would have produced: a slot's ``work`` is counted
 where the slot runs, whether or not it records an event, and lands in
 the gap of the next row of the same segment that does.
+
+The layout runs in one C pass of the library :mod:`repro.sim._cbuild`
+builds (``graphpim_lay_out`` in ``_rows.c``), which reads the slots'
+arrays in place.  The numpy body, :func:`_lay_out_numpy`, is the path
+without a C compiler; the tests hold the two to the same bytes.
 """
 
 from __future__ import annotations
@@ -93,6 +98,114 @@ def lay_out(
     items laid out alone, ready for one thread's
     :meth:`~repro.trace.stream.ThreadTrace.append_columns`.
     """
+    from repro.sim._cbuild import load_kernel
+
+    lib = load_kernel()[0]
+    if lib is None:
+        return _lay_out_numpy(counts, head, edge, tail, degrees)
+    # The C walk reads every array by these counts: check them first.
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    if counts.ndim != 1 or counts.min(initial=0) < 0:
+        raise ValueError("item counts must be non-negative")
+    items = int(counts.sum())
+    if degrees is None or not edge:
+        degrees, edges = None, 0
+    else:
+        degrees = np.ascontiguousarray(degrees, dtype=np.int64)
+        if degrees.shape != (items,) or degrees.min(initial=0) < 0:
+            raise ValueError(f"need {items} non-negative degrees")
+        edges = int(degrees.sum())
+    # One descriptor row per slot (head, then edge, then tail); its
+    # arrays are held in `arrays` for the two calls.
+    desc: list = []
+    arrays: list = []
+    for slots, entries in ((head, items), (edge, edges), (tail, items)):
+        for slot in slots:
+            desc.append([slot.kind, slot.size, slot.op, slot.ret])
+            for value in (slot.addr, slot.work, slot.keep):
+                desc[-1].extend(_field(value, entries, arrays))
+    table = np.array(desc, dtype=np.int64)
+    segments = counts.size
+    # bounds, trailing work, and the least and greatest gap.
+    meta = np.empty(2 * segments + 3, dtype=np.int64)
+    at = meta.ctypes.data
+    call = (
+        segments,
+        counts.ctypes.data,
+        None if degrees is None else degrees.ctypes.data,
+        len(head),
+        len(edge),
+        len(tail),
+        table.ctypes.data,
+    )
+    rows = lib.graphpim_lay_out(
+        *call, at, at + 8 * (segments + 1), at + 8 * (2 * segments + 1),
+        *[None] * 7,
+    )
+    if rows < 0:
+        raise MemoryError("row layout: out of memory")
+    meta = meta.tolist()
+    kind, size, op, ret = _template_types((*head, *edge, *tail))
+    columns = tuple(
+        np.empty(rows, dtype=dtype)
+        for dtype in (
+            kind, np.int64, size, narrowest_type(*meta[-2:]), op, ret
+        )
+    )
+    widths = np.array([c.itemsize for c in columns], dtype=np.int64)
+    lib.graphpim_lay_out(
+        *call, None, None, None,
+        *(c.ctypes.data for c in columns), widths.ctypes.data,
+    )
+    return Layout(
+        columns, meta[: segments + 1], meta[segments + 1 : -2]
+    )
+
+
+#: Scalar types of a slot field (``bool`` is an ``int``).
+_SCALARS = (int, np.integer, np.bool_)
+
+#: Array types a slot field's array is read in place in.
+_IN_PLACE = frozenset(
+    np.dtype(t) for t in (np.bool_, np.int8, np.int16, np.int32, np.int64)
+)
+
+
+def _field(value, entries: int, arrays: list) -> "tuple[int, int]":
+    """``(value, 0)`` for a scalar slot field, or ``(address, byte
+    width)`` of its array of ``entries`` values, kept alive in
+    ``arrays``."""
+    if type(value) is not np.ndarray:
+        if isinstance(value, _SCALARS):
+            return int(value), 0
+        value = np.asarray(value)
+    if value.size == 1:
+        return int(value.reshape(())), 0
+    if value.shape != (entries,):
+        raise ValueError(
+            f"slot array of shape {value.shape} for {entries} entries"
+        )
+    if value.dtype not in _IN_PLACE or not value.flags.c_contiguous:
+        value = np.ascontiguousarray(value, dtype=np.int64)
+    arrays.append(value)
+    return value.ctypes.data, value.itemsize
+
+
+def _template_types(slots: Sequence[Slot]) -> "list[np.dtype]":
+    """The ``kind``, ``size``, ``op`` and ``ret`` column types: each the
+    narrowest that holds the field of every event slot, and 0."""
+    fields = [(0, 0, 0, 0)]
+    fields.extend(
+        (slot.kind, slot.size, slot.op, slot.ret)
+        for slot in slots
+        if slot.kind != WORK
+    )
+    return [narrowest_type(min(c), max(c)) for c in zip(*fields)]
+
+
+def _lay_out_numpy(counts, head, edge, tail, degrees) -> Layout:
+    """:func:`lay_out` in numpy, for an environment without a C
+    compiler: dense (entry, slot) cell matrices, one cumsum."""
     counts = np.atleast_1d(np.asarray(counts, dtype=np.int64))
     item_bounds = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=item_bounds[1:])

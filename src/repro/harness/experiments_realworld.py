@@ -15,18 +15,21 @@ from repro.energy.model import uncore_energy
 from repro.harness.registry import ExperimentResult, experiment
 from repro.sim.config import SystemConfig
 from repro.sim.system import SimResult, simulate
-from repro.workloads.base import WorkloadRun
 
 #: Graph sizes for the two applications per scale.
 APP_SIZES = {"tiny": 300, "small": 1_500, "paper": 3_000}
 
-_APP_CACHE: dict[str, dict[str, tuple[WorkloadRun, dict[str, SimResult]]]] = {}
+#: scale -> app code -> (PIM-candidate fraction of its trace, results
+#: by mode label).  The traced runs are not kept; ``clear_caches()`` in
+#: :mod:`repro.harness.suite` empties it.
+_APP_CACHE: dict[str, dict[str, tuple[float, dict[str, SimResult]]]] = {}
 
 
 def realworld_suite(
     scale: str | None = None,
-) -> dict[str, tuple[WorkloadRun, dict[str, SimResult]]]:
-    """FD and RS traced and simulated under all three modes, memoized."""
+) -> dict[str, tuple[float, dict[str, SimResult]]]:
+    """FD and RS traced and simulated under all three modes, memoized:
+    each app's PIM-candidate fraction and its results."""
     scale = resolve_scale(scale)
     if scale not in _APP_CACHE:
         size = APP_SIZES[scale]
@@ -41,7 +44,7 @@ def realworld_suite(
                 config.display_name: simulate(run.trace, config)
                 for config in SystemConfig().evaluation_trio()
             }
-            suite[code] = (run, results)
+            suite[code] = (run.stats.pim_candidate_fraction, results)
         _APP_CACHE[scale] = suite
     return _APP_CACHE[scale]
 
@@ -52,14 +55,13 @@ def tab08_realworld_counters(scale: str | None = None) -> ExperimentResult:
     suite = realworld_suite(scale)
     rows = []
     metrics = {}
-    for code, (run, results) in suite.items():
+    for code, (pim_fraction, results) in suite.items():
         baseline = results["Baseline"]
         stats = baseline.core_stats
         instructions = max(stats.instructions, 1)
         mpki = baseline.mpki()["L3"]
         llc = baseline.cache_stats["L3"]
         breakdown = baseline.pipeline_breakdown()
-        pim_fraction = run.stats.pim_candidate_fraction
         attributed = (
             stats.issue_cycles
             + stats.mem_stall_cycles
@@ -117,7 +119,7 @@ def fig17_realworld(scale: str | None = None) -> ExperimentResult:
     suite = realworld_suite(scale)
     rows = []
     metrics = {}
-    for code, (run, results) in suite.items():
+    for code, (pim_fraction, results) in suite.items():
         baseline = results["Baseline"]
         graphpim = results["GraphPIM"]
         simulated = graphpim.speedup_over(baseline)
@@ -125,7 +127,7 @@ def fig17_realworld(scale: str | None = None) -> ExperimentResult:
         # Counter-driven path (what the paper does for the real apps).
         counter_inputs = inputs_from_counters(
             ipc=baseline.ipc / baseline.config.num_cores,
-            atomic_fraction=run.stats.pim_candidate_fraction,
+            atomic_fraction=pim_fraction,
             llc_miss_rate=baseline.candidate_miss_rate(),
         )
         counter_modeled = predicted_speedup(counter_inputs)

@@ -180,5 +180,9 @@ def plain_atomics_suite(
 
 
 def clear_caches() -> None:
-    """Drop all memoized results (tests use this to control memory)."""
+    """Drop all memoized results, the real-world applications' too
+    (tests use this to control memory)."""
+    from repro.harness.experiments_realworld import _APP_CACHE
+
     _RESULTS.clear()
+    _APP_CACHE.clear()

@@ -113,9 +113,11 @@ class SpecOutcome:
 
 
 #: Most frozen trace bytes (:attr:`ColumnarTrace.nbytes`) the trace memo
-#: keeps: the eight ``tiny`` Figure 7 traces take 7.7 MB.  A trace
-#: larger than this is not kept.
-TRACE_MEMO_BYTES = 8 << 20
+#: keeps: the eight ``tiny`` Figure 7 traces take 7.7 MB, and the four
+#: ``small`` traces that Figures 11 and 13 each walk in the same order
+#: (BFS, DC, kCore, PRank) take 10.56 MB, so one sweep's traces serve
+#: the next.  A trace larger than this is not kept.
+TRACE_MEMO_BYTES = 16 << 20
 
 
 class _TraceMemo:

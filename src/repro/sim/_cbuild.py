@@ -1,14 +1,18 @@
-"""On-demand compilation and loading of the C batch kernel.
+"""On-demand compilation and loading of the C library.
 
-:mod:`repro.sim.vectorized` runs its time loop in ``_kernel.c``.  This
-module owns the build: the source is compiled once per hash of the
-source and the compiler flags with the system C compiler and cached
-under ``_cbuild/`` next to the package, then loaded through
-:mod:`ctypes`.  Everything here is best-effort — any failure (no
-compiler, broken toolchain, unwritable package directory) surfaces as a
-``(None, reason)`` pair and the vectorized engine declines the input,
-which the dispatcher turns into a per-input fallback to the reference
-interpreter.  No environment is ever required to have a C compiler.
+:mod:`repro.sim.vectorized` runs its time loop in ``_kernel.c``;
+capture's row layout (:mod:`repro.framework.layout`) and the strict
+pre-flight's lint and race sweeps run in ``_rows.c``.  Both share
+``_column.h`` and build into one library.  This module owns the build:
+the sources are compiled once per hash of the sources and the compiler
+flags with the system C compiler and cached under ``_cbuild/`` next to
+the package, then loaded through :mod:`ctypes`.  Everything here is
+best-effort — any failure (no compiler, broken toolchain, unwritable
+package directory) surfaces as a ``(None, reason)`` pair.  The
+vectorized engine then declines the input, which the dispatcher turns
+into a per-input fallback to the reference interpreter; the layout
+runs its numpy body and the lint and race passes their per-event
+oracles.  No environment is ever required to have a C compiler.
 
 Flags are part of the bit-identity contract: ``-ffp-contract=off``
 forbids fused multiply-adds and no fast-math flag may ever be added,
@@ -26,8 +30,11 @@ import threading
 from pathlib import Path
 from typing import Optional
 
-_SRC = Path(__file__).with_name("_kernel.c")
-_BUILD_DIR = Path(__file__).with_name("_cbuild")
+_HERE = Path(__file__).parent
+#: Compiled together into one library; the header is hashed with them.
+_SOURCES = tuple(_HERE / name for name in ("_kernel.c", "_rows.c"))
+_HEADERS = (_HERE / "_column.h",)
+_BUILD_DIR = _HERE / "_cbuild"
 
 #: Never add fast-math/reassociation flags; see the module docstring.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -42,7 +49,7 @@ _cached: Optional[tuple] = None
 
 
 def load_kernel():
-    """``(cdll, None)`` with the bound entry point, or ``(None, reason)``.
+    """``(cdll, None)`` with the bound entry points, or ``(None, reason)``.
 
     The outcome (success or failure) is cached for the process; a
     missing compiler is diagnosed once, not per simulation.
@@ -63,7 +70,7 @@ def _find_compiler() -> Optional[str]:
 
 
 def _build_tag(source: bytes) -> str:
-    """Name of the built library: a hash of the source and of the build
+    """Name of the built library: a hash of the sources and of the build
     flags, so a flag change never reuses a stale library."""
     build = " ".join((*_CFLAGS, *_LIBS)).encode()
     return hashlib.sha256(source + b"\0" + build).hexdigest()[:16]
@@ -71,7 +78,7 @@ def _build_tag(source: bytes) -> str:
 
 def _load():
     try:
-        source = _SRC.read_bytes()
+        source = b"\0".join(p.read_bytes() for p in (*_SOURCES, *_HEADERS))
     except OSError as exc:
         return None, f"kernel source unavailable: {exc}"
     so_path = _BUILD_DIR / f"kernel-{_build_tag(source)}.so"
@@ -85,7 +92,7 @@ def _load():
             # may race to build the same kernel.
             tmp = so_path.with_name(f".{so_path.name}.{os.getpid()}.tmp")
             proc = subprocess.run(
-                [cc, *_CFLAGS, "-o", str(tmp), str(_SRC), *_LIBS],
+                [cc, *_CFLAGS, "-o", str(tmp), *map(str, _SOURCES), *_LIBS],
                 capture_output=True,
                 text=True,
                 timeout=120,
@@ -107,6 +114,8 @@ def _load():
 def _bind(lib) -> None:
     i64p = ctypes.POINTER(ctypes.c_int64)
     f64p = ctypes.POINTER(ctypes.c_double)
+    i64 = ctypes.c_int64
+    ptr = ctypes.c_void_p
     fn = lib.graphpim_simulate
     fn.restype = ctypes.c_int
     fn.argtypes = [
@@ -131,3 +140,18 @@ def _bind(lib) -> None:
         f64p,  # out_d
         i64p,  # tkbuf
     ]
+    # The row passes (_rows.c) take every array as its address.
+    for name, restype, argtypes in (
+        ("graphpim_lay_out", i64, [i64, *[ptr] * 2, *[i64] * 3, *[ptr] * 11]),
+        ("graphpim_lint", ctypes.c_int, [i64, *[ptr] * 16]),
+        ("graphpim_race_scan", None, [i64, *[ptr] * 5, i64, ptr]),
+        ("graphpim_race_cells", None, [i64, *[ptr] * 5, i64, i64, ptr]),
+        (
+            "graphpim_race_keep",
+            i64,
+            [i64, *[ptr] * 5, i64, i64, ptr, i64, *[ptr] * 5],
+        ),
+    ):
+        entry = getattr(lib, name)
+        entry.restype = restype
+        entry.argtypes = argtypes

@@ -40,10 +40,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Event kinds (repro.trace.events). */
-#define EV_LOAD 0
-#define EV_ATOMIC 2
-#define EV_BARRIER 3
+#include "_column.h"
 
 /* Modes (repro.sim.config.Mode), as numbered by repro.sim.vectorized. */
 #define MODE_BASELINE 0
@@ -76,27 +73,6 @@
 
 /* Refills the draw block; 0 on success. */
 typedef int (*refill_fn)(void);
-
-/* One trace column: its values and their byte width (1, 2, 4 or 8). */
-typedef struct {
-    const char *data;
-    int64_t width;
-} column;
-
-/* Value i of a column, widened to int64.  The widths never change
- * during a run, so the branch predicts perfectly. */
-static inline int64_t col_at(column c, int64_t i) {
-    switch (c.width) {
-    case 1:
-        return ((const int8_t *)c.data)[i];
-    case 2:
-        return ((const int16_t *)c.data)[i];
-    case 4:
-        return ((const int32_t *)c.data)[i];
-    default:
-        return ((const int64_t *)c.data)[i];
-    }
-}
 
 /* x mod n for x >= 0; `mask` is n - 1 when n is a power of two, else -1. */
 static inline int64_t imod(int64_t x, int64_t n, int64_t mask) {

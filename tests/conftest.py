@@ -1,5 +1,7 @@
 """Shared fixtures: small deterministic graphs and configs."""
 
+import contextlib
+
 import pytest
 
 from repro.graph.csr import CsrGraph
@@ -15,6 +17,18 @@ def _empty_trace_memo():
     clear_trace_memo()
     yield
     clear_trace_memo()
+
+
+@contextlib.contextmanager
+def without_c_library():
+    """A process with no loadable C library, as without a compiler: the
+    kernel declines, capture lays rows out in numpy and the lint and
+    race passes return None for their per-event oracles."""
+    from repro.sim import _cbuild
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_cbuild, "_cached", (None, "C library masked"))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 from repro.common.errors import TraceError
 from repro.core.presets import workload_graph, workload_params
 from repro.framework import context
-from repro.framework.layout import Slot, lay_out, work_slot
+from repro.framework.layout import WORK, Slot, lay_out, work_slot
 from repro.graph.csr import CsrGraph
 from repro.trace.events import EV_ATOMIC, EV_LOAD, EV_STORE, AtomicOp
 from repro.trace.io import trace_digest
 from repro.trace.stream import ThreadTrace
 from repro.workloads.reference import reference_workload
 from repro.workloads.registry import FIGURE7_CODES, get_workload
+from tests.conftest import without_c_library
 
 
 def _rows(*events):
@@ -160,6 +161,80 @@ class TestLayOut:
         assert layout.rows().shape == (0, 6)
         assert layout.bounds == [0, 0]
         assert layout.trailing == [0]
+
+
+@st.composite
+def _slot_field(draw, entries, values):
+    """A slot field: a scalar, or one value per entry in an array of a
+    drawn integer type (bool for masks)."""
+    if draw(st.booleans()):
+        return draw(values)
+    array = np.array(
+        draw(st.lists(values, min_size=entries, max_size=entries))
+    )
+    if array.dtype != bool:
+        # uint16 is not read in place: the layout widens it first.
+        small = array.size and 0 <= array.min() and array.max() < 128
+        types = [np.int64, np.int32, np.uint16, np.int8] if small else [np.int64]
+        array = array.astype(draw(st.sampled_from(types)))
+    return array
+
+
+@st.composite
+def _slot_lists(draw, entries):
+    """Up to three slots, event or :data:`WORK`, whose fields hold one
+    entry per item or edge."""
+    slots = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from([WORK, EV_LOAD, EV_STORE, EV_ATOMIC]))
+        slots.append(Slot(
+            kind,
+            addr=draw(_slot_field(entries, st.integers(-2**62, 2**62))),
+            size=draw(st.sampled_from([1, 4, 8, 300, 70000])),
+            work=draw(_slot_field(entries, st.one_of(
+                st.integers(0, 9), st.integers(0, 2**40)
+            ))),
+            keep=draw(_slot_field(entries, st.booleans())),
+            op=draw(st.integers(-1, 12)) if kind == EV_ATOMIC else -1,
+            ret=draw(st.integers(0, 1)) if kind == EV_ATOMIC else 0,
+        ))
+    return slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_c_lay_out_equals_numpy_body(data):
+    """The C layout returns the numpy body's bytes: each column's type
+    and values, ``bounds`` and ``trailing``, over empty segments,
+    zero-degree items, every row dropped and work after the last row."""
+    counts = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    items = sum(counts)
+    degrees = np.array(
+        data.draw(st.lists(st.integers(0, 3), min_size=items,
+                           max_size=items)),
+        dtype=np.int64,
+    )
+    slots = dict(
+        head=data.draw(_slot_lists(items)),
+        edge=data.draw(_slot_lists(int(degrees.sum()))),
+        tail=data.draw(_slot_lists(items)),
+    )
+    if data.draw(st.booleans()):
+        slots = {
+            group: [slot._replace(keep=False) for slot in group_slots]
+            for group, group_slots in slots.items()
+        }
+    with without_c_library():
+        expected = lay_out(counts, degrees=degrees, **slots)
+    layout = lay_out(counts, degrees=degrees, **slots)
+    assert [c.dtype for c in layout.columns] == [
+        c.dtype for c in expected.columns
+    ]
+    assert [c.tobytes() for c in layout.columns] == [
+        c.tobytes() for c in expected.columns
+    ]
+    assert layout.bounds == expected.bounds
+    assert layout.trailing == expected.trailing
 
 
 def _slots(vertices, degrees):
@@ -319,6 +394,23 @@ def _same_output(a, b) -> bool:
 )
 @given(data=st.data())
 def test_block_capture_matches_reference(code, data):
+    _check_block_capture(code, data)
+
+
+@pytest.mark.parametrize("code", FIGURE7_CODES)
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_block_capture_without_c_library_matches_reference(code, data):
+    """The numpy layout, which capture runs without a C compiler."""
+    with without_c_library():
+        _check_block_capture(code, data)
+
+
+def _check_block_capture(code, data):
     graph = data.draw(random_graphs())
     params = _params(data.draw, code, graph.num_vertices)
     threads = data.draw(st.one_of(st.integers(2, 8), st.integers(1, 64)))

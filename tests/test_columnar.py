@@ -198,34 +198,69 @@ def test_structural_validation():
 
 
 # ---------------------------------------------------------------------------
-# Per-event arrays the analysis sweeps derive chunk by chunk
+# What the analysis sweeps derive per event, thread by thread
 # ---------------------------------------------------------------------------
 
-def test_epoch_ids_match_barrier_structure(monkeypatch):
+def _race_walk(col):
+    """The race sweeps' C walk over ``col`` with every store's cells
+    written: its scan, and each access it keeps as ``(row, epoch,
+    first bucket, bucket count)``."""
+    from repro.sim._cbuild import load_kernel
+
+    lib = load_kernel()[0]
+    if lib is None:
+        pytest.skip("no C library")
+    columns = (col.kind, col.addr, col.size)
+    widths = np.array([c.itemsize for c in columns], dtype=np.int64)
+    walk = (
+        col.num_threads,
+        *(c.ctypes.data for c in columns),
+        widths.ctypes.data,
+        col.starts.ctypes.data,
+        3,
+    )
+    scan = np.zeros(4, dtype=np.int64)
+    lib.graphpim_race_scan(*walk, scan.ctypes.data)
+    bbits = max(int(scan[2]).bit_length(), 1)  # as detect_races_columnar
+    cells = np.empty(int(scan[3]), dtype=np.int64)
+    lib.graphpim_race_cells(*walk, bbits, cells.ctypes.data)
+    written = np.append(np.unique(cells), np.iinfo(np.int64).max)
+    mask = np.zeros((col.num_events + 7) // 8, dtype=np.uint8)
+    filtered = (*walk, bbits, written.ctypes.data, written.size - 1)
+    count = lib.graphpim_race_keep(*filtered, mask.ctypes.data, *[None] * 4)
+    kept = np.empty((4, count), dtype=np.int64)
+    lib.graphpim_race_keep(
+        *filtered, mask.ctypes.data, *(part.ctypes.data for part in kept)
+    )
+    return scan.tolist(), [tuple(row) for row in kept.T.tolist()]
+
+
+def test_epoch_ids_match_barrier_structure():
     t0 = ThreadTrace(0)
-    t0.load(META, 8)
+    t0.store(META, 8)
     t0.barrier(0)
-    t0.store(META + 8, 8)
+    t0.store(META + 8, 16)
     t0.barrier(1)
     t1 = ThreadTrace(1)
     t1.barrier(0)
+    t1.load(META + 8, 8)
     t1.barrier(1)
+    t1.store(META, 8)
     col = ColumnarTrace.from_events(Trace([t0, t1], name="e"))
-    for chunk in (1, 3, 4, passes_base.CHUNK_EVENTS):
-        monkeypatch.setattr(passes_base, "CHUNK_EVENTS", chunk)
-        chunks = list(passes_base.epoch_chunks(col))
-        # Chunks tile the rows without crossing a thread, and carry
-        # each thread's barrier count across their boundaries.
-        assert [(lo, hi) for lo, hi, _, _ in chunks] == [
-            (lo, hi) for _, lo, hi in passes_base.event_chunks(col)
-        ]
-        assert all(hi - lo <= chunk for lo, hi, _, _ in chunks)
-        epochs = np.concatenate([epochs for *_, epochs in chunks])
-        # Barrier rows carry the epoch they close.
-        assert epochs.tolist() == [0, 0, 1, 1, 0, 1]
+    # A row's epoch is its thread's barrier count before it, restarted
+    # at each thread; barrier rows are not accesses.
+    scan, kept = _race_walk(col)
+    first = META >> 3
+    assert scan == [3, 2, first + 2, 4]  # stores, epoch, bucket, cells
+    assert kept == [
+        (0, 0, first, 1),
+        (2, 1, first + 1, 2),
+        (5, 1, first + 1, 1),
+        (7, 2, first, 1),
+    ]
     tpos, index = passes_base.locate_rows(col, np.arange(col.num_events))
-    assert tpos.tolist() == [0, 0, 0, 0, 1, 1]
-    assert index.tolist() == [0, 1, 2, 3, 0, 1]
+    assert tpos.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert index.tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
     Trace.from_columnar(col).validate_barriers()
 
 
@@ -235,7 +270,13 @@ def test_row_lookup_skips_empty_threads():
     threads[1].load(META + 8, 8)
     threads[3].store(META, 8)
     col = ColumnarTrace.from_events(Trace(threads, name="gaps"))
-    assert [pos for pos, _, _ in passes_base.event_chunks(col)] == [1, 3]
+    # The walk skips the empty threads: the store and the load of its
+    # bucket are kept, by global row.
+    first = META >> 3
+    assert _race_walk(col) == (
+        [1, 0, first + 1, 1],
+        [(0, 0, first, 1), (2, 0, first, 1)],
+    )
     tpos, index = passes_base.locate_rows(col, np.arange(col.num_events))
     assert tpos.tolist() == [1, 1, 3]
     assert index.tolist() == [0, 1, 0]

@@ -4,6 +4,9 @@ Each experiment must run, produce well-formed rows, and reproduce the
 paper's qualitative shape (sanity thresholds, not exact numbers).
 """
 
+import gc
+import weakref
+
 import pytest
 
 import repro.runner.engine as engine_module
@@ -95,6 +98,29 @@ class TestSuiteSharing:
     def test_suite_covers_figure7_codes(self):
         suite = evaluation_suite(SCALE)
         assert set(suite) == set(FIGURE7_CODES)
+
+
+def test_no_application_run_outlives_clear_caches(monkeypatch):
+    """Table VIII and Figure 17 keep each application's results and
+    PIM-candidate fraction, not its traced run."""
+    from repro.apps.fraud import FraudDetection
+    from repro.apps.recommender import RecommenderSystem
+
+    runs = []
+    for app in (FraudDetection, RecommenderSystem):
+
+        def run(self, *args, _run=app.run, **kwargs):
+            result = _run(self, *args, **kwargs)
+            runs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(app, "run", run)
+    clear_caches()
+    run_experiment("fig17", scale="tiny")
+    clear_caches()
+    gc.collect()
+    assert len(runs) == 2
+    assert [ref() for ref in runs] == [None, None]
 
 
 class TestSimulationExperiments:

@@ -86,6 +86,20 @@ class TestPresets:
         assert workload_graph("SSSP", "tiny").weights is not None
         assert workload_graph("BFS", "tiny").weights is None
 
+    def test_workload_graph_is_built_once_per_process(self):
+        graph = workload_graph("BFS", "tiny")
+        assert workload_graph("DC", "tiny") is graph
+        weighted = workload_graph("SSSP", "tiny")
+        assert workload_graph("SSSP", "tiny") is weighted
+        assert weighted is not graph
+        # Callers share it, so a write fails loudly.
+        for array in (graph.row_offsets, graph.columns, weighted.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        other = workload_graph("BFS", "tiny", seed=8)
+        assert other is not graph
+        assert workload_graph("BFS", "tiny") is not graph
+
     def test_workload_params_copy(self):
         params = workload_params("TC")
         params["max_degree"] = 1

@@ -1,11 +1,12 @@
 """Vectorized analysis passes: equivalence with the legacy oracles.
 
-The vectorized lint and race implementations must be
-finding-for-finding identical to the PR 1 per-event analyzers — same
-rules, same messages, same ordering, same caps.  These tests enforce
-that over the full standard workload grid, over hypothesis-generated
-traces, and over hand-built adversarial cases (locks, chaotic reads,
-cap overflow), plus the per-pass fallback machinery.
+The vectorized lint and race implementations, whose row sweeps run in
+the C library, must be finding-for-finding identical to the per-event
+analyzers — same rules, same messages, same ordering, same caps.  These
+tests enforce that over the full standard workload grid, over
+hypothesis-generated traces, and over hand-built adversarial cases
+(locks, chaotic reads, cap overflow), plus the per-pass fallback
+machinery: with the library masked, the PassManager runs the oracles.
 """
 
 import numpy as np
@@ -40,8 +41,8 @@ from repro.analysis.passes import (
     register_pass,
     screen_configs,
 )
-from repro.analysis.passes import base as passes_base
 from repro.analysis.passes import race_pass
+from tests.conftest import without_c_library
 
 PMR = int(Region.PROPERTY) << REGION_SHIFT
 META = int(Region.META) << REGION_SHIFT
@@ -63,41 +64,37 @@ def assert_reports_equal(legacy, vectorized):
     assert legacy.subject == vectorized.subject
 
 
-#: Chunk sizes the hand-built and property cases run at: a few events,
-#: so chunk boundaries fall inside threads, epochs and lock sections,
-#: and the default.
-_CHUNKS = (3, 7, passes_base.CHUNK_EVENTS)
+def _masked_engine(trace, name, config=None):
+    """The PassManager's result for pass ``name`` with the C library
+    masked: its per-event oracle."""
+    with without_c_library():
+        return PassManager([name]).run(trace, config)[name]
 
 
-def _at_chunk_sizes(sizes=_CHUNKS):
-    """Yield each size of ``sizes`` with the passes' chunk constant set
-    to it for the loop body."""
-    for size in sizes:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(passes_base, "CHUNK_EVENTS", size)
-            yield size
-
-
-def _races(trace, sizes=_CHUNKS):
+def _races(trace):
     """The vectorized race report of ``trace``, checked equal to the
-    legacy detector's at every chunk size of ``sizes``."""
+    legacy detector's, which the PassManager runs without the C
+    library."""
     legacy = detect_races(trace)
-    col = ColumnarTrace.from_events(trace)
-    for _ in _at_chunk_sizes(sizes):
-        report = detect_races_columnar(col)
-        assert report is not None
-        assert_reports_equal(legacy, report)
+    report = detect_races_columnar(ColumnarTrace.from_events(trace))
+    assert report is not None
+    assert_reports_equal(legacy, report)
+    masked = _masked_engine(trace, "race")
+    assert masked.engine == "legacy"
+    assert_reports_equal(legacy, masked.report)
     return report
 
 
-def _lint(trace, config, sizes=_CHUNKS):
+def _lint(trace, config):
     """The vectorized lint report of ``trace`` under ``config``, checked
-    equal to the legacy linter's at every chunk size of ``sizes``."""
+    equal to the legacy linter's, which the PassManager runs without
+    the C library."""
     legacy = lint_trace(trace, config)
-    col = ColumnarTrace.from_events(trace)
-    for _ in _at_chunk_sizes(sizes):
-        report = lint_columnar(col, config, None)
-        assert_reports_equal(legacy, report)
+    report = lint_columnar(ColumnarTrace.from_events(trace), config, None)
+    assert_reports_equal(legacy, report)
+    masked = _masked_engine(trace, "lint", config)
+    assert masked.engine == "legacy"
+    assert_reports_equal(legacy, masked.report)
     return report
 
 
@@ -125,9 +122,7 @@ _CONFIGS = [
 @pytest.mark.parametrize(
     "code", [w.code for w in all_workloads()]
 )
-def test_grid_equivalence(code, small_graph, small_weighted_graph, monkeypatch):
-    # Chunks smaller than a thread, so boundaries fall inside threads.
-    monkeypatch.setattr(passes_base, "CHUNK_EVENTS", 1024)
+def test_grid_equivalence(code, small_graph, small_weighted_graph):
     graph = small_weighted_graph if code == "SSSP" else small_graph
     for plain_atomics in (False, True):
         run = get_workload(code).run(
@@ -206,6 +201,40 @@ def test_hypothesis_equivalence(per_thread):
     ):
         _lint(trace, config)
     _races(trace)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_allocation_check_equivalence(data):
+    """TRC001's allocation check against an address space whose arrays
+    lie in all three regions: accesses at, around and between their
+    bounds, in an order that moves between arrays and regions."""
+    space = AddressSpace()
+    regions = st.sampled_from([Region.META, Region.STRUCTURE])
+    for i in range(data.draw(st.integers(1, 6))):
+        count = data.draw(st.integers(0, 5))
+        if data.draw(st.booleans()):
+            space.pmr_malloc(f"p{i}", count, 8)
+        else:
+            space.malloc(f"a{i}", data.draw(regions), count, 8)
+    edges = [
+        edge + delta
+        for a in space.allocations
+        for edge in (a.base, a.end)
+        for delta in (-8, -1, 0, 8)
+    ]
+    thread = ThreadTrace(0)
+    for addr in data.draw(st.lists(st.sampled_from(edges), max_size=30)):
+        thread.load(addr, 8)
+    trace = Trace([thread], name="spans")
+    for config in (SystemConfig.graphpim(), SystemConfig.baseline()):
+        legacy = lint_trace(trace, config, address_space=space)
+        col = ColumnarTrace.from_events(trace)
+        assert_reports_equal(legacy, lint_columnar(col, config, space))
+        with without_c_library():
+            masked = PassManager(["lint"]).run(trace, config, space)["lint"]
+        assert masked.engine == "legacy"
+        assert_reports_equal(legacy, masked.report)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +354,7 @@ def test_expansion_guard_counts_filtered_rows(monkeypatch):
         thread.store(META + 0x10000, 8 * 150)
 
     col = ColumnarTrace.from_events(_synth([wide_writer, reader]))
-    for _ in _at_chunk_sizes():
-        assert detect_races_columnar(col) is None
+    assert detect_races_columnar(col) is None
 
 
 def test_lint_region_bounds_and_bad_op_match_legacy():
@@ -364,16 +392,10 @@ def test_lint_cap_and_suppression_note():
 
 
 # ---------------------------------------------------------------------------
-# Chunk boundaries at the places a sweep carries state across
+# Thread and barrier boundaries, where a sweep carries state across rows
 # ---------------------------------------------------------------------------
 
-def _chunk_bounds(trace):
-    """Global rows at which a chunk of the current size starts."""
-    col = ColumnarTrace.from_events(trace)
-    return {lo for _, lo, _ in passes_base.event_chunks(col)}
-
-
-def test_chunk_boundary_on_a_barrier_row():
+def test_epochs_carry_across_barrier_rows():
     def first(thread):
         thread.load(META + 0x100, 8)
         thread.load(META + 0x108, 8)
@@ -389,55 +411,99 @@ def test_chunk_boundary_on_a_barrier_row():
         thread.barrier(1)
         thread.store(DATA + 8, 8)   # epoch 2: store/store
 
+    # A thread's epoch counts the barrier rows before each row, and
+    # restarts at the next thread.  An epoch count reset at a barrier
+    # would put the first thread's store to DATA in epoch 0, against
+    # the other's; one carried into the second thread would put every
+    # access of it past the first's.
     trace = _synth([first, second])
-    # At 3 a chunk ends on the first barrier; at 4 one starts on the
-    # second.  An epoch count reset at the boundary would put the first
-    # thread's store to DATA in epoch 0, against the other's.
-    for size in _at_chunk_sizes((3, 4)):
-        assert (3 if size == 3 else 4) in _chunk_bounds(trace)
-    report = _races(trace, (3, 4))
+    report = _races(trace)
     assert [f.severity for f in report.findings] == [
         Severity.WARNING,
         Severity.ERROR,
     ]
     assert "epoch 1:" in report.findings[0].message
-    _lint(trace, SystemConfig.graphpim(), (3, 4))
+    assert "epoch 2:" in report.findings[1].message
+    _lint(trace, SystemConfig.graphpim())
 
 
-def test_chunk_boundary_between_lock_cas_and_release():
+def test_lock_cas_and_release_across_threads():
     def locked(thread):
         thread.load(META + 0x100, 8)
-        thread.atomic(AtomicOp.CAS, LOCK, 8)   # row 1: last of a chunk
-        thread.store(DATA, 8)                  # row 2: next chunk
+        thread.atomic(AtomicOp.CAS, LOCK, 8)   # last access before...
+        thread.store(DATA, 8)                  # ...the critical store
         thread.store(LOCK, 8)                  # release
 
-    for _ in _at_chunk_sizes((2,)):
-        assert 2 in _chunk_bounds(_synth([locked]))
-    assert len(_races(_synth([locked, locked]), (1, 2))) == 0
-    report = _races(_synth([locked, _unlocked]), (1, 2))
+    def empty(thread):
+        pass
+
+    # Lock sections on both sides of an empty thread; the lock words
+    # stay per thread.
+    assert len(_races(_synth([locked, empty, locked]))) == 0
+    report = _races(_synth([locked, empty, _unlocked]))
     assert report.count("RACE001") == 1
 
 
-def test_chunk_boundary_after_the_capth_lint_finding():
-    def thread_body(thread):
-        # Alternating TRC003 variants, one finding per row.
-        for i in range(MAX_FINDINGS_PER_RULE + 2):
-            if i % 2:
-                thread.atomic(99, META + 8 * i, 8, False)
-            else:
-                thread.load(META + 8 * i, -4)
+def test_capth_lint_finding_on_a_thread_boundary():
+    def rows(count):
+        def thread_body(thread):
+            # Alternating TRC003 variants, one finding per row.
+            for i in range(count):
+                if i % 2:
+                    thread.atomic(99, META + 8 * i, 8, False)
+                else:
+                    thread.load(META + 8 * i, -4)
 
-    trace = _synth([thread_body])
-    sizes = (MAX_FINDINGS_PER_RULE, MAX_FINDINGS_PER_RULE - 1, 7)
-    for _ in _at_chunk_sizes(sizes[:1]):
-        # The cap-th finding is the last row of the first chunk.
-        assert MAX_FINDINGS_PER_RULE in _chunk_bounds(trace)
-    report = _lint(trace, SystemConfig.graphpim(), sizes)
-    assert report.count("TRC003") == MAX_FINDINGS_PER_RULE + 1
-    assert report.findings[-1].message.startswith("2 further TRC003")
-    assert report.findings[MAX_FINDINGS_PER_RULE - 1].event_index == (
-        MAX_FINDINGS_PER_RULE - 1
-    )
+        return thread_body
+
+    cap = MAX_FINDINGS_PER_RULE
+    # The cap-th finding is the first thread's last row, or the second
+    # thread's first: the per-variant counts and first rows carry
+    # across the thread boundary.
+    for split in (cap, cap - 1):
+        trace = _synth([rows(split), rows(cap + 2 - split)])
+        report = _lint(trace, SystemConfig.graphpim())
+        assert report.count("TRC003") == cap + 1
+        assert report.findings[-1].message.startswith("2 further TRC003")
+        capth = report.findings[cap - 1]
+        assert (capth.thread_id, capth.event_index) == (
+            (0, cap - 1) if split == cap else (1, 0)
+        )
+
+
+def test_barrier_balance_compares_threads_to_the_first():
+    def two(thread):
+        thread.barrier(0)
+        thread.load(META, 8)
+        thread.barrier(1)
+
+    def one(thread):
+        thread.load(META, 8)
+        thread.barrier(0)
+
+    def three(thread):
+        thread.barrier(0)
+        thread.barrier(1)
+        thread.barrier(2)
+
+    def backwards(thread):
+        thread.barrier(1)
+        thread.barrier(0)
+
+    def same_count(thread):
+        thread.barrier(0)
+        thread.barrier(2)
+
+    trace = _synth([two, one, three, backwards, same_count, two])
+    report = _lint(trace, SystemConfig.graphpim())
+    messages = [f.message for f in report.findings if f.rule_id == "TRC002"]
+    assert messages == [
+        "thread 1 barrier sequence (1 barriers) differs from thread 0 (2)",
+        "thread 2 barrier sequence (3 barriers) differs from thread 0 (2)",
+        "thread 3 barrier sequence (2 barriers) differs from thread 0 (2)",
+        "thread 4 barrier sequence (2 barriers) differs from thread 0 (2)",
+        "thread 3 barrier ids are not monotonically increasing",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +517,7 @@ def test_key_width_guard_falls_back_to_legacy():
 
     trace = _synth([huge, huge])
     col = ColumnarTrace.from_events(trace)
-    for _ in _at_chunk_sizes():
-        assert detect_races_columnar(col) is None  # guard trips
+    assert detect_races_columnar(col) is None  # guard trips
     # The PassManager transparently falls back to the legacy detector.
     results = PassManager(["race"]).run(trace, SystemConfig.graphpim())
     assert results["race"].engine == "legacy"

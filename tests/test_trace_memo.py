@@ -188,3 +188,24 @@ def test_the_graph_of_a_kept_trace_is_the_one_a_miss_builds():
     a, b = workload_graph("BFS", "tiny"), workload_graph("BFS", "tiny")
     assert a.row_offsets.tobytes() == b.row_offsets.tobytes()
     assert a.columns.tobytes() == b.columns.tobytes()
+
+
+def test_the_figure_11_and_13_sweeps_capture_each_trace_once(calls):
+    """Both sweeps walk BFS, DC, kCore and PRank at ``small`` in the same
+    order; the memo holds all four traces, so the second sweep captures
+    none."""
+    from repro.harness import run_experiment
+    from repro.harness.suite import clear_caches, evaluation_suite
+
+    clear_caches()
+    try:
+        # Both figures also read the Figure 7 grid; its results are
+        # memoized by the harness, and its traces are dropped here.
+        evaluation_suite("small")
+        clear_trace_memo()
+        calls["run"] = 0
+        run_experiment("fig11", scale="small")
+        run_experiment("fig13", scale="small")
+    finally:
+        clear_caches()
+    assert calls["run"] == 4

@@ -6,7 +6,9 @@ for every Figure 7 workload, the ``trace_digest`` of a capture and a
 sha256 of each functional output at ``tiny`` and ``small`` scale, with
 and without ``plain_atomics`` (Figure 4's mode) at 16 threads, plus
 ``tiny`` at 1, 3 and 64 threads.  Any change to how a workload records
-its trace, however it is implemented, must leave every entry equal.
+its trace, however it is implemented, must leave every entry equal:
+with the C library, and without it, where capture lays rows out in
+numpy.
 
 Re-record ``tests/data/workload_digests.json`` (only for an intended
 trace change) with::
@@ -25,6 +27,7 @@ import pytest
 from repro.core.presets import workload_graph, workload_params
 from repro.trace.io import trace_digest
 from repro.workloads.registry import FIGURE7_CODES, get_workload
+from tests.conftest import without_c_library
 
 _DATA = Path(__file__).resolve().parent / "data" / "workload_digests.json"
 
@@ -105,6 +108,17 @@ def test_capture_matches_pinned_digests(
     if os.environ.get("REPRO_WRITE_DIGESTS"):
         return
     assert record == _pinned()[key]
+
+
+@pytest.mark.parametrize("code,scale,threads,plain", _PARAMS)
+def test_capture_without_c_library_matches_pinned_digests(
+    code, scale, threads, plain
+):
+    with without_c_library():
+        record = capture_record(code, scale, threads, plain)
+    if os.environ.get("REPRO_WRITE_DIGESTS"):
+        return
+    assert record == _pinned()[cell_id(code, scale, threads, plain)]
 
 
 def test_matrix_covers_every_cell():
